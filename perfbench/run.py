@@ -2,7 +2,7 @@
 
 Usage (from the repository root):
 
-    python3 perfbench/run.py --workload tolrerm --seed 1 --seconds 25 --trace 0
+    python3 perfbench/run.py --workload tolrerm --seed 1 --seconds 28 --trace 0
 
 Each workload is one ``robustlab.harness.run(config)`` experiment.  The
 config is generated here from ``--seed`` and is all the program receives.
@@ -14,13 +14,21 @@ the config back to back, each run starting when the previous one ends.
 * ``run_s`` -- median wall time of one ``harness.run``, atomic CSV write
   included (quartiles and sample count are printed and kept in the result
   file);
-* ``setup_s`` -- median, over fresh interpreters, of ``import robustlab``
-  plus parsing and validating the config file;
+* ``setup_s`` -- first quartile, over fresh interpreters started between
+  the timed runs, of ``import robustlab`` plus parsing and validating the
+  config file, scaled to a fixed machine speed: it is multiplied by
+  ``CALIBRATION_REF_S`` / (first quartile of a calibration job that other
+  fresh interpreters run between the same timed runs, and that does not
+  touch robustlab).  The speed of fresh interpreters on the shared machine
+  the benchmark was built on drifts by tens of percent over minutes, and
+  the scaling cancels most of that drift (see NOTES.md).  The unscaled
+  samples are kept in the result file;
 * ``peak_rss_mb`` -- ``ru_maxrss`` of the worker process.
 
-``--trace 1`` reruns the workload untraced and then traced (see
+``--trace 1`` alternates untraced and traced runs in one worker (see
 ``tracer.py``) and reports the per-layer metrics, including
-``trace.overhead_ratio`` = traced ``run_s`` / untraced ``run_s``.
+``trace.overhead_ratio``, the median over adjacent pairs of traced
+``run_s`` / untraced ``run_s``.
 
 Correctness is checked on every run: a run fails if it raised, failed the
 experiment's embedded assertions, wrote a row count other than the
@@ -56,11 +64,12 @@ OUT = os.path.join(ROOT, ".bench_out")
 
 # Must finish well inside the 180 s a run may take.
 DEADLINE_S = 165.0
-SETUP_REPEATS = 7
-# Timed runs each worker makes at least, whatever --seconds says.
-MIN_TIMED = {"untraced": 5, "overhead": 3, "traced": 2}
-# Share of --seconds given to the untraced runs when tracing.
-UNTRACED_SHARE = 0.4
+# Timed runs (pairs when tracing) the worker makes at least, whatever
+# --seconds says.
+MIN_TIMED = {"untraced": 5, "alternate": 3}
+# The calibration job's first quartile on a machine of reference speed;
+# about what it took where the benchmark was built.  Scales setup_s only.
+CALIBRATION_REF_S = 0.2
 
 # Sizes are chosen so one run takes 1-2 s on a 2-core x86 box and the
 # embedded assertions hold for every seed tried (see NOTES.md).
@@ -78,20 +87,6 @@ WORKLOADS = {
     ),
     "vc": ("robust_vc_audit", {"universe_size": 9, "thresholds": 25, "k_grid": [1, 2, 3], "max_m": 4}),
 }
-
-SETUP_CODE = """
-import sys, time
-t0 = time.perf_counter()
-sys.path.insert(0, sys.argv[1])
-import robustlab
-from robustlab.harness import ExperimentConfig
-ExperimentConfig.from_file(sys.argv[2])
-elapsed = time.perf_counter() - t0
-if not robustlab.__file__.startswith(sys.argv[1]):
-    sys.exit("robustlab was not imported from " + sys.argv[1])
-print(elapsed)
-"""
-
 
 class SetupError(RuntimeError):
     """The program could not be set up or did not report a result."""
@@ -137,17 +132,8 @@ def _child(args: list[str], deadline: float) -> str:
     return proc.stdout.strip().splitlines()[-1]
 
 
-def measure_setup(config_path: str, deadline: float) -> list[float]:
-    """Seconds to import robustlab and validate the config, per fresh interpreter.
-
-    One untimed interpreter first, so byte-code caches are written.
-    """
-    times = [float(_child(["-c", SETUP_CODE, SRC, config_path], deadline)) for _ in range(SETUP_REPEATS + 1)]
-    return times[1:]
-
-
-def run_worker(config_path: str, seconds: float, trace: bool, min_timed: int, deadline: float) -> dict:
-    args = [os.path.join(HERE, "worker.py"), config_path, repr(seconds), str(int(trace)), str(min_timed)]
+def run_worker(config_path: str, seconds: float, mode: str, deadline: float) -> dict:
+    args = [os.path.join(HERE, "worker.py"), config_path, repr(seconds), mode, str(MIN_TIMED[mode])]
     return json.loads(_child(args, deadline))
 
 
@@ -240,58 +226,54 @@ def main(argv: list[str] | None = None) -> int:
         json.dump(config, fh, sort_keys=True)
 
     facts["load1_start"] = os.getloadavg()[0]
-    setup_times: list[float] = []
     try:
-        if trace:
-            base = run_worker(config_path, UNTRACED_SHARE * args.seconds, False, MIN_TIMED["overhead"], deadline)
-            traced = run_worker(
-                config_path, (1 - UNTRACED_SHARE) * args.seconds, True, MIN_TIMED["traced"], deadline
-            )
-        else:
-            setup_times = measure_setup(config_path, deadline)
-            base = run_worker(config_path, args.seconds, False, MIN_TIMED["untraced"], deadline)
-            traced = None
+        report = run_worker(config_path, args.seconds, "alternate" if trace else "untraced", deadline)
     except SetupError as err:
         print(f"perfbench: {err}", file=sys.stderr)
         return 2
     finally:
         shutil.rmtree(work_dir, ignore_errors=True)
     facts["load1_end"] = os.getloadavg()[0]
-    facts["numpy"] = base["numpy"]
+    facts["numpy"] = report["numpy"]
 
-    runs = base["runs"] + (traced["runs"] if traced else [])
-    reference = base["runs"][0]["sha256"]
+    runs = report["runs"]
+    reference = runs[0]["sha256"]
     reasons = judge(runs, reference, expected_rows(args.workload))
     failed = sum(1 for r in reasons if r)
-    timed = [r["s"] for r in base["runs"][1:] if r["s"] is not None]
-    if not timed:
+    # runs[0] is the warm-up
+    untraced = [r["s"] for r in runs[1:] if not r["traced"] and r["s"] is not None]
+    if not untraced:
         print(f"perfbench: no run of {args.workload} completed: {reasons[-1]}", file=sys.stderr)
         return 2
-    run_q = quartiles(timed)
+    run_q = quartiles(untraced)
 
     unstable: list[str] = []
     if trace:
-        traced_timed = [r["s"] for r in traced["runs"][1:] if r["s"] is not None]
-        if not traced_timed:
+        traced = [r for r in runs if r["traced"]]
+        pairs = [runs[i : i + 2] for i in range(1, len(runs) - 1, 2)]
+        ratios = [
+            next(r["s"] for r in pair if r["traced"]) / next(r["s"] for r in pair if not r["traced"])
+            for pair in pairs
+            if all(r["s"] is not None for r in pair)
+        ]
+        if not ratios:
             print(f"perfbench: no traced run of {args.workload} completed: {reasons[-1]}", file=sys.stderr)
             return 2
         # counts are exact and checked to repeat below; times are medians
-        layer_runs = traced["layers"][1:]
+        layers = [r["layers"] for r in traced]
         metrics = {
-            name: layer_runs[0][name] if tracer.is_count(name) else statistics.median(run[name] for run in layer_runs)
-            for name in layer_runs[0]
+            name: layers[0][name] if tracer.is_count(name) else statistics.median(run[name] for run in layers)
+            for name in layers[0]
         }
-        metrics["trace.overhead_ratio"] = statistics.median(traced_timed) / run_q[1]
-        unstable = [
-            name
-            for name in metrics
-            if tracer.is_count(name) and len({run[name] for run in traced["layers"]}) != 1
-        ]
+        metrics["trace.overhead_ratio"] = statistics.median(ratios)
+        unstable = [name for name in metrics if tracer.is_count(name) and len({run[name] for run in layers}) != 1]
     else:
+        setup_wall = quartiles(report["setup_s"])[0]
+        speed = CALIBRATION_REF_S / quartiles(report["calibration_s"])[0]
         metrics = {
             "run_s": run_q[1],
-            "setup_s": statistics.median(setup_times),
-            "peak_rss_mb": base["maxrss_kb"] / 1024.0,
+            "setup_s": setup_wall * speed,
+            "peak_rss_mb": report["maxrss_kb"] / 1024.0,
         }
     if set(metrics) != set(declared):
         print(
@@ -314,8 +296,9 @@ def main(argv: list[str] | None = None) -> int:
         "failed": failed,
         "failures": [r for r in reasons if r],
         "unrepeated_counts": unstable,
-        "run_s": {"p25": run_q[0], "median": run_q[1], "p75": run_q[2], "n": len(timed)},
-        "setup_s_samples": setup_times,
+        "run_s": {"p25": run_q[0], "median": run_q[1], "p75": run_q[2], "n": len(untraced)},
+        "setup_s_samples": report["setup_s"],
+        "calibration_s_samples": report["calibration_s"],
         "metrics": reported,
     }
     os.makedirs(os.path.join(OUT, "results"), exist_ok=True)
@@ -327,13 +310,16 @@ def main(argv: list[str] | None = None) -> int:
     print(f"workload {args.workload}  seed {args.seed}  output sha256 {reference}")
     print(
         f"  run_s        median {run_q[1]:.4f} s  p25 {run_q[0]:.4f}  p75 {run_q[2]:.4f}  "
-        f"n={len(timed)} (untraced, after 1 warm-up)"
+        f"n={len(untraced)} (untraced, after 1 warm-up)"
     )
     if trace:
-        for name, unit, _ in tracer.metric_catalogue():
+        for name, unit in declared.items():
             print(f"  {name:<48} {metrics[name]:.6g} {unit}")
     else:
-        print(f"  setup_s      median {metrics['setup_s']:.4f} s  n={len(setup_times)}")
+        calibration = report["calibration_s"]
+        print(f"  wall setup_s p25 {setup_wall:.4f} s  n={len(report['setup_s'])}")
+        print(f"  calibration  p25 {quartiles(calibration)[0]:.4f} s  n={len(calibration)}  scale {speed:.4f}")
+        print(f"  setup_s      {metrics['setup_s']:.4f} s (scaled)")
         print(f"  peak_rss_mb  {metrics['peak_rss_mb']:.2f} MB")
     print(f"  failed_frac  {failed / len(runs):.4g} ratio ({failed} of {len(runs)} runs)")
     for reason in sorted(set(r for r in reasons if r)):

@@ -70,26 +70,6 @@ LATENCY_SPANS = ("rerm.tolrerm", "sandwich.sandwich_audit")
 _ROWS_TESTED = "regions.uniform_sample.rows_tested"
 
 
-def metric_catalogue() -> list[tuple[str, str, str]]:
-    """Every per-layer metric as ``(name, unit, better)``, in report order."""
-    out = []
-    for span in SPANS:
-        out += [
-            (f"{span}.calls", "count", "lower"),
-            (f"{span}.s", "s", "lower"),
-            (f"{span}.self_s", "s", "lower"),
-        ]
-    for span in LATENCY_SPANS:
-        out += [(f"{span}.ms_p50", "ms", "lower"), (f"{span}.ms_p99", "ms", "lower")]
-    out += [(name, "bytes" if name.endswith(".bytes") else "count", "lower") for name in COUNTS]
-    out += [
-        ("regions.uniform_sample.accept_ratio", "ratio", "higher"),
-        ("oracle_game.draws_per_s", "1/s", "higher"),
-        ("trace.overhead_ratio", "ratio", "lower"),
-    ]
-    return out
-
-
 def is_count(name: str) -> bool:
     """Whether a per-layer metric is an exact count (as opposed to a time)."""
     return name.endswith(".calls") or name in COUNTS
@@ -265,15 +245,26 @@ def _written_bytes(tracer, args, result):
 # --------------------------------------------------------------------------
 
 
-def install(tracer: Tracer) -> None:
+def install(tracer: Tracer):
     """Wrap robustlab's traced functions and methods with ``tracer``.
 
-    Irreversible for the process: a traced run happens in its own process.
+    Returns a function that puts every original back, so one process can
+    alternate untraced and traced runs.
     """
     from robustlab import classifiers, geometry, harness, loss_vc, oracle_game
     from robustlab import regions, rerm, sandwich, seeding
 
     modules = [m for name, m in sys.modules.items() if name.split(".")[0] == "robustlab"]
+    saved: list[tuple[object, str, object]] = []  # (namespace, name, original)
+
+    def replace(namespace, attr, value):
+        # namespace is a module, a class or a dict
+        if isinstance(namespace, dict):
+            saved.append((namespace, attr, namespace[attr]))
+            namespace[attr] = value
+        else:
+            saved.append((namespace, attr, vars(namespace)[attr]))
+            setattr(namespace, attr, value)
 
     def rebind(module, attr, wrap):
         original = getattr(module, attr)
@@ -281,10 +272,10 @@ def install(tracer: Tracer) -> None:
         for m in modules:
             for key, value in list(vars(m).items()):
                 if value is original:
-                    setattr(m, key, replacement)
+                    replace(m, key, replacement)
 
     def patch(cls, attr, wrap):
-        setattr(cls, attr, wrap(cls.__dict__[attr]))
+        replace(cls, attr, wrap(cls.__dict__[attr]))
 
     def span(name, after=None):
         return lambda fn: tracer.span(name, fn, after)
@@ -324,4 +315,13 @@ def install(tracer: Tracer) -> None:
     rebind(harness, "write_record", span("harness.write_record", _written_bytes))
     runner_span = span("harness.runner")
     for name, spec in list(harness.EXPERIMENTS.items()):
-        harness.EXPERIMENTS[name] = dataclasses.replace(spec, runner=runner_span(spec.runner))
+        replace(harness.EXPERIMENTS, name, dataclasses.replace(spec, runner=runner_span(spec.runner)))
+
+    def uninstall() -> None:
+        for obj, attr, original in reversed(saved):
+            if isinstance(obj, dict):
+                obj[attr] = original
+            else:
+                setattr(obj, attr, original)
+
+    return uninstall
