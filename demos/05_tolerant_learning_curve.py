@@ -24,8 +24,7 @@ for n in (10, 30, 100, 300):
     excesses = []
     for trial in range(200):
         res = tolrerm(oracle, task.family, task.dist, eps, delta, task.gamma, n, seed=1000 * n + trial)
-        idx = next(i for i, h in enumerate(task.cls) if h is res.hypothesis)
-        excesses.append(oracle.distribution_loss(idx, 0.0) - opt_gamma)
+        excesses.append(oracle.distribution_loss(res.index, 0.0) - opt_gamma)
     excesses = np.array(excesses)
     print(
         f"  n={n:4d}: mean excess {excesses.mean():+.4f}  q90 {np.quantile(excesses, 0.9):+.4f}  "

@@ -17,7 +17,6 @@ from .regions import (
     RegionFamily,
     UnionOfBalls,
     expand,
-    point_to_region_distance,
     uniform_sample,
 )
 from .classifiers import (
@@ -67,7 +66,6 @@ __all__ = [
     "RegionFamily",
     "UnionOfBalls",
     "expand",
-    "point_to_region_distance",
     "uniform_sample",
     "BoundedLinearClass",
     "DiscreteDistribution",

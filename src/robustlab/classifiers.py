@@ -53,7 +53,6 @@ __all__ = [
     "RegularityCertificate",
     "regularity_check",
     "linear_net_2d",
-    "random_bounded_linear",
 ]
 
 
@@ -499,11 +498,3 @@ def linear_net_2d(W: float, n_angles: int, n_offsets: int) -> list[LinearClassif
         for t in np.linspace(-W, W, n_offsets):
             out.append(LinearClassifier(w, -t))
     return out
-
-
-def random_bounded_linear(W: float, d: int, n: int, seed) -> list[LinearClassifier]:
-    """Random halfspaces with boundary within distance W of the origin."""
-    rng = as_generator(seed)
-    dirs = uniform_sphere(n, d, 1.0, rng)
-    offsets = rng.uniform(-W, W, size=n)
-    return [LinearClassifier(w, -t) for w, t in zip(dirs, offsets)]

@@ -256,8 +256,7 @@ def _run_tolrerm_sweep(params: dict, seed: int):
             for trial in range(params["trials"]):
                 run_seed = seed_derive(seed, f"run-{task_idx}-{n}-{trial}")
                 res = tolrerm(oracle, task.family, task.dist, eps, delta, task.gamma, n, run_seed)
-                idx = next(i for i, h in enumerate(task.cls) if h is res.hypothesis)
-                excess = oracle.distribution_loss(idx, 0.0) - opt_gamma
+                excess = oracle.distribution_loss(res.index, 0.0) - opt_gamma
                 rows.append(
                     {
                         "task": task_idx,
@@ -313,7 +312,7 @@ def _run_opt_gap_audit(params: dict, seed: int):
         audit = opt_gap_audit(opt_fn, eps, delta, gamma, params["trials"], seed_derive(seed, f"gap-{idx}"))
         freq_sigma = np.sqrt(audit.target_frequency * (1 - audit.target_frequency) / audit.trials)
         gap_sigma = np.sqrt(max(audit.mean_gap_bound, 1e-12) / audit.trials)
-        ok = (
+        ok = bool(
             audit.frequency_ok >= audit.target_frequency - 3 * freq_sigma
             and audit.mean_gap <= audit.mean_gap_bound + 3 * gap_sigma
         )
@@ -437,7 +436,7 @@ def _run_lb_linear_game(params: dict, seed: int):
     if params["learner"] == "omniscient":
         passed = result.mean_loss == 0.0
     else:
-        passed = (
+        passed = bool(
             result.mean_loss >= 0.25 - 3 * sigma
             and result.freq_loss_above_eighth >= 1 / 7 - 3 * sigma
         )
@@ -460,7 +459,7 @@ def _run_oracle_query_sweep(params: dict, seed: int):
     if 0 in result.budgets:
         i = int(np.flatnonzero(result.budgets == 0)[0])
         sigma = 0.25 / np.sqrt(result.trials)
-        passed = passed and abs(result.excess_error[i] - 0.25) <= 3 * sigma + 1e-9
+        passed = passed and bool(abs(result.excess_error[i] - 0.25) <= 3 * sigma + 1e-9)
     threshold = detection_threshold(result)
     schema = [
         ("budget", "sampling-oracle query budget"),

@@ -6,6 +6,13 @@ convergence of empirical robust loss.  Everything here is exhaustive and
 desk-scale: pattern sets are enumerated exactly, shattered sets carry
 verified witnesses, and dimension reports always distinguish a certified
 upper bound from a best-found lower bound.
+
+Each loss is evaluated once: a (hypothesis x example) 0/1 matrix is built
+from :func:`~robustlab.classifiers.robust_loss_point`, the pattern of a
+hypothesis on a sample is a row of it, and the pattern set on a subset is
+the set of distinct rows of the matrix restricted to the subset's columns.
+One column-projection search serves the robust, plain 0-1 and ordinary VC
+searches.
 """
 
 from __future__ import annotations
@@ -13,15 +20,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .classifiers import FiniteClass, Hypothesis, LabeledExample, robust_loss_point
-from .regions import RegionFamily
+from .classifiers import FiniteClass, LabeledExample, robust_loss_point
+from .regions import FinitePoints, Region, RegionFamily, normalize_region
 
 __all__ = [
-    "LossHypothesis",
     "loss_patterns",
     "pattern_witnesses",
     "ShatterReport",
@@ -37,15 +43,24 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class LossHypothesis:
-    """A hypothesis viewed through its robust loss on labeled points."""
+def _loss_matrix(
+    cls: FiniteClass, regions: Sequence[Region], sample: Sequence[LabeledExample]
+) -> np.ndarray:
+    """(hypothesis x example) 0/1 robust losses, one evaluation per cell."""
+    losses = [[robust_loss_point(h, reg, ex) for reg, ex in zip(regions, sample)] for h in cls]
+    return np.array(losses, dtype=np.int8)
 
-    base: Hypothesis
-    family: RegionFamily
 
-    def __call__(self, ex: LabeledExample) -> int:
-        return robust_loss_point(self.base, self.family.region_for(ex.x), ex)
+def _family_regions(family: RegionFamily, sample: Sequence[LabeledExample]) -> list[Region]:
+    return [family.region_for(ex.x) for ex in sample]
+
+
+def _row_witnesses(matrix: np.ndarray) -> dict[tuple[int, ...], int]:
+    """Map each distinct row of the matrix to the lowest index holding it."""
+    out: dict[tuple[int, ...], int] = {}
+    for idx, row in enumerate(matrix.tolist()):
+        out.setdefault(tuple(row), idx)
+    return out
 
 
 def loss_patterns(
@@ -59,13 +74,7 @@ def pattern_witnesses(
     cls: FiniteClass, family: RegionFamily, sample: Sequence[LabeledExample]
 ) -> dict[tuple[int, ...], int]:
     """Map each realized loss pattern to the lowest witness index."""
-    out: dict[tuple[int, ...], int] = {}
-    for idx, h in enumerate(cls):
-        pattern = tuple(
-            robust_loss_point(h, family.region_for(ex.x), ex) for ex in sample
-        )
-        out.setdefault(pattern, idx)
-    return out
+    return _row_witnesses(_loss_matrix(cls, _family_regions(family, sample), sample))
 
 
 @dataclass(frozen=True)
@@ -100,22 +109,24 @@ class VcEstimate:
             assert self.dimension_lower <= self.dimension_upper
 
 
-def _search_vc(
-    pattern_fn: Callable[[Sequence[LabeledExample]], set],
-    universe: Sequence[LabeledExample],
-    max_m: int,
-    subset_budget: int,
-) -> VcEstimate:
+def _search_vc(matrix: np.ndarray, max_m: int, subset_budget: float) -> VcEstimate:
+    """Shattering search over the columns of a (hypothesis x point) matrix.
+
+    A column subset is shattered when the rows restricted to it take all
+    ``2**m`` values.  Subsets are scanned by increasing size in
+    lexicographic order, with early exit per size.
+    """
+    n = matrix.shape[1]
     lower = 0
     scanned = 0
     for m in range(1, max_m + 1):
-        total = math.comb(len(universe), m)
+        total = math.comb(n, m)
         if scanned + total > subset_budget:
             return VcEstimate(lower, None, scanned, True)
         found = False
-        for subset in combinations(universe, m):
+        for cols in combinations(range(n), m):
             scanned += 1
-            if len(pattern_fn(subset)) == 2**m:
+            if len(_row_witnesses(matrix[:, list(cols)])) == 2**m:
                 found = True
                 break
         if not found:
@@ -139,9 +150,8 @@ def robust_vc_search(
     shattered set.  Witnesses behind any reported lower bound are
     re-verifiable through :func:`pattern_witnesses`.
     """
-    return _search_vc(
-        lambda subset: loss_patterns(cls, family, subset), universe, max_m, subset_budget
-    )
+    matrix = _loss_matrix(cls, _family_regions(family, universe), universe)
+    return _search_vc(matrix, max_m, subset_budget)
 
 
 def zero_one_vc_search(
@@ -156,34 +166,17 @@ def zero_one_vc_search(
     degenerate singleton-region case: the pattern of a hypothesis is
     ``1[h(x) != y]`` computed directly from predictions.
     """
-
-    def patterns(subset: Sequence[LabeledExample]) -> set:
-        out = set()
-        for h in cls:
-            out.add(tuple(int(h.predict(ex.x) != ex.y) for ex in subset))
-        return out
-
-    return _search_vc(patterns, universe, max_m, subset_budget)
+    matrix = np.array([[int(h.predict(ex.x) != ex.y) for ex in universe] for h in cls])
+    return _search_vc(matrix, max_m, subset_budget)
 
 
 def class_vc_on_points(cls: FiniteClass, points: np.ndarray, max_m: int | None = None) -> int:
     """Ordinary VC dimension of the class restricted to a finite point set."""
     points = np.atleast_2d(points)
-    labelings = {tuple(h.predict_many(points).tolist()) for h in cls}
+    labelings = np.array([h.predict_many(points) for h in cls])
     n = len(points)
     max_m = n if max_m is None else min(max_m, n)
-    best = 0
-    for m in range(1, max_m + 1):
-        found = False
-        for idx in combinations(range(n), m):
-            projected = {tuple(lab[i] for i in idx) for lab in labelings}
-            if len(projected) == 2**m:
-                found = True
-                break
-        if not found:
-            return best
-        best = m
-    return best
+    return _search_vc(labelings, max_m, math.inf).dimension_lower
 
 
 def sauer_bound(vc: int, n: int) -> int:
@@ -197,24 +190,17 @@ def distinct_pattern_correspondence(
     """Pairs with distinct loss patterns but identical labelings on the
     inflated point set (must be empty: distinct loss behavior on a sample
     forces distinct base labelings of the union of its regions)."""
-    from .regions import FinitePoints, normalize_region
-
+    regions = _family_regions(family, sample)
     region_pts = []
-    for ex in sample:
-        region = normalize_region(family.region_for(ex.x))
+    for region in map(normalize_region, regions):
         if isinstance(region, FinitePoints):
             region_pts.append(region.points)
         else:
             raise ValueError("correspondence check needs finite-point regions")
     T = np.vstack(region_pts)
 
-    patterns = []
-    labelings = []
-    for h in cls:
-        patterns.append(
-            tuple(robust_loss_point(h, family.region_for(ex.x), ex) for ex in sample)
-        )
-        labelings.append(tuple(h.predict_many(T).tolist()))
+    patterns = [tuple(row) for row in _loss_matrix(cls, regions, sample).tolist()]
+    labelings = [tuple(h.predict_many(T).tolist()) for h in cls]
     bad = []
     for i in range(len(cls)):
         for j in range(i + 1, len(cls)):
@@ -247,27 +233,24 @@ def overhead_audit(
     growth-function check that every scanned sample's pattern count stays
     within the Sauer bound implied by that ordinary VC (zero violations
     expected; the count bound is what caps the loss-class dimension at
-    d * log(d k) scale).
+    d * log(d k) scale).  A subset's inflated point count is the sum of its
+    examples' region sizes, repeats included.
     """
-    from .regions import FinitePoints, normalize_region
-
     rows = []
     for d, k, cls, family, universe in instances:
         estimate = robust_vc_search(cls, family, universe, max_m)
-        all_pts = np.vstack(
-            [normalize_region(family.region_for(ex.x)).points for ex in universe]
-        )
-        base_vc = class_vc_on_points(cls, np.unique(all_pts, axis=0))
+        regions = _family_regions(family, universe)
+        region_pts = [normalize_region(region).points for region in regions]
+        sizes = [len(pts) for pts in region_pts]
+        base_vc = class_vc_on_points(cls, np.unique(np.vstack(region_pts), axis=0))
+        matrix = _loss_matrix(cls, regions, universe)
         ok = True
         checks = 0
         for m in range(1, min(len(universe), max_m) + 1):
-            for subset in combinations(universe, m):
-                T = np.vstack(
-                    [normalize_region(family.region_for(ex.x)).points for ex in subset]
-                )
-                n_patterns = len(loss_patterns(cls, family, subset))
+            for cols in combinations(range(len(universe)), m):
+                n_patterns = len(_row_witnesses(matrix[:, list(cols)]))
                 checks += 1
-                if n_patterns > sauer_bound(base_vc, len(T)):
+                if n_patterns > sauer_bound(base_vc, sum(sizes[i] for i in cols)):
                     ok = False
         rows.append(
             OverheadRow(d, k, estimate.dimension_lower, estimate.dimension_upper, base_vc, ok, checks)
@@ -287,20 +270,12 @@ def vball_shatter_check(
     """
     from .geometry import Ball
 
-    regions = [Ball(ex.x, radius) for ex in candidates]
-    n = len(candidates)
-    vectors = []
-    for h in cls:
-        vectors.append(
-            tuple(robust_loss_point(h, regions[i], candidates[i]) for i in range(n))
-        )
-    witness_map: dict[tuple[int, ...], int] = {}
-    for idx, vec in enumerate(vectors):
-        witness_map.setdefault(vec, idx)
+    matrix = _loss_matrix(cls, [Ball(ex.x, radius) for ex in candidates], candidates)
+    witness_map = _row_witnesses(matrix)
     achieved = len(witness_map)
     return ShatterReport(
         sample=tuple(candidates),
         achieved_patterns=achieved,
-        shattered=achieved == 2**n,
+        shattered=achieved == 2 ** len(candidates),
         witness_map=witness_map,
     )

@@ -30,9 +30,6 @@ __all__ = [
     "UnionOfBalls",
     "Expanded",
     "expand",
-    "contains",
-    "point_to_region_distance",
-    "diameter",
     "normalize_region",
     "uniform_sample",
     "point_key",
@@ -239,19 +236,6 @@ def expand(region: Region, gamma: float) -> Region:
     return region.expand(gamma)
 
 
-def contains(region: Region, p) -> bool:
-    return region.contains(p)
-
-
-def point_to_region_distance(p, region: Region) -> float:
-    """Distance from a point to the closed region (zero inside)."""
-    return region.distance_to(p)
-
-
-def diameter(region: Region) -> float:
-    return region.diameter()
-
-
 def normalize_region(region: Region) -> Region:
     """Collapse lazy expansions into concrete ball-based or point forms."""
     if isinstance(region, Expanded):
@@ -344,7 +328,8 @@ def region_from_dict(data: dict) -> Region:
 class RegionFamily:
     """Assignment of perturbation regions to support points.
 
-    Anchors are identified by coordinates quantized at 1e-12.  Each
+    Anchors are identified by coordinates quantized at 1e-12, and an anchor
+    that collides with an earlier one at that resolution is rejected.  Each
     assigned region must contain its anchor unless the family is built
     with ``allow_outside_anchor=True``.  An optional ``default_rule``
     callable serves regions for off-support points (for instance
@@ -367,7 +352,10 @@ class RegionFamily:
                 raise DimensionMismatch("anchor and region dimensions differ")
             if not allow_outside_anchor and not region.contains(anchor):
                 raise ValueError(f"anchor {anchor} lies outside its assigned region")
-            self._regions[point_key(anchor)] = region
+            key = point_key(anchor)
+            if key in self._regions:
+                raise ValueError(f"anchor {anchor} collides with an earlier anchor at 1e-12 resolution")
+            self._regions[key] = region
             self._anchors.append(anchor)
         self._default = default_rule
 
@@ -382,9 +370,6 @@ class RegionFamily:
         if self._default is not None:
             return self._default(as_point(x))
         raise KeyError(f"no region assigned for point {x}")
-
-    def has_region(self, x) -> bool:
-        return point_key(x) in self._regions or self._default is not None
 
     def expanded(self, r: float) -> "RegionFamily":
         """Family of radius-``r`` expansions; ``r == 0`` returns self."""

@@ -34,7 +34,7 @@ from .classifiers import (
     violation_radius,
 )
 from .geometry import Ball
-from .regions import FinitePoints, RegionFamily, UnionOfBalls, point_key
+from .regions import FinitePoints, RegionFamily, UnionOfBalls
 from .seeding import rng_for, uniform_sphere
 
 __all__ = [
@@ -64,6 +64,16 @@ class RermSolution:
     n_candidates: int
 
 
+def _argmin_solution(hypotheses, family: RegionFamily, sample: list[LabeledExample], r: float) -> RermSolution:
+    """Lowest-index minimizer of empirical robust loss on the r-expanded family."""
+    if not sample:
+        raise ValueError("empty sample")
+    expanded = family.expanded(r)
+    counts = [robust_loss_count(h, expanded, sample) for h in hypotheses]
+    best = counts.index(min(counts))
+    return RermSolution(hypotheses[best], counts[best] / len(sample), best, len(hypotheses))
+
+
 class ExhaustiveFiniteOracle:
     """Exact argmin over an explicit finite class (lowest index wins ties)."""
 
@@ -71,15 +81,7 @@ class ExhaustiveFiniteOracle:
         self.cls = cls
 
     def solve(self, family: RegionFamily, sample: list[LabeledExample], r: float) -> RermSolution:
-        if not sample:
-            raise ValueError("empty sample")
-        expanded = family.expanded(r)
-        best_idx, best_count = 0, len(sample) + 1
-        for i, h in enumerate(self.cls):
-            count = robust_loss_count(h, expanded, sample)
-            if count < best_count:
-                best_idx, best_count = i, count
-        return RermSolution(self.cls[best_idx], best_count / len(sample), best_idx, len(self.cls))
+        return _argmin_solution(self.cls, family, sample, r)
 
 
 class IndexedExhaustiveOracle:
@@ -88,7 +90,12 @@ class IndexedExhaustiveOracle:
     Precomputes, per (hypothesis, support atom), the expansion radius at
     which the robust loss flips to 1.  Solving at any radius then reduces
     to vectorized comparisons, which makes radius profiles and large trial
-    sweeps exact and cheap.  Produces identical answers to
+    sweeps exact and cheap.
+
+    Atoms are identified by their index in the bound distribution, so a
+    sample must hold the distribution's own example objects (as
+    ``dist.sample`` returns them); any other example raises ``ValueError``.
+    Atoms sharing a point keep apart, and answers are identical to
     :class:`ExhaustiveFiniteOracle` on its bound support.
     """
 
@@ -99,10 +106,12 @@ class IndexedExhaustiveOracle:
         n_h, n_a = len(cls), len(dist)
         self._radii = np.empty((n_h, n_a))
         self._incl = np.empty((n_h, n_a), dtype=bool)
-        self._key_to_idx = {point_key(ex.x): j for j, ex in enumerate(dist.examples)}
+        # the distribution keeps its atoms alive, so their ids stay unique
+        self._atom_index = {id(ex): j for j, ex in enumerate(dist.examples)}
+        regions = [family.region_for(ex.x) for ex in dist.examples]
         for i, h in enumerate(cls):
-            for j, ex in enumerate(dist.examples):
-                rs, inc = violation_radius(h, family.region_for(ex.x), ex.y)
+            for j, (ex, region) in enumerate(zip(dist.examples, regions)):
+                rs, inc = violation_radius(h, region, ex.y)
                 self._radii[i, j] = rs
                 self._incl[i, j] = inc
 
@@ -122,7 +131,12 @@ class IndexedExhaustiveOracle:
     def solve(self, family: RegionFamily, sample: list[LabeledExample], r: float) -> RermSolution:
         if family is not self.family:
             raise ValueError("oracle is bound to a different region family")
-        idx = np.array([self._key_to_idx[point_key(ex.x)] for ex in sample])
+        try:
+            idx = np.array([self._atom_index[id(ex)] for ex in sample])
+        except KeyError:
+            raise ValueError(
+                "sample holds an example that is not an atom of the bound distribution"
+            ) from None
         return self.solve_indices(idx, r)
 
     def opt_count(self, atom_indices: np.ndarray, r: float) -> int:
@@ -185,16 +199,7 @@ class LinearCandidatesOracle:
         return out[: self.candidate_budget]
 
     def solve(self, family: RegionFamily, sample: list[LabeledExample], r: float) -> RermSolution:
-        if not sample:
-            raise ValueError("empty sample")
-        candidates = self._candidates(family, sample, r)
-        expanded = family.expanded(r)
-        best_idx, best_count = 0, len(sample) + 1
-        for i, h in enumerate(candidates):
-            count = robust_loss_count(h, expanded, sample)
-            if count < best_count:
-                best_idx, best_count = i, count
-        return RermSolution(candidates[best_idx], best_count / len(sample), best_idx, len(candidates))
+        return _argmin_solution(self._candidates(family, sample, r), family, sample, r)
 
 
 def _max_radius(region) -> float:
@@ -250,6 +255,7 @@ class TolRermResult:
     r_used: float
     achieved_loss: float
     n: int
+    index: int
 
 
 def tolrerm(
@@ -267,7 +273,7 @@ def tolrerm(
     The radius is uniform on ``[eps*delta*gamma/7, gamma]`` and the sample
     of size ``n`` is drawn from an independently derived RNG stream, so the
     two draws never share state.  Deterministic per seed; the radius used
-    is reported for audit.
+    is reported for audit, and so is the oracle's index of the answer.
     """
     if not (0 < eps <= 1 and 0 < delta <= 1):
         raise ValueError("eps and delta must lie in (0, 1]")
@@ -278,8 +284,8 @@ def tolrerm(
     lo = eps * delta * gamma / 7.0
     r = float(rng_for(seed, "radius").uniform(lo, gamma))
     sample = dist.sample(n, rng_for(seed, "sample"))
-    hypothesis, achieved = rerm_solve(oracle, family, sample, r)
-    return TolRermResult(hypothesis, r, achieved, n)
+    sol = oracle.solve(family, sample, r)
+    return TolRermResult(sol.hypothesis, r, sol.achieved_loss, n, sol.index)
 
 
 @dataclass(frozen=True)

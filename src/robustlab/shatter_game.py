@@ -281,10 +281,6 @@ def build_failure_instance(
     return FailureInstance(m, M, W, d, subsets, shatter, family, anchors, witnesses)
 
 
-def label_of(inst: FailureInstance, i: int) -> LabeledExample:
-    return LabeledExample(inst.anchors[i], -1)
-
-
 def export_instance(inst: FailureInstance) -> dict:
     """JSON-ready snapshot of the instance (harness config format).
 
@@ -317,11 +313,8 @@ def cross_loss_exact(inst: FailureInstance, t: int, t_prime: int) -> float:
     from .classifiers import robust_loss_point
 
     h = inst.witnesses[t]
-    support = [i for i in range(inst.n_anchors) if i not in inst.subsets[t_prime]]
-    losses = [
-        robust_loss_point(h, inst.family.region_for(inst.anchors[i]), label_of(inst, i))
-        for i in support
-    ]
+    support = [inst.anchors[i] for i in range(inst.n_anchors) if i not in inst.subsets[t_prime]]
+    losses = [robust_loss_point(h, inst.family.region_for(a), LabeledExample(a, -1)) for a in support]
     return float(np.mean(losses))
 
 

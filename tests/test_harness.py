@@ -135,7 +135,7 @@ class TestRunAndWrite:
         run(cfg)
         assert (tmp_path / "nested" / "reg.csv").exists()
 
-    def test_every_experiment_runs_small(self):
+    def test_every_experiment_runs_small(self, tmp_path):
         small = {
             "tolrerm_sweep": {"tasks": 2, "n_grid": [10, 40], "trials": 10},
             "opt_gap_audit": {"instances": 3, "trials": 150},
@@ -146,12 +146,22 @@ class TestRunAndWrite:
             "regularity_check": {},
         }
         for name, _ in list_experiments():
+            path = tmp_path / f"{name}.json"
             cfg = ExperimentConfig.from_dict(
-                {"experiment": name, "seed": 11, "params": small[name]}
+                {
+                    "experiment": name,
+                    "seed": 11,
+                    "params": small[name],
+                    "output_path": str(path),
+                    "format": "json",
+                }
             )
             record = run(cfg)
             assert record.assertions_passed, name
             assert record.rows
+            written = json.loads(path.read_text())
+            assert written["assertions_passed"] is True, name
+            assert len(written["rows"]) == len(record.rows), name
 
 
 class TestSeedDerivation:

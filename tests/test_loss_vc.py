@@ -1,16 +1,22 @@
 """Robust loss classes, exhaustive shattering, and growth-function checks."""
 
+from itertools import combinations
+
 import numpy as np
 
+import robustlab.loss_vc
 from robustlab.classifiers import (
     FiniteClass,
     LabeledExample,
     LinearClassifier,
+    SphereBoundary,
     TableClassifier,
     linear_net_2d,
+    robust_loss_point,
 )
 from robustlab.geometry import Ball
 from robustlab.loss_vc import (
+    OverheadRow,
     class_vc_on_points,
     distinct_pattern_correspondence,
     loss_patterns,
@@ -21,7 +27,7 @@ from robustlab.loss_vc import (
     vball_shatter_check,
     zero_one_vc_search,
 )
-from robustlab.regions import FinitePoints, RegionFamily
+from robustlab.regions import FinitePoints, RegionFamily, UnionOfBalls
 
 
 def ex(x, y):
@@ -223,3 +229,131 @@ class TestVballShatter:
         report = vball_shatter_check(cls, 1.0, candidates)
         assert (0, 0) not in report.witness_map
         assert not report.shattered
+
+
+# --------------------------------------------------------------------------
+# the loss matrix against a per-subset recomputation from robust_loss_point
+# --------------------------------------------------------------------------
+
+
+def reference_witnesses(cls, family, subset):
+    """Each pattern on the subset and its lowest witness, evaluated afresh."""
+    out = {}
+    for idx, h in enumerate(cls):
+        pattern = tuple(robust_loss_point(h, family.region_for(e.x), e) for e in subset)
+        out.setdefault(pattern, idx)
+    return out
+
+
+def reference_search(cls, family, universe, max_m):
+    """(lower, upper, scanned), recomputing every subset's patterns."""
+    lower = scanned = 0
+    for m in range(1, max_m + 1):
+        found = False
+        for subset in combinations(universe, m):
+            scanned += 1
+            if len(reference_witnesses(cls, family, subset)) == 2**m:
+                found = True
+                break
+        if not found:
+            return lower, lower, scanned
+        lower = m
+    return lower, (lower if lower < max_m else None), scanned
+
+
+def reference_overhead_row(d, k, cls, family, universe, max_m):
+    lower, upper, _ = reference_search(cls, family, universe, max_m)
+
+    def inflated(subset):
+        return np.vstack([family.region_for(e.x).points for e in subset])
+
+    base_vc = class_vc_on_points(cls, np.unique(inflated(universe), axis=0))
+    ok, checks = True, 0
+    for m in range(1, min(len(universe), max_m) + 1):
+        for subset in combinations(universe, m):
+            checks += 1
+            n_patterns = len(reference_witnesses(cls, family, subset))
+            ok = ok and n_patterns <= sauer_bound(base_vc, len(inflated(subset)))
+    return OverheadRow(d, k, lower, upper, base_vc, ok, checks)
+
+
+def mixed_class(xs):
+    """Linear, sphere-boundary and table hypotheses in the plane."""
+    hyps = []
+    for t in np.linspace(-0.5, 4.5, 6):
+        hyps.append(LinearClassifier((1.0, 0.0), -t))
+        hyps.append(LinearClassifier((-1.0, 0.3), t))
+    for cx, radius, label in [(1.0, 1.2, 1), (3.0, 0.9, -1), (2.0, 1.6, 1), (0.0, 0.5, -1)]:
+        hyps.append(SphereBoundary((cx, 0.0), radius, label))
+    for bits, default in [(0b01011, 1), (0b10110, -1), (0b11100, 1)]:
+        labels = [1 if bits & (1 << i) else -1 for i in range(len(xs))]
+        hyps.append(TableClassifier(xs, labels, default=default))
+    return FiniteClass(tuple(hyps))
+
+
+class TestLossMatrixAgainstRecomputation:
+    xs = np.array([[float(i), 0.0] for i in range(5)])
+    labels = [1, -1, -1, 1, -1]
+
+    def examples(self):
+        return [LabeledExample(x, y) for x, y in zip(self.xs, self.labels)]
+
+    def mixed_regions_family(self):
+        regions = [
+            Ball(self.xs[0], 0.3),
+            FinitePoints([self.xs[1], self.xs[1] + (0.2, 0.1)]),
+            UnionOfBalls((Ball(self.xs[2], 0.2), Ball(self.xs[2] + (0.3, 0.0), 0.1))),
+            FinitePoints([self.xs[3]]),
+            Ball(self.xs[4], 0.6),
+        ]
+        return RegionFamily(list(zip(self.xs, regions)))
+
+    def finite_points_family(self):
+        # region sizes 1, 2, 3, 2, 1, so inflated sizes differ by subset
+        offsets = [[0.0], [0.0, 0.25], [-0.2, 0.0, 0.3], [0.0, -0.4], [0.0]]
+        return RegionFamily(
+            [(x, FinitePoints([x + (o, 0.0) for o in offs])) for x, offs in zip(self.xs, offsets)]
+        )
+
+    def test_patterns_and_witnesses_on_every_subset(self):
+        examples = self.examples()
+        fam = self.mixed_regions_family()
+        cls = mixed_class(self.xs)
+        sizes = set()
+        for m in range(len(examples) + 1):
+            for subset in combinations(examples, m):
+                expected = reference_witnesses(cls, fam, subset)
+                assert pattern_witnesses(cls, fam, subset) == expected
+                assert loss_patterns(cls, fam, subset) == set(expected)
+                sizes.add(len(expected))
+        assert len(sizes) > 3  # the instance is not degenerate
+
+    def test_search_matches_recomputation(self):
+        examples = self.examples()
+        cls = mixed_class(self.xs)
+        for fam in (self.mixed_regions_family(), self.finite_points_family()):
+            est = robust_vc_search(cls, fam, examples, max_m=4)
+            lower, upper, scanned = reference_search(cls, fam, examples, max_m=4)
+            assert (est.dimension_lower, est.dimension_upper, est.subsets_scanned) == (
+                lower,
+                upper,
+                scanned,
+            )
+
+    def test_overhead_rows_match_recomputation(self, monkeypatch):
+        examples = self.examples()
+        cls = mixed_class(self.xs)
+        fam = self.finite_points_family()
+        instances = [(2, 2, cls, fam, examples), (2, 1, cls, singleton_family(examples), examples)]
+        expected = [reference_overhead_row(*inst, max_m=3) for inst in instances]
+
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return robust_loss_point(*args)
+
+        monkeypatch.setattr(robustlab.loss_vc, "robust_loss_point", counted)
+        assert overhead_audit(instances, max_m=3) == expected
+        # each loss is evaluated once for the search and once for the Sauer pass
+        assert len(calls) <= 2 * len(instances) * len(cls) * len(examples)

@@ -190,6 +190,16 @@ class TestRegionFamily:
         assert fam.expanded(0) is fam
         assert fam.expanded(0.5).region_for(anchor).radius == 1.5
 
+    def test_colliding_anchors_rejected(self):
+        # (1e-14, 0) has the same 1e-12 key as the origin
+        with pytest.raises(ValueError, match="collides"):
+            RegionFamily(
+                [
+                    (np.array([0.0, 0.0]), Ball((0.0, 0.0), 0.1)),
+                    (np.array([1e-14, 0.0]), Ball((0.0, 0.0), 5.0)),
+                ]
+            )
+
     def test_point_key_quantizes(self):
         assert point_key((0.0, 1.0)) == point_key((1e-14, 1.0 - 1e-14))
         assert point_key((0.0,)) == point_key((-0.0,))

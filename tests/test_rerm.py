@@ -96,6 +96,25 @@ class TestIndexedOracle:
                 assert a.index == b.index
                 assert a.achieved_loss == b.achieved_loss
 
+    def test_label_noise_atoms_kept_apart(self):
+        # two atoms at one point with opposite labels
+        x = np.array([2.0, 0.0])
+        fam = RegionFamily([(x, Ball(x, 0.1))])
+        dist = DiscreteDistribution([(ex(x, 1), 1 / 3), (ex(x, -1), 2 / 3)])
+        cls = FiniteClass((LinearClassifier((1, 0), 0.0), LinearClassifier((1, 0), -5.0)))
+        sample = [dist.examples[0], dist.examples[1], dist.examples[1]]
+        slow = ExhaustiveFiniteOracle(cls).solve(fam, sample, 0.0)
+        fast = IndexedExhaustiveOracle(cls, fam, dist).solve(fam, sample, 0.0)
+        assert slow.achieved_loss == pytest.approx(1 / 3)
+        assert (fast.index, fast.achieved_loss) == (slow.index, slow.achieved_loss)
+
+    def test_example_outside_support_rejected(self):
+        task = make_learning_task(2)
+        oracle = IndexedExhaustiveOracle(task.cls, task.family, task.dist)
+        atom = task.dist.examples[0]
+        with pytest.raises(ValueError, match="not an atom"):
+            oracle.solve(task.family, [ex(atom.x.copy(), atom.y)], 0.1)
+
     def test_distribution_loss_matches_direct(self):
         from robustlab.classifiers import robust_loss_distribution
 

@@ -1,0 +1,66 @@
+"""The benchmark's tracer installs on the package and puts every original back.
+
+``perfbench/tracer.py`` looks up robustlab functions and methods by name,
+so removing or renaming one of them breaks the traced benchmark run; this
+test makes that visible in the ordinary suite.
+"""
+
+import importlib
+import importlib.util
+import pkgutil
+import sys
+from pathlib import Path
+
+import robustlab
+from robustlab import harness, regions
+
+TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+
+
+def load_tracer():
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER_PATH)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def snapshot() -> dict[str, dict]:
+    """Copies of every namespace install may rebind: modules, classes, experiments."""
+    for info in pkgutil.iter_modules(robustlab.__path__):
+        importlib.import_module(f"robustlab.{info.name}")
+    out = {"harness.EXPERIMENTS": dict(harness.EXPERIMENTS)}
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] != "robustlab":
+            continue
+        out[name] = dict(vars(module))
+        for key, value in vars(module).items():
+            if isinstance(value, type) and value.__module__ == name:
+                out[f"{name}.{key}"] = dict(vars(value))
+    return out
+
+
+def test_install_then_uninstall_restores_every_original():
+    tracer = load_tracer()
+    before = snapshot()
+    spans = tracer.Tracer()
+    uninstall = tracer.install(spans)
+    try:
+        assert regions.point_key is not before["robustlab.regions"]["point_key"]
+        params = {"universe_size": 6, "thresholds": 12, "k_grid": [1, 2, 3], "max_m": 3}
+        record = harness.run(
+            harness.ExperimentConfig.from_dict(
+                {"experiment": "robust_vc_audit", "seed": 3, "params": params}
+            )
+        )
+        assert record.assertions_passed
+        assert spans.counts["loss_vc.subsets_scanned"] > 0
+        # one loss per (hypothesis, example) for the search, one for the Sauer pass
+        n_instances = len(params["k_grid"])
+        bound = 2 * n_instances * params["thresholds"] * params["universe_size"]
+        assert 0 < spans.calls["classifiers.robust_loss_point"] <= bound
+    finally:
+        uninstall()
+    after = snapshot()
+    for space, names in before.items():
+        for key, value in names.items():
+            assert after[space].get(key) is value, f"{space}.{key} not restored"
