@@ -26,7 +26,7 @@ from robustlab import (
 print("== region variants and expansion ==")
 ball = Ball((0.0, 0.0), 1.0)
 pts = FinitePoints([(0.0, 0.0), (4.0, 0.0)])
-union = UnionOfBalls((Ball((0, 0), 1.0), Ball((3, 0), 1.0)))
+union = UnionOfBalls([(0, 0), (3, 0)], [1.0, 1.0])
 
 print("ball expanded by 0.5:", ball.expand(0.5))
 print("point pair expanded by 1 contains (3.2, 0):", Expanded(pts, 1.0).contains((3.2, 0.0)))
@@ -62,7 +62,7 @@ print("(the atom at 0.2 sits within 0.4 of the boundary, so it pays)")
 
 print()
 print("== Lebesgue-uniform sampling from a union with overlap ==")
-blob = UnionOfBalls((Ball((0, 0), 1.0), Ball((0.8, 0), 1.0)))
+blob = UnionOfBalls([(0, 0), (0.8, 0)], [1.0, 1.0])
 sample = uniform_sample(blob, 50_000, seed=0)
 left = np.mean(sample[:, 0] < 0.4)
 print(f"fraction left of the midline: {left:.3f} (overlap double-counts nothing)")

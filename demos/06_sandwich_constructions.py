@@ -46,7 +46,7 @@ print("violations:", len(report.violations))
 print()
 print("== ball-union proxy: inclusion is set-theoretic ==")
 triple_b = build_ball_sandwich(base, r=r, alpha=alpha, seed=2)
-print(f"middle is a union of {len(triple_b.middle.balls)} balls of radius {alpha / 2}")
+print(f"middle is a union of {len(triple_b.middle)} balls of radius {alpha / 2}")
 lf, uf = set_inclusion_probe(triple_b, 10_000, seed=3)
 print(f"probe failures: lower-in-middle {lf}/10000, middle-in-upper {uf}/10000")
 

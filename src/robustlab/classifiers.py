@@ -26,7 +26,7 @@ from .regions import (
     FinitePoints,
     Region,
     RegionFamily,
-    UnionOfBalls,
+    _region_balls,
     normalize_region,
     point_key,
     uniform_sample,
@@ -83,6 +83,8 @@ class LinearClassifier:
     def __post_init__(self):
         object.__setattr__(self, "w", _readonly(as_point(self.w)))
         object.__setattr__(self, "b", float(self.b))
+        if not np.isfinite(self.b):
+            raise ValueError("offset b must be finite")
         if np.linalg.norm(self.w) == 0:
             raise ValueError("weight vector must be nonzero")
 
@@ -122,7 +124,7 @@ class SphereBoundary:
     def __post_init__(self):
         object.__setattr__(self, "center", _readonly(as_point(self.center)))
         object.__setattr__(self, "radius", float(self.radius))
-        if self.radius <= 0:
+        if not self.radius > 0:  # also rejects NaN
             raise ValueError("radius must be positive")
         if self.inside_label not in (-1, 1):
             raise ValueError("inside_label must be +1 or -1")
@@ -227,8 +229,8 @@ class DiscreteDistribution:
             raise ValueError("distribution needs at least one atom")
         self.examples: tuple[LabeledExample, ...] = tuple(ex for ex, _ in atoms)
         self.probabilities = np.asarray([p for _, p in atoms], dtype=float)
-        if np.any(self.probabilities <= 0):
-            raise ValueError("atom probabilities must be positive")
+        if not np.all(np.isfinite(self.probabilities) & (self.probabilities > 0)):
+            raise ValueError("atom probabilities must be finite and positive")
         if abs(self.probabilities.sum() - 1.0) > 1e-12:
             raise ValueError("atom probabilities must sum to 1 within 1e-12")
 
@@ -253,30 +255,8 @@ def predict(h: Hypothesis, x) -> int:
     return h.predict(x)
 
 
-def _region_balls(region: Region) -> tuple[np.ndarray, np.ndarray]:
-    """Normalized region as arrays of ball centers and radii.
-
-    Finite point sets are radius-zero balls; this makes the linear and
-    sphere-boundary extremum formulas uniform across variants.
-    """
-    region = normalize_region(region)
-    if isinstance(region, FinitePoints):
-        return region.points, np.zeros(len(region.points))
-    if isinstance(region, Ball):
-        return region.center[None, :], np.array([region.radius])
-    if isinstance(region, UnionOfBalls):
-        return (
-            np.asarray([b.center for b in region.balls]),
-            np.asarray([b.radius for b in region.balls]),
-        )
-    raise UnsupportedPairError(f"unsupported region variant {type(region).__name__}")
-
-
 def _has_nontable_point(h: TableClassifier, region: Region) -> bool:
     """Whether the region contains a point that is not a table entry."""
-    region = normalize_region(region)
-    if isinstance(region, FinitePoints):
-        return any(point_key(p) not in h._index for p in region.points)
     centers, radii = _region_balls(region)
     if np.any(radii > 0):
         return True  # positive measure, table entries are finitely many

@@ -10,10 +10,14 @@ Conventions used throughout the library:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .seeding import as_generator, uniform_sphere
+
+if TYPE_CHECKING:
+    from .regions import UnionOfBalls
 
 __all__ = [
     "GEOM_TOL",
@@ -78,7 +82,7 @@ class Ball:
     def __post_init__(self):
         object.__setattr__(self, "center", _readonly(as_point(self.center)))
         object.__setattr__(self, "radius", float(self.radius))
-        if self.radius < 0:
+        if not self.radius >= 0:  # also rejects NaN
             raise ValueError("radius must be nonnegative")
 
     @property
@@ -239,17 +243,22 @@ def cover_compact_by_balls(
     *,
     probe_count: int = 1000,
     max_nodes: int = 5_000_000,
-) -> list[Ball]:
+) -> UnionOfBalls:
     """Cover a bounded region with closed balls of radius ``ball_radius``.
 
     Axis-aligned grid construction: nodes at pitch
     ``ball_radius * 2/sqrt(d) * (1 - 1e-6)`` over the inflated bounding box
     are kept whenever they lie within ``ball_radius`` of the target, which
     guarantees every target point is within ``ball_radius`` of a kept node.
-    Centers need not lie inside the target.  The construction is probe
-    verified before returning (seeded; raises ``CoverageError`` on failure,
-    which would indicate a bug rather than bad luck).
+    Centers need not lie inside the target.  The cover is returned as a
+    :class:`~robustlab.regions.UnionOfBalls` whose ``centers`` are the kept
+    nodes and whose ``radii`` all equal ``ball_radius``; ``len(cover)`` is
+    the ball count.  The construction is probe verified before returning
+    (seeded; raises ``CoverageError`` on failure, which would indicate a
+    bug rather than bad luck).
     """
+    from .regions import UnionOfBalls
+
     if ball_radius <= 0:
         raise ValueError("ball_radius must be positive")
     lo, hi = target.bounding_box()
@@ -267,41 +276,27 @@ def cover_compact_by_balls(
         )
     mesh = np.meshgrid(*axes, indexing="ij")
     nodes = np.stack([m.ravel() for m in mesh], axis=1)
-    keep = target.distance_to_many(nodes) <= ball_radius
-    centers = nodes[keep]
-    balls = [Ball(c, ball_radius) for c in centers]
+    centers = nodes[target.distance_to_many(nodes) <= ball_radius]
+    cover = UnionOfBalls(centers, np.full(len(centers), float(ball_radius)))
 
-    failures = verify_cover(target, balls, probe_count, seed)
+    failures = verify_cover(target, cover, probe_count, seed)
     if failures:
         raise CoverageError(f"{failures}/{probe_count} cover probes uncovered")
-    return balls
+    return cover
 
 
-def verify_cover(target, balls: list[Ball], probe_count: int, seed: int | np.random.Generator) -> int:
-    """Count probe points of ``target`` not within any ball's radius.
+def verify_cover(target, cover: UnionOfBalls, probe_count: int, seed: int | np.random.Generator) -> int:
+    """Count probe points of ``target`` outside the ball union ``cover``.
 
-    Probes are uniform samples for positive-measure targets and the point
-    set itself for finite-point targets.
+    ``cover`` is a :class:`~robustlab.regions.UnionOfBalls`.  Probes are
+    ``probe_count`` uniform samples for positive-measure targets; a
+    zero-measure target (finite points, radius-zero balls) is probed at
+    its defining points exactly.
     """
-    from .regions import FinitePoints, ZeroMeasureError, uniform_sample
+    from .regions import ZeroMeasureError, _region_balls, uniform_sample
 
-    if isinstance(target, FinitePoints):
-        probes = target.points
-    else:
-        try:
-            probes = np.asarray(uniform_sample(target, probe_count, seed))
-        except ZeroMeasureError:
-            # degenerate balls: probe the defining centers exactly
-            if isinstance(target, Ball):
-                probes = target.center[None, :]
-            else:
-                probes = np.asarray([b.center for b in target.balls])
-    if not balls:
-        return len(probes)
-    centers = np.asarray([b.center for b in balls])
-    radii = np.asarray([b.radius for b in balls])
-    failures = 0
-    for block in np.array_split(probes, max(1, len(probes) // 2048)):
-        dist = np.linalg.norm(block[:, None, :] - centers[None, :, :], axis=-1)
-        failures += int(np.count_nonzero(np.min(dist - radii[None, :], axis=1) > 0))
-    return failures
+    try:
+        probes = uniform_sample(target, probe_count, seed)
+    except ZeroMeasureError:
+        probes = _region_balls(target)[0]
+    return int(np.count_nonzero(cover.distance_to_many(probes) > 0))

@@ -222,13 +222,21 @@ def write_record(record: RunRecord, path: str, fmt: str) -> None:
             indent=2,
         )
         buf.write("\n")
-    payload = buf.getvalue()
+    _atomic_write(path, buf.getvalue())
+
+
+def _atomic_write(path: str, text: str) -> None:
+    """Write ``text`` to a temporary file beside ``path``, then move it into place.
+
+    The target appears complete or not at all, and the temporary file is
+    removed if the write fails.
+    """
     directory = os.path.dirname(os.path.abspath(path)) or "."
     os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".robustlab-", suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as fh:
-            fh.write(payload)
+            fh.write(text)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -417,14 +425,8 @@ def _run_lb_linear_game(params: dict, seed: int):
     if params["export_path"]:
         from .shatter_game import export_instance
 
-        path = resolve_output_path(params["export_path"])
-        directory = os.path.dirname(os.path.abspath(path)) or "."
-        os.makedirs(directory, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".robustlab-", suffix=".tmp")
-        with os.fdopen(fd, "w") as fh:
-            json.dump(export_instance(inst), fh, sort_keys=True)
-            fh.write("\n")
-        os.replace(tmp, path)
+        text = json.dumps(export_instance(inst), sort_keys=True) + "\n"
+        _atomic_write(resolve_output_path(params["export_path"]), text)
     n_samples = params["n_samples"] if params["n_samples"] else inst.m
     result = run_adversarial_game(
         inst, learners[params["learner"]], n_samples, params["trials"], seed_derive(seed, "game")

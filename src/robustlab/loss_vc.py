@@ -42,6 +42,9 @@ __all__ = [
     "vball_shatter_check",
 ]
 
+# Default cap on the subsets one shattering search may scan.
+SUBSET_BUDGET = 1_000_000
+
 
 def _loss_matrix(
     cls: FiniteClass, regions: Sequence[Region], sample: Sequence[LabeledExample]
@@ -141,7 +144,7 @@ def robust_vc_search(
     family: RegionFamily,
     universe: Sequence[LabeledExample],
     max_m: int,
-    subset_budget: int = 1_000_000,
+    subset_budget: int = SUBSET_BUDGET,
 ) -> VcEstimate:
     """Exhaustive robust-loss-class shattering search over a finite universe.
 
@@ -158,7 +161,7 @@ def zero_one_vc_search(
     cls: FiniteClass,
     universe: Sequence[LabeledExample],
     max_m: int,
-    subset_budget: int = 1_000_000,
+    subset_budget: int = SUBSET_BUDGET,
 ) -> VcEstimate:
     """Shattering search for the plain 0-1 loss class (no region machinery).
 
@@ -238,12 +241,12 @@ def overhead_audit(
     """
     rows = []
     for d, k, cls, family, universe in instances:
-        estimate = robust_vc_search(cls, family, universe, max_m)
         regions = _family_regions(family, universe)
+        matrix = _loss_matrix(cls, regions, universe)
+        estimate = _search_vc(matrix, max_m, SUBSET_BUDGET)
         region_pts = [normalize_region(region).points for region in regions]
         sizes = [len(pts) for pts in region_pts]
         base_vc = class_vc_on_points(cls, np.unique(np.vstack(region_pts), axis=0))
-        matrix = _loss_matrix(cls, regions, universe)
         ok = True
         checks = 0
         for m in range(1, min(len(universe), max_m) + 1):

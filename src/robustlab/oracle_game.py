@@ -83,10 +83,8 @@ def build_oracle_game(D: float, gamma: float, d: int) -> OracleGameInstance:
     v_regions = {}
     for sign in (1.0, -1.0):
         anchor = sign * v
-        core = Ball(anchor, D0 / 2.0)
-        side = Ball(sign * v_prime, 5.0 * gamma / 2.0)
-        u_regions[tuple(anchor)] = core
-        v_regions[tuple(anchor)] = UnionOfBalls((core, side))
+        u_regions[tuple(anchor)] = Ball(anchor, D0 / 2.0)
+        v_regions[tuple(anchor)] = UnionOfBalls([anchor, sign * v_prime], [D0 / 2.0, 5.0 * gamma / 2.0])
 
     anchors = [v, -v]
     u_family = RegionFamily([(a, u_regions[tuple(a)]) for a in anchors])

@@ -4,14 +4,21 @@ A region is one of four immutable variants:
 
 * :class:`FinitePoints` -- a nonempty finite point set (zero measure);
 * :class:`~robustlab.geometry.Ball` -- a closed ball;
-* :class:`UnionOfBalls` -- a finite union of closed balls;
+* :class:`UnionOfBalls` -- a finite union of closed balls, held as a
+  ``(k, d)`` array of centers and a ``(k,)`` array of radii, with
+  ``len(union) == k``; grid covers
+  (:func:`~robustlab.geometry.cover_compact_by_balls`) are returned in
+  this form;
 * :class:`Expanded` -- a lazy radius-``gamma`` neighborhood of another
   region, collapsed on construction so expansions never nest.
 
 ``expand`` returns normalized concrete forms (expanding a finite point set
 yields a union of balls; expanding balls inflates radii), matching the
-Minkowski sum with a closed ball.  Uniform sampling is Lebesgue-exact via
-rejection from the region's bounding box.
+Minkowski sum with a closed ball.  ``_region_balls`` is the one map from a
+region to ``(centers, radii)`` arrays, with finite point sets as radius-zero
+balls; the measure check, the exact robust losses and the cover checks all
+read regions through it.  Uniform sampling is Lebesgue-exact via rejection
+from the region's bounding box.
 """
 
 from __future__ import annotations
@@ -21,7 +28,7 @@ from typing import Callable, Union
 
 import numpy as np
 
-from .geometry import Ball, DimensionMismatch, as_point, _readonly
+from .geometry import Ball, DimensionMismatch, as_point, _check_same_dim, _readonly
 from .seeding import as_generator
 
 __all__ = [
@@ -86,8 +93,7 @@ class FinitePoints:
 
     def distance_to(self, p) -> float:
         p = as_point(p)
-        if p.size != self.dimension:
-            raise DimensionMismatch(f"dimension mismatch: {p.size} vs {self.dimension}")
+        _check_same_dim(p.size, self.dimension)
         return float(np.min(np.linalg.norm(self.points - p, axis=1)))
 
     def distance_to_many(self, pts: np.ndarray) -> np.ndarray:
@@ -105,7 +111,7 @@ class FinitePoints:
     def expand(self, gamma: float) -> "UnionOfBalls":
         if gamma <= 0:
             raise ValueError("gamma must be positive")
-        return UnionOfBalls(tuple(Ball(p, gamma) for p in self.points))
+        return UnionOfBalls(self.points, np.full(len(self.points), float(gamma)))
 
     def bounding_box(self) -> tuple[np.ndarray, np.ndarray]:
         return self.points.min(axis=0), self.points.max(axis=0)
@@ -113,60 +119,68 @@ class FinitePoints:
 
 @dataclass(frozen=True)
 class UnionOfBalls:
-    """Finite union of closed balls."""
+    """Finite union of closed balls, held as arrays.
 
-    balls: tuple[Ball, ...]
+    Ball ``i`` has center ``centers[i]`` (``centers`` has shape ``(k, d)``)
+    and radius ``radii[i]`` (``radii`` has shape ``(k,)``); ``len(union)``
+    is ``k``.
+    """
+
+    centers: np.ndarray
+    radii: np.ndarray
 
     def __post_init__(self):
-        balls = tuple(self.balls)
-        if not balls:
-            raise ValueError("UnionOfBalls must be nonempty")
-        dims = {b.dimension for b in balls}
-        if len(dims) != 1:
-            raise DimensionMismatch("balls in a union must share a dimension")
-        object.__setattr__(self, "balls", balls)
+        centers, radii = _readonly(self.centers), _readonly(self.radii)
+        if centers.ndim != 2 or centers.size == 0 or radii.shape != (len(centers),):
+            raise ValueError(f"need nonempty (k, d) centers and k radii, got {centers.shape}, {radii.shape}")
+        if not (np.all(np.isfinite(centers)) and np.all(np.isfinite(radii) & (radii >= 0))):
+            raise ValueError("centers must be finite and radii finite and nonnegative")
+        object.__setattr__(self, "centers", centers)
+        object.__setattr__(self, "radii", radii)
+
+    def __len__(self) -> int:
+        return len(self.radii)
+
+    @property
+    def balls(self) -> tuple[Ball, ...]:
+        """The balls as ``Ball`` objects, built on each access."""
+        return tuple(Ball(c, r) for c, r in zip(self.centers, self.radii))
 
     @property
     def dimension(self) -> int:
-        return self.balls[0].dimension
-
-    def _centers_radii(self) -> tuple[np.ndarray, np.ndarray]:
-        return (
-            np.asarray([b.center for b in self.balls]),
-            np.asarray([b.radius for b in self.balls]),
-        )
+        return self.centers.shape[1]
 
     def contains(self, p) -> bool:
-        return any(b.contains(p) for b in self.balls)
+        return self.distance_to(p) <= 0.0
 
     def contains_many(self, pts: np.ndarray) -> np.ndarray:
         return self.distance_to_many(pts) <= 0.0
 
     def distance_to(self, p) -> float:
-        return min(b.distance_to(p) for b in self.balls)
+        p = as_point(p)
+        _check_same_dim(p.size, self.dimension)
+        return float(self.distance_to_many(p[None, :])[0])
 
     def distance_to_many(self, pts: np.ndarray) -> np.ndarray:
-        centers, radii = self._centers_radii()
         out = np.empty(len(pts))
         for i, block in _blocks(pts):
-            dist = np.linalg.norm(block[:, None, :] - centers[None, :, :], axis=-1) - radii[None, :]
+            dist = np.linalg.norm(block[:, None, :] - self.centers[None, :, :], axis=-1) - self.radii
             out[i] = np.maximum(0.0, np.min(dist, axis=1))
         return out
 
     def diameter(self) -> float:
         """Pairwise upper bound: max over ball pairs of center gap plus radii."""
-        centers, radii = self._centers_radii()
-        gaps = np.linalg.norm(centers[:, None, :] - centers[None, :, :], axis=-1)
-        return float(np.max(gaps + radii[:, None] + radii[None, :]))
+        gaps = np.linalg.norm(self.centers[:, None, :] - self.centers[None, :, :], axis=-1)
+        return float(np.max(gaps + self.radii[:, None] + self.radii[None, :]))
 
     def expand(self, gamma: float) -> "UnionOfBalls":
         if gamma <= 0:
             raise ValueError("gamma must be positive")
-        return UnionOfBalls(tuple(Ball(b.center, b.radius + gamma) for b in self.balls))
+        return UnionOfBalls(self.centers, self.radii + gamma)
 
     def bounding_box(self) -> tuple[np.ndarray, np.ndarray]:
-        los, his = zip(*(b.bounding_box() for b in self.balls))
-        return np.min(los, axis=0), np.max(his, axis=0)
+        reach = self.radii[:, None]
+        return np.min(self.centers - reach, axis=0), np.max(self.centers + reach, axis=0)
 
 
 @dataclass(frozen=True)
@@ -243,13 +257,24 @@ def normalize_region(region: Region) -> Region:
     return region
 
 
-def _positive_measure(region: Region) -> bool:
+def _region_balls(region: Region) -> tuple[np.ndarray, np.ndarray]:
+    """Normalized region as arrays of ball centers and radii.
+
+    Finite point sets are radius-zero balls, so ball-extremum formulas and
+    measure checks read every variant the same way.
+    """
     region = normalize_region(region)
     if isinstance(region, FinitePoints):
-        return False
+        return region.points, np.zeros(len(region.points))
     if isinstance(region, Ball):
-        return region.radius > 0
-    return any(b.radius > 0 for b in region.balls)
+        return region.center[None, :], np.array([region.radius])
+    if isinstance(region, UnionOfBalls):
+        return region.centers, region.radii
+    raise TypeError(f"unsupported region variant {type(region).__name__}")
+
+
+def _positive_measure(region: Region) -> bool:
+    return bool(np.any(_region_balls(region)[1] > 0))
 
 
 def uniform_sample(
@@ -298,7 +323,8 @@ def region_to_dict(region: Region) -> dict:
         return {
             "kind": "union_of_balls",
             "balls": [
-                {"center": b.center.tolist(), "radius": b.radius} for b in region.balls
+                {"center": c, "radius": r}
+                for c, r in zip(region.centers.tolist(), region.radii.tolist())
             ],
         }
     if isinstance(region, Expanded):
@@ -314,12 +340,8 @@ def region_from_dict(data: dict) -> Region:
     if kind == "ball":
         return Ball(np.asarray(data["center"], dtype=float), float(data["radius"]))
     if kind == "union_of_balls":
-        return UnionOfBalls(
-            tuple(
-                Ball(np.asarray(b["center"], dtype=float), float(b["radius"]))
-                for b in data["balls"]
-            )
-        )
+        balls = data["balls"]
+        return UnionOfBalls([b["center"] for b in balls], [b["radius"] for b in balls])
     if kind == "expanded":
         return Expanded(region_from_dict(data["base"]), float(data["gamma"]))
     raise ValueError(f"unknown region kind {kind!r}")

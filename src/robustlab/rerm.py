@@ -34,7 +34,7 @@ from .classifiers import (
     violation_radius,
 )
 from .geometry import Ball
-from .regions import FinitePoints, RegionFamily, UnionOfBalls
+from .regions import FinitePoints, RegionFamily, UnionOfBalls, _region_balls
 from .seeding import rng_for, uniform_sphere
 
 __all__ = [
@@ -172,7 +172,9 @@ class LinearCandidatesOracle:
         rng = rng_for(self.seed, "candidates")
         d = self.bound.d
         pts = np.unique(np.asarray([ex.x for ex in sample]), axis=0)
-        radii = sorted({round(_max_radius(family.region_for(ex.x)) + r, 12) for ex in sample})
+        radii = sorted(
+            {round(float(np.max(_region_balls(family.region_for(ex.x))[1])) + r, 12) for ex in sample}
+        )
         out: list[LinearClassifier] = []
 
         n_pts = len(pts)
@@ -200,17 +202,6 @@ class LinearCandidatesOracle:
 
     def solve(self, family: RegionFamily, sample: list[LabeledExample], r: float) -> RermSolution:
         return _argmin_solution(self._candidates(family, sample, r), family, sample, r)
-
-
-def _max_radius(region) -> float:
-    from .regions import normalize_region
-
-    region = normalize_region(region)
-    if isinstance(region, FinitePoints):
-        return 0.0
-    if isinstance(region, Ball):
-        return region.radius
-    return max(b.radius for b in region.balls)
 
 
 def _normal_through(points: np.ndarray) -> np.ndarray | None:
@@ -402,9 +393,7 @@ def make_learning_task(task_seed: int, *, n_hypotheses: int = 12, gamma: float =
             region = FinitePoints(np.vstack([a, a + jitter]))
         else:
             off = rng.uniform(-0.3, 0.3, size=2)
-            region = UnionOfBalls(
-                (Ball(a, float(rng.uniform(0.1, 0.25))), Ball(a + off, float(rng.uniform(0.05, 0.2))))
-            )
+            region = UnionOfBalls([a, a + off], [rng.uniform(0.1, 0.25), rng.uniform(0.05, 0.2)])
         assignments.append((a, region))
     family = RegionFamily(assignments)
 

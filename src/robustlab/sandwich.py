@@ -35,7 +35,7 @@ from .classifiers import (
     robust_loss_point,
 )
 from .geometry import Ball, cover_compact_by_balls, grid_cover_bound
-from .regions import FinitePoints, Region, UnionOfBalls, uniform_sample
+from .regions import FinitePoints, Region, uniform_sample
 from .seeding import rng_for
 
 __all__ = [
@@ -79,12 +79,11 @@ def build_point_sandwich(base: Region, r: float, alpha: float, seed: int) -> San
         raise ValueError("need 0 < alpha < r")
     upper = base.expand(r)
     lower = base.expand(r - alpha)
-    balls = cover_compact_by_balls(upper, alpha / 2.0, seed)
-    centers = np.asarray([b.center for b in balls])
-    inside = centers[upper.contains_many(centers)]
+    cover = cover_compact_by_balls(upper, alpha / 2.0, seed)
+    inside = cover.centers[upper.contains_many(cover.centers)]
     if len(inside) == 0:
         raise RuntimeError("no cover center fell inside the upper expansion")
-    if len(balls) > _count_bound(base, r, alpha):
+    if len(cover) > _count_bound(base, r, alpha):
         raise RuntimeError("grid cover exceeded its a priori count bound")
     return SandwichTriple(lower, FinitePoints(inside), upper, alpha, r, "points")
 
@@ -100,10 +99,10 @@ def build_ball_sandwich(base: Region, r: float, alpha: float, seed: int) -> Sand
         raise ValueError("need 0 < alpha < r")
     upper = base.expand(r)
     lower = base.expand(r - alpha)
-    balls = cover_compact_by_balls(lower, alpha / 2.0, seed)
-    if len(balls) > _count_bound(base, r, alpha):
+    cover = cover_compact_by_balls(lower, alpha / 2.0, seed)
+    if len(cover) > _count_bound(base, r, alpha):
         raise RuntimeError("grid cover exceeded its a priori count bound")
-    return SandwichTriple(lower, UnionOfBalls(tuple(balls)), upper, alpha, r, "balls")
+    return SandwichTriple(lower, cover, upper, alpha, r, "balls")
 
 
 @dataclass(frozen=True)

@@ -297,12 +297,10 @@ def test_c07_sandwich_audits():
         elif kind == 1:
             base = FinitePoints(rng.uniform(-1, 1, size=(int(rng.integers(1, 4)), 2)))
         else:
-            base = UnionOfBalls(
-                (
-                    Ball(rng.uniform(-1, 1, 2), float(rng.uniform(0.1, 0.3))),
-                    Ball(rng.uniform(-1, 1, 2), float(rng.uniform(0.1, 0.3))),
-                )
-            )
+            # draw order: center 0, radius 0, center 1, radius 1
+            c0, r0 = rng.uniform(-1, 1, 2), rng.uniform(0.1, 0.3)
+            c1, r1 = rng.uniform(-1, 1, 2), rng.uniform(0.1, 0.3)
+            base = UnionOfBalls([c0, c1], [r0, r1])
         r = float(rng.uniform(0.4, 0.8))
         alpha = float(rng.uniform(0.25, 0.6)) * r
         hyps = [

@@ -28,6 +28,40 @@ def ex(x, y):
     return LabeledExample(np.asarray(x, dtype=float), y)
 
 
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: Ball((0, 0), np.nan),
+        lambda: SphereBoundary((0, 0), np.nan),
+        lambda: LinearClassifier((1, 0), np.nan),
+        lambda: LinearClassifier((1, 0), np.inf),
+        lambda: DiscreteDistribution([(ex((0, 0), 1), np.nan)]),
+        lambda: DiscreteDistribution([(ex((0, 0), 1), 0.5), (ex((1, 0), 1), np.nan)]),
+        lambda: UnionOfBalls(np.empty((0, 2)), np.empty(0)),
+        lambda: UnionOfBalls([(0, 0), (1, 0)], [1.0]),
+        lambda: UnionOfBalls([(0, 0), (1, 0)], [1.0, -0.5]),
+        lambda: UnionOfBalls([(0, 0), (1, 0)], [1.0, np.nan]),
+        lambda: UnionOfBalls([(0, 0), (np.nan, 0)], [1.0, 1.0]),
+    ],
+    ids=[
+        "ball-nan-radius",
+        "sphere-nan-radius",
+        "linear-nan-offset",
+        "linear-inf-offset",
+        "dist-nan-probability",
+        "dist-nan-second-probability",
+        "union-empty",
+        "union-radius-count",
+        "union-negative-radius",
+        "union-nan-radius",
+        "union-nan-center",
+    ],
+)
+def test_bad_numeric_input_rejected(make):
+    with pytest.raises(ValueError):
+        make()
+
+
 class TestPredict:
     def test_boundary_is_positive(self):
         # the sign rule ties the boundary to +1
@@ -172,7 +206,7 @@ class TestViolationRadius:
         regions = [
             Ball((0.4, -0.2), 0.5),
             FinitePoints([(0.0, 0.0), (1.0, 0.5)]),
-            UnionOfBalls((Ball((0, 0), 0.3), Ball((1.5, 0.2), 0.2))),
+            UnionOfBalls([(0, 0), (1.5, 0.2)], [0.3, 0.2]),
             Expanded(FinitePoints([(0.5, 0.5)]), 0.25),
         ]
         hyps = [

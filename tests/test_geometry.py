@@ -107,27 +107,27 @@ class TestGreedySphereCover:
 
 class TestCoverCompactByBalls:
     def test_single_point(self):
-        balls = cover_compact_by_balls(Ball((0.0, 0.0), 0.0), 1.0, seed=0)
-        assert len(balls) >= 1
-        assert all(b.radius == 1.0 for b in balls)
+        cover = cover_compact_by_balls(Ball((0.0, 0.0), 0.0), 1.0, seed=0)
+        assert len(cover) >= 1
+        assert np.all(cover.radii == 1.0)
         # a degenerate target needs exactly the nodes near it; pitch > diam
-        assert len(balls) <= 4
+        assert len(cover) <= 4
 
     def test_interval_cover(self):
-        balls = cover_compact_by_balls(Ball(np.array([0.0]), 1.0), 0.5, seed=0)
-        assert len(balls) <= 5
-        assert verify_cover(Ball(np.array([0.0]), 1.0), balls, 1000, seed=5) == 0
+        cover = cover_compact_by_balls(Ball(np.array([0.0]), 1.0), 0.5, seed=0)
+        assert len(cover) <= 5
+        assert verify_cover(Ball(np.array([0.0]), 1.0), cover, 1000, seed=5) == 0
 
     def test_union_cover_probe_verified(self):
-        target = UnionOfBalls((Ball((0, 0), 1.0), Ball((5, 0), 1.0)))
-        balls = cover_compact_by_balls(target, 0.5, seed=0, probe_count=10_000)
-        assert len(balls) <= 50
-        assert verify_cover(target, balls, 10_000, seed=7) == 0
+        target = UnionOfBalls([(0, 0), (5, 0)], [1.0, 1.0])
+        cover = cover_compact_by_balls(target, 0.5, seed=0, probe_count=10_000)
+        assert len(cover) <= 50
+        assert verify_cover(target, cover, 10_000, seed=7) == 0
 
     def test_count_bound_formula(self):
         target = Ball((0.0, 0.0), 1.0)
-        balls = cover_compact_by_balls(target, 0.3, seed=0)
-        assert len(balls) <= grid_cover_bound(target.diameter(), 0.3, 2)
+        cover = cover_compact_by_balls(target, 0.3, seed=0)
+        assert len(cover) <= grid_cover_bound(target.diameter(), 0.3, 2)
 
     def test_rejects_bad_radius(self):
         with pytest.raises(ValueError):
@@ -137,7 +137,7 @@ class TestCoverCompactByBalls:
 class TestExpansionDistanceConsistency:
     def test_membership_iff_distance(self):
         rng = rng_for(21, "consistency")
-        region = UnionOfBalls((Ball((0, 0), 0.8), Ball((2, 1), 0.4)))
+        region = UnionOfBalls([(0, 0), (2, 1)], [0.8, 0.4])
         gamma = 0.6
         grown = region.expand(gamma)
         pts = rng.uniform(-2, 4, size=(5000, 2))

@@ -1,5 +1,6 @@
 """Config parsing, dispatch, reproducible outputs, and the CLI surface."""
 
+import hashlib
 import json
 import os
 
@@ -15,6 +16,30 @@ from robustlab.harness import (
     write_record,
 )
 from robustlab.seeding import rng_for, seed_derive
+
+# A small config of every experiment.
+SMALL = {
+    "tolrerm_sweep": {"tasks": 2, "n_grid": [10, 40], "trials": 10},
+    "opt_gap_audit": {"instances": 3, "trials": 150},
+    "sandwich_audit": {"audits": 4},
+    "lb_linear_game": {"trials": 200},
+    "oracle_query_sweep": {"trials": 200, "budgets": [0, 4, 16]},
+    "robust_vc_audit": {"universe_size": 6, "thresholds": 12, "max_m": 3},
+    "regularity_check": {},
+}
+
+# sha256 of each SMALL config's CSV at seed 11, without the "# config:"
+# line (it echoes the package version).  A change meant to leave results
+# alone, such as a refactor or a speed-up, must keep these.
+SMALL_CSV_SHA256 = {
+    "tolrerm_sweep": "3ef9aedc7e49de3e45815452e9d70274bbf0eec380af4506995bd4c78fc3c28a",
+    "opt_gap_audit": "ed4ae463a0c8e6e03c78b40bcdc72dc763bdb4921f60c303db2765a3bc4a7e6a",
+    "sandwich_audit": "068d6dd26f3163b0333da37d2ced7bec102404bd9966bde2b16582beeb37a2fb",
+    "lb_linear_game": "52ecca592908f95556a6e5506340618546bd2e044303d5325135a3ffd22fbd77",
+    "oracle_query_sweep": "a9aeb7f24a9376bc66d150342aa1328b03f55d738562d9eb5c774f83101a1c62",
+    "robust_vc_audit": "3de7543d08bd89ca829abe2d1255e907e2684da71bcea08171d256315a4152a2",
+    "regularity_check": "72e65c68a42ac980c07efd5cbff03a4e4c50056ed9ce7c8a929112aaffea6153",
+}
 
 
 class TestConfigParsing:
@@ -123,6 +148,25 @@ class TestRunAndWrite:
         leftovers = [p for p in os.listdir(tmp_path) if p.endswith(".tmp")]
         assert not leftovers
 
+    def test_failed_instance_export_leaves_no_temp_file(self, tmp_path, monkeypatch):
+        import robustlab.shatter_game
+
+        # an export JSON cannot serialize makes the instance write fail
+        monkeypatch.setattr(robustlab.shatter_game, "export_instance", lambda inst: {"x": object()})
+        export = tmp_path / "instance.json"
+        cfg = ExperimentConfig.from_dict(
+            {
+                "experiment": "lb_linear_game",
+                "seed": 5,
+                "params": {"trials": 10, "export_path": str(export)},
+                "output_path": str(tmp_path / "game.csv"),
+            }
+        )
+        with pytest.raises(TypeError):
+            run(cfg)
+        assert not export.exists()
+        assert not [p for p in os.listdir(tmp_path) if p.endswith(".tmp")]
+
     def test_output_dir_env(self, tmp_path, monkeypatch):
         monkeypatch.setenv("ROBUSTLAB_OUTPUT_DIR", str(tmp_path))
         cfg = ExperimentConfig.from_dict(
@@ -136,22 +180,13 @@ class TestRunAndWrite:
         assert (tmp_path / "nested" / "reg.csv").exists()
 
     def test_every_experiment_runs_small(self, tmp_path):
-        small = {
-            "tolrerm_sweep": {"tasks": 2, "n_grid": [10, 40], "trials": 10},
-            "opt_gap_audit": {"instances": 3, "trials": 150},
-            "sandwich_audit": {"audits": 4},
-            "lb_linear_game": {"trials": 200},
-            "oracle_query_sweep": {"trials": 200, "budgets": [0, 4, 16]},
-            "robust_vc_audit": {"universe_size": 6, "thresholds": 12, "max_m": 3},
-            "regularity_check": {},
-        }
         for name, _ in list_experiments():
             path = tmp_path / f"{name}.json"
             cfg = ExperimentConfig.from_dict(
                 {
                     "experiment": name,
                     "seed": 11,
-                    "params": small[name],
+                    "params": SMALL[name],
                     "output_path": str(path),
                     "format": "json",
                 }
@@ -162,6 +197,18 @@ class TestRunAndWrite:
             written = json.loads(path.read_text())
             assert written["assertions_passed"] is True, name
             assert len(written["rows"]) == len(record.rows), name
+
+    @pytest.mark.parametrize("name", sorted(SMALL))
+    def test_seeded_csv_digest_pinned(self, name, tmp_path):
+        path = tmp_path / f"{name}.csv"
+        run(
+            ExperimentConfig.from_dict(
+                {"experiment": name, "seed": 11, "params": SMALL[name], "output_path": str(path)}
+            )
+        )
+        lines = path.read_bytes().splitlines(keepends=True)
+        body = b"".join(line for line in lines if not line.startswith(b"# config:"))
+        assert hashlib.sha256(body).hexdigest() == SMALL_CSV_SHA256[name]
 
 
 class TestSeedDerivation:

@@ -302,7 +302,7 @@ class TestLossMatrixAgainstRecomputation:
         regions = [
             Ball(self.xs[0], 0.3),
             FinitePoints([self.xs[1], self.xs[1] + (0.2, 0.1)]),
-            UnionOfBalls((Ball(self.xs[2], 0.2), Ball(self.xs[2] + (0.3, 0.0), 0.1))),
+            UnionOfBalls([self.xs[2], self.xs[2] + (0.3, 0.0)], [0.2, 0.1]),
             FinitePoints([self.xs[3]]),
             Ball(self.xs[4], 0.6),
         ]

@@ -27,12 +27,12 @@ class TestBuild:
         assert np.allclose(inst.v_prime, [2.0, 0.0])
         region = inst.v_family.region_for(inst.v)
         assert isinstance(region, UnionOfBalls)
-        radii = sorted(b.radius for b in region.balls)
+        radii = sorted(region.radii.tolist())
         assert radii == [2.5, 5.5]
 
     def test_gamma_expansion_shapes(self, inst):
         grown = inst.v_family.expanded(1.0).region_for(inst.v)
-        radii = sorted(b.radius for b in grown.balls)
+        radii = sorted(grown.radii.tolist())
         assert radii == [3.5, 6.5]
 
     def test_core_disjointness(self, inst):

@@ -28,20 +28,20 @@ class TestExpand:
     def test_single_point_becomes_ball(self):
         grown = expand(FinitePoints([(0.0, 0.0)]), 2.0)
         assert isinstance(grown, UnionOfBalls)
-        assert len(grown.balls) == 1
-        assert grown.balls[0].radius == 2.0
+        assert len(grown) == 1
+        assert grown.radii[0] == 2.0
 
     def test_union_inflates_and_membership_flips(self):
-        union = UnionOfBalls((Ball((0, 0), 1.0), Ball((3, 0), 1.0)))
+        union = UnionOfBalls([(0, 0), (3, 0)], [1.0, 1.0])
         grown = expand(union, 1.0)
-        assert all(b.radius == 2.0 for b in grown.balls)
+        assert np.all(grown.radii == 2.0)
         p = (1.7, 0.0)
         assert not union.contains(p)  # distance 0.7 from the first ball
         assert grown.contains(p)
 
     def test_monotone_and_additive_on_probes(self):
         rng = rng_for(3, "expand-mono")
-        base = UnionOfBalls((Ball((0, 0), 0.5), Ball((2, 0), 0.3)))
+        base = UnionOfBalls([(0, 0), (2, 0)], [0.5, 0.3])
         g1, g2 = 0.4, 0.7
         pts = rng.uniform(-2, 4, size=(10_000, 2))
         in_base = base.contains_many(pts)
@@ -84,7 +84,7 @@ class TestDiameter:
         assert FinitePoints([(0, 0), (3, 4)]).diameter() == 5.0
 
     def test_union_upper_bound(self):
-        union = UnionOfBalls((Ball((0, 0), 1.0), Ball((10, 0), 1.0)))
+        union = UnionOfBalls([(0, 0), (10, 0)], [1.0, 1.0])
         assert union.diameter() == pytest.approx(12.0)
 
     def test_expansion_adds_twice_gamma(self):
@@ -103,7 +103,7 @@ class TestUniformSample:
         assert np.all(np.linalg.norm(pts, axis=1) <= 1.0)
 
     def test_equal_area_balls_split_evenly(self):
-        union = UnionOfBalls((Ball((0, 0), 1.0), Ball((10, 0), 1.0)))
+        union = UnionOfBalls([(0, 0), (10, 0)], [1.0, 1.0])
         pts = uniform_sample(union, 10_000, seed=1)
         frac = np.mean(pts[:, 0] > 5)
         assert abs(frac - 0.5) < 0.02  # binomial 3 sigma = 0.015
@@ -123,15 +123,13 @@ class TestUniformSample:
         from robustlab.regions import SamplingEfficiencyError
 
         # two specks far apart: acceptance rate ~3e-7 from the joint box
-        specks = UnionOfBalls(
-            (Ball((0.0, 0.0), 1e-4), Ball((1000.0, 0.0), 1e-4))
-        )
+        specks = UnionOfBalls([(0.0, 0.0), (1000.0, 0.0)], [1e-4, 1e-4])
         with pytest.raises(SamplingEfficiencyError, match="acceptance"):
             uniform_sample(specks, 10, seed=0)
 
     def test_overlapping_union_density_uniform(self):
         """Chi-square uniformity across equal-area cells (statistical, 1e-3)."""
-        union = UnionOfBalls((Ball((0, 0), 1.0), Ball((0.8, 0), 1.0)))
+        union = UnionOfBalls([(0, 0), (0.8, 0)], [1.0, 1.0])
         pts = uniform_sample(union, 40_000, seed=2)
         # grid cells fully inside one of the balls have equal area, so the
         # conditional counts must be uniform
@@ -212,7 +210,7 @@ class TestSerialization:
         regions = [
             FinitePoints([(0.0, 1.0), (2.0, 3.0)]),
             Ball((1.0, -1.0), 0.75),
-            UnionOfBalls((Ball((0, 0), 1.0), Ball((3, 0), 0.5))),
+            UnionOfBalls([(0, 0), (3, 0)], [1.0, 0.5]),
             Expanded(FinitePoints([(0.5, 0.5)]), 0.25),
         ]
         rng = rng_for(31, "serialize")

@@ -62,10 +62,10 @@ class TestBallSandwich:
         r, alpha = 0.8, 0.3
         triple = build_ball_sandwich(base, r=r, alpha=alpha, seed=2)
         reach = (r - alpha) + alpha / 2.0
-        for ball in triple.middle.balls:
+        for center in triple.middle.centers:
             near = [
-                np.linalg.norm(ball.center - np.array([0.0, 0.0])) <= reach + 1e-9,
-                np.linalg.norm(ball.center - np.array([10.0, 0.0])) <= reach + 1e-9,
+                np.linalg.norm(center - np.array([0.0, 0.0])) <= reach + 1e-9,
+                np.linalg.norm(center - np.array([10.0, 0.0])) <= reach + 1e-9,
             ]
             assert sum(near) == 1  # no middle ball touches both clusters
 
@@ -108,12 +108,10 @@ class TestSandwichAudit:
             elif kind == 1:
                 base = FinitePoints(rng.uniform(-1, 1, size=(int(rng.integers(1, 4)), 2)))
             else:
-                base = UnionOfBalls(
-                    (
-                        Ball(rng.uniform(-1, 1, 2), float(rng.uniform(0.1, 0.3))),
-                        Ball(rng.uniform(-1, 1, 2), float(rng.uniform(0.1, 0.3))),
-                    )
-                )
+                # draw order: center 0, radius 0, center 1, radius 1
+                c0, r0 = rng.uniform(-1, 1, 2), rng.uniform(0.1, 0.3)
+                c1, r1 = rng.uniform(-1, 1, 2), rng.uniform(0.1, 0.3)
+                base = UnionOfBalls([c0, c1], [r0, r1])
             r = float(rng.uniform(0.4, 0.7))
             alpha = float(rng.uniform(0.25, 0.6)) * r
             hyps = [
