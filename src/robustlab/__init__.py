@@ -16,7 +16,6 @@ from .regions import (
     Region,
     RegionFamily,
     UnionOfBalls,
-    expand,
     uniform_sample,
 )
 from .classifiers import (
@@ -27,7 +26,6 @@ from .classifiers import (
     LinearClassifier,
     SphereBoundary,
     TableClassifier,
-    predict,
     regularity_check,
     robust_loss_distribution,
     robust_loss_point,
@@ -65,7 +63,6 @@ __all__ = [
     "Region",
     "RegionFamily",
     "UnionOfBalls",
-    "expand",
     "uniform_sample",
     "BoundedLinearClass",
     "DiscreteDistribution",
@@ -74,7 +71,6 @@ __all__ = [
     "LinearClassifier",
     "SphereBoundary",
     "TableClassifier",
-    "predict",
     "regularity_check",
     "robust_loss_distribution",
     "robust_loss_point",

@@ -2,10 +2,14 @@
 
 The robust loss of a hypothesis on a labeled point charges 1 exactly when
 some point of the perturbation region receives a label different from the
-example's.  For the hypothesis and region variants shipped here the loss is
-evaluated analytically (ball extrema of linear functions, center-distance
-arithmetic for sphere boundaries, enumeration for finite structures), so
-experiments that need exactness get it with zero sampling error.
+example's.  One kernel, :func:`violation_radius`, evaluates it analytically
+for every hypothesis and region variant shipped here (ball extrema of linear
+functions, center-distance arithmetic for sphere boundaries, enumeration
+for finite structures): it returns the expansion radius at which the loss
+flips to 1, so the loss at any expansion, the raw region included, is one
+comparison, and experiments that need exactness get it with zero sampling
+error.  ``_violation_table`` lays the kernel out over (hypothesis, example)
+pairs; the RERM oracles compare that one table against their radius.
 
 Boundary convention: linear hypotheses predict +1 exactly when
 ``<w, x> + b >= 0`` (ties to the positive side), sphere-boundary hypotheses
@@ -43,10 +47,8 @@ __all__ = [
     "FiniteClass",
     "DiscreteDistribution",
     "UnsupportedPairError",
-    "predict",
     "robust_loss_point",
     "robust_loss_sample",
-    "robust_loss_count",
     "robust_loss_distribution",
     "robust_loss_sampled",
     "violation_radius",
@@ -60,7 +62,7 @@ class UnsupportedPairError(TypeError):
     """No exact loss evaluation exists for this hypothesis/region pair."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LabeledExample:
     """A point with a binary label in {+1, -1}."""
 
@@ -73,7 +75,7 @@ class LabeledExample:
             raise ValueError("label must be +1 or -1")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LinearClassifier:
     """Halfspace classifier: predicts +1 iff <w, x> + b >= 0."""
 
@@ -109,7 +111,7 @@ class LinearClassifier:
         return abs(self.b) / float(np.linalg.norm(self.w))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SphereBoundary:
     """Classifier whose decision boundary is a sphere.
 
@@ -145,7 +147,7 @@ class SphereBoundary:
         return np.where(inside, self.inside_label, -self.inside_label)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TableClassifier:
     """Finite lookup table over quantized points with a default label."""
 
@@ -250,54 +252,15 @@ class DiscreteDistribution:
         return [self.examples[i] for i in self.sample_indices(n, seed)]
 
 
-def predict(h: Hypothesis, x) -> int:
-    """Deterministic label of a point under a hypothesis."""
-    return h.predict(x)
-
-
-def _has_nontable_point(h: TableClassifier, region: Region) -> bool:
-    """Whether the region contains a point that is not a table entry."""
-    centers, radii = _region_balls(region)
-    if np.any(radii > 0):
-        return True  # positive measure, table entries are finitely many
-    return any(point_key(c) not in h._index for c in centers)
-
-
-def _table_loss(h: TableClassifier, region: Region, y: int) -> int:
-    region = normalize_region(region)
-    flips = h.flipped_points(y)
-    if len(flips) and np.any(region.distance_to_many(flips) <= 0.0):
-        return 1
-    if h.default == y:
-        return 0
-    return int(_has_nontable_point(h, region))
-
-
 def robust_loss_point(h: Hypothesis, region: Region, ex: LabeledExample) -> int:
     """0/1 robust loss of ``h`` at one labeled example, evaluated exactly.
 
     Returns 1 iff some point of the region is labeled differently from
-    ``ex.y``.  Linear and sphere-boundary hypotheses use closed-form ball
-    extrema; lookup tables use entry enumeration plus the default label.
+    ``ex.y``: the zero-expansion query of :func:`violation_radius`.
     """
     if region.dimension != ex.x.size:
         raise DimensionMismatch("region and example dimensions differ")
-    y = ex.y
-    if isinstance(h, TableClassifier):
-        return _table_loss(h, region, y)
-    centers, radii = _region_balls(region)
-    if isinstance(h, LinearClassifier):
-        margins = centers @ h.w + h.b
-        reach = radii * float(np.linalg.norm(h.w))
-        if y == 1:
-            return int(np.any(margins - reach < 0))
-        return int(np.any(margins + reach >= 0))
-    if isinstance(h, SphereBoundary):
-        dist = np.linalg.norm(centers - h.center, axis=1)
-        if y == h.inside_label:
-            return int(np.any(dist + radii > h.radius))
-        return int(np.any(dist - radii <= h.radius))
-    raise UnsupportedPairError(f"unsupported hypothesis type {type(h).__name__}")
+    return loss_at_expansion(h, region, ex, 0.0)
 
 
 def violation_radius(h: Hypothesis, region: Region, y: int) -> tuple[float, bool]:
@@ -324,6 +287,14 @@ def violation_radius(h: Hypothesis, region: Region, y: int) -> tuple[float, bool
     raise UnsupportedPairError(f"unsupported hypothesis type {type(h).__name__}")
 
 
+def _has_nontable_point(h: TableClassifier, region: Region) -> bool:
+    """Whether the region contains a point that is not a table entry."""
+    centers, radii = _region_balls(region)
+    if np.any(radii > 0):
+        return True  # positive measure, table entries are finitely many
+    return any(point_key(c) not in h._index for c in centers)
+
+
 def _table_violation_radius(h: TableClassifier, region: Region, y: int) -> tuple[float, bool]:
     candidates: list[tuple[float, bool]] = []
     flips = h.flipped_points(y)
@@ -341,22 +312,35 @@ def _table_violation_radius(h: TableClassifier, region: Region, y: int) -> tuple
     return best, inclusive
 
 
+def _violated(radii, inclusive, r: float):
+    """Whether the loss at expansion ``r`` is 1, given flip radii and flags.
+
+    The one statement of the boundary rule: ``r >= r_star`` when inclusive,
+    ``r > r_star`` otherwise.  Works elementwise on arrays.
+    """
+    return np.where(inclusive, r >= radii, r > radii)
+
+
+def _violation_table(hypotheses, regions, examples) -> tuple[np.ndarray, np.ndarray]:
+    """(hypothesis x example) arrays of flip radii and inclusive flags."""
+    radii = np.empty((len(hypotheses), len(examples)))
+    inclusive = np.empty(radii.shape, dtype=bool)
+    for i, h in enumerate(hypotheses):
+        for j, (region, ex) in enumerate(zip(regions, examples)):
+            radii[i, j], inclusive[i, j] = violation_radius(h, region, ex.y)
+    return radii, inclusive
+
+
 def loss_at_expansion(h: Hypothesis, region: Region, ex: LabeledExample, r: float) -> int:
     """Robust loss on the region expanded by ``r >= 0`` (0 means raw)."""
-    r_star, inclusive = violation_radius(h, region, ex.y)
-    return int(r >= r_star if inclusive else r > r_star)
-
-
-def robust_loss_count(h: Hypothesis, family: RegionFamily, sample: list[LabeledExample]) -> int:
-    """Number of sample points whose region is violated (exact integer)."""
-    return sum(robust_loss_point(h, family.region_for(ex.x), ex) for ex in sample)
+    return int(_violated(*violation_radius(h, region, ex.y), r))
 
 
 def robust_loss_sample(h: Hypothesis, family: RegionFamily, sample: list[LabeledExample]) -> float:
     """Average robust loss over a sample."""
     if not sample:
         raise ValueError("empty sample")
-    return robust_loss_count(h, family, sample) / len(sample)
+    return sum(robust_loss_point(h, family.region_for(ex.x), ex) for ex in sample) / len(sample)
 
 
 def robust_loss_distribution(h: Hypothesis, family: RegionFamily, dist: DiscreteDistribution) -> float:

@@ -72,7 +72,7 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return a
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Ball:
     """Closed Euclidean ball.  Doubles as the ball variant of a region."""
 

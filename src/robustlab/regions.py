@@ -12,12 +12,12 @@ A region is one of four immutable variants:
 * :class:`Expanded` -- a lazy radius-``gamma`` neighborhood of another
   region, collapsed on construction so expansions never nest.
 
-``expand`` returns normalized concrete forms (expanding a finite point set
-yields a union of balls; expanding balls inflates radii), matching the
-Minkowski sum with a closed ball.  ``_region_balls`` is the one map from a
-region to ``(centers, radii)`` arrays, with finite point sets as radius-zero
-balls; the measure check, the exact robust losses and the cover checks all
-read regions through it.  Uniform sampling is Lebesgue-exact via rejection
+Each variant's ``expand`` method matches the Minkowski sum with a closed
+ball: expanding a finite point set yields a union of balls, expanding balls
+inflates radii.  ``_region_balls`` is the one map from a region to
+``(centers, radii)`` arrays, with finite point sets as radius-zero balls;
+the measure check, the exact robust losses and the cover checks all read
+regions through it.  Uniform sampling is Lebesgue-exact via rejection
 from the region's bounding box.
 """
 
@@ -36,7 +36,6 @@ __all__ = [
     "FinitePoints",
     "UnionOfBalls",
     "Expanded",
-    "expand",
     "normalize_region",
     "uniform_sample",
     "point_key",
@@ -67,7 +66,7 @@ def point_key(x) -> tuple:
     return tuple(q.tolist())
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FinitePoints:
     """Region consisting of finitely many points."""
 
@@ -117,7 +116,7 @@ class FinitePoints:
         return self.points.min(axis=0), self.points.max(axis=0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class UnionOfBalls:
     """Finite union of closed balls, held as arrays.
 
@@ -183,7 +182,7 @@ class UnionOfBalls:
         return np.min(self.centers - reach, axis=0), np.max(self.centers + reach, axis=0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Expanded:
     """Lazy gamma-neighborhood of a base region.
 
@@ -243,11 +242,6 @@ def _blocks(pts: np.ndarray, size: int = 4096):
     for start in range(0, len(pts), size):
         sl = slice(start, min(start + size, len(pts)))
         yield sl, pts[sl]
-
-
-def expand(region: Region, gamma: float) -> Region:
-    """Radius-``gamma`` neighborhood of a region, in normalized form."""
-    return region.expand(gamma)
 
 
 def normalize_region(region: Region) -> Region:

@@ -5,10 +5,16 @@ The tolerant learner draws an expansion radius uniformly from
 radius (separate derived RNG streams), and asks an oracle for the class
 member minimizing empirical robust loss on the radius-expanded regions.
 
-Two oracle realizations ship:
+Three oracle realizations ship, all on one violation table: the
+(hypothesis x example) flip radii of
+:func:`~robustlab.classifiers.violation_radius` on the unexpanded regions,
+compared against the requested radius.
 
 * :class:`ExhaustiveFiniteOracle` scans an explicit class and returns a
   true argmin with lowest-index tie-breaking;
+* :class:`IndexedExhaustiveOracle` builds the table once over a bound
+  distribution's atoms and answers any radius and any sample of those
+  atoms from it;
 * :class:`LinearCandidatesOracle` searches generated halfspace candidates
   (sample-anchored hyperplanes, offset sweeps, random draws) and returns
   the best candidate together with its achieved loss, so its approximate
@@ -30,8 +36,8 @@ from .classifiers import (
     LabeledExample,
     LinearClassifier,
     SphereBoundary,
-    robust_loss_count,
-    violation_radius,
+    _violated,
+    _violation_table,
 )
 from .geometry import Ball
 from .regions import FinitePoints, RegionFamily, UnionOfBalls, _region_balls
@@ -68,10 +74,10 @@ def _argmin_solution(hypotheses, family: RegionFamily, sample: list[LabeledExamp
     """Lowest-index minimizer of empirical robust loss on the r-expanded family."""
     if not sample:
         raise ValueError("empty sample")
-    expanded = family.expanded(r)
-    counts = [robust_loss_count(h, expanded, sample) for h in hypotheses]
-    best = counts.index(min(counts))
-    return RermSolution(hypotheses[best], counts[best] / len(sample), best, len(hypotheses))
+    regions = [family.region_for(ex.x) for ex in sample]
+    counts = _violated(*_violation_table(hypotheses, regions, sample), r).sum(axis=1)
+    best = int(np.argmin(counts))
+    return RermSolution(hypotheses[best], int(counts[best]) / len(sample), best, len(hypotheses))
 
 
 class ExhaustiveFiniteOracle:
@@ -87,10 +93,11 @@ class ExhaustiveFiniteOracle:
 class IndexedExhaustiveOracle:
     """Exhaustive oracle bound to one family and one finite support.
 
-    Precomputes, per (hypothesis, support atom), the expansion radius at
-    which the robust loss flips to 1.  Solving at any radius then reduces
-    to vectorized comparisons, which makes radius profiles and large trial
-    sweeps exact and cheap.
+    Builds the violation table once, over the support atoms: per
+    (hypothesis, atom), the expansion radius at which the robust loss flips
+    to 1.  Solving at any radius then reduces to the same vectorized
+    comparison the other oracles make per solve, which makes radius
+    profiles and large trial sweeps exact and cheap.
 
     Atoms are identified by their index in the bound distribution, so a
     sample must hold the distribution's own example objects (as
@@ -103,21 +110,14 @@ class IndexedExhaustiveOracle:
         self.cls = cls
         self.family = family
         self.dist = dist
-        n_h, n_a = len(cls), len(dist)
-        self._radii = np.empty((n_h, n_a))
-        self._incl = np.empty((n_h, n_a), dtype=bool)
         # the distribution keeps its atoms alive, so their ids stay unique
         self._atom_index = {id(ex): j for j, ex in enumerate(dist.examples)}
         regions = [family.region_for(ex.x) for ex in dist.examples]
-        for i, h in enumerate(cls):
-            for j, (ex, region) in enumerate(zip(dist.examples, regions)):
-                rs, inc = violation_radius(h, region, ex.y)
-                self._radii[i, j] = rs
-                self._incl[i, j] = inc
+        self._radii, self._incl = _violation_table(cls, regions, dist.examples)
 
     def violated(self, r: float) -> np.ndarray:
         """Boolean (hypothesis, atom) table of robust-loss violations at r."""
-        return np.where(self._incl, r >= self._radii, r > self._radii)
+        return _violated(self._radii, self._incl, r)
 
     def distribution_loss(self, h_idx: int, r: float) -> float:
         """Exact expected robust loss of class member ``h_idx`` at radius r."""

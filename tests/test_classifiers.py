@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from robustlab.geometry import Ball
 from robustlab.classifiers import (
@@ -12,7 +13,6 @@ from robustlab.classifiers import (
     TableClassifier,
     linear_net_2d,
     loss_at_expansion,
-    predict,
     regularity_check,
     robust_loss_distribution,
     robust_loss_point,
@@ -20,12 +20,40 @@ from robustlab.classifiers import (
     robust_loss_sampled,
     violation_radius,
 )
-from robustlab.regions import Expanded, FinitePoints, RegionFamily, UnionOfBalls
+from robustlab.regions import Expanded, FinitePoints, RegionFamily, UnionOfBalls, _region_balls, point_key
 from robustlab.seeding import rng_for
 
 
 def ex(x, y):
     return LabeledExample(np.asarray(x, dtype=float), y)
+
+
+def direct_loss(h, region, y) -> int:
+    """Robust loss on ``region`` itself from per-type closed forms.
+
+    An independent reference for the flip-radius kernel: ball extrema of
+    the margin for halfspaces, center distance plus or minus the radius for
+    sphere boundaries, and for tables a flipped entry inside the region or
+    a disagreeing default on a point that is no table entry (keyed as the
+    table keys its entries).
+    """
+    centers, radii = _region_balls(region)
+    if isinstance(h, LinearClassifier):
+        margins = centers @ h.w + h.b
+        reach = radii * float(np.linalg.norm(h.w))
+        return int(np.any(margins - reach < 0) if y == 1 else np.any(margins + reach >= 0))
+    if isinstance(h, SphereBoundary):
+        dist = np.linalg.norm(centers - h.center, axis=1)
+        if y == h.inside_label:
+            return int(np.any(dist + radii > h.radius))
+        return int(np.any(dist - radii <= h.radius))
+    flips = h.flipped_points(y)
+    if len(flips) and np.any(region.distance_to_many(flips) <= 0.0):
+        return 1
+    if h.default == y:
+        return 0
+    # positive measure holds non-entry points; a finite set may too
+    return int(np.any(radii > 0) or any(point_key(c) not in h._index for c in centers))
 
 
 @pytest.mark.parametrize(
@@ -65,16 +93,16 @@ def test_bad_numeric_input_rejected(make):
 class TestPredict:
     def test_boundary_is_positive(self):
         # the sign rule ties the boundary to +1
-        assert predict(LinearClassifier((1, 0), 0.0), (0, 0)) == 1
+        assert LinearClassifier((1, 0), 0.0).predict((0, 0)) == 1
 
     def test_negative_margin(self):
-        assert predict(LinearClassifier((1, 0), -2.0), (1, 0)) == -1
+        assert LinearClassifier((1, 0), -2.0).predict((1, 0)) == -1
 
     def test_sphere_interior(self):
-        assert predict(SphereBoundary((0, 0), 1.0, 1), (0.5, 0)) == 1
+        assert SphereBoundary((0, 0), 1.0, 1).predict((0.5, 0)) == 1
 
     def test_sphere_boundary_gets_inside_label(self):
-        assert predict(SphereBoundary((0, 0), 1.0, -1), (1.0, 0)) == -1
+        assert SphereBoundary((0, 0), 1.0, -1).predict((1.0, 0)) == -1
 
     def test_table_lookup_and_default(self):
         table = TableClassifier([(0.0, 0.0)], [-1], default=1)
@@ -99,7 +127,7 @@ class TestRobustLossPoint:
         ):
             point = np.array([0.25, 0.25])
             region = FinitePoints([point])
-            y = predict(h, point)
+            y = h.predict(point)
             assert robust_loss_point(h, region, ex(point, y)) == 0
             assert robust_loss_point(h, region, ex(point, -y)) == 1
 
@@ -227,9 +255,9 @@ class TestViolationRadius:
                     e = ex(np.zeros(2), y)
                     for r in r_grid:
                         grown = region if r == 0 else region.expand(r)
-                        direct = robust_loss_point(h, grown, e)
-                        fast = loss_at_expansion(h, region, e, r)
-                        assert direct == fast, (type(region), type(h), y, r)
+                        direct = direct_loss(h, grown, y)
+                        assert loss_at_expansion(h, region, e, r) == direct, (type(region), type(h), y, r)
+                        assert robust_loss_point(h, grown, e) == direct, (type(region), type(h), y, r)
 
     def test_flip_exactly_at_radius(self):
         h = LinearClassifier((1.0, 0.0), 0.0)
@@ -241,6 +269,74 @@ class TestViolationRadius:
         # already violated at r = 0: the ball sits on the positive side
         assert r_star == pytest.approx(-2.5)
         assert inclusive
+
+
+coord_st = st.floats(-2, 2, allow_subnormal=False)
+point_st = st.tuples(coord_st, coord_st)
+radius_st = st.one_of(st.just(0.0), st.floats(0.1, 1))
+region_st = st.one_of(
+    st.builds(Ball, point_st, radius_st),
+    st.builds(FinitePoints, st.lists(point_st, min_size=1, max_size=4)),
+    st.lists(st.tuples(point_st, radius_st), min_size=1, max_size=4).map(
+        lambda balls: UnionOfBalls([c for c, _ in balls], [r for _, r in balls])
+    ),
+)
+label_st = st.sampled_from((1, -1))
+classifier_st = st.one_of(
+    st.builds(LinearClassifier, point_st.filter(lambda w: np.hypot(*w) > 0.1), coord_st),
+    st.builds(SphereBoundary, point_st, st.floats(0.1, 2), label_st),
+    st.lists(st.tuples(point_st, label_st), min_size=1, max_size=4, unique_by=lambda e: e[0]).flatmap(
+        lambda entries: st.builds(
+            TableClassifier, st.just([p for p, _ in entries]), st.just([l for _, l in entries]), label_st
+        )
+    ),
+)
+derandomized = settings(derandomize=True, database=None, deadline=None, max_examples=300)
+
+
+@derandomized
+@given(region_st, classifier_st, label_st, st.floats(0, 2))
+def test_kernel_matches_direct_loss(region, h, y, r):
+    # the two forms round differently at an exact tie (test_flip_exactly_at_radius
+    # covers ties); a table on the raw region ties by set membership, not rounding
+    r_star, _ = violation_radius(h, region, y)
+    assume(abs(r - r_star) > 1e-9 or (r == 0 and isinstance(h, TableClassifier)))
+    grown = region if r == 0 else region.expand(r)
+    e = ex(np.zeros(2), y)
+    assert loss_at_expansion(h, region, e, r) == direct_loss(h, grown, y)
+
+
+@derandomized
+@given(region_st, classifier_st, label_st, st.one_of(st.just(0.0), st.floats(0.1, 2)))
+def test_sampled_loss_never_exceeds_kernel(region, h, y, r):
+    # r = 0 or r >= 0.1 keeps every positive radius >= 0.1, so rejection sampling stays
+    # cheap; a zero-measure region other than a finite point set cannot be sampled
+    grown = region if r == 0 else region.expand(r)
+    assume(isinstance(grown, FinitePoints) or np.any(_region_balls(grown)[1] > 0))
+    e = ex(np.zeros(2), y)
+    if loss_at_expansion(h, region, e, r) == 0:
+        assert robust_loss_sampled(h, grown, e, 64, seed=0) == 0
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: Ball((0, 0), 1.0),
+        lambda: FinitePoints([(0, 0), (1, 0)]),
+        lambda: UnionOfBalls([(0, 0), (1, 0)], [1.0, 0.5]),
+        lambda: Expanded(Ball((0, 0), 1.0), 0.5),
+        lambda: ex((0, 0), 1),
+        lambda: LinearClassifier((1, 0), 0.0),
+        lambda: SphereBoundary((0, 0), 1.0),
+        lambda: TableClassifier([(0.0, 0.0)], [-1]),
+    ],
+    ids=["ball", "points", "union", "expanded", "example", "linear", "sphere", "table"],
+)
+def test_identity_equality_and_hash(make):
+    a, b = make(), make()
+    assert a == a and (a == b) is False
+    assert hash(a) == hash(a)
+    assert [b, a].index(a) == 1
 
 
 class TestRegularity:

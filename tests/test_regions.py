@@ -11,7 +11,6 @@ from robustlab.regions import (
     RegionFamily,
     UnionOfBalls,
     ZeroMeasureError,
-    expand,
     point_key,
     uniform_sample,
 )
@@ -20,20 +19,20 @@ from robustlab.seeding import rng_for
 
 class TestExpand:
     def test_ball_minkowski(self):
-        grown = expand(Ball((0, 0), 1.0), 0.5)
+        grown = Ball((0, 0), 1.0).expand(0.5)
         assert isinstance(grown, Ball)
         assert grown.radius == 1.5
         assert np.array_equal(grown.center, [0, 0])
 
     def test_single_point_becomes_ball(self):
-        grown = expand(FinitePoints([(0.0, 0.0)]), 2.0)
+        grown = FinitePoints([(0.0, 0.0)]).expand(2.0)
         assert isinstance(grown, UnionOfBalls)
         assert len(grown) == 1
         assert grown.radii[0] == 2.0
 
     def test_union_inflates_and_membership_flips(self):
         union = UnionOfBalls([(0, 0), (3, 0)], [1.0, 1.0])
-        grown = expand(union, 1.0)
+        grown = union.expand(1.0)
         assert np.all(grown.radii == 2.0)
         p = (1.7, 0.0)
         assert not union.contains(p)  # distance 0.7 from the first ball
@@ -61,7 +60,7 @@ class TestExpand:
 
     def test_rejects_nonpositive_gamma(self):
         with pytest.raises(ValueError):
-            expand(Ball((0, 0), 1.0), 0.0)
+            Ball((0, 0), 1.0).expand(0.0)
 
 
 class TestContains:

@@ -59,6 +59,8 @@ def test_install_then_uninstall_restores_every_original():
         n_instances = len(params["k_grid"])
         cells = n_instances * params["thresholds"] * params["universe_size"]
         assert spans.calls["classifiers.robust_loss_point"] == cells
+        # the pointwise loss is a query of the one flip-radius kernel
+        assert spans.calls["classifiers.violation_radius"] == cells
     finally:
         uninstall()
     after = snapshot()
