@@ -255,7 +255,11 @@ def cover_compact_by_balls(
     nodes and whose ``radii`` all equal ``ball_radius``; ``len(cover)`` is
     the ball count.  The construction is probe verified before returning
     (seeded; raises ``CoverageError`` on failure, which would indicate a
-    bug rather than bad luck).
+    bug rather than bad luck).  The probes are those :func:`verify_cover`
+    draws for the same seed, and each is first checked against its nearest
+    grid node (O(d) per probe); only probes that node does not cover are
+    measured against every center, so the failure count is the one
+    :func:`verify_cover`, the brute-force reference, returns.
     """
     from .regions import UnionOfBalls
 
@@ -276,27 +280,55 @@ def cover_compact_by_balls(
         )
     mesh = np.meshgrid(*axes, indexing="ij")
     nodes = np.stack([m.ravel() for m in mesh], axis=1)
-    centers = nodes[target.distance_to_many(nodes) <= ball_radius]
-    cover = UnionOfBalls(centers, np.full(len(centers), float(ball_radius)))
+    kept = target.distance_to_many(nodes) <= ball_radius
+    cover = UnionOfBalls(nodes[kept], np.full(np.count_nonzero(kept), float(ball_radius)))
 
-    failures = verify_cover(target, cover, probe_count, seed)
+    probes = _cover_probes(target, probe_count, seed)
+    failures = _grid_cover_failures(probes, axes, pitch, kept.reshape(mesh[0].shape), cover)
     if failures:
         raise CoverageError(f"{failures}/{probe_count} cover probes uncovered")
     return cover
 
 
+def _grid_cover_failures(
+    probes: np.ndarray, axes: list[np.ndarray], pitch: float, kept: np.ndarray, cover: UnionOfBalls
+) -> int:
+    """Count ``probes`` outside ``cover``, the balls at the ``kept`` grid nodes.
+
+    ``axes`` are the grid's node coordinates per axis at spacing ``pitch``
+    and ``kept`` is the boolean node mask in meshgrid (``"ij"``) shape.
+    Rounding each probe coordinate to its axis gives the probe's nearest
+    node; a probe within the radius of that node, when it is kept, is
+    covered.  Every other probe is measured against all of ``cover``, so
+    the count equals ``verify_cover``'s for the same probes.
+    """
+    start = np.array([a[0] for a in axes])
+    last = np.array([len(a) - 1 for a in axes])
+    index = np.clip(np.rint((probes - start) / pitch), 0, last).astype(np.intp)
+    nearest = np.stack([a[i] for a, i in zip(axes, index.T)], axis=1)
+    near = np.linalg.norm(probes - nearest, axis=1) - cover.radii[0] <= 0
+    covered = kept[tuple(index.T)] & near
+    return int(np.count_nonzero(cover.distance_to_many(probes[~covered]) > 0))
+
+
+def _cover_probes(target, probe_count: int, seed: int | np.random.Generator) -> np.ndarray:
+    """The probe points of a cover check, drawn as :func:`verify_cover` describes."""
+    from .regions import ZeroMeasureError, _region_balls, uniform_sample
+
+    try:
+        return uniform_sample(target, probe_count, seed)
+    except ZeroMeasureError:
+        return _region_balls(target)[0]
+
+
 def verify_cover(target, cover: UnionOfBalls, probe_count: int, seed: int | np.random.Generator) -> int:
     """Count probe points of ``target`` outside the ball union ``cover``.
 
-    ``cover`` is a :class:`~robustlab.regions.UnionOfBalls`.  Probes are
+    The brute-force reference: every probe is measured against every ball
+    of ``cover``, a :class:`~robustlab.regions.UnionOfBalls`.  Probes are
     ``probe_count`` uniform samples for positive-measure targets; a
     zero-measure target (finite points, radius-zero balls) is probed at
     its defining points exactly.
     """
-    from .regions import ZeroMeasureError, _region_balls, uniform_sample
-
-    try:
-        probes = uniform_sample(target, probe_count, seed)
-    except ZeroMeasureError:
-        probes = _region_balls(target)[0]
+    probes = _cover_probes(target, probe_count, seed)
     return int(np.count_nonzero(cover.distance_to_many(probes) > 0))

@@ -8,7 +8,9 @@ A region is one of four immutable variants:
   ``(k, d)`` array of centers and a ``(k,)`` array of radii, with
   ``len(union) == k``; grid covers
   (:func:`~robustlab.geometry.cover_compact_by_balls`) are returned in
-  this form;
+  this form, checked on construction by a nearest-grid-node lookup with a
+  brute-force fallback (:func:`~robustlab.geometry.verify_cover` is the
+  brute-force reference);
 * :class:`Expanded` -- a lazy radius-``gamma`` neighborhood of another
   region, collapsed on construction so expansions never nest.
 
@@ -17,8 +19,9 @@ ball: expanding a finite point set yields a union of balls, expanding balls
 inflates radii.  ``_region_balls`` is the one map from a region to
 ``(centers, radii)`` arrays, with finite point sets as radius-zero balls;
 the measure check, the exact robust losses and the cover checks all read
-regions through it.  Uniform sampling is Lebesgue-exact via rejection
-from the region's bounding box.
+regions through it.  Distances from many query points to a union or a
+point set are computed in row blocks of about 2**20 floats.  Uniform
+sampling is Lebesgue-exact via rejection from the region's bounding box.
 """
 
 from __future__ import annotations
@@ -97,7 +100,7 @@ class FinitePoints:
 
     def distance_to_many(self, pts: np.ndarray) -> np.ndarray:
         out = np.empty(len(pts))
-        for i, block in _blocks(pts):
+        for i, block in _blocks(pts, len(self.points)):
             out[i] = np.min(np.linalg.norm(block[:, None, :] - self.points[None, :, :], axis=-1), axis=1)
         return out
 
@@ -162,7 +165,7 @@ class UnionOfBalls:
 
     def distance_to_many(self, pts: np.ndarray) -> np.ndarray:
         out = np.empty(len(pts))
-        for i, block in _blocks(pts):
+        for i, block in _blocks(pts, len(self.centers)):
             dist = np.linalg.norm(block[:, None, :] - self.centers[None, :, :], axis=-1) - self.radii
             out[i] = np.maximum(0.0, np.min(dist, axis=1))
         return out
@@ -237,8 +240,15 @@ class Expanded:
 Region = Union[FinitePoints, Ball, UnionOfBalls, Expanded]
 
 
-def _blocks(pts: np.ndarray, size: int = 4096):
+def _blocks(pts: np.ndarray, k: int):
+    """Row blocks of ``pts`` to measure against ``k`` points at once.
+
+    At most 4,096 rows, and few enough that a block's ``(rows, k, d)``
+    difference array holds about 2**20 floats, so memory stays bounded
+    however many points a region holds.
+    """
     pts = np.atleast_2d(pts)
+    size = max(1, min(4096, 2**20 // (k * pts.shape[1])))
     for start in range(0, len(pts), size):
         sl = slice(start, min(start + size, len(pts)))
         yield sl, pts[sl]

@@ -5,8 +5,10 @@ import math
 import numpy as np
 import pytest
 
+from robustlab import geometry
 from robustlab.geometry import (
     Ball,
+    CoverageError,
     DimensionMismatch,
     cover_compact_by_balls,
     distance,
@@ -14,7 +16,7 @@ from robustlab.geometry import (
     grid_cover_bound,
     verify_cover,
 )
-from robustlab.regions import FinitePoints, UnionOfBalls
+from robustlab.regions import Expanded, FinitePoints, UnionOfBalls
 from robustlab.seeding import rng_for
 
 
@@ -132,6 +134,93 @@ class TestCoverCompactByBalls:
     def test_rejects_bad_radius(self):
         with pytest.raises(ValueError):
             cover_compact_by_balls(Ball((0, 0), 1.0), 0.0)
+
+
+def grid_nodes(target, ball_radius):
+    """Axes, pitch and ``"ij"``-ordered nodes of the grid a cover is built on."""
+    lo, hi = target.bounding_box()
+    pitch = ball_radius * (2.0 / np.sqrt(lo.size)) * (1.0 - 1e-6)
+    axes = [np.arange(a - ball_radius, b + ball_radius + pitch, pitch) for a, b in zip(lo, hi)]
+    nodes = np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=1)
+    return axes, pitch, nodes
+
+
+def random_target(kind, d, rng):
+    if kind == "ball":
+        return Ball(rng.uniform(-1, 1, d), rng.uniform(0.3, 1.0))
+    if kind == "union":
+        return UnionOfBalls(rng.uniform(-1, 1, (3, d)), rng.uniform(0.1, 0.6, 3))
+    if kind == "points":
+        return FinitePoints(rng.uniform(-1, 1, (20, d)))
+    if kind == "point_ball":
+        return Ball(rng.uniform(-1, 1, d), 0.0)
+    return Expanded(FinitePoints(rng.uniform(-1, 1, (4, d))), rng.uniform(0.1, 0.4))
+
+
+class TestGridCoverCheck:
+    """The nearest-node cover check against the brute-force ``verify_cover``."""
+
+    KINDS = ("ball", "union", "points", "point_ball", "expanded")
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_matches_verify_cover_with_centers_knocked_out(self, d, monkeypatch):
+        fallback_rows = []
+        brute = UnionOfBalls.distance_to_many
+
+        def recording(self, pts):
+            fallback_rows.append(len(pts))
+            return brute(self, pts)
+
+        failures = fell_back = 0
+        for kind in self.KINDS:
+            for trial in range(4):
+                rng = rng_for(trial, "grid-check", kind, str(d))
+                target = random_target(kind, d, rng)
+                radius = rng.uniform(0.15, 0.35)
+                axes, pitch, nodes = grid_nodes(target, radius)
+                kept = target.distance_to_many(nodes) <= radius
+                # knock out about a fifth of the kept centers, leaving at least one
+                knocked = kept & (rng.random(len(kept)) >= 0.2)
+                knocked[np.flatnonzero(kept)[0]] = True
+                shape = [len(a) for a in axes]
+                probes = geometry._cover_probes(target, 300, trial)
+                for mask in (kept, knocked):
+                    cover = UnionOfBalls(nodes[mask], np.full(np.count_nonzero(mask), radius))
+                    fallback_rows.clear()
+                    with monkeypatch.context() as m:
+                        m.setattr(UnionOfBalls, "distance_to_many", recording)
+                        got = geometry._grid_cover_failures(probes, axes, pitch, mask.reshape(shape), cover)
+                    assert got == verify_cover(target, cover, 300, trial), (kind, trial)
+                    if mask is kept:
+                        # every target point's nearest node is kept and in reach
+                        assert got == 0 and sum(fallback_rows) == 0, (kind, trial)
+                    failures += got
+                    fell_back += sum(fallback_rows)
+        # the knocked-out covers miss some probes, and cover others only
+        # through a center that is not the probe's nearest node
+        assert 0 < failures < fell_back
+
+    def test_hidden_nodes_raise_coverage_error(self):
+        asked = []
+
+        class HoledBall(Ball):
+            """A ball whose distance to the grid hides every node right of its center."""
+
+            def distance_to_many(self, pts):
+                asked.append(pts)
+                out = super().distance_to_many(pts)
+                out[pts[:, 0] > self.center[0]] = np.inf
+                return out
+
+        target = HoledBall((0.0, 0.0), 1.0)
+        with pytest.raises(CoverageError) as err:
+            cover_compact_by_balls(target, 0.2, seed=4, probe_count=500)
+        (nodes,) = asked
+        kept = (Ball.distance_to_many(target, nodes) <= 0.2) & (nodes[:, 0] <= 0.0)
+        holed = UnionOfBalls(nodes[kept], np.full(np.count_nonzero(kept), 0.2))
+        expected = verify_cover(Ball((0.0, 0.0), 1.0), holed, 500, seed=4)
+        assert expected > 0
+        assert str(err.value) == f"{expected}/500 cover probes uncovered"
 
 
 class TestExpansionDistanceConsistency:

@@ -1,10 +1,12 @@
 """Region algebra: expansion, membership, diameter, uniform sampling."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy import stats
 
-from robustlab.geometry import Ball
+from robustlab.geometry import Ball, cover_compact_by_balls
 from robustlab.regions import (
     Expanded,
     FinitePoints,
@@ -92,6 +94,31 @@ class TestDiameter:
         for region in (ball, pts):
             grown = Expanded(region, 0.6)
             assert grown.diameter() == pytest.approx(region.diameter() + 1.2)
+
+
+class TestDistanceToMany:
+    @pytest.mark.parametrize("variant", ["union", "points"])
+    def test_many_centers_in_bounded_memory(self, variant):
+        # 1,000 probes against 4,073 centers in one (rows, k, d) block would
+        # hold 65 MB per temporary; blocks of about 2**20 floats hold 8 MB
+        disc = Ball((0.0, 0.0), 1.0)
+        cover = cover_compact_by_balls(disc, 0.02, seed=0)
+        assert len(cover) == 4073
+        region = cover if variant == "union" else FinitePoints(cover.centers)
+        probes = uniform_sample(disc, 1000, 3)
+        tracemalloc.start()
+        try:
+            got = region.distance_to_many(probes)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 40 * 2**20
+        rows = [np.linalg.norm(cover.centers - p, axis=1) for p in probes]
+        if variant == "union":
+            expected = [max(0.0, np.min(row - cover.radii)) for row in rows]
+        else:
+            expected = [np.min(row) for row in rows]
+        assert np.array_equal(got, expected)
 
 
 class TestUniformSample:
