@@ -149,7 +149,7 @@ class SphereBoundary:
 
 @dataclass(frozen=True, eq=False)
 class TableClassifier:
-    """Finite lookup table over quantized points with a default label."""
+    """Finite lookup table over distinct exact points (:func:`point_key`) with a default label."""
 
     points: np.ndarray
     labels: np.ndarray
@@ -166,6 +166,8 @@ class TableClassifier:
         object.__setattr__(self, "points", _readonly(pts))
         object.__setattr__(self, "labels", _readonly(labels.astype(float)))
         object.__setattr__(self, "_index", {point_key(p): int(l) for p, l in zip(pts, labels)})
+        if len(self._index) != len(pts):
+            raise ValueError("table entries must be distinct points")
 
     @property
     def dimension(self) -> int:
@@ -299,8 +301,9 @@ def _table_violation_radius(h: TableClassifier, region: Region, y: int) -> tuple
     candidates: list[tuple[float, bool]] = []
     flips = h.flipped_points(y)
     if len(flips):
-        dists = region.distance_to_many(flips)
-        candidates.append((float(np.min(dists)), True))
+        # a distance can round to 0 off the region: only a contained entry counts at r = 0
+        nearest = float(np.min(region.distance_to_many(flips)))
+        candidates.append((nearest, nearest > 0 or bool(np.any(region.contains_many(flips)))))
     if h.default != y:
         # any positive expansion has non-table points; the raw region may too
         inclusive_at_zero = _has_nontable_point(h, region)

@@ -141,11 +141,10 @@ class SphereCover:
         norms = np.linalg.norm(self.centers, axis=1)
         if not np.allclose(norms, self.sphere_radius, rtol=GEOM_TOL, atol=0.0):
             raise ValueError("cover centers must lie on the sphere")
-        n = len(self.centers)
-        if n > 1:
-            diff = self.centers[:, None, :] - self.centers[None, :, :]
-            dists = np.linalg.norm(diff, axis=-1)
-            dists[np.diag_indices(n)] = np.inf
+        from .regions import _pair_distances
+
+        for rows, dists in _pair_distances(self.centers, self.centers):
+            dists[np.arange(len(dists)), np.arange(rows.start, rows.stop)] = np.inf
             if not np.all(dists > self.mesh):
                 raise ValueError("cover centers are not mesh-separated")
 

@@ -383,9 +383,7 @@ def _run_sandwich_audit(params: dict, seed: int):
         triple, control, example = make_nonregular_control(
             FinitePoints([[0.0, 0.0]]), r=0.8, alpha=0.3, seed=seed_derive(seed, "control")
         )
-        from .sandwich import sandwich_audit as audit_fn
-
-        report = audit_fn(triple, [control], [example], seed=0)
+        report = sandwich_audit(triple, [control], [example], seed=0)
         control_violated = bool(report.violations) and not report.certificates[0].passed
         rows.append(
             {
@@ -482,8 +480,8 @@ def _run_oracle_query_sweep(params: dict, seed: int):
 
 
 def _run_robust_vc_audit(params: dict, seed: int):
-    from .loss_vc import overhead_audit
-    from .classifiers import FiniteClass, LinearClassifier
+    from .classifiers import FiniteClass
+    from .loss_vc import overhead_audit, sauer_bound
 
     rng = rng_for(seed, "vc-audit")
     instances = []
@@ -510,7 +508,6 @@ def _run_robust_vc_audit(params: dict, seed: int):
                 allow_outside_anchor=True,
             )
         instances.append((1, int(k), cls, fam, examples))
-    from .loss_vc import sauer_bound
 
     rows_data = overhead_audit(instances, max_m=params["max_m"])
     rows = [

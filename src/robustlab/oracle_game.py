@@ -79,16 +79,10 @@ def build_oracle_game(D: float, gamma: float, d: int) -> OracleGameInstance:
     v = (D0 / 2.0 + 4.0 * gamma) * e1
     v_prime = 2.0 * gamma * e1
 
-    u_regions = {}
-    v_regions = {}
-    for sign in (1.0, -1.0):
-        anchor = sign * v
-        u_regions[tuple(anchor)] = Ball(anchor, D0 / 2.0)
-        v_regions[tuple(anchor)] = UnionOfBalls([anchor, sign * v_prime], [D0 / 2.0, 5.0 * gamma / 2.0])
-
-    anchors = [v, -v]
-    u_family = RegionFamily([(a, u_regions[tuple(a)]) for a in anchors])
-    v_family = RegionFamily([(a, v_regions[tuple(a)]) for a in anchors])
+    anchors, sides = [v, -v], [v_prime, -v_prime]
+    u_family = RegionFamily([(a, Ball(a, D0 / 2.0)) for a in anchors])
+    v_radii = [D0 / 2.0, 5.0 * gamma / 2.0]
+    v_family = RegionFamily([(a, UnionOfBalls([a, s], v_radii)) for a, s in zip(anchors, sides)])
 
     # U_v and U_{-v} must be disjoint, even after gamma expansion
     gap = float(np.linalg.norm(v - (-v)))

@@ -20,8 +20,12 @@ inflates radii.  ``_region_balls`` is the one map from a region to
 ``(centers, radii)`` arrays, with finite point sets as radius-zero balls;
 the measure check, the exact robust losses and the cover checks all read
 regions through it.  Distances from many query points to a union or a
-point set are computed in row blocks of about 2**20 floats.  Uniform
-sampling is Lebesgue-exact via rejection from the region's bounding box.
+point set, and the pairwise distances behind diameters, are computed in
+row blocks of about 2**20 floats.  Uniform sampling is Lebesgue-exact via
+rejection from the region's bounding box.
+
+Point identity is exact (equal float coordinates): ``point_key`` and
+``FinitePoints`` membership share that one rule.
 """
 
 from __future__ import annotations
@@ -49,9 +53,6 @@ __all__ = [
     "region_from_dict",
 ]
 
-KEY_DECIMALS = 12
-
-
 class ZeroMeasureError(ValueError):
     """Uniform sampling was requested from a Lebesgue-null region."""
 
@@ -61,17 +62,13 @@ class SamplingEfficiencyError(RuntimeError):
 
 
 def point_key(x) -> tuple:
-    """Hashable identity of a point, quantized at 1e-12 per coordinate."""
-    p = as_point(x)
-    q = np.round(p, KEY_DECIMALS)
-    # avoid distinct keys for -0.0 vs 0.0
-    q = q + 0.0
-    return tuple(q.tolist())
+    """Hashable identity of a point: its exact coordinates (``+ 0.0`` folds -0.0 into 0.0)."""
+    return tuple((as_point(x) + 0.0).tolist())
 
 
 @dataclass(frozen=True, eq=False)
 class FinitePoints:
-    """Region consisting of finitely many points."""
+    """Region consisting of finitely many points; membership is exact equality."""
 
     points: np.ndarray
 
@@ -88,10 +85,15 @@ class FinitePoints:
         return self.points.shape[1]
 
     def contains(self, p) -> bool:
-        return self.distance_to(p) <= 1e-12
+        p = as_point(p)
+        _check_same_dim(p.size, self.dimension)
+        return bool(np.any(np.all(self.points == p, axis=1)))
 
     def contains_many(self, pts: np.ndarray) -> np.ndarray:
-        return self.distance_to_many(pts) <= 1e-12
+        out = np.empty(len(pts), dtype=bool)
+        for i, block in _blocks(pts, len(self.points)):
+            out[i] = np.any(np.all(block[:, None, :] == self.points[None, :, :], axis=-1), axis=1)
+        return out
 
     def distance_to(self, p) -> float:
         p = as_point(p)
@@ -100,15 +102,12 @@ class FinitePoints:
 
     def distance_to_many(self, pts: np.ndarray) -> np.ndarray:
         out = np.empty(len(pts))
-        for i, block in _blocks(pts, len(self.points)):
-            out[i] = np.min(np.linalg.norm(block[:, None, :] - self.points[None, :, :], axis=-1), axis=1)
+        for i, dist in _pair_distances(pts, self.points):
+            out[i] = np.min(dist, axis=1)
         return out
 
     def diameter(self) -> float:
-        if len(self.points) == 1:
-            return 0.0
-        diff = self.points[:, None, :] - self.points[None, :, :]
-        return float(np.max(np.linalg.norm(diff, axis=-1)))
+        return max(float(np.max(dist)) for _, dist in _pair_distances(self.points, self.points))
 
     def expand(self, gamma: float) -> "UnionOfBalls":
         if gamma <= 0:
@@ -165,15 +164,16 @@ class UnionOfBalls:
 
     def distance_to_many(self, pts: np.ndarray) -> np.ndarray:
         out = np.empty(len(pts))
-        for i, block in _blocks(pts, len(self.centers)):
-            dist = np.linalg.norm(block[:, None, :] - self.centers[None, :, :], axis=-1) - self.radii
-            out[i] = np.maximum(0.0, np.min(dist, axis=1))
+        for i, dist in _pair_distances(pts, self.centers):
+            out[i] = np.maximum(0.0, np.min(dist - self.radii, axis=1))
         return out
 
     def diameter(self) -> float:
         """Pairwise upper bound: max over ball pairs of center gap plus radii."""
-        gaps = np.linalg.norm(self.centers[:, None, :] - self.centers[None, :, :], axis=-1)
-        return float(np.max(gaps + self.radii[:, None] + self.radii[None, :]))
+        return max(
+            float(np.max(gaps + self.radii[i, None] + self.radii[None, :]))
+            for i, gaps in _pair_distances(self.centers, self.centers)
+        )
 
     def expand(self, gamma: float) -> "UnionOfBalls":
         if gamma <= 0:
@@ -252,6 +252,12 @@ def _blocks(pts: np.ndarray, k: int):
     for start in range(0, len(pts), size):
         sl = slice(start, min(start + size, len(pts)))
         yield sl, pts[sl]
+
+
+def _pair_distances(pts: np.ndarray, centers: np.ndarray):
+    """``(slice, dist)`` per :func:`_blocks` row block, ``dist[i, j]`` = |pts[slice][i] - centers[j]|."""
+    for sl, block in _blocks(pts, len(centers)):
+        yield sl, np.linalg.norm(block[:, None, :] - centers[None, :, :], axis=-1)
 
 
 def normalize_region(region: Region) -> Region:
@@ -354,8 +360,8 @@ def region_from_dict(data: dict) -> Region:
 class RegionFamily:
     """Assignment of perturbation regions to support points.
 
-    Anchors are identified by coordinates quantized at 1e-12, and an anchor
-    that collides with an earlier one at that resolution is rejected.  Each
+    Anchors are identified by their exact coordinates (:func:`point_key`),
+    and an anchor equal to an earlier one is rejected.  Each
     assigned region must contain its anchor unless the family is built
     with ``allow_outside_anchor=True``.  An optional ``default_rule``
     callable serves regions for off-support points (for instance
@@ -380,7 +386,7 @@ class RegionFamily:
                 raise ValueError(f"anchor {anchor} lies outside its assigned region")
             key = point_key(anchor)
             if key in self._regions:
-                raise ValueError(f"anchor {anchor} collides with an earlier anchor at 1e-12 resolution")
+                raise ValueError(f"anchor {anchor} repeats an earlier anchor")
             self._regions[key] = region
             self._anchors.append(anchor)
         self._default = default_rule
@@ -403,7 +409,8 @@ class RegionFamily:
             raise ValueError("expansion radius must be nonnegative")
         if r == 0:
             return self
-        expanded = [(a, self._regions[point_key(a)].expand(r)) for a in self._anchors]
+        # one region per anchor, both in insertion order
+        expanded = [(a, region.expand(r)) for a, region in zip(self._anchors, self._regions.values())]
         default = None
         if self._default is not None:
             base = self._default

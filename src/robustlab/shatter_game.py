@@ -26,7 +26,7 @@ import numpy as np
 
 from .classifiers import LabeledExample, LinearClassifier
 from .geometry import SphereCover, greedy_sphere_cover
-from .regions import FinitePoints, RegionFamily
+from .regions import FinitePoints, RegionFamily, point_key
 from .seeding import as_generator, rng_for, uniform_sphere
 
 __all__ = [
@@ -180,17 +180,10 @@ def build_shatter_family(
 
 
 def cells_mutually_disjoint(a: ShatterFamily, b: ShatterFamily) -> bool:
-    """Whether two families' cells share no sampled point.
+    """Whether two families' cells share no sampled point (exact coordinates).
 
-    Families built at different cap scales live on spheres of different
-    radii and are disjoint outright; at equal radii the sampled points are
-    compared directly.  Run this audit whenever two families coexist in
-    one construction.
+    Run this audit whenever two families coexist in one construction.
     """
-    if abs(a.sphere_radius - b.sphere_radius) > 1e-12 * max(a.sphere_radius, b.sphere_radius):
-        return True
-    from .regions import point_key
-
     keys_a = {point_key(p) for cell in a.cells for p in cell}
     keys_b = {point_key(p) for cell in b.cells for p in cell}
     return not keys_a & keys_b

@@ -33,9 +33,9 @@ def direct_loss(h, region, y) -> int:
 
     An independent reference for the flip-radius kernel: ball extrema of
     the margin for halfspaces, center distance plus or minus the radius for
-    sphere boundaries, and for tables a flipped entry inside the region or
-    a disagreeing default on a point that is no table entry (keyed as the
-    table keys its entries).
+    sphere boundaries, and for tables a flipped entry the region contains
+    or a disagreeing default on a point that is no table entry (both by
+    the exact identity rule, ``contains`` and ``point_key``).
     """
     centers, radii = _region_balls(region)
     if isinstance(h, LinearClassifier):
@@ -48,7 +48,7 @@ def direct_loss(h, region, y) -> int:
             return int(np.any(dist + radii > h.radius))
         return int(np.any(dist - radii <= h.radius))
     flips = h.flipped_points(y)
-    if len(flips) and np.any(region.distance_to_many(flips) <= 0.0):
+    if len(flips) and np.any(region.contains_many(flips)):
         return 1
     if h.default == y:
         return 0
@@ -70,6 +70,8 @@ def direct_loss(h, region, y) -> int:
         lambda: UnionOfBalls([(0, 0), (1, 0)], [1.0, -0.5]),
         lambda: UnionOfBalls([(0, 0), (1, 0)], [1.0, np.nan]),
         lambda: UnionOfBalls([(0, 0), (np.nan, 0)], [1.0, 1.0]),
+        lambda: TableClassifier([(0, 0), (0, 0)], [1, -1], default=-1),
+        lambda: TableClassifier([(0, 0), (-0.0, 0)], [1, 1]),
     ],
     ids=[
         "ball-nan-radius",
@@ -83,6 +85,8 @@ def direct_loss(h, region, y) -> int:
         "union-negative-radius",
         "union-nan-radius",
         "union-nan-center",
+        "table-duplicate-entry",
+        "table-signed-zero-duplicate",
     ],
 )
 def test_bad_numeric_input_rejected(make):
@@ -282,14 +286,15 @@ region_st = st.one_of(
     ),
 )
 label_st = st.sampled_from((1, -1))
+table_st = st.lists(st.tuples(point_st, label_st), min_size=1, max_size=4, unique_by=lambda e: e[0]).flatmap(
+    lambda entries: st.builds(
+        TableClassifier, st.just([p for p, _ in entries]), st.just([l for _, l in entries]), label_st
+    )
+)
 classifier_st = st.one_of(
     st.builds(LinearClassifier, point_st.filter(lambda w: np.hypot(*w) > 0.1), coord_st),
     st.builds(SphereBoundary, point_st, st.floats(0.1, 2), label_st),
-    st.lists(st.tuples(point_st, label_st), min_size=1, max_size=4, unique_by=lambda e: e[0]).flatmap(
-        lambda entries: st.builds(
-            TableClassifier, st.just([p for p, _ in entries]), st.just([l for _, l in entries]), label_st
-        )
-    ),
+    table_st,
 )
 derandomized = settings(derandomize=True, database=None, deadline=None, max_examples=300)
 
@@ -316,6 +321,41 @@ def test_sampled_loss_never_exceeds_kernel(region, h, y, r):
     e = ex(np.zeros(2), y)
     if loss_at_expansion(h, region, e, r) == 0:
         assert robust_loss_sampled(h, grown, e, 64, seed=0) == 0
+
+
+@pytest.mark.parametrize(
+    "entry_label, y, offset, expected",
+    [(1, -1, 2.07e-50, 1), (-1, 1, 2.07e-50, 0), (-1, 1, 1e-170, 0)],
+    ids=["nonentry-point", "entry-flip", "underflowing-distance"],
+)
+def test_table_loss_near_entry(entry_label, y, offset, expected):
+    # (0, offset) is not the entry (0, 0): it gets the default label +1, and
+    # at 1e-170 its distance to the entry underflows to 0
+    h = TableClassifier([(0.0, 0.0)], [entry_label], default=1)
+    region = FinitePoints([(0.0, offset)])
+    e = ex((0.0, offset), y)
+    assert robust_loss_point(h, region, e) == expected
+    assert robust_loss_sampled(h, region, e, 1, seed=0) == expected
+
+
+near_entry_st = st.tuples(
+    st.integers(0, 3), st.integers(0, 1), st.sampled_from((0.0, 1e-13, -1e-13, 2.07e-50, 1e-170, -1e-170))
+)
+
+
+@derandomized
+@given(table_st, st.lists(near_entry_st, min_size=1, max_size=4), label_st)
+def test_table_kernel_matches_predict_near_entries(h, picks, y):
+    # region points are table entries moved by tiny offsets along one axis;
+    # on a finite point set the sampled loss enumerates predict exactly
+    pts = []
+    for entry, axis, offset in picks:
+        p = h.points[entry % len(h.points)].copy()
+        p[axis] += offset
+        pts.append(p)
+    region = FinitePoints(pts)
+    e = ex(pts[0], y)
+    assert robust_loss_point(h, region, e) == robust_loss_sampled(h, region, e, 1, seed=0)
 
 
 @pytest.mark.parametrize(

@@ -266,6 +266,14 @@ class TestCli:
         )
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "name", sorted(os.listdir(os.path.join(os.path.dirname(__file__), "..", "demos", "configs")))
+    )
+    def test_demo_config_validates(self, name, capsys):
+        path = os.path.join(os.path.dirname(__file__), "..", "demos", "configs", name)
+        assert main(["validate", "--config", path]) == 0
+        assert "config ok" in capsys.readouterr().out
+
     def test_list_experiments(self, capsys):
         assert main(["list-experiments"]) == 0
         out = capsys.readouterr().out

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from robustlab.geometry import Ball, cover_compact_by_balls
+from robustlab.geometry import Ball, SphereCover, cover_compact_by_balls
 from robustlab.regions import (
     Expanded,
     FinitePoints,
@@ -76,6 +76,15 @@ class TestContains:
         region = Expanded(FinitePoints([(0.0, 0.0), (4.0, 0.0)]), 1.0)
         assert region.contains((3.2, 0.0))  # distance 0.8 to (4, 0)
 
+    def test_point_set_membership_is_exact(self):
+        region = FinitePoints([(0.0, 0.0), (4.0, 0.5)])
+        probes = np.array(
+            [(0.0, 0.0), (-0.0, 0.0), (4.0, 0.5), (1e-13, 0.0), (0.0, 1e-170), (4.0, 0.5 + 1e-15)]
+        )
+        expected = [True, True, True, False, False, False]
+        assert [region.contains(p) for p in probes] == expected
+        assert region.contains_many(probes).tolist() == expected
+
 
 class TestDiameter:
     def test_ball(self):
@@ -94,6 +103,37 @@ class TestDiameter:
         for region in (ball, pts):
             grown = Expanded(region, 0.6)
             assert grown.diameter() == pytest.approx(region.diameter() + 1.2)
+
+    @pytest.mark.parametrize("variant", ["union", "points", "sphere_cover"])
+    def test_pairwise_scans_in_bounded_memory(self, variant):
+        # a (k, k, d) difference array over 1,052 centres holds 17.7 MB per
+        # temporary (50.7 MB peak); row blocks keep each near 2**20 floats
+        cover = cover_compact_by_balls(Ball((0.0, 0.0), 1.0), 0.04, seed=0)
+        assert len(cover) == 1052
+        angles = np.linspace(0.0, 2.0 * np.pi, len(cover), endpoint=False)
+        circle = np.stack([np.cos(angles), np.sin(angles)], axis=1)  # neighbours 0.00597 apart
+        scans = {
+            "union": cover.diameter,
+            "points": FinitePoints(cover.centers).diameter,
+            "sphere_cover": lambda: SphereCover(1.0, 0.005, circle),
+        }
+        tracemalloc.start()
+        try:
+            got = scans[variant]()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 30 * 2**20
+        if variant == "sphere_cover":
+            # a last-row-block centre moved next to the first one is caught
+            circle[-1] = (np.cos(0.004), np.sin(0.004))
+            with pytest.raises(ValueError, match="mesh-separated"):
+                SphereCover(1.0, 0.005, circle)
+            return
+        gaps = np.linalg.norm(cover.centers[:, None, :] - cover.centers[None, :, :], axis=-1)
+        if variant == "union":
+            gaps = gaps + cover.radii[:, None] + cover.radii[None, :]
+        assert got == float(np.max(gaps))
 
 
 class TestDistanceToMany:
@@ -215,18 +255,30 @@ class TestRegionFamily:
         assert fam.expanded(0.5).region_for(anchor).radius == 1.5
 
     def test_colliding_anchors_rejected(self):
-        # (1e-14, 0) has the same 1e-12 key as the origin
-        with pytest.raises(ValueError, match="collides"):
+        # -0.0 equals 0.0, so (-0.0, 0) is the origin again
+        with pytest.raises(ValueError, match="repeats"):
             RegionFamily(
                 [
                     (np.array([0.0, 0.0]), Ball((0.0, 0.0), 0.1)),
-                    (np.array([1e-14, 0.0]), Ball((0.0, 0.0), 5.0)),
+                    (np.array([-0.0, 0.0]), Ball((0.0, 0.0), 5.0)),
                 ]
             )
+        # anchors 1e-14 and 1e-170 off the origin are other points
+        fam = RegionFamily(
+            [
+                (np.array([0.0, 0.0]), Ball((0.0, 0.0), 0.1)),
+                (np.array([1e-14, 0.0]), Ball((0.0, 0.0), 5.0)),
+                (np.array([0.0, 1e-170]), Ball((0.0, 0.0), 2.0)),
+            ]
+        )
+        assert [fam.region_for(a).radius for a in fam.anchors] == [0.1, 5.0, 2.0]
+        assert [fam.expanded(1.0).region_for(a).radius for a in fam.anchors] == [1.1, 6.0, 3.0]
 
-    def test_point_key_quantizes(self):
-        assert point_key((0.0, 1.0)) == point_key((1e-14, 1.0 - 1e-14))
+    def test_point_key_is_exact(self):
+        assert point_key((0.0, 1.0)) != point_key((1e-14, 1.0 - 1e-14))
+        assert point_key((0.0, 0.0)) != point_key((0.0, 1e-170))
         assert point_key((0.0,)) == point_key((-0.0,))
+        assert point_key((0.25, -3.0)) == (0.25, -3.0)
 
 
 class TestSerialization:

@@ -26,6 +26,7 @@ from robustlab.rerm import (
     rerm_solve,
     tolrerm,
 )
+from robustlab.seeding import rng_for
 from test_classifiers import direct_loss
 
 
@@ -153,6 +154,20 @@ class TestLinearCandidatesOracle:
         expanded = fam.expanded(0.1)
         for h in oracle._candidates(fam, sample, 0.1):
             assert sol.achieved_loss <= robust_loss_sample(h, expanded, sample)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_solution_is_lowest_index_brute_force_minimum(self, seed):
+        rng = rng_for(seed, "candidates-brute-force")
+        anchors = [rng.uniform(-1.5, 1.5, size=2) for _ in range(6)]
+        fam = RegionFamily([(a, Ball(a, float(rng.uniform(0.05, 0.3)))) for a in anchors])
+        sample = [ex(a, 1 if rng.random() < 0.5 else -1) for a in anchors]
+        oracle = LinearCandidatesOracle(BoundedLinearClass(2.0, 2), 60, seed=seed)
+        for r in (0.0, 0.05, 0.2, 0.6):
+            sol = oracle.solve(fam, sample, r)
+            expanded = fam.expanded(r)
+            losses = [robust_loss_sample(h, expanded, sample) for h in oracle._candidates(fam, sample, r)]
+            best = int(np.argmin(losses))
+            assert (sol.index, sol.achieved_loss, sol.n_candidates) == (best, losses[best], len(losses))
 
     def test_candidates_respect_bound(self):
         cls = BoundedLinearClass(1.5, 2)
