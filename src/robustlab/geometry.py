@@ -72,6 +72,13 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _in_ball(pts: np.ndarray, center: np.ndarray, radius: float) -> np.ndarray:
+    """Rows of ``pts`` in the closed ball; radius 0 is the center alone, by exact equality."""
+    if radius == 0:
+        return np.all(pts == center, axis=1)
+    return np.linalg.norm(pts - center, axis=1) <= radius
+
+
 @dataclass(frozen=True, eq=False)
 class Ball:
     """Closed Euclidean ball.  Doubles as the ball variant of a region."""
@@ -92,10 +99,12 @@ class Ball:
     def contains(self, p) -> bool:
         p = as_point(p)
         _check_same_dim(p.size, self.dimension)
+        if self.radius == 0:  # the norm can underflow to 0 off the center
+            return bool(np.all(p == self.center))
         return bool(np.linalg.norm(p - self.center) <= self.radius)
 
     def contains_many(self, pts: np.ndarray) -> np.ndarray:
-        return np.linalg.norm(pts - self.center, axis=1) <= self.radius
+        return _in_ball(pts, self.center, self.radius)
 
     def distance_to(self, p) -> float:
         p = as_point(p)

@@ -21,11 +21,13 @@ inflates radii.  ``_region_balls`` is the one map from a region to
 the measure check, the exact robust losses and the cover checks all read
 regions through it.  Distances from many query points to a union or a
 point set, and the pairwise distances behind diameters, are computed in
-row blocks of about 2**20 floats.  Uniform sampling is Lebesgue-exact via
-rejection from the region's bounding box.
+row blocks of about 2**20 floats; membership in a union or a point set
+is tested ball by ball.  Uniform sampling is Lebesgue-exact via rejection
+from the region's bounding box, drawn in whole batches that are tested in
+slices until ``n`` points are kept.
 
 Point identity is exact (equal float coordinates): ``point_key`` and
-``FinitePoints`` membership share that one rule.
+membership in ``FinitePoints`` and in radius-zero balls share that rule.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from typing import Callable, Union
 
 import numpy as np
 
-from .geometry import Ball, DimensionMismatch, as_point, _check_same_dim, _readonly
+from .geometry import Ball, DimensionMismatch, as_point, _check_same_dim, _in_ball, _readonly
 from .seeding import as_generator
 
 __all__ = [
@@ -90,10 +92,7 @@ class FinitePoints:
         return bool(np.any(np.all(self.points == p, axis=1)))
 
     def contains_many(self, pts: np.ndarray) -> np.ndarray:
-        out = np.empty(len(pts), dtype=bool)
-        for i, block in _blocks(pts, len(self.points)):
-            out[i] = np.any(np.all(block[:, None, :] == self.points[None, :, :], axis=-1), axis=1)
-        return out
+        return _in_union(pts, self.points, np.zeros(len(self.points)))
 
     def distance_to(self, p) -> float:
         p = as_point(p)
@@ -152,10 +151,12 @@ class UnionOfBalls:
         return self.centers.shape[1]
 
     def contains(self, p) -> bool:
-        return self.distance_to(p) <= 0.0
+        p = as_point(p)
+        _check_same_dim(p.size, self.dimension)
+        return bool(_in_union(p[None, :], self.centers, self.radii)[0])
 
     def contains_many(self, pts: np.ndarray) -> np.ndarray:
-        return self.distance_to_many(pts) <= 0.0
+        return _in_union(pts, self.centers, self.radii)
 
     def distance_to(self, p) -> float:
         p = as_point(p)
@@ -240,24 +241,31 @@ class Expanded:
 Region = Union[FinitePoints, Ball, UnionOfBalls, Expanded]
 
 
-def _blocks(pts: np.ndarray, k: int):
-    """Row blocks of ``pts`` to measure against ``k`` points at once.
+def _in_union(pts: np.ndarray, centers: np.ndarray, radii: np.ndarray) -> np.ndarray:
+    """Whether each row of ``pts`` lies in some ball: the OR over balls of the ``Ball`` rule.
 
-    At most 4,096 rows, and few enough that a block's ``(rows, k, d)``
-    difference array holds about 2**20 floats, so memory stays bounded
-    however many points a region holds.
+    Off radius-zero balls this is ``distance_to_many(pts) <= 0``, since finite
+    ``a - b`` rounds to at most 0 exactly when ``a <= b``.  Blocks hold about 2**18 floats.
     """
-    pts = np.atleast_2d(pts)
-    size = max(1, min(4096, 2**20 // (k * pts.shape[1])))
+    out = np.zeros(len(pts), dtype=bool)
+    size = max(1, 2**18 // centers.shape[1])
     for start in range(0, len(pts), size):
-        sl = slice(start, min(start + size, len(pts)))
-        yield sl, pts[sl]
+        block, hit = pts[start : start + size], out[start : start + size]
+        for center, radius in zip(centers, radii):
+            hit |= _in_ball(block, center, radius)
+    return out
 
 
 def _pair_distances(pts: np.ndarray, centers: np.ndarray):
-    """``(slice, dist)`` per :func:`_blocks` row block, ``dist[i, j]`` = |pts[slice][i] - centers[j]|."""
-    for sl, block in _blocks(pts, len(centers)):
-        yield sl, np.linalg.norm(block[:, None, :] - centers[None, :, :], axis=-1)
+    """``(slice, dist)`` per row block, ``dist[i, j]`` = |pts[slice][i] - centers[j]|.
+
+    A block has at most 4,096 rows and a ``(rows, k, d)`` difference of about 2**20 floats.
+    """
+    pts = np.atleast_2d(pts)
+    size = max(1, min(4096, 2**20 // (len(centers) * pts.shape[1])))
+    for start in range(0, len(pts), size):
+        sl = slice(start, min(start + size, len(pts)))
+        yield sl, np.linalg.norm(pts[sl, None, :] - centers[None, :, :], axis=-1)
 
 
 def normalize_region(region: Region) -> Region:
@@ -297,24 +305,42 @@ def uniform_sample(
     """Draw ``n`` Lebesgue-uniform points from a positive-measure region.
 
     Rejection sampling from the bounding box keeps the draw exactly uniform
-    on unions with overlaps (no inclusion-exclusion bookkeeping).  Aborts
-    with diagnostics if the acceptance rate falls below ``min_efficiency``.
+    on unions with overlaps (no inclusion-exclusion bookkeeping).  Each
+    round draws a whole batch of ``max(1024, 2n)`` box points, then tests
+    it in slices until ``n`` points are kept, so the stream drawn does not
+    depend on how many rows are tested.  Aborts with diagnostics if the
+    acceptance rate falls below ``min_efficiency``.
     """
+    if n < 0:
+        raise ValueError(f"cannot draw a negative number of points ({n})")
     if not _positive_measure(region):
         raise ZeroMeasureError("region has zero Lebesgue measure; uniform sampling undefined")
     rng = as_generator(seed)
     lo, hi = region.bounding_box()
+    width = hi - lo
+    if not np.all(np.isfinite(width)):
+        raise ValueError(f"bounding box {lo} .. {hi} is too wide to sample: its width overflows")
     out = np.empty((n, region.dimension))
-    got = 0
-    drawn = 0
+    got = drawn = tested = 0
     batch = max(1024, 2 * n)
     while got < n:
-        cand = rng.uniform(lo, hi, size=(batch, region.dimension))
+        # the same bits as rng.uniform(lo, hi, (batch, d)), without its temporaries
+        cand = rng.random((batch, region.dimension))
+        cand *= width
+        cand += lo
         drawn += batch
-        good = cand[region.contains_many(cand)]
-        take = min(n - got, len(good))
-        out[got : got + take] = good[:take]
-        got += take
+        start = 0
+        while got < n and start < batch:
+            need = n - got
+            # the rows still needed at the acceptance seen so far, and at least 256
+            stop = min(batch, start + max(256, need * tested // max(got, 1), need))
+            rows = cand[start:stop]
+            good = rows[region.contains_many(rows)]
+            take = min(need, len(good))
+            out[got : got + take] = good[:take]
+            got += take
+            tested += stop - start
+            start = stop
         if drawn >= 1_000_000 and got / drawn < min_efficiency:
             raise SamplingEfficiencyError(
                 f"rejection acceptance {got/drawn:.2e} below {min_efficiency:.0e} "
