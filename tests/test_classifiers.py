@@ -336,6 +336,9 @@ def test_table_loss_near_entry(entry_label, y, offset, expected):
     e = ex((0.0, offset), y)
     assert robust_loss_point(h, region, e) == expected
     assert robust_loss_sampled(h, region, e, 1, seed=0) == expected
+    # the same single point as a radius-zero ball, alone or in a union
+    assert robust_loss_point(h, Ball((0.0, offset), 0.0), e) == expected
+    assert robust_loss_point(h, UnionOfBalls([(0.0, offset)], [0.0]), e) == expected
 
 
 near_entry_st = st.tuples(

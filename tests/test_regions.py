@@ -1,5 +1,6 @@
 """Region algebra: expansion, membership, diameter, uniform sampling."""
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 from scipy import stats
 
 from robustlab.geometry import Ball, SphereCover, cover_compact_by_balls
+from robustlab.oracle_game import build_oracle_game
 from robustlab.regions import (
     Expanded,
     FinitePoints,
@@ -85,6 +87,67 @@ class TestContains:
         assert [region.contains(p) for p in probes] == expected
         assert region.contains_many(probes).tolist() == expected
 
+    @pytest.mark.parametrize("variant", ["ball", "union", "points"])
+    def test_radius_zero_ball_is_its_center_alone(self, variant):
+        # (0, 1e-170) and (1e-170, 0) are other points, though their
+        # distances to the origin underflow to 0
+        region = {
+            "ball": Ball((0.0, 0.0), 0.0),
+            "union": UnionOfBalls([(3.0, 3.0), (0.0, 0.0)], [1.0, 0.0]),
+            "points": FinitePoints([(3.0, 3.0), (0.0, 0.0)]),
+        }[variant]
+        probes = np.array([(0.0, 0.0), (-0.0, 0.0), (0.0, 1e-170), (1e-170, 0.0), (1e-13, 0.0)])
+        expected = [True, True, False, False, False]
+        assert [region.contains(p) for p in probes] == expected
+        assert region.contains_many(probes).tolist() == expected
+
+
+def _union_with_boundary_probes(d: int):
+    """A union with two radius-zero balls, and probes on and just off every sphere."""
+    rng = np.random.default_rng(d)
+    centers = rng.normal(size=(6, d))
+    radii = rng.uniform(0.2, 1.5, 6)
+    radii[[1, 4]] = 0.0
+    on_sphere = (centers[:, None, :] + radii[:, None, None] * np.eye(d)).reshape(-1, d)  # c + r e_i
+    on_sphere = np.vstack([on_sphere, 2 * centers.repeat(d, axis=0) - on_sphere])  # and c - r e_i
+    probes = np.vstack(
+        [
+            rng.normal(size=(2000, d)) * 1.5,
+            on_sphere,
+            np.nextafter(on_sphere, np.inf),
+            np.nextafter(on_sphere, -np.inf),
+            centers,
+            np.nextafter(centers, np.inf),
+        ]
+    )
+    return UnionOfBalls(centers, radii), probes
+
+
+class TestUnionMembership:
+    @pytest.mark.parametrize("d", [1, 2, 3, 8, 9])  # d >= 8 sums squares pairwise
+    def test_matches_distance_rule(self, d):
+        union, probes = _union_with_boundary_probes(d)
+        inside = union.contains_many(probes)
+        assert np.array_equal(inside, union.distance_to_many(probes) <= 0.0)
+        assert [union.contains(p) for p in probes[::7]] == inside[::7].tolist()
+        assert 0 < inside.sum() < len(probes)
+
+    def test_many_balls_in_bounded_memory(self):
+        # 1,000 probes against 4,073 balls are tested ball by ball in row
+        # blocks of about 2**18 floats: no (rows, k, d) temporary
+        cover = cover_compact_by_balls(Ball((0.0, 0.0), 1.0), 0.02, seed=0)
+        assert len(cover) == 4073
+        probes = uniform_sample(Ball((0.0, 0.0), 1.1), 1000, 3)
+        tracemalloc.start()
+        try:
+            got = cover.contains_many(probes)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+        assert np.array_equal(got, cover.distance_to_many(probes) <= 0.0)
+        assert 0 < got.sum() < len(probes)
+
 
 class TestDiameter:
     def test_ball(self):
@@ -161,7 +224,98 @@ class TestDistanceToMany:
         assert np.array_equal(got, expected)
 
 
+def _reference_sample(region, n: int, rng: np.random.Generator) -> np.ndarray:
+    """The sampler before slicing: ``rng.uniform`` over the box, every batch tested whole.
+
+    Membership is ``distance_to_many <= 0``, the rule before ball-by-ball tests.
+    """
+    lo, hi = region.bounding_box()
+    out = np.empty((n, region.dimension))
+    got = 0
+    while got < n:
+        cand = rng.uniform(lo, hi, size=(max(1024, 2 * n), region.dimension))
+        good = cand[region.distance_to_many(cand) <= 0.0]
+        take = min(n - got, len(good))
+        out[got : got + take] = good[:take]
+        got += take
+    return out
+
+
+def _stream_region(variant: str, d: int):
+    rng = np.random.default_rng(d)
+    if variant == "ball":
+        return Ball(rng.normal(size=d), 1.3)
+    if variant == "union2":
+        return UnionOfBalls(rng.normal(size=(2, d)) * 0.2, [1.0, 0.5])
+    if variant == "union200":
+        return UnionOfBalls(rng.normal(size=(200, d)) * 0.05, rng.uniform(0.5, 1.0, 200))
+    if variant == "expanded":
+        return Expanded(Ball(np.zeros(d), 1.0), 0.5)
+    if variant == "points_expanded":
+        return FinitePoints(rng.normal(size=(5, d)) * 0.1).expand(0.7)
+    # the query game's +v union: it fills 0.47 of its box, so n = 5000 needs a second batch
+    inst = build_oracle_game(50.0, 1.0, 3)
+    return inst.v_family.expanded(1.0).region_for(inst.v)
+
+
 class TestUniformSample:
+    @pytest.mark.parametrize(
+        "variant, d",
+        [
+            (variant, d)
+            for variant in ["ball", "union2", "union200", "expanded", "points_expanded"]
+            for d in [1, 2, 3, 8, 9]
+        ]
+        + [("query_union", 3)],
+    )
+    def test_stream_matches_reference(self, variant, d):
+        region = _stream_region(variant, d)
+        # in d >= 8 a box point lands in the region with probability <= 2%;
+        # larger n there only repeats the same code path more slowly
+        sizes = [1, 1000, 5000] if d <= 3 else [1, 1000] if variant != "union200" else [1]
+        ours, ref = np.random.default_rng(5), np.random.default_rng(5)
+        for n in sizes + sizes[::-1]:  # consecutive calls on one generator
+            assert np.array_equal(uniform_sample(region, n, ours), _reference_sample(region, n, ref))
+            assert ours.bit_generator.state == ref.bit_generator.state
+
+    @pytest.mark.parametrize(
+        "region, acceptance",
+        [
+            (Ball((0.0, 0.0), 1.0), math.pi / 4),
+            (Ball((0.0, 0.0, 0.0), 1.0), math.pi / 6),
+            (UnionOfBalls([(0.0, 0.0), (10.0, 0.0)], [1.0, 1.0]), 2 * math.pi / 24),
+        ],
+        ids=["disc", "ball3", "two-discs"],
+    )
+    def test_stops_testing_once_n_kept(self, monkeypatch, region, acceptance):
+        masks = []
+        contains_many = type(region).contains_many
+
+        def recording(self, pts):
+            masks.append(contains_many(self, pts))
+            return masks[-1]
+
+        monkeypatch.setattr(type(region), "contains_many", recording)
+        n = 5000
+        uniform_sample(region, n, seed=4)
+        tested = np.concatenate(masks)
+        needed = int(np.flatnonzero(tested)[n - 1]) + 1  # rows up to the n-th kept one
+        # rows past the n-th kept one lie in the last slice, sized to what was still needed
+        assert len(tested) - needed < 256 + n // 20
+        assert len(tested) < n / acceptance + len(masks[-1])
+
+    def test_negative_n_rejected(self):
+        with pytest.raises(ValueError, match="negative number of points"):
+            uniform_sample(Ball((0.0, 0.0), 1.0), -1, seed=0)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_overflowing_box_rejected_before_drawing(self):
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match="bounding box"):
+            uniform_sample(Ball((1e308, 0.0), 1e308), 10, rng)
+        assert rng.bit_generator.state == state
+
     def test_ball_mean_near_center(self):
         pts = uniform_sample(Ball((0, 0), 1.0), 10_000, seed=0)
         # CLT oracle: per-coordinate sd <= 1, so 3 sd / sqrt(n) < 0.05
