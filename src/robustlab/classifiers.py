@@ -25,11 +25,12 @@ from typing import Union
 
 import numpy as np
 
-from .geometry import Ball, DimensionMismatch, as_point, _readonly
+from .geometry import Ball, DimensionMismatch, as_point, _in_ball, _readonly
 from .regions import (
     FinitePoints,
     Region,
     RegionFamily,
+    _positive_measure,
     _region_balls,
     normalize_region,
     point_key,
@@ -139,8 +140,7 @@ class SphereBoundary:
         x = as_point(x)
         if x.size != self.dimension:
             raise DimensionMismatch(f"dimension mismatch: {x.size} vs {self.dimension}")
-        inside = np.linalg.norm(x - self.center) <= self.radius
-        return self.inside_label if inside else -self.inside_label
+        return int(self.predict_many(x[None, :])[0])
 
     def predict_many(self, pts: np.ndarray) -> np.ndarray:
         inside = np.linalg.norm(pts - self.center, axis=1) <= self.radius
@@ -291,10 +291,9 @@ def violation_radius(h: Hypothesis, region: Region, y: int) -> tuple[float, bool
 
 def _has_nontable_point(h: TableClassifier, region: Region) -> bool:
     """Whether the region contains a point that is not a table entry."""
-    centers, radii = _region_balls(region)
-    if np.any(radii > 0):
-        return True  # positive measure, table entries are finitely many
-    return any(point_key(c) not in h._index for c in centers)
+    if _positive_measure(region):
+        return True  # table entries are finitely many
+    return any(point_key(c) not in h._index for c in _region_balls(region)[0])
 
 
 def _table_violation_radius(h: TableClassifier, region: Region, y: int) -> tuple[float, bool]:
@@ -437,9 +436,7 @@ def _regular_at(h: Hypothesis, p: np.ndarray, alpha: float, rng) -> bool:
     if isinstance(h, LinearClassifier):
         return True
     if isinstance(h, SphereBoundary):
-        if np.linalg.norm(p - h.center) > h.radius:
-            return True
-        return alpha <= h.radius / 2.0
+        return alpha <= h.radius / 2.0 or h.predict(p) != h.inside_label
     if isinstance(h, TableClassifier):
         y0 = h.predict(p)
         if h.default != y0:
@@ -451,7 +448,7 @@ def _regular_at(h: Hypothesis, p: np.ndarray, alpha: float, rng) -> bool:
         dirs = np.vstack([np.zeros((1, d)), np.eye(d), -np.eye(d), uniform_sphere(2 * d, d, 1.0, rng)])
         for u in dirs:
             c = p + alpha * (1.0 - 1e-9) * u
-            if np.all(np.linalg.norm(flips - c, axis=1) > alpha):
+            if not np.any(_in_ball(flips, c, alpha)):
                 return True
         return False
     raise UnsupportedPairError(f"unsupported hypothesis type {type(h).__name__}")

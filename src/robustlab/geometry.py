@@ -1,5 +1,14 @@
 """Euclidean primitives: distances, closed balls, sphere covers, ball covers.
 
+This module holds the one implementation of region geometry.
+``_BallArray`` reads a region as arrays of ball centers and radii, a point
+being a radius-zero ball, and answers membership, distance, diameter and
+bounding-box queries from the kernels ``_in_ball``, ``_in_union`` and
+``_pair_distances``.  ``Ball``, ``FinitePoints`` and ``UnionOfBalls``
+share it, and each scalar query is the one-row case of its batched form.
+``Ball`` keeps its one-ball closed forms for ``distance_to_many``,
+``diameter`` and ``bounding_box``.
+
 Conventions used throughout the library:
 
 * points are 1-D float ndarrays; batches are ``(n, d)`` arrays;
@@ -79,9 +88,92 @@ def _in_ball(pts: np.ndarray, center: np.ndarray, radius: float) -> np.ndarray:
     return np.linalg.norm(pts - center, axis=1) <= radius
 
 
+def _in_union(pts: np.ndarray, centers: np.ndarray, radii: np.ndarray) -> np.ndarray:
+    """Whether each row of ``pts`` lies in some ball: the OR over balls of :func:`_in_ball`.
+
+    Off radius-zero balls this is ``_union_distances(...) <= 0``, since finite
+    ``a - b`` rounds to at most 0 exactly when ``a <= b``.  Blocks hold about 2**18 floats.
+    """
+    out = np.zeros(len(pts), dtype=bool)
+    size = max(1, 2**18 // centers.shape[1])
+    for start in range(0, len(pts), size):
+        block, hit = pts[start : start + size], out[start : start + size]
+        for center, radius in zip(centers, radii):
+            hit |= _in_ball(block, center, radius)
+    return out
+
+
+def _pair_distances(pts: np.ndarray, centers: np.ndarray):
+    """``(slice, dist)`` per row block, ``dist[i, j]`` = |pts[slice][i] - centers[j]|.
+
+    A block has at most 4,096 rows and a ``(rows, k, d)`` difference of about 2**20 floats.
+    """
+    pts = np.atleast_2d(pts)
+    size = max(1, min(4096, 2**20 // (len(centers) * pts.shape[1])))
+    for start in range(0, len(pts), size):
+        sl = slice(start, min(start + size, len(pts)))
+        yield sl, np.linalg.norm(pts[sl, None, :] - centers[None, :, :], axis=-1)
+
+
+def _union_distances(pts: np.ndarray, centers: np.ndarray, radii: np.ndarray | float) -> np.ndarray:
+    """Distance from each row of ``pts`` to the union of balls, by :func:`_pair_distances` blocks."""
+    out = np.empty(len(pts))
+    for rows, dist in _pair_distances(pts, centers):
+        out[rows] = np.maximum(0.0, np.min(dist - radii, axis=1))
+    return out
+
+
+class _BallArray:
+    """Geometry of a finite union of closed balls, a point being a radius-zero ball.
+
+    A subclass supplies ``_arrays() -> (centers, radii)``, a ``(k, d)`` and a
+    ``(k,)`` array.  Each scalar query is the dimension-checked one-row case
+    of its batched form, so ``contains(p) == contains_many(p[None])[0]`` and
+    ``distance_to(p) == distance_to_many(p[None])[0]`` bit for bit.
+    """
+
+    def _arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        raise NotImplementedError
+
+    @property
+    def dimension(self) -> int:
+        return self._arrays()[0].shape[1]
+
+    def _row(self, p) -> np.ndarray:
+        p = as_point(p)
+        _check_same_dim(p.size, self.dimension)
+        return p[None, :]
+
+    def contains(self, p) -> bool:
+        return bool(_in_union(self._row(p), *self._arrays())[0])
+
+    def distance_to(self, p) -> float:
+        return float(self.distance_to_many(self._row(p))[0])
+
+    def distance_to_many(self, pts: np.ndarray) -> np.ndarray:
+        return _union_distances(pts, *self._arrays())
+
+    def diameter(self) -> float:
+        """Pairwise upper bound: max over ball pairs of center gap plus radii."""
+        centers, radii = self._arrays()
+        return max(
+            float(np.max(gaps + radii[rows, None] + radii[None, :]))
+            for rows, gaps in _pair_distances(centers, centers)
+        )
+
+    def bounding_box(self) -> tuple[np.ndarray, np.ndarray]:
+        centers, radii = self._arrays()
+        reach = radii[:, None]
+        return np.min(centers - reach, axis=0), np.max(centers + reach, axis=0)
+
+
 @dataclass(frozen=True, eq=False)
-class Ball:
-    """Closed Euclidean ball.  Doubles as the ball variant of a region."""
+class Ball(_BallArray):
+    """Closed Euclidean ball.  Doubles as the ball variant of a region.
+
+    ``distance_to_many``, ``diameter`` and ``bounding_box`` are the
+    one-ball closed forms of the shared ball-array geometry.
+    """
 
     center: np.ndarray
     radius: float
@@ -92,24 +184,11 @@ class Ball:
         if not self.radius >= 0:  # also rejects NaN
             raise ValueError("radius must be nonnegative")
 
-    @property
-    def dimension(self) -> int:
-        return self.center.size
-
-    def contains(self, p) -> bool:
-        p = as_point(p)
-        _check_same_dim(p.size, self.dimension)
-        if self.radius == 0:  # the norm can underflow to 0 off the center
-            return bool(np.all(p == self.center))
-        return bool(np.linalg.norm(p - self.center) <= self.radius)
+    def _arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        return self.center[None, :], np.array([self.radius])
 
     def contains_many(self, pts: np.ndarray) -> np.ndarray:
         return _in_ball(pts, self.center, self.radius)
-
-    def distance_to(self, p) -> float:
-        p = as_point(p)
-        _check_same_dim(p.size, self.dimension)
-        return max(0.0, float(np.linalg.norm(p - self.center)) - self.radius)
 
     def distance_to_many(self, pts: np.ndarray) -> np.ndarray:
         return np.maximum(0.0, np.linalg.norm(pts - self.center, axis=1) - self.radius)
@@ -150,8 +229,6 @@ class SphereCover:
         norms = np.linalg.norm(self.centers, axis=1)
         if not np.allclose(norms, self.sphere_radius, rtol=GEOM_TOL, atol=0.0):
             raise ValueError("cover centers must lie on the sphere")
-        from .regions import _pair_distances
-
         for rows, dists in _pair_distances(self.centers, self.centers):
             dists[np.arange(len(dists)), np.arange(rows.start, rows.stop)] = np.inf
             if not np.all(dists > self.mesh):
@@ -202,12 +279,7 @@ def greedy_sphere_cover(
         start = 0
         while start < len(cand):
             if centers:
-                arr = np.asarray(centers)
-                dmin = np.min(
-                    np.linalg.norm(cand[start:, None, :] - arr[None, :, :], axis=-1),
-                    axis=1,
-                )
-                ok = np.flatnonzero(dmin > mesh)
+                ok = np.flatnonzero(_union_distances(cand[start:], np.asarray(centers), 0.0) > mesh)
             else:
                 ok = np.array([0])
             if ok.size == 0:
@@ -226,8 +298,7 @@ def greedy_sphere_cover(
 
     arr = np.asarray(centers)
     probes = uniform_sphere(probe_count, d, sphere_radius, rng)
-    dmin = np.min(np.linalg.norm(probes[:, None, :] - arr[None, :, :], axis=-1), axis=1)
-    failures = int(np.count_nonzero(dmin > mesh))
+    failures = int(np.count_nonzero(_union_distances(probes, arr, 0.0) > mesh))
     return SphereCover(sphere_radius, mesh, arr, probe_count, failures)
 
 

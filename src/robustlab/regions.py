@@ -16,8 +16,11 @@ A region is one of four immutable variants:
 
 Each variant's ``expand`` method matches the Minkowski sum with a closed
 ball: expanding a finite point set yields a union of balls, expanding balls
-inflates radii.  ``_region_balls`` is the one map from a region to
-``(centers, radii)`` arrays, with finite point sets as radius-zero balls;
+inflates radii.  The three concrete variants share one geometry
+implementation, ``geometry._BallArray``: each supplies ``(centers, radii)``
+arrays, finite point sets as radius-zero balls, and each scalar query is
+the one-row case of its batched form (``Ball`` keeps its one-ball closed
+forms).  ``_region_balls`` returns those arrays for any normalized region;
 the measure check, the exact robust losses and the cover checks all read
 regions through it.  Distances from many query points to a union or a
 point set, and the pairwise distances behind diameters, are computed in
@@ -37,7 +40,7 @@ from typing import Callable, Union
 
 import numpy as np
 
-from .geometry import Ball, DimensionMismatch, as_point, _check_same_dim, _in_ball, _readonly
+from .geometry import Ball, DimensionMismatch, as_point, _BallArray, _in_union, _readonly
 from .seeding import as_generator
 
 __all__ = [
@@ -69,7 +72,7 @@ def point_key(x) -> tuple:
 
 
 @dataclass(frozen=True, eq=False)
-class FinitePoints:
+class FinitePoints(_BallArray):
     """Region consisting of finitely many points; membership is exact equality."""
 
     points: np.ndarray
@@ -82,43 +85,20 @@ class FinitePoints:
             raise ValueError("points must be finite")
         object.__setattr__(self, "points", _readonly(pts))
 
-    @property
-    def dimension(self) -> int:
-        return self.points.shape[1]
-
-    def contains(self, p) -> bool:
-        p = as_point(p)
-        _check_same_dim(p.size, self.dimension)
-        return bool(np.any(np.all(self.points == p, axis=1)))
+    def _arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        return self.points, np.zeros(len(self.points))
 
     def contains_many(self, pts: np.ndarray) -> np.ndarray:
-        return _in_union(pts, self.points, np.zeros(len(self.points)))
-
-    def distance_to(self, p) -> float:
-        p = as_point(p)
-        _check_same_dim(p.size, self.dimension)
-        return float(np.min(np.linalg.norm(self.points - p, axis=1)))
-
-    def distance_to_many(self, pts: np.ndarray) -> np.ndarray:
-        out = np.empty(len(pts))
-        for i, dist in _pair_distances(pts, self.points):
-            out[i] = np.min(dist, axis=1)
-        return out
-
-    def diameter(self) -> float:
-        return max(float(np.max(dist)) for _, dist in _pair_distances(self.points, self.points))
+        return _in_union(pts, *self._arrays())
 
     def expand(self, gamma: float) -> "UnionOfBalls":
         if gamma <= 0:
             raise ValueError("gamma must be positive")
         return UnionOfBalls(self.points, np.full(len(self.points), float(gamma)))
 
-    def bounding_box(self) -> tuple[np.ndarray, np.ndarray]:
-        return self.points.min(axis=0), self.points.max(axis=0)
-
 
 @dataclass(frozen=True, eq=False)
-class UnionOfBalls:
+class UnionOfBalls(_BallArray):
     """Finite union of closed balls, held as arrays.
 
     Ball ``i`` has center ``centers[i]`` (``centers`` has shape ``(k, d)``)
@@ -146,44 +126,16 @@ class UnionOfBalls:
         """The balls as ``Ball`` objects, built on each access."""
         return tuple(Ball(c, r) for c, r in zip(self.centers, self.radii))
 
-    @property
-    def dimension(self) -> int:
-        return self.centers.shape[1]
-
-    def contains(self, p) -> bool:
-        p = as_point(p)
-        _check_same_dim(p.size, self.dimension)
-        return bool(_in_union(p[None, :], self.centers, self.radii)[0])
+    def _arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        return self.centers, self.radii
 
     def contains_many(self, pts: np.ndarray) -> np.ndarray:
-        return _in_union(pts, self.centers, self.radii)
-
-    def distance_to(self, p) -> float:
-        p = as_point(p)
-        _check_same_dim(p.size, self.dimension)
-        return float(self.distance_to_many(p[None, :])[0])
-
-    def distance_to_many(self, pts: np.ndarray) -> np.ndarray:
-        out = np.empty(len(pts))
-        for i, dist in _pair_distances(pts, self.centers):
-            out[i] = np.maximum(0.0, np.min(dist - self.radii, axis=1))
-        return out
-
-    def diameter(self) -> float:
-        """Pairwise upper bound: max over ball pairs of center gap plus radii."""
-        return max(
-            float(np.max(gaps + self.radii[i, None] + self.radii[None, :]))
-            for i, gaps in _pair_distances(self.centers, self.centers)
-        )
+        return _in_union(pts, *self._arrays())
 
     def expand(self, gamma: float) -> "UnionOfBalls":
         if gamma <= 0:
             raise ValueError("gamma must be positive")
         return UnionOfBalls(self.centers, self.radii + gamma)
-
-    def bounding_box(self) -> tuple[np.ndarray, np.ndarray]:
-        reach = self.radii[:, None]
-        return np.min(self.centers - reach, axis=0), np.max(self.centers + reach, axis=0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -241,33 +193,6 @@ class Expanded:
 Region = Union[FinitePoints, Ball, UnionOfBalls, Expanded]
 
 
-def _in_union(pts: np.ndarray, centers: np.ndarray, radii: np.ndarray) -> np.ndarray:
-    """Whether each row of ``pts`` lies in some ball: the OR over balls of the ``Ball`` rule.
-
-    Off radius-zero balls this is ``distance_to_many(pts) <= 0``, since finite
-    ``a - b`` rounds to at most 0 exactly when ``a <= b``.  Blocks hold about 2**18 floats.
-    """
-    out = np.zeros(len(pts), dtype=bool)
-    size = max(1, 2**18 // centers.shape[1])
-    for start in range(0, len(pts), size):
-        block, hit = pts[start : start + size], out[start : start + size]
-        for center, radius in zip(centers, radii):
-            hit |= _in_ball(block, center, radius)
-    return out
-
-
-def _pair_distances(pts: np.ndarray, centers: np.ndarray):
-    """``(slice, dist)`` per row block, ``dist[i, j]`` = |pts[slice][i] - centers[j]|.
-
-    A block has at most 4,096 rows and a ``(rows, k, d)`` difference of about 2**20 floats.
-    """
-    pts = np.atleast_2d(pts)
-    size = max(1, min(4096, 2**20 // (len(centers) * pts.shape[1])))
-    for start in range(0, len(pts), size):
-        sl = slice(start, min(start + size, len(pts)))
-        yield sl, np.linalg.norm(pts[sl, None, :] - centers[None, :, :], axis=-1)
-
-
 def normalize_region(region: Region) -> Region:
     """Collapse lazy expansions into concrete ball-based or point forms."""
     if isinstance(region, Expanded):
@@ -276,19 +201,11 @@ def normalize_region(region: Region) -> Region:
 
 
 def _region_balls(region: Region) -> tuple[np.ndarray, np.ndarray]:
-    """Normalized region as arrays of ball centers and radii.
-
-    Finite point sets are radius-zero balls, so ball-extremum formulas and
-    measure checks read every variant the same way.
-    """
+    """Normalized region as arrays of ball centers and radii (finite points have radius 0)."""
     region = normalize_region(region)
-    if isinstance(region, FinitePoints):
-        return region.points, np.zeros(len(region.points))
-    if isinstance(region, Ball):
-        return region.center[None, :], np.array([region.radius])
-    if isinstance(region, UnionOfBalls):
-        return region.centers, region.radii
-    raise TypeError(f"unsupported region variant {type(region).__name__}")
+    if not isinstance(region, _BallArray):
+        raise TypeError(f"unsupported region variant {type(region).__name__}")
+    return region._arrays()
 
 
 def _positive_measure(region: Region) -> bool:

@@ -194,10 +194,9 @@ def make_nonregular_control(
     """
     triple = build_point_sandwich(base, r, alpha, seed)
     rng = rng_for(seed, "control")
-    middle_pts = triple.middle.points
     flipped = None
     for candidate in uniform_sample(triple.lower, 256, rng):
-        if np.min(np.linalg.norm(middle_pts - candidate, axis=1)) > 1e-6:
+        if triple.middle.distance_to(candidate) > 1e-6:
             flipped = candidate
             break
     if flipped is None:

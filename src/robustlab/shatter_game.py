@@ -25,7 +25,7 @@ from typing import Callable
 import numpy as np
 
 from .classifiers import LabeledExample, LinearClassifier
-from .geometry import SphereCover, greedy_sphere_cover
+from .geometry import SphereCover, _in_ball, _pair_distances, greedy_sphere_cover
 from .regions import FinitePoints, RegionFamily, point_key
 from .seeding import as_generator, rng_for, uniform_sphere
 
@@ -90,7 +90,7 @@ def cap_mismatch_fraction(W: float, beta: float, x_on_sphere, n: int, seed) -> f
     rng = as_generator(seed)
     z = uniform_sphere(n, x.size, W * (1.0 + beta), rng)
     positive = h.predict_many(z) == 1
-    in_cap = np.linalg.norm(z - (1.0 + beta) * x, axis=1) <= positive_cap_radius(W, beta)
+    in_cap = _in_ball(z, (1.0 + beta) * x, positive_cap_radius(W, beta))
     return float(np.mean(positive != in_cap))
 
 
@@ -159,9 +159,9 @@ def build_shatter_family(
     K = len(cover)
     rng = rng_for(seed, "cells")
     samples = uniform_sphere(samples_per_cell * K, d, W * (1.0 + beta), rng)
-    nearest = np.argmin(
-        np.linalg.norm(samples[:, None, :] - cover.centers[None, :, :], axis=-1), axis=1
-    )
+    nearest = np.empty(len(samples), dtype=np.intp)
+    for rows, dist in _pair_distances(samples, cover.centers):
+        nearest[rows] = np.argmin(dist, axis=1)
     raw_cells = [
         np.vstack([cover.centers[i], samples[nearest == i]]) for i in range(K)
     ]

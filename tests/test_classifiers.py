@@ -113,6 +113,18 @@ class TestPredict:
         assert table.predict((0, 0)) == -1
         assert table.predict((1, 1)) == 1
 
+    def test_sphere_predict_matches_predict_many_and_loss_kernel(self):
+        # the 1-D norm of x - center exceeds the radius by one ulp, the row
+        # norm that predict_many and the loss kernel take does not
+        h = SphereBoundary((0.35867194917034445, 1.3224574697668332, -0.013914668524093734), 1.3520985269720112)
+        x = np.array([1.0418397592128221, 1.4022648267725224, 1.1501656361496921])
+        assert h.predict(x) == h.predict_many(x[None])[0] == 1
+        assert robust_loss_point(h, FinitePoints([x]), ex(x, 1)) == 0
+        # inside the sphere, so alpha beyond half the radius is not regular here
+        from robustlab.classifiers import _regular_at
+
+        assert not _regular_at(h, x, 1.0, rng_for(0))
+
 
 class TestRobustLossPoint:
     def test_ball_clear_of_boundary(self):

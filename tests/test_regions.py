@@ -15,6 +15,7 @@ from robustlab.regions import (
     RegionFamily,
     UnionOfBalls,
     ZeroMeasureError,
+    _region_balls,
     point_key,
     uniform_sample,
 )
@@ -102,17 +103,47 @@ class TestContains:
         assert region.contains_many(probes).tolist() == expected
 
 
-def _union_with_boundary_probes(d: int):
-    """A union with two radius-zero balls, and probes on and just off every sphere."""
+# Ball((0, 0, 0), r) and a point of its sphere that the 1-D norm puts inside
+# and the row norm outside
+FOUND_RADIUS = 0.9656495783173188
+FOUND_POINT = (-0.7322673547034516, -0.5442589828573099, -0.31630015636915454)
+
+
+def _ball_array_with_boundary_probes(variant: str, d: int):
+    """A ball-array region, and probes on and just off every one of its spheres.
+
+    The k-ball union has two radius-zero balls; the other variants take its
+    first ball, its radius-zero second ball or its centres.
+    """
     rng = np.random.default_rng(d)
     centers = rng.normal(size=(6, d))
     radii = rng.uniform(0.2, 1.5, 6)
     radii[[1, 4]] = 0.0
+    if variant == "found-ball":
+        centers, radii = np.zeros((1, d)), np.array([FOUND_RADIUS])
+    elif variant in ("ball", "one-ball-union"):
+        centers, radii = centers[:1], radii[:1]
+    elif variant == "radius-zero-ball":
+        centers, radii = centers[1:2], radii[1:2]
+    elif variant == "points":
+        radii = np.zeros(6)
+    if variant in ("union", "one-ball-union"):
+        region = UnionOfBalls(centers, radii)
+    elif variant == "points":
+        region = FinitePoints(centers)
+    else:
+        region = Ball(centers[0], radii[0])
     on_sphere = (centers[:, None, :] + radii[:, None, None] * np.eye(d)).reshape(-1, d)  # c + r e_i
     on_sphere = np.vstack([on_sphere, 2 * centers.repeat(d, axis=0) - on_sphere])  # and c - r e_i
+    scattered = rng.normal(size=(2000, d)) * 1.5
+    u = rng.normal(size=(8 * len(centers), d))
+    u /= np.linalg.norm(u, axis=1, keepdims=True)
+    on_sphere = np.vstack([on_sphere, centers.repeat(8, axis=0) + radii.repeat(8)[:, None] * u])  # c + r u
+    if variant == "found-ball":
+        on_sphere = np.vstack([on_sphere, FOUND_POINT])
     probes = np.vstack(
         [
-            rng.normal(size=(2000, d)) * 1.5,
+            scattered,
             on_sphere,
             np.nextafter(on_sphere, np.inf),
             np.nextafter(on_sphere, -np.inf),
@@ -120,17 +151,41 @@ def _union_with_boundary_probes(d: int):
             np.nextafter(centers, np.inf),
         ]
     )
-    return UnionOfBalls(centers, radii), probes
+    return region, probes
+
+
+# the k-ball union keeps the bare dimension as its id
+BALL_ARRAY_CASES = [pytest.param("union", d, id=str(d)) for d in (1, 2, 3, 8, 9)] + [
+    pytest.param(variant, d, id=f"{variant}-{d}")
+    for variant in ("ball", "radius-zero-ball", "points", "one-ball-union")
+    for d in (1, 2, 3, 8, 9)
+] + [pytest.param("found-ball", 3, id="found-ball-3")]
 
 
 class TestUnionMembership:
-    @pytest.mark.parametrize("d", [1, 2, 3, 8, 9])  # d >= 8 sums squares pairwise
-    def test_matches_distance_rule(self, d):
-        union, probes = _union_with_boundary_probes(d)
-        inside = union.contains_many(probes)
-        assert np.array_equal(inside, union.distance_to_many(probes) <= 0.0)
-        assert [union.contains(p) for p in probes[::7]] == inside[::7].tolist()
+    @pytest.mark.parametrize("variant, d", BALL_ARRAY_CASES)  # d >= 8 sums squares pairwise
+    def test_matches_distance_rule(self, variant, d):
+        region, probes = _ball_array_with_boundary_probes(variant, d)
+        inside = region.contains_many(probes)
+        assert np.array_equal(inside, region.distance_to_many(probes) <= 0.0)
+        assert [region.contains(p) for p in probes[::7]] == inside[::7].tolist()
         assert 0 < inside.sum() < len(probes)
+        # each scalar query is the one-row case of its batched form, bit for bit
+        for p in np.vstack([probes[:2000:7], probes[2000:]]):
+            assert region.contains(p) == region.contains_many(p[None])[0], p
+            assert region.distance_to(p) == region.distance_to_many(p[None])[0], p
+        # Ball's closed forms, and the point-set reading, give the union's values
+        union = UnionOfBalls(*_region_balls(region))
+        assert np.array_equal(inside, union.contains_many(probes))
+        assert np.array_equal(region.distance_to_many(probes), union.distance_to_many(probes))
+        assert region.diameter() == union.diameter()
+        assert np.array_equal(region.bounding_box(), union.bounding_box())
+
+    def test_region_balls_reads_expansions_and_rejects_other_objects(self):
+        centers, radii = _region_balls(Expanded(FinitePoints([(0.0, 1.0)]), 0.5))
+        assert centers.tolist() == [[0.0, 1.0]] and radii.tolist() == [0.5]
+        with pytest.raises(TypeError, match="unsupported region variant"):
+            _region_balls(object())
 
     def test_many_balls_in_bounded_memory(self):
         # 1,000 probes against 4,073 balls are tested ball by ball in row

@@ -11,8 +11,10 @@ import pkgutil
 import sys
 from pathlib import Path
 
+import numpy as np
+
 import robustlab
-from robustlab import harness, regions
+from robustlab import geometry, harness, regions
 
 TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -63,6 +65,46 @@ def test_install_then_uninstall_restores_every_original():
         assert spans.calls["classifiers.violation_radius"] == cells
     finally:
         uninstall()
+    assert_restored(before)
+
+
+def test_sandwich_audit_counts_through_shared_ball_geometry():
+    tracer = load_tracer()
+    before = snapshot()
+    spans = tracer.Tracer()
+    uninstall = tracer.install(spans)
+    try:
+        # each ball-array variant keeps a hooked contains_many in its own
+        # class body; the shared base has none to shadow them
+        for cls in (geometry.Ball, regions.FinitePoints, regions.UnionOfBalls):
+            original = before[f"{cls.__module__}.{cls.__name__}"]["contains_many"]
+            assert cls.__dict__["contains_many"] is not original
+        assert "contains_many" not in vars(geometry._BallArray)
+        params = {"audits": 4, "include_control": True}
+        record = harness.run(
+            harness.ExperimentConfig.from_dict({"experiment": "sandwich_audit", "seed": 1, "params": params})
+        )
+        assert record.assertions_passed
+        # exact counts for this config; the benchmark's traced sandwich
+        # workload records the same counters, which a change to region
+        # geometry must leave unchanged
+        assert spans.calls["regions.contains_many"] == 29
+        assert spans.counts["regions.contains_many.rows"] == 10305
+        assert spans.counts["geometry.Ball.init.calls"] == 21
+        # scalar queries test their one row without a contains_many span
+        calls = spans.calls["regions.contains_many"]
+        ball = geometry.Ball((0.0, 0.0), 1.0)
+        union = regions.UnionOfBalls([(0.0, 0.0)], [1.0])
+        points = regions.FinitePoints([(0.5, 0.0)])
+        assert all(region.contains(np.array([0.5, 0.0])) for region in (ball, union, points))
+        assert spans.calls["regions.contains_many"] == calls
+        assert spans.counts["geometry.Ball.init.calls"] == 22
+    finally:
+        uninstall()
+    assert_restored(before)
+
+
+def assert_restored(before: dict[str, dict]) -> None:
     after = snapshot()
     for space, names in before.items():
         for key, value in names.items():
