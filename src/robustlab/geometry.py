@@ -5,9 +5,8 @@ This module holds the one implementation of region geometry.
 being a radius-zero ball, and answers membership, distance, diameter and
 bounding-box queries from the kernels ``_in_ball``, ``_in_union`` and
 ``_pair_distances``.  ``Ball``, ``FinitePoints`` and ``UnionOfBalls``
-share it, and each scalar query is the one-row case of its batched form.
-``Ball`` keeps its one-ball closed forms for ``distance_to_many``,
-``diameter`` and ``bounding_box``.
+share it, and each scalar query is the one-row case of its batched form;
+``Ball`` is its one-ball case.
 
 Conventions used throughout the library:
 
@@ -106,20 +105,25 @@ def _in_union(pts: np.ndarray, centers: np.ndarray, radii: np.ndarray) -> np.nda
 def _pair_distances(pts: np.ndarray, centers: np.ndarray):
     """``(slice, dist)`` per row block, ``dist[i, j]`` = |pts[slice][i] - centers[j]|.
 
-    A block has at most 4,096 rows and a ``(rows, k, d)`` difference of about 2**20 floats.
+    A block has at most 4,096 rows and a ``(rows, k, d)`` difference of about
+    2**20 floats, squared in place; the sums and roots are those of
+    ``np.linalg.norm(diff, axis=-1)``, bit for bit, without its second
+    block-sized array.
     """
     pts = np.atleast_2d(pts)
     size = max(1, min(4096, 2**20 // (len(centers) * pts.shape[1])))
     for start in range(0, len(pts), size):
         sl = slice(start, min(start + size, len(pts)))
-        yield sl, np.linalg.norm(pts[sl, None, :] - centers[None, :, :], axis=-1)
+        diff = pts[sl, None, :] - centers[None, :, :]
+        yield sl, np.sqrt(np.add.reduce(np.multiply(diff, diff, out=diff), axis=-1))
 
 
 def _union_distances(pts: np.ndarray, centers: np.ndarray, radii: np.ndarray | float) -> np.ndarray:
     """Distance from each row of ``pts`` to the union of balls, by :func:`_pair_distances` blocks."""
     out = np.empty(len(pts))
     for rows, dist in _pair_distances(pts, centers):
-        out[rows] = np.maximum(0.0, np.min(dist - radii, axis=1))
+        dist -= radii
+        out[rows] = np.maximum(0.0, np.min(dist, axis=1))
     return out
 
 
@@ -127,8 +131,9 @@ class _BallArray:
     """Geometry of a finite union of closed balls, a point being a radius-zero ball.
 
     A subclass supplies ``_arrays() -> (centers, radii)``, a ``(k, d)`` and a
-    ``(k,)`` array.  Each scalar query is the dimension-checked one-row case
-    of its batched form, so ``contains(p) == contains_many(p[None])[0]`` and
+    ``(k,)`` array built on construction.  Each scalar query is the
+    dimension-checked one-row case of its batched form, so
+    ``contains(p) == contains_many(p[None])[0]`` and
     ``distance_to(p) == distance_to_many(p[None])[0]`` bit for bit.
     """
 
@@ -139,16 +144,20 @@ class _BallArray:
     def dimension(self) -> int:
         return self._arrays()[0].shape[1]
 
-    def _row(self, p) -> np.ndarray:
+    def _point(self, p) -> np.ndarray:
         p = as_point(p)
         _check_same_dim(p.size, self.dimension)
-        return p[None, :]
+        return p
 
     def contains(self, p) -> bool:
-        return bool(_in_union(self._row(p), *self._arrays())[0])
+        """``_in_union(p[None], centers, radii)[0]``, the one row tested against all balls at once."""
+        p = self._point(p)
+        centers, radii = self._arrays()
+        near = np.linalg.norm(p - centers, axis=1) <= radii
+        return bool(np.any(np.where(radii == 0, np.all(p == centers, axis=1), near)))
 
     def distance_to(self, p) -> float:
-        return float(self.distance_to_many(self._row(p))[0])
+        return float(self.distance_to_many(self._point(p)[None, :])[0])
 
     def distance_to_many(self, pts: np.ndarray) -> np.ndarray:
         return _union_distances(pts, *self._arrays())
@@ -169,11 +178,7 @@ class _BallArray:
 
 @dataclass(frozen=True, eq=False)
 class Ball(_BallArray):
-    """Closed Euclidean ball.  Doubles as the ball variant of a region.
-
-    ``distance_to_many``, ``diameter`` and ``bounding_box`` are the
-    one-ball closed forms of the shared ball-array geometry.
-    """
+    """Closed Euclidean ball.  Doubles as the ball variant of a region."""
 
     center: np.ndarray
     radius: float
@@ -183,26 +188,18 @@ class Ball(_BallArray):
         object.__setattr__(self, "radius", float(self.radius))
         if not self.radius >= 0:  # also rejects NaN
             raise ValueError("radius must be nonnegative")
+        object.__setattr__(self, "_balls", (self.center[None, :], _readonly([self.radius])))
 
     def _arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        return self.center[None, :], np.array([self.radius])
+        return self._balls
 
     def contains_many(self, pts: np.ndarray) -> np.ndarray:
         return _in_ball(pts, self.center, self.radius)
-
-    def distance_to_many(self, pts: np.ndarray) -> np.ndarray:
-        return np.maximum(0.0, np.linalg.norm(pts - self.center, axis=1) - self.radius)
-
-    def diameter(self) -> float:
-        return 2.0 * self.radius
 
     def expand(self, gamma: float) -> "Ball":
         if gamma <= 0:
             raise ValueError("gamma must be positive")
         return Ball(self.center, self.radius + gamma)
-
-    def bounding_box(self) -> tuple[np.ndarray, np.ndarray]:
-        return self.center - self.radius, self.center + self.radius
 
 
 @dataclass(frozen=True)
@@ -276,12 +273,12 @@ def greedy_sphere_cover(
         if consecutive >= limit:
             break
         cand = uniform_sphere(batch, d, sphere_radius, rng)
+        # each candidate's distance to the nearest accepted center, lowered
+        # by the distance to every center accepted from this batch
+        near = _union_distances(cand, np.asarray(centers), 0.0) if centers else np.full(batch, np.inf)
         start = 0
         while start < len(cand):
-            if centers:
-                ok = np.flatnonzero(_union_distances(cand[start:], np.asarray(centers), 0.0) > mesh)
-            else:
-                ok = np.array([0])
+            ok = np.flatnonzero(near[start:] > mesh)
             if ok.size == 0:
                 consecutive += len(cand) - start
                 break
@@ -292,6 +289,7 @@ def greedy_sphere_cover(
             centers.append(cand[start + first])
             consecutive = 0
             start += first + 1
+            near[start:] = np.minimum(near[start:], _union_distances(cand[start:], centers[-1][None, :], 0.0))
         # re-check the stopping rule against the possibly grown center set
         if consecutive >= stop_factor * max(1, len(centers)):
             break

@@ -19,15 +19,15 @@ ball: expanding a finite point set yields a union of balls, expanding balls
 inflates radii.  The three concrete variants share one geometry
 implementation, ``geometry._BallArray``: each supplies ``(centers, radii)``
 arrays, finite point sets as radius-zero balls, and each scalar query is
-the one-row case of its batched form (``Ball`` keeps its one-ball closed
-forms).  ``_region_balls`` returns those arrays for any normalized region;
-the measure check, the exact robust losses and the cover checks all read
-regions through it.  Distances from many query points to a union or a
-point set, and the pairwise distances behind diameters, are computed in
-row blocks of about 2**20 floats; membership in a union or a point set
-is tested ball by ball.  Uniform sampling is Lebesgue-exact via rejection
-from the region's bounding box, drawn in whole batches that are tested in
-slices until ``n`` points are kept.
+the one-row case of its batched form.  ``_region_balls`` returns those
+arrays for any normalized region; the measure check, the exact robust
+losses and the cover checks all read regions through it.  Distances from
+many query points to a union or a point set, and the pairwise distances
+behind diameters, are computed in row blocks of about 2**20 floats;
+membership of many points in a union or a point set is tested ball by
+ball, and of one point against all balls at once.  Uniform sampling is
+Lebesgue-exact via rejection from the region's bounding box, drawn in
+whole batches that are tested in slices until ``n`` points are kept.
 
 Point identity is exact (equal float coordinates): ``point_key`` and
 membership in ``FinitePoints`` and in radius-zero balls share that rule.
@@ -84,9 +84,10 @@ class FinitePoints(_BallArray):
         if not np.all(np.isfinite(pts)):
             raise ValueError("points must be finite")
         object.__setattr__(self, "points", _readonly(pts))
+        object.__setattr__(self, "_radii", _readonly(np.zeros(len(pts))))
 
     def _arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        return self.points, np.zeros(len(self.points))
+        return self.points, self._radii
 
     def contains_many(self, pts: np.ndarray) -> np.ndarray:
         return _in_union(pts, *self._arrays())

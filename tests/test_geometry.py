@@ -17,7 +17,7 @@ from robustlab.geometry import (
     verify_cover,
 )
 from robustlab.regions import Expanded, FinitePoints, UnionOfBalls
-from robustlab.seeding import rng_for
+from robustlab.seeding import as_generator, rng_for, uniform_sphere
 
 
 class TestDistance:
@@ -105,6 +105,38 @@ class TestGreedySphereCover:
         a = greedy_sphere_cover(2, 1.0, 0.5, seed=11)
         b = greedy_sphere_cover(2, 1.0, 0.5, seed=11)
         assert np.array_equal(a.centers, b.centers)
+
+    @pytest.mark.parametrize("d, mesh", [(2, 0.1), (3, 0.5), (9, 1.2)])
+    def test_matches_reference_that_recomputes_every_distance(self, d, mesh):
+        # reference: after each acceptance, every remaining candidate of the
+        # batch is measured again against every accepted center
+        def reference(seed, stop_factor, probe_count):
+            rng, centers, consecutive = as_generator(seed), [], 0
+            while consecutive < stop_factor * max(1, len(centers)):
+                cand, start = uniform_sphere(2048, d, 1.1, rng), 0
+                while start < len(cand):
+                    if centers:
+                        gaps = np.linalg.norm(cand[start:, None, :] - np.asarray(centers)[None], axis=-1)
+                        ok = np.flatnonzero(np.min(gaps, axis=1) > mesh)
+                    else:
+                        ok = np.array([0])
+                    if ok.size == 0:
+                        consecutive += len(cand) - start
+                        break
+                    consecutive += int(ok[0])
+                    if consecutive >= stop_factor * max(1, len(centers)):
+                        break
+                    centers.append(cand[start + int(ok[0])])
+                    consecutive, start = 0, start + int(ok[0]) + 1
+            probes = uniform_sphere(probe_count, d, 1.1, rng)
+            gaps = np.linalg.norm(probes[:, None, :] - np.asarray(centers)[None], axis=-1)
+            return np.asarray(centers), int(np.count_nonzero(np.min(gaps, axis=1) > mesh))
+
+        cover = greedy_sphere_cover(d, 1.1, mesh, seed=5, stop_factor=50, probe_count=500)
+        centers, failures = reference(5, 50, 500)
+        assert len(cover) > 20
+        assert np.array_equal(cover.centers, centers)
+        assert cover.probe_failures == failures
 
 
 class TestCoverCompactByBalls:

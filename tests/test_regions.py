@@ -174,7 +174,7 @@ class TestUnionMembership:
         for p in np.vstack([probes[:2000:7], probes[2000:]]):
             assert region.contains(p) == region.contains_many(p[None])[0], p
             assert region.distance_to(p) == region.distance_to_many(p[None])[0], p
-        # Ball's closed forms, and the point-set reading, give the union's values
+        # every variant, read as a union of balls, gives the union's values
         union = UnionOfBalls(*_region_balls(region))
         assert np.array_equal(inside, union.contains_many(probes))
         assert np.array_equal(region.distance_to_many(probes), union.distance_to_many(probes))
