@@ -25,14 +25,13 @@ from typing import Union
 
 import numpy as np
 
-from .geometry import Ball, DimensionMismatch, as_point, _in_ball, _readonly
+from .geometry import GEOM_TOL, Ball, DimensionMismatch, as_point, _in_ball, _readonly
 from .regions import (
     FinitePoints,
     Region,
     RegionFamily,
     _positive_measure,
     _region_balls,
-    normalize_region,
     point_key,
     uniform_sample,
 )
@@ -199,8 +198,9 @@ class BoundedLinearClass:
         if self.W <= 0 or self.d < 1:
             raise ValueError("need W > 0 and d >= 1")
 
-    def contains(self, h: LinearClassifier, tol: float = 1e-9) -> bool:
-        return isinstance(h, LinearClassifier) and h.dimension == self.d and h.offset() <= self.W + tol
+    def contains(self, h: LinearClassifier) -> bool:
+        """Whether ``h`` is a halfspace of this class, its offset within ``W + GEOM_TOL``."""
+        return isinstance(h, LinearClassifier) and h.dimension == self.d and h.offset() <= self.W + GEOM_TOL
 
 
 @dataclass(frozen=True)
@@ -367,10 +367,9 @@ def robust_loss_sampled(
     Finite point regions are enumerated exactly; positive-measure regions
     are probed with ``n_samples`` uniform draws.
     """
-    region_n = normalize_region(region)
-    if isinstance(region_n, FinitePoints):
-        return int(np.any(h.predict_many(region_n.points) != ex.y))
-    pts = uniform_sample(region_n, n_samples, seed)
+    if isinstance(region, FinitePoints):
+        return int(np.any(h.predict_many(region.points) != ex.y))
+    pts = uniform_sample(region, n_samples, seed)
     return int(np.any(h.predict_many(pts) != ex.y))
 
 

@@ -4,9 +4,10 @@ This module holds the one implementation of region geometry.
 ``_BallArray`` reads a region as arrays of ball centers and radii, a point
 being a radius-zero ball, and answers membership, distance, diameter and
 bounding-box queries from the kernels ``_in_ball``, ``_in_union`` and
-``_pair_distances``.  ``Ball``, ``FinitePoints`` and ``UnionOfBalls``
-share it, and each scalar query is the one-row case of its batched form;
-``Ball`` is its one-ball case.
+``_pair_distances``.  Every region variant shares it: ``Ball`` is its
+one-ball case, ``FinitePoints`` and ``UnionOfBalls`` hold their arrays,
+and ``Expanded`` is the union of balls its base expands to.  Each scalar
+query is the one-row case of its batched form.
 
 Conventions used throughout the library:
 
@@ -42,6 +43,8 @@ __all__ = [
 ]
 
 GEOM_TOL = 1e-9
+# Most grid nodes cover_compact_by_balls lays out before it refuses.
+MAX_GRID_NODES = 5_000_000
 
 
 class DimensionMismatch(ValueError):
@@ -202,7 +205,7 @@ class Ball(_BallArray):
         return Ball(self.center, self.radius + gamma)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SphereCover:
     """Maximal mesh-separated point set on an origin-centered sphere.
 
@@ -319,7 +322,6 @@ def cover_compact_by_balls(
     seed: int | np.random.Generator = 0,
     *,
     probe_count: int = 1000,
-    max_nodes: int = 5_000_000,
 ) -> UnionOfBalls:
     """Cover a bounded region with closed balls of radius ``ball_radius``.
 
@@ -350,9 +352,9 @@ def cover_compact_by_balls(
 
     axes = [np.arange(lo[i] - ball_radius, hi[i] + ball_radius + pitch, pitch) for i in range(d)]
     total = int(np.prod([len(a) for a in axes]))
-    if total > max_nodes:
+    if total > MAX_GRID_NODES:
         raise ValueError(
-            f"grid cover would need {total} nodes (> {max_nodes}); "
+            f"grid cover would need {total} nodes (> {MAX_GRID_NODES}); "
             "reduce the target diameter, dimension, or increase ball_radius"
         )
     mesh = np.meshgrid(*axes, indexing="ij")

@@ -25,7 +25,7 @@ from typing import Sequence
 import numpy as np
 
 from .classifiers import FiniteClass, LabeledExample, robust_loss_point
-from .regions import FinitePoints, Region, RegionFamily, normalize_region
+from .regions import FinitePoints, Region, RegionFamily
 
 __all__ = [
     "loss_patterns",
@@ -42,7 +42,7 @@ __all__ = [
     "vball_shatter_check",
 ]
 
-# Default cap on the subsets one shattering search may scan.
+# Cap on the subsets one shattering search may scan.
 SUBSET_BUDGET = 1_000_000
 
 
@@ -144,7 +144,6 @@ def robust_vc_search(
     family: RegionFamily,
     universe: Sequence[LabeledExample],
     max_m: int,
-    subset_budget: int = SUBSET_BUDGET,
 ) -> VcEstimate:
     """Exhaustive robust-loss-class shattering search over a finite universe.
 
@@ -154,14 +153,13 @@ def robust_vc_search(
     re-verifiable through :func:`pattern_witnesses`.
     """
     matrix = _loss_matrix(cls, _family_regions(family, universe), universe)
-    return _search_vc(matrix, max_m, subset_budget)
+    return _search_vc(matrix, max_m, SUBSET_BUDGET)
 
 
 def zero_one_vc_search(
     cls: FiniteClass,
     universe: Sequence[LabeledExample],
     max_m: int,
-    subset_budget: int = SUBSET_BUDGET,
 ) -> VcEstimate:
     """Shattering search for the plain 0-1 loss class (no region machinery).
 
@@ -170,7 +168,7 @@ def zero_one_vc_search(
     ``1[h(x) != y]`` computed directly from predictions.
     """
     matrix = np.array([[int(h.predict(ex.x) != ex.y) for ex in universe] for h in cls])
-    return _search_vc(matrix, max_m, subset_budget)
+    return _search_vc(matrix, max_m, SUBSET_BUDGET)
 
 
 def class_vc_on_points(cls: FiniteClass, points: np.ndarray, max_m: int | None = None) -> int:
@@ -195,7 +193,7 @@ def distinct_pattern_correspondence(
     forces distinct base labelings of the union of its regions)."""
     regions = _family_regions(family, sample)
     region_pts = []
-    for region in map(normalize_region, regions):
+    for region in regions:
         if isinstance(region, FinitePoints):
             region_pts.append(region.points)
         else:
@@ -244,7 +242,7 @@ def overhead_audit(
         regions = _family_regions(family, universe)
         matrix = _loss_matrix(cls, regions, universe)
         estimate = _search_vc(matrix, max_m, SUBSET_BUDGET)
-        region_pts = [normalize_region(region).points for region in regions]
+        region_pts = [region.points for region in regions]
         sizes = [len(pts) for pts in region_pts]
         base_vc = class_vc_on_points(cls, np.unique(np.vstack(region_pts), axis=0))
         ok = True

@@ -25,7 +25,7 @@ from .classifiers import (
     robust_loss_distribution,
 )
 from .geometry import Ball
-from .regions import RegionFamily, UnionOfBalls, uniform_sample
+from .regions import Region, RegionFamily, UnionOfBalls, uniform_sample
 from .seeding import rng_for
 
 __all__ = [
@@ -41,7 +41,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OracleGameInstance:
     """Frozen geometry of the two-anchor distinguishing construction."""
 
@@ -116,6 +116,13 @@ def loss_table(inst: OracleGameInstance) -> dict[tuple[str, str], float]:
     return out
 
 
+def _expanded_regions(inst: OracleGameInstance) -> tuple[Region, Region, Region]:
+    """The gamma-expanded V region of the +v anchor, then the gamma-expanded U cores of +v and -v."""
+    u_gam = inst.u_family.expanded(inst.gamma)
+    v_region = inst.v_family.expanded(inst.gamma).region_for(inst.v)
+    return v_region, u_gam.region_for(inst.v), u_gam.region_for(-inst.v)
+
+
 def _interval_union_length(intervals: list[tuple[float, float]]) -> float:
     merged: list[list[float]] = []
     for lo, hi in sorted(intervals):
@@ -155,11 +162,7 @@ def measure_bound_audit(inst: OracleGameInstance, n_mc: int, seed: int) -> Measu
     if inst.d > 4:
         raise ValueError("Monte-Carlo volume audit limited to d <= 4")
     gamma, D0 = inst.gamma, inst.D0
-    v_gam = inst.v_family.expanded(gamma)
-    u_gam = inst.u_family.expanded(gamma)
-    region = v_gam.region_for(inst.v)
-    core_plus = u_gam.region_for(inst.v)
-    core_minus = u_gam.region_for(-inst.v)
+    region, core_plus, core_minus = _expanded_regions(inst)
 
     pts = uniform_sample(region, n_mc, rng_for(seed, "measure"))
     outside = ~(core_plus.contains_many(pts) | core_minus.contains_many(pts))
@@ -185,7 +188,7 @@ def measure_bound_audit(inst: OracleGameInstance, n_mc: int, seed: int) -> Measu
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QuerySweepResult:
     """Excess-error curve of the Bayes rule across oracle query budgets."""
 
@@ -217,8 +220,9 @@ class QuerySweepResult:
         ]
 
 
-def wilson_interval(successes: int, n: int, z: float = 1.96) -> tuple[float, float]:
-    """Wilson score interval for a binomial proportion."""
+def wilson_interval(successes: int, n: int) -> tuple[float, float]:
+    """Wilson score interval (``z = 1.96``, about 95%) for a binomial proportion."""
+    z = 1.96
     if n == 0:
         return 0.0, 1.0
     p = successes / n
@@ -260,15 +264,13 @@ def run_query_game(
     z_is_v = rng.random(trials) < 0.5
     n_v = int(z_is_v.sum())
 
-    gamma = inst.gamma
-    region = inst.v_family.expanded(gamma).region_for(inst.v)
-    core_plus = inst.u_family.expanded(gamma).region_for(inst.v)
-    core_minus = inst.u_family.expanded(gamma).region_for(-inst.v)
+    region, core_plus, core_minus = _expanded_regions(inst)
 
     # first distinguishing draw per V-trial (1-based), inf if never within budget
     detect = np.full(n_v, np.inf)
-    anchor_queries = [0, 0]
-    anchor_detects = [0, 0]
+    # draws and detections at the +v and the -v anchor; draw i (0-based) is at -v when i is odd
+    anchor_queries = np.zeros(2, dtype=np.int64)
+    anchor_detects = np.zeros(2, dtype=np.int64)
     alive = np.arange(n_v)
     offset = 0
     chunk = 64
@@ -284,15 +286,11 @@ def run_query_game(
         first = np.where(any_hit, outside.argmax(axis=1), k)
         # probes actually spent this chunk: up to and including the first hit
         spent = np.where(any_hit, first + 1, k)
-        for s in spent:
-            lo, hi = offset, offset + int(s)
-            odd = hi // 2 - lo // 2
-            anchor_queries[1] += odd
-            anchor_queries[0] += int(s) - odd
-        for idx in np.flatnonzero(any_hit):
-            global_idx = offset + int(first[idx])
-            anchor_detects[global_idx % 2] += 1
-            detect[alive[idx]] = global_idx + 1
+        odd = np.sum((offset + spent) // 2 - offset // 2)
+        anchor_queries += (np.sum(spent) - odd, odd)
+        hit_at = offset + first[any_hit]
+        anchor_detects += np.bincount(hit_at % 2, minlength=2)
+        detect[alive[any_hit]] = hit_at + 1
         alive = alive[~any_hit]
         offset += k
         chunk = min(2 * chunk, 4096)
@@ -314,18 +312,19 @@ def run_query_game(
         ci_lo,
         ci_hi,
         trials,
-        (anchor_queries[0], anchor_queries[1]),
-        (anchor_detects[0], anchor_detects[1]),
+        (int(anchor_queries[0]), int(anchor_queries[1])),
+        (int(anchor_detects[0]), int(anchor_detects[1])),
         seed,
     )
 
 
-def detection_threshold(result: QuerySweepResult, level: float = 0.125) -> float | None:
-    """Interpolated budget at which the excess-error curve crosses ``level``.
+def detection_threshold(result: QuerySweepResult) -> float | None:
+    """Interpolated budget at which the excess-error curve crosses ``1/8``.
 
     Log-linear interpolation between the bracketing budget grid points;
     None when the curve never drops below the level.
     """
+    level = 0.125
     ex = result.excess_error
     budgets = result.budgets.astype(float)
     below = np.flatnonzero(ex < level)

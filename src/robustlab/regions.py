@@ -11,21 +11,21 @@ A region is one of four immutable variants:
   this form, checked on construction by a nearest-grid-node lookup with a
   brute-force fallback (:func:`~robustlab.geometry.verify_cover` is the
   brute-force reference);
-* :class:`Expanded` -- a lazy radius-``gamma`` neighborhood of another
-  region, collapsed on construction so expansions never nest.
+* :class:`Expanded` -- the radius-``gamma`` neighborhood of another
+  region, held as its union of balls ``base.expand(gamma)``; nested
+  expansions collapse on construction.
 
 Each variant's ``expand`` method matches the Minkowski sum with a closed
 ball: expanding a finite point set yields a union of balls, expanding balls
-inflates radii.  The three concrete variants share one geometry
-implementation, ``geometry._BallArray``: each supplies ``(centers, radii)``
-arrays, finite point sets as radius-zero balls, and each scalar query is
-the one-row case of its batched form.  ``_region_balls`` returns those
-arrays for any normalized region; the measure check, the exact robust
-losses and the cover checks all read regions through it.  Distances from
-many query points to a union or a point set, and the pairwise distances
-behind diameters, are computed in row blocks of about 2**20 floats;
-membership of many points in a union or a point set is tested ball by
-ball, and of one point against all balls at once.  Uniform sampling is
+inflates radii.  All four variants share one geometry implementation,
+``geometry._BallArray``: each supplies ``(centers, radii)`` arrays, finite
+point sets as radius-zero balls, and each scalar query is the one-row case
+of its batched form.  ``_region_balls`` returns those arrays for any
+region; the measure check, the exact robust losses and the cover checks
+all read regions through it.  Distances from many query points to a
+region, and the pairwise distances behind diameters, are computed in row
+blocks of about 2**20 floats; membership of many points in a region is
+tested ball by ball, and of one point against all balls at once.  Uniform sampling is
 Lebesgue-exact via rejection from the region's bounding box, drawn in
 whole batches that are tested in slices until ``n`` points are kept.
 
@@ -36,7 +36,7 @@ membership in ``FinitePoints`` and in radius-zero balls share that rule.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Union
+from typing import Union
 
 import numpy as np
 
@@ -48,7 +48,6 @@ __all__ = [
     "FinitePoints",
     "UnionOfBalls",
     "Expanded",
-    "normalize_region",
     "uniform_sample",
     "point_key",
     "RegionFamily",
@@ -57,6 +56,10 @@ __all__ = [
     "region_to_dict",
     "region_from_dict",
 ]
+
+# Lowest rejection acceptance uniform_sample tolerates once 1e6 box points are drawn.
+MIN_EFFICIENCY = 1e-6
+
 
 class ZeroMeasureError(ValueError):
     """Uniform sampling was requested from a Lebesgue-null region."""
@@ -140,12 +143,15 @@ class UnionOfBalls(_BallArray):
 
 
 @dataclass(frozen=True, eq=False)
-class Expanded:
-    """Lazy gamma-neighborhood of a base region.
+class Expanded(_BallArray):
+    """Radius-``gamma`` neighborhood of a base region, as its union of balls.
 
-    Membership is by definition ``distance(p, base) <= gamma``.  Nested
-    expansions collapse on construction since the underlying Minkowski sums
-    add radii.
+    The region is ``base.expand(gamma)``: the base's balls with ``gamma``
+    added to every radius, a point becoming a radius-``gamma`` ball.  Those
+    arrays are built once on construction and answer every query, so an
+    expansion and its collapsed form are the same set bit for bit.  Nested
+    expansions collapse first, since the underlying Minkowski sums add
+    radii; ``base`` and ``gamma`` are kept for serialization.
     """
 
     base: "Region"
@@ -161,49 +167,25 @@ class Expanded:
             base = base.base
         object.__setattr__(self, "base", base)
         object.__setattr__(self, "gamma", gamma)
+        object.__setattr__(self, "_balls", base.expand(gamma)._arrays())
 
-    @property
-    def dimension(self) -> int:
-        return self.base.dimension
-
-    def contains(self, p) -> bool:
-        return self.base.distance_to(p) <= self.gamma
+    def _arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        return self._balls
 
     def contains_many(self, pts: np.ndarray) -> np.ndarray:
-        return self.base.distance_to_many(pts) <= self.gamma
-
-    def distance_to(self, p) -> float:
-        return max(0.0, self.base.distance_to(p) - self.gamma)
-
-    def distance_to_many(self, pts: np.ndarray) -> np.ndarray:
-        return np.maximum(0.0, self.base.distance_to_many(pts) - self.gamma)
-
-    def diameter(self) -> float:
-        return self.base.diameter() + 2.0 * self.gamma
+        return _in_union(pts, *self._arrays())
 
     def expand(self, gamma: float) -> "Expanded":
         if gamma <= 0:
             raise ValueError("gamma must be positive")
         return Expanded(self.base, self.gamma + gamma)
 
-    def bounding_box(self) -> tuple[np.ndarray, np.ndarray]:
-        lo, hi = self.base.bounding_box()
-        return lo - self.gamma, hi + self.gamma
-
 
 Region = Union[FinitePoints, Ball, UnionOfBalls, Expanded]
 
 
-def normalize_region(region: Region) -> Region:
-    """Collapse lazy expansions into concrete ball-based or point forms."""
-    if isinstance(region, Expanded):
-        return region.base.expand(region.gamma)
-    return region
-
-
 def _region_balls(region: Region) -> tuple[np.ndarray, np.ndarray]:
-    """Normalized region as arrays of ball centers and radii (finite points have radius 0)."""
-    region = normalize_region(region)
+    """A region as arrays of ball centers and radii (finite points have radius 0)."""
     if not isinstance(region, _BallArray):
         raise TypeError(f"unsupported region variant {type(region).__name__}")
     return region._arrays()
@@ -217,8 +199,6 @@ def uniform_sample(
     region: Region,
     n: int,
     seed: int | np.random.Generator,
-    *,
-    min_efficiency: float = 1e-6,
 ) -> np.ndarray:
     """Draw ``n`` Lebesgue-uniform points from a positive-measure region.
 
@@ -227,7 +207,7 @@ def uniform_sample(
     round draws a whole batch of ``max(1024, 2n)`` box points, then tests
     it in slices until ``n`` points are kept, so the stream drawn does not
     depend on how many rows are tested.  Aborts with diagnostics if the
-    acceptance rate falls below ``min_efficiency``.
+    acceptance rate falls below ``MIN_EFFICIENCY``.
     """
     if n < 0:
         raise ValueError(f"cannot draw a negative number of points ({n})")
@@ -259,9 +239,9 @@ def uniform_sample(
             got += take
             tested += stop - start
             start = stop
-        if drawn >= 1_000_000 and got / drawn < min_efficiency:
+        if drawn >= 1_000_000 and got / drawn < MIN_EFFICIENCY:
             raise SamplingEfficiencyError(
-                f"rejection acceptance {got/drawn:.2e} below {min_efficiency:.0e} "
+                f"rejection acceptance {got/drawn:.2e} below {MIN_EFFICIENCY:.0e} "
                 f"after {drawn} draws (bounding box {lo} .. {hi})"
             )
     return out
@@ -307,22 +287,19 @@ class RegionFamily:
     Anchors are identified by their exact coordinates (:func:`point_key`),
     and an anchor equal to an earlier one is rejected.  Each
     assigned region must contain its anchor unless the family is built
-    with ``allow_outside_anchor=True``.  An optional ``default_rule``
-    callable serves regions for off-support points (for instance
-    ``lambda x: Ball(x, r)`` for a fixed-radius ball family).
+    with ``allow_outside_anchor=True``.  Looking up a point that is no
+    anchor raises ``KeyError``.
     """
 
     def __init__(
         self,
-        assignments: list[tuple[np.ndarray, Region]] | dict,
-        default_rule: Callable[[np.ndarray], Region] | None = None,
+        assignments: list[tuple[np.ndarray, Region]],
         *,
         allow_outside_anchor: bool = False,
     ):
-        items = assignments.items() if isinstance(assignments, dict) else assignments
         self._regions: dict[tuple, Region] = {}
         self._anchors: list[np.ndarray] = []
-        for anchor, region in items:
+        for anchor, region in assignments:
             anchor = as_point(anchor)
             if anchor.size != region.dimension:
                 raise DimensionMismatch("anchor and region dimensions differ")
@@ -333,7 +310,6 @@ class RegionFamily:
                 raise ValueError(f"anchor {anchor} repeats an earlier anchor")
             self._regions[key] = region
             self._anchors.append(anchor)
-        self._default = default_rule
 
     @property
     def anchors(self) -> list[np.ndarray]:
@@ -343,8 +319,6 @@ class RegionFamily:
         key = point_key(x)
         if key in self._regions:
             return self._regions[key]
-        if self._default is not None:
-            return self._default(as_point(x))
         raise KeyError(f"no region assigned for point {x}")
 
     def expanded(self, r: float) -> "RegionFamily":
@@ -355,8 +329,4 @@ class RegionFamily:
             return self
         # one region per anchor, both in insertion order
         expanded = [(a, region.expand(r)) for a, region in zip(self._anchors, self._regions.values())]
-        default = None
-        if self._default is not None:
-            base = self._default
-            default = lambda x: base(x).expand(r)  # noqa: E731
-        return RegionFamily(expanded, default, allow_outside_anchor=True)
+        return RegionFamily(expanded, allow_outside_anchor=True)

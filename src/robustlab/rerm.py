@@ -279,7 +279,7 @@ def tolrerm(
     return TolRermResult(sol.hypothesis, r, sol.achieved_loss, n, sol.index)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OptProfile:
     """Minimal empirical robust loss as a function of expansion radius."""
 
@@ -364,13 +364,13 @@ class LearningTask:
     gamma: float
 
 
-def make_learning_task(task_seed: int, *, n_hypotheses: int = 12, gamma: float = 0.25) -> LearningTask:
+def make_learning_task(task_seed: int, *, gamma: float = 0.25) -> LearningTask:
     """Random desk-scale task: mixed region variants, halfspace/sphere class.
 
     Labels come from a teacher halfspace with a small flip rate, regions
     cycle through ball, finite-point, and two-ball-union variants anchored
-    at each support point, and the class mixes the teacher with jittered
-    and random regular hypotheses.
+    at each support point, and the class holds twelve regular hypotheses:
+    the teacher, 8 jittered halfspaces and 3 random sphere boundaries.
     """
     rng = rng_for(task_seed, "task")
     n_atoms = int(rng.integers(6, 11))
@@ -402,7 +402,7 @@ def make_learning_task(task_seed: int, *, n_hypotheses: int = 12, gamma: float =
     dist = DiscreteDistribution(list(zip(examples, probs)))
 
     hyps: list[Hypothesis] = [teacher]
-    for _ in range(n_hypotheses - 4):
+    for _ in range(8):
         w = w_t + rng.normal(scale=0.6, size=2)
         norm = np.linalg.norm(w)
         if norm == 0:
@@ -411,4 +411,4 @@ def make_learning_task(task_seed: int, *, n_hypotheses: int = 12, gamma: float =
     for _ in range(3):
         center = anchors[int(rng.integers(n_atoms))] + rng.normal(scale=0.5, size=2)
         hyps.append(SphereBoundary(center, float(rng.uniform(1.0, 2.5)), 1 if rng.random() < 0.5 else -1))
-    return LearningTask(family, dist, FiniteClass(tuple(hyps[:n_hypotheses])), gamma)
+    return LearningTask(family, dist, FiniteClass(tuple(hyps)), gamma)

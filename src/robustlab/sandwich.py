@@ -49,6 +49,9 @@ __all__ = [
     "set_inclusion_probe",
 ]
 
+# Probe points per regularity certificate in sandwich_audit.
+CERTIFICATE_PROBES = 64
+
 
 @dataclass(frozen=True)
 class SandwichTriple:
@@ -151,8 +154,6 @@ def sandwich_audit(
     hypotheses: list[Hypothesis],
     examples: list[LabeledExample],
     seed: int = 0,
-    *,
-    certificate_probes: int = 64,
 ) -> SandwichAuditReport:
     """Check the loss sandwich for every (hypothesis, example) pair.
 
@@ -162,7 +163,7 @@ def sandwich_audit(
     rows with their witnesses rather than raising.
     """
     certs = tuple(
-        regularity_check(h, triple.alpha, certificate_probes, _certificate_domain(triple), rng_for(seed, f"cert-{i}"))
+        regularity_check(h, triple.alpha, CERTIFICATE_PROBES, _certificate_domain(triple), rng_for(seed, f"cert-{i}"))
         for i, h in enumerate(hypotheses)
     )
     rows = []

@@ -51,6 +51,11 @@ __all__ = [
     "run_adversarial_game",
 ]
 
+# Halvings of the cap scale build_shatter_family tries before it gives up.
+MAX_HALVINGS = 40
+# Uniform sphere points drawn per packing center to fill the cells.
+SAMPLES_PER_CELL = 200
+
 
 def tangent_hypothesis(x_on_sphere, W: float) -> LinearClassifier:
     """The halfspace tangent to the radius-W sphere at ``x``, positive at x.
@@ -94,7 +99,7 @@ def cap_mismatch_fraction(W: float, beta: float, x_on_sphere, n: int, seed) -> f
     return float(np.mean(positive != in_cap))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ShatterFamily:
     """Cells partitioning a sphere, with per-cell negative witnesses.
 
@@ -127,9 +132,7 @@ def build_shatter_family(
     M: int,
     seed: int,
     *,
-    samples_per_cell: int = 200,
     beta0: float = 0.25,
-    max_halvings: int = 40,
 ) -> ShatterFamily:
     """Shrink the cap scale until the sphere packs at least M cells.
 
@@ -143,7 +146,7 @@ def build_shatter_family(
         raise ValueError("need d >= 2 and M >= 1")
     beta = beta0
     cover = None
-    for halving in range(max_halvings):
+    for halving in range(MAX_HALVINGS):
         mesh = 2.0 * positive_cap_radius(W, beta)
         cover = greedy_sphere_cover(d, W * (1.0 + beta), mesh, rng_for(seed, f"cover-{halving}"))
         if len(cover) >= M:
@@ -151,14 +154,14 @@ def build_shatter_family(
         beta /= 2.0
     else:
         raise RuntimeError(
-            f"cap-scale search exhausted {max_halvings} halvings; best packing had {len(cover)} < {M} cells"
+            f"cap-scale search exhausted {MAX_HALVINGS} halvings; best packing had {len(cover)} < {M} cells"
         )
     if not cover.certified:
         raise RuntimeError(f"sphere cover maximality probe failed ({cover.probe_failures} escapes)")
 
     K = len(cover)
     rng = rng_for(seed, "cells")
-    samples = uniform_sphere(samples_per_cell * K, d, W * (1.0 + beta), rng)
+    samples = uniform_sphere(SAMPLES_PER_CELL * K, d, W * (1.0 + beta), rng)
     nearest = np.empty(len(samples), dtype=np.intp)
     for rows, dist in _pair_distances(samples, cover.centers):
         nearest[rows] = np.argmin(dist, axis=1)
@@ -204,7 +207,7 @@ def stipulation_one_failures(family: ShatterFamily, hypotheses) -> int:
     return failures
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FailureInstance:
     """Perturbation regions on which proper learners provably fail.
 
@@ -228,9 +231,7 @@ class FailureInstance:
         return 3 * self.m
 
 
-def build_failure_instance(
-    m: int, W: float, d: int, seed: int, *, samples_per_cell: int = 200
-) -> FailureInstance:
+def build_failure_instance(m: int, W: float, d: int, seed: int) -> FailureInstance:
     """Assemble the 3m-anchor instance over a C(3m, m)-cell shatter family.
 
     Exact audits run on construction: each subset's witness must be
@@ -243,7 +244,7 @@ def build_failure_instance(
     M = math.comb(3 * m, m)
     if M > 2000:
         raise ValueError(f"C(3m, m) = {M} exceeds the desk-scale build budget")
-    shatter = build_shatter_family(W, d, M, seed, samples_per_cell=samples_per_cell)
+    shatter = build_shatter_family(W, d, M, seed)
     subsets = tuple(combinations(range(3 * m), m))
 
     n = 3 * m

@@ -160,7 +160,7 @@ def test_c03_query_game_budget_sweep():
                 if excess < target:
                     cell_ok = False
                     decay_failures.append((d, D, int(k), float(excess), float(target)))
-            k_star = detection_threshold(result, 0.125)
+            k_star = detection_threshold(result)
             thresholds.append(k_star)
             scales.append(inst.D0 / inst.gamma)
             print(

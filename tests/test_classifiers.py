@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from robustlab.geometry import Ball
+from robustlab.geometry import Ball, SphereCover
 from robustlab.classifiers import (
     DiscreteDistribution,
     LabeledExample,
@@ -20,8 +20,11 @@ from robustlab.classifiers import (
     robust_loss_sampled,
     violation_radius,
 )
+from robustlab.oracle_game import build_oracle_game, run_query_game
 from robustlab.regions import Expanded, FinitePoints, RegionFamily, UnionOfBalls, _region_balls, point_key
+from robustlab.rerm import OptProfile
 from robustlab.seeding import rng_for
+from robustlab.shatter_game import build_failure_instance, build_shatter_family
 
 
 def ex(x, y):
@@ -290,13 +293,14 @@ class TestViolationRadius:
 coord_st = st.floats(-2, 2, allow_subnormal=False)
 point_st = st.tuples(coord_st, coord_st)
 radius_st = st.one_of(st.just(0.0), st.floats(0.1, 1))
-region_st = st.one_of(
+base_region_st = st.one_of(
     st.builds(Ball, point_st, radius_st),
     st.builds(FinitePoints, st.lists(point_st, min_size=1, max_size=4)),
     st.lists(st.tuples(point_st, radius_st), min_size=1, max_size=4).map(
         lambda balls: UnionOfBalls([c for c, _ in balls], [r for _, r in balls])
     ),
 )
+region_st = st.one_of(base_region_st, st.builds(Expanded, base_region_st, st.floats(0.1, 1)))
 label_st = st.sampled_from((1, -1))
 table_st = st.lists(st.tuples(point_st, label_st), min_size=1, max_size=4, unique_by=lambda e: e[0]).flatmap(
     lambda entries: st.builds(
@@ -353,6 +357,18 @@ def test_table_loss_near_entry(entry_label, y, offset, expected):
     assert robust_loss_point(h, UnionOfBalls([(0.0, offset)], [0.0]), e) == expected
 
 
+def test_table_loss_on_expansion_matches_collapsed_form():
+    # the flipped entry lies on the expanded sphere, where the base's distance
+    # (0.7507357794858461) rounds past gamma; an expansion is its collapsed balls
+    entry = (1.8658299643114673,)
+    h = TableClassifier([entry], [-1], default=1)
+    base, gamma = Ball((0.8296289560400428,), 0.28546522878557845), 0.750735779485846
+    e = ex((0.8296289560400428,), 1)
+    for region in (Expanded(base, gamma), base.expand(gamma)):
+        assert region.contains(entry)
+        assert robust_loss_point(h, region, e) == 1
+
+
 near_entry_st = st.tuples(
     st.integers(0, 3), st.integers(0, 1), st.sampled_from((0.0, 1e-13, -1e-13, 2.07e-50, 1e-170, -1e-170))
 )
@@ -384,8 +400,18 @@ def test_table_kernel_matches_predict_near_entries(h, picks, y):
         lambda: LinearClassifier((1, 0), 0.0),
         lambda: SphereBoundary((0, 0), 1.0),
         lambda: TableClassifier([(0.0, 0.0)], [-1]),
+        # frozen records with array fields
+        lambda: SphereCover(1.0, 0.5, [(1.0, 0.0)]),
+        lambda: build_shatter_family(1.0, 2, 3, seed=5),
+        lambda: build_failure_instance(1, 1.0, 2, seed=5),
+        lambda: build_oracle_game(50.0, 1.0, 2),
+        lambda: OptProfile(np.array([0.0, 1.0]), np.array([0.25, 0.5])),
+        lambda: run_query_game(build_oracle_game(50.0, 1.0, 2), [1, 2], trials=10, seed=0),
     ],
-    ids=["ball", "points", "union", "expanded", "example", "linear", "sphere", "table"],
+    ids=[
+        "ball", "points", "union", "expanded", "example", "linear", "sphere", "table",
+        "sphere-cover", "shatter-family", "failure-instance", "oracle-game", "opt-profile", "query-sweep",
+    ],
 )
 def test_identity_equality_and_hash(make):
     a, b = make(), make()

@@ -107,6 +107,24 @@ class TestQueryGame:
         result = run_query_game(inst, [0, 64], trials=2000, seed=2)
         assert result.excess_error[-1] < 0.02
 
+    def test_anchor_tallies_match_detection_curve(self):
+        # with every budget 0..B on the grid, the curve gives how many V-trials
+        # first distinguish at each draw index b (draw b is at -v when b is odd);
+        # at D = 50 some trials outlast the first two draw chunks (64 and 128)
+        B, trials = 200, 1000
+        result = run_query_game(build_oracle_game(50.0, 1.0, 2), list(range(B + 1)), trials=trials, seed=8)
+        undetected = np.rint(2 * trials * result.excess_error).astype(int)
+        hits = undetected[:-1] - undetected[1:]
+        b = np.arange(B)
+        # a trial first distinguishing at b spent draws 0..b; one never distinguishing spent all B
+        queries = (
+            int(hits @ (b // 2 + 1)) + undetected[-1] * ((B + 1) // 2),
+            int(hits @ ((b + 1) // 2)) + undetected[-1] * (B // 2),
+        )
+        assert 0 < undetected[-1] < hits.sum()
+        assert result.anchor_queries == queries
+        assert result.anchor_detections == (int(hits[0::2].sum()), int(hits[1::2].sum()))
+
     def test_anchor_symmetry(self, inst):
         result = run_query_game(inst, [64], trials=4000, seed=3)
         q = result.anchor_queries
@@ -133,7 +151,7 @@ class TestQueryGame:
 
     def test_threshold_interpolation(self, inst):
         result = run_query_game(inst, [1, 2, 4, 8, 16, 32, 64], trials=3000, seed=6)
-        k_star = detection_threshold(result, 0.125)
+        k_star = detection_threshold(result)
         assert k_star is not None
         # analytic crossing near ln(2)/p for the measured mass
         audit = measure_bound_audit(inst, 200_000, seed=7)

@@ -107,14 +107,20 @@ class TestContains:
 # and the row norm outside
 FOUND_RADIUS = 0.9656495783173188
 FOUND_POINT = (-0.7322673547034516, -0.5442589828573099, -0.31630015636915454)
+# radius added by the expanded-* variants
+EXPAND_GAMMA = 0.3
 
 
 def _ball_array_with_boundary_probes(variant: str, d: int):
     """A ball-array region, and probes on and just off every one of its spheres.
 
     The k-ball union has two radius-zero balls; the other variants take its
-    first ball, its radius-zero second ball or its centres.
+    first ball, its radius-zero second ball or its centres.  An
+    ``expanded-<variant>`` is ``Expanded(<variant>, EXPAND_GAMMA)``, probed on
+    the spheres of its collapsed balls.
     """
+    expanded = variant.startswith("expanded-")
+    variant = variant.removeprefix("expanded-")
     rng = np.random.default_rng(d)
     centers = rng.normal(size=(6, d))
     radii = rng.uniform(0.2, 1.5, 6)
@@ -133,6 +139,8 @@ def _ball_array_with_boundary_probes(variant: str, d: int):
         region = FinitePoints(centers)
     else:
         region = Ball(centers[0], radii[0])
+    if expanded:
+        region, radii = Expanded(region, EXPAND_GAMMA), radii + EXPAND_GAMMA
     on_sphere = (centers[:, None, :] + radii[:, None, None] * np.eye(d)).reshape(-1, d)  # c + r e_i
     on_sphere = np.vstack([on_sphere, 2 * centers.repeat(d, axis=0) - on_sphere])  # and c - r e_i
     scattered = rng.normal(size=(2000, d)) * 1.5
@@ -157,7 +165,9 @@ def _ball_array_with_boundary_probes(variant: str, d: int):
 # the k-ball union keeps the bare dimension as its id
 BALL_ARRAY_CASES = [pytest.param("union", d, id=str(d)) for d in (1, 2, 3, 8, 9)] + [
     pytest.param(variant, d, id=f"{variant}-{d}")
-    for variant in ("ball", "radius-zero-ball", "points", "one-ball-union")
+    for variant in (
+        "ball", "radius-zero-ball", "points", "one-ball-union", "expanded-ball", "expanded-points", "expanded-union"
+    )
     for d in (1, 2, 3, 8, 9)
 ] + [pytest.param("found-ball", 3, id="found-ball-3")]
 
@@ -436,12 +446,8 @@ class TestUniformSample:
 class TestRegionFamily:
     def test_lookup_and_default_rule(self):
         anchor = np.array([1.0, 1.0])
-        fam = RegionFamily(
-            [(anchor, Ball(anchor, 0.5))],
-            default_rule=lambda x: Ball(x, 0.1),
-        )
+        fam = RegionFamily([(anchor, Ball(anchor, 0.5))])
         assert fam.region_for(anchor).radius == 0.5
-        assert fam.region_for((9.0, 9.0)).radius == 0.1
 
     def test_missing_region_raises(self):
         fam = RegionFamily([(np.array([0.0]), Ball(np.array([0.0]), 1.0))])

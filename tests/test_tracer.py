@@ -76,7 +76,7 @@ def test_sandwich_audit_counts_through_shared_ball_geometry():
     try:
         # each ball-array variant keeps a hooked contains_many in its own
         # class body; the shared base has none to shadow them
-        for cls in (geometry.Ball, regions.FinitePoints, regions.UnionOfBalls):
+        for cls in (geometry.Ball, regions.FinitePoints, regions.UnionOfBalls, regions.Expanded):
             original = before[f"{cls.__module__}.{cls.__name__}"]["contains_many"]
             assert cls.__dict__["contains_many"] is not original
         assert "contains_many" not in vars(geometry._BallArray)
@@ -96,7 +96,8 @@ def test_sandwich_audit_counts_through_shared_ball_geometry():
         ball = geometry.Ball((0.0, 0.0), 1.0)
         union = regions.UnionOfBalls([(0.0, 0.0)], [1.0])
         points = regions.FinitePoints([(0.5, 0.0)])
-        assert all(region.contains(np.array([0.5, 0.0])) for region in (ball, union, points))
+        expanded = regions.Expanded(points, 0.25)
+        assert all(region.contains(np.array([0.5, 0.0])) for region in (ball, union, points, expanded))
         assert spans.calls["regions.contains_many"] == calls
         assert spans.counts["geometry.Ball.init.calls"] == 22
     finally:
