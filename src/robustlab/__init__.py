@@ -19,7 +19,6 @@ from .regions import (
     uniform_sample,
 )
 from .classifiers import (
-    BoundedLinearClass,
     DiscreteDistribution,
     FiniteClass,
     LabeledExample,
@@ -29,16 +28,11 @@ from .classifiers import (
     regularity_check,
     robust_loss_distribution,
     robust_loss_point,
-    robust_loss_sample,
 )
 from .rerm import (
     ExhaustiveFiniteOracle,
     IndexedExhaustiveOracle,
-    LinearCandidatesOracle,
-    OptProfile,
     opt_gap_audit,
-    opt_profile,
-    rerm_solve,
     tolrerm,
 )
 from .sandwich import SandwichTriple, build_ball_sandwich, build_point_sandwich, sandwich_audit
@@ -64,7 +58,6 @@ __all__ = [
     "RegionFamily",
     "UnionOfBalls",
     "uniform_sample",
-    "BoundedLinearClass",
     "DiscreteDistribution",
     "FiniteClass",
     "LabeledExample",
@@ -74,14 +67,9 @@ __all__ = [
     "regularity_check",
     "robust_loss_distribution",
     "robust_loss_point",
-    "robust_loss_sample",
     "ExhaustiveFiniteOracle",
     "IndexedExhaustiveOracle",
-    "LinearCandidatesOracle",
-    "OptProfile",
     "opt_gap_audit",
-    "opt_profile",
-    "rerm_solve",
     "tolrerm",
     "SandwichTriple",
     "build_ball_sandwich",

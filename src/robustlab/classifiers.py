@@ -25,7 +25,7 @@ from typing import Union
 
 import numpy as np
 
-from .geometry import GEOM_TOL, Ball, DimensionMismatch, as_point, _in_ball, _readonly
+from .geometry import Ball, DimensionMismatch, as_point, _in_ball, _readonly
 from .regions import (
     FinitePoints,
     Region,
@@ -43,12 +43,10 @@ __all__ = [
     "SphereBoundary",
     "TableClassifier",
     "Hypothesis",
-    "BoundedLinearClass",
     "FiniteClass",
     "DiscreteDistribution",
     "UnsupportedPairError",
     "robust_loss_point",
-    "robust_loss_sample",
     "robust_loss_distribution",
     "robust_loss_sampled",
     "violation_radius",
@@ -188,22 +186,6 @@ Hypothesis = Union[LinearClassifier, SphereBoundary, TableClassifier]
 
 
 @dataclass(frozen=True)
-class BoundedLinearClass:
-    """Halfspaces whose boundary lies within distance W of the origin."""
-
-    W: float
-    d: int
-
-    def __post_init__(self):
-        if self.W <= 0 or self.d < 1:
-            raise ValueError("need W > 0 and d >= 1")
-
-    def contains(self, h: LinearClassifier) -> bool:
-        """Whether ``h`` is a halfspace of this class, its offset within ``W + GEOM_TOL``."""
-        return isinstance(h, LinearClassifier) and h.dimension == self.d and h.offset() <= self.W + GEOM_TOL
-
-
-@dataclass(frozen=True)
 class FiniteClass:
     """Nonempty, explicitly enumerated hypothesis class."""
 
@@ -318,8 +300,11 @@ def _violated(radii, inclusive, r: float):
     """Whether the loss at expansion ``r`` is 1, given flip radii and flags.
 
     The one statement of the boundary rule: ``r >= r_star`` when inclusive,
-    ``r > r_star`` otherwise.  Works elementwise on arrays.
+    ``r > r_star`` otherwise.  Works elementwise on arrays of flip radii;
+    a negative or NaN ``r`` raises ``ValueError``.
     """
+    if not r >= 0:
+        raise ValueError("expansion radius must be nonnegative")
     return np.where(inclusive, r >= radii, r > radii)
 
 
@@ -336,13 +321,6 @@ def _violation_table(hypotheses, regions, examples) -> tuple[np.ndarray, np.ndar
 def loss_at_expansion(h: Hypothesis, region: Region, ex: LabeledExample, r: float) -> int:
     """Robust loss on the region expanded by ``r >= 0`` (0 means raw)."""
     return int(_violated(*violation_radius(h, region, ex.y), r))
-
-
-def robust_loss_sample(h: Hypothesis, family: RegionFamily, sample: list[LabeledExample]) -> float:
-    """Average robust loss over a sample."""
-    if not sample:
-        raise ValueError("empty sample")
-    return sum(robust_loss_point(h, family.region_for(ex.x), ex) for ex in sample) / len(sample)
 
 
 def robust_loss_distribution(h: Hypothesis, family: RegionFamily, dist: DiscreteDistribution) -> float:
@@ -415,7 +393,7 @@ def regularity_check(
       entries inside the domain are always probed in addition to the random
       probes, since those are the only points where a table can misbehave.
     """
-    if alpha <= 0:
+    if not alpha > 0:  # also rejects NaN
         raise ValueError("alpha must be positive")
     rng = as_generator(seed)
     probe_pts = uniform_sample(domain, probes, rng) if probes > 0 else np.empty((0, domain.dimension))

@@ -5,7 +5,7 @@ The tolerant learner draws an expansion radius uniformly from
 radius (separate derived RNG streams), and asks an oracle for the class
 member minimizing empirical robust loss on the radius-expanded regions.
 
-Three oracle realizations ship, all on one violation table: the
+Two exact oracle realizations ship, both on one violation table: the
 (hypothesis x example) flip radii of
 :func:`~robustlab.classifiers.violation_radius` on the unexpanded regions,
 compared against the requested radius.
@@ -14,11 +14,10 @@ compared against the requested radius.
   true argmin with lowest-index tie-breaking;
 * :class:`IndexedExhaustiveOracle` builds the table once over a bound
   distribution's atoms and answers any radius and any sample of those
-  atoms from it;
-* :class:`LinearCandidatesOracle` searches generated halfspace candidates
-  (sample-anchored hyperplanes, offset sweeps, random draws) and returns
-  the best candidate together with its achieved loss, so its approximate
-  nature is declared rather than silent.
+  atoms from it.
+
+Both reject an empty sample and a radius that is negative or NaN with
+``ValueError``.
 """
 
 from __future__ import annotations
@@ -29,7 +28,6 @@ from typing import Callable
 import numpy as np
 
 from .classifiers import (
-    BoundedLinearClass,
     DiscreteDistribution,
     FiniteClass,
     Hypothesis,
@@ -40,19 +38,15 @@ from .classifiers import (
     _violation_table,
 )
 from .geometry import Ball
-from .regions import FinitePoints, RegionFamily, UnionOfBalls, _region_balls
+from .regions import FinitePoints, RegionFamily, UnionOfBalls
 from .seeding import rng_for, uniform_sphere
 
 __all__ = [
     "RermSolution",
     "ExhaustiveFiniteOracle",
     "IndexedExhaustiveOracle",
-    "LinearCandidatesOracle",
-    "rerm_solve",
     "TolRermResult",
     "tolrerm",
-    "OptProfile",
-    "opt_profile",
     "GapAudit",
     "opt_gap_audit",
     "LearningTask",
@@ -70,16 +64,6 @@ class RermSolution:
     n_candidates: int
 
 
-def _argmin_solution(hypotheses, family: RegionFamily, sample: list[LabeledExample], r: float) -> RermSolution:
-    """Lowest-index minimizer of empirical robust loss on the r-expanded family."""
-    if not sample:
-        raise ValueError("empty sample")
-    regions = [family.region_for(ex.x) for ex in sample]
-    counts = _violated(*_violation_table(hypotheses, regions, sample), r).sum(axis=1)
-    best = int(np.argmin(counts))
-    return RermSolution(hypotheses[best], int(counts[best]) / len(sample), best, len(hypotheses))
-
-
 class ExhaustiveFiniteOracle:
     """Exact argmin over an explicit finite class (lowest index wins ties)."""
 
@@ -87,7 +71,12 @@ class ExhaustiveFiniteOracle:
         self.cls = cls
 
     def solve(self, family: RegionFamily, sample: list[LabeledExample], r: float) -> RermSolution:
-        return _argmin_solution(self.cls, family, sample, r)
+        if not sample:
+            raise ValueError("empty sample")
+        regions = [family.region_for(ex.x) for ex in sample]
+        counts = _violated(*_violation_table(self.cls, regions, sample), r).sum(axis=1)
+        best = int(np.argmin(counts))
+        return RermSolution(self.cls[best], int(counts[best]) / len(sample), best, len(self.cls))
 
 
 class IndexedExhaustiveOracle:
@@ -96,8 +85,8 @@ class IndexedExhaustiveOracle:
     Builds the violation table once, over the support atoms: per
     (hypothesis, atom), the expansion radius at which the robust loss flips
     to 1.  Solving at any radius then reduces to the same vectorized
-    comparison the other oracles make per solve, which makes radius
-    profiles and large trial sweeps exact and cheap.
+    comparison :class:`ExhaustiveFiniteOracle` makes per solve, which makes
+    radius profiles and large trial sweeps exact and cheap.
 
     Atoms are identified by their index in the bound distribution, so a
     sample must hold the distribution's own example objects (as
@@ -123,8 +112,14 @@ class IndexedExhaustiveOracle:
         """Exact expected robust loss of class member ``h_idx`` at radius r."""
         return float(self.violated(r)[h_idx] @ self.dist.probabilities)
 
+    def _counts(self, atom_indices: np.ndarray, r: float) -> np.ndarray:
+        """Per-hypothesis violation counts at r over a nonempty sample of atom indices."""
+        if len(atom_indices) == 0:
+            raise ValueError("empty sample")
+        return self.violated(r)[:, atom_indices].sum(axis=1)
+
     def solve_indices(self, atom_indices: np.ndarray, r: float) -> RermSolution:
-        counts = self.violated(r)[:, atom_indices].sum(axis=1)
+        counts = self._counts(atom_indices, r)
         idx = int(np.argmin(counts))
         return RermSolution(self.cls[idx], counts[idx] / len(atom_indices), idx, len(self.cls))
 
@@ -140,104 +135,15 @@ class IndexedExhaustiveOracle:
         return self.solve_indices(idx, r)
 
     def opt_count(self, atom_indices: np.ndarray, r: float) -> int:
-        return int(np.min(self.violated(r)[:, atom_indices].sum(axis=1)))
+        return int(np.min(self._counts(atom_indices, r)))
 
 
-class LinearCandidatesOracle:
-    """Approximate RERM over bounded halfspaces via candidate search.
-
-    Candidates: hyperplanes through d-tuples of sample points in both
-    orientations, copies of those with offsets swept by the region radii
-    (plus the expansion), and random bounded halfspaces up to the budget.
-    Every candidate is clamped into the W-bounded class.  The returned
-    solution reports the achieved loss and the number of candidates
-    scanned, so optimality is never silently assumed.
-    """
-
-    def __init__(self, bound: BoundedLinearClass, candidate_budget: int, seed: int):
-        if candidate_budget < 1:
-            raise ValueError("candidate_budget must be positive")
-        self.bound = bound
-        self.candidate_budget = candidate_budget
-        self.seed = seed
-
-    def _clamp(self, w: np.ndarray, b: float) -> LinearClassifier | None:
-        norm = float(np.linalg.norm(w))
-        if norm == 0 or not np.isfinite(norm):
-            return None
-        b = float(np.clip(b / norm, -self.bound.W, self.bound.W))
-        return LinearClassifier(w / norm, b)
-
-    def _candidates(self, family: RegionFamily, sample: list[LabeledExample], r: float) -> list[LinearClassifier]:
-        rng = rng_for(self.seed, "candidates")
-        d = self.bound.d
-        pts = np.unique(np.asarray([ex.x for ex in sample]), axis=0)
-        radii = sorted(
-            {round(float(np.max(_region_balls(family.region_for(ex.x))[1])) + r, 12) for ex in sample}
-        )
-        out: list[LinearClassifier] = []
-
-        n_pts = len(pts)
-        if n_pts >= d:
-            tuple_count = 0
-            for idx in _tuple_stream(n_pts, d, rng):
-                if len(out) >= self.candidate_budget or tuple_count > 4 * self.candidate_budget:
-                    break
-                tuple_count += 1
-                w = _normal_through(pts[list(idx)])
-                if w is None:
-                    continue
-                b0 = -float(w @ pts[idx[0]])
-                for sign in (1.0, -1.0):
-                    for shift in [0.0] + [rr for rad in radii for rr in (rad, -rad)]:
-                        h = self._clamp(sign * w, sign * (b0 + shift))
-                        if h is not None:
-                            out.append(h)
-        while len(out) < self.candidate_budget:
-            w = uniform_sphere(1, d, 1.0, rng)[0]
-            h = self._clamp(w, rng.uniform(-self.bound.W, self.bound.W))
-            if h is not None:
-                out.append(h)
-        return out[: self.candidate_budget]
-
-    def solve(self, family: RegionFamily, sample: list[LabeledExample], r: float) -> RermSolution:
-        return _argmin_solution(self._candidates(family, sample, r), family, sample, r)
-
-
-def _normal_through(points: np.ndarray) -> np.ndarray | None:
-    """Unit normal of a hyperplane through d points.
-
-    The smallest right singular vector of the difference matrix is
-    orthogonal to the span of the points' differences, so the returned
-    normal always defines a hyperplane containing all of them (not
-    necessarily unique for degenerate tuples, which is fine for candidate
-    generation).
-    """
-    diffs = points[1:] - points[0]
-    if len(diffs) == 0:
-        return None
-    _, _, vt = np.linalg.svd(diffs, full_matrices=True)
-    return vt[-1]
-
-
-def _tuple_stream(n: int, d: int, rng):
-    """Deterministic stream of d-tuples of indices, exhaustive when small."""
-    from itertools import combinations
-    from math import comb
-
-    if comb(n, d) <= 10_000:
-        yield from combinations(range(n), d)
-    else:
-        while True:
-            yield tuple(rng.choice(n, size=d, replace=False))
-
-
-def rerm_solve(oracle, family: RegionFamily, sample: list[LabeledExample], r: float) -> tuple[Hypothesis, float]:
-    """Minimize empirical robust loss over regions expanded by ``r >= 0``."""
-    if r < 0:
-        raise ValueError("expansion radius must be nonnegative")
-    sol = oracle.solve(family, sample, r)
-    return sol.hypothesis, sol.achieved_loss
+def _check_tolerance(eps: float, delta: float, gamma: float) -> None:
+    """Reject eps or delta outside (0, 1] and a gamma that is not finite and positive."""
+    if not (0 < eps <= 1 and 0 < delta <= 1):
+        raise ValueError("eps and delta must lie in (0, 1]")
+    if not 0 < gamma < np.inf:
+        raise ValueError("gamma must be finite and positive")
 
 
 @dataclass(frozen=True)
@@ -266,10 +172,7 @@ def tolrerm(
     two draws never share state.  Deterministic per seed; the radius used
     is reported for audit, and so is the oracle's index of the answer.
     """
-    if not (0 < eps <= 1 and 0 < delta <= 1):
-        raise ValueError("eps and delta must lie in (0, 1]")
-    if gamma <= 0:
-        raise ValueError("gamma must be positive")
+    _check_tolerance(eps, delta, gamma)
     if n < 1:
         raise ValueError("need at least one sample point")
     lo = eps * delta * gamma / 7.0
@@ -277,34 +180,6 @@ def tolrerm(
     sample = dist.sample(n, rng_for(seed, "sample"))
     sol = oracle.solve(family, sample, r)
     return TolRermResult(sol.hypothesis, r, sol.achieved_loss, n, sol.index)
-
-
-@dataclass(frozen=True, eq=False)
-class OptProfile:
-    """Minimal empirical robust loss as a function of expansion radius."""
-
-    r_grid: np.ndarray
-    opt_values: np.ndarray
-
-    def __post_init__(self):
-        r = np.asarray(self.r_grid, dtype=float)
-        v = np.asarray(self.opt_values, dtype=float)
-        if len(r) != len(v):
-            raise ValueError("grid and values must align")
-        if np.any(np.diff(r) <= 0) or np.any(r < 0):
-            raise ValueError("r_grid must be strictly increasing and nonnegative")
-        if np.any(v < -1e-12) or np.any(v > 1 + 1e-12):
-            raise ValueError("opt values must lie in [0, 1]")
-        if np.any(np.diff(v) < -1e-12):
-            raise ValueError("opt profile must be nondecreasing")
-        object.__setattr__(self, "r_grid", r)
-        object.__setattr__(self, "opt_values", v)
-
-
-def opt_profile(oracle, family: RegionFamily, sample: list[LabeledExample], r_grid) -> OptProfile:
-    """Evaluate the optimal empirical robust loss on a radius grid."""
-    values = [oracle.solve(family, sample, float(r)).achieved_loss for r in r_grid]
-    return OptProfile(np.asarray(r_grid, dtype=float), np.asarray(values))
 
 
 @dataclass(frozen=True)
@@ -336,6 +211,7 @@ def opt_gap_audit(
     and the frequency of gaps below ``eps/3`` is at least ``1 - delta/2``;
     the audit returns both empirical statistics alongside those targets.
     """
+    _check_tolerance(eps, delta, gamma)
     if trials < 100:
         raise ValueError("need at least 100 trials for a meaningful audit")
     alpha = eps * delta * gamma / 7.0

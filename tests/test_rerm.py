@@ -9,8 +9,7 @@ from robustlab.classifiers import (
     FiniteClass,
     LabeledExample,
     LinearClassifier,
-    BoundedLinearClass,
-    robust_loss_sample,
+    robust_loss_point,
 )
 from robustlab.geometry import Ball
 from robustlab.oracle_game import build_oracle_game
@@ -18,15 +17,10 @@ from robustlab.regions import RegionFamily
 from robustlab.rerm import (
     ExhaustiveFiniteOracle,
     IndexedExhaustiveOracle,
-    LinearCandidatesOracle,
-    OptProfile,
     make_learning_task,
     opt_gap_audit,
-    opt_profile,
-    rerm_solve,
     tolrerm,
 )
-from robustlab.seeding import rng_for
 from test_classifiers import direct_loss
 
 
@@ -43,28 +37,37 @@ class TestRermSolve:
     def test_picks_h1_under_plain_family(self, game):
         oracle = ExhaustiveFiniteOracle(game.cls)
         sample = list(game.dist.examples)
-        h, loss = rerm_solve(oracle, game.u_family, sample, r=0.0)
-        assert h is game.h1
-        assert loss == 0.0
+        sol = oracle.solve(game.u_family, sample, 0.0)
+        assert sol.hypothesis is game.h1
+        assert sol.achieved_loss == 0.0
 
     def test_picks_h2_under_side_ball_family(self, game):
         oracle = ExhaustiveFiniteOracle(game.cls)
         sample = list(game.dist.examples)
-        h, loss = rerm_solve(oracle, game.v_family, sample, r=0.0)
-        assert h is game.h2
-        assert loss == 0.5
+        sol = oracle.solve(game.v_family, sample, 0.0)
+        assert sol.hypothesis is game.h2
+        assert sol.achieved_loss == 0.5
 
     def test_realizable_case(self):
         anchors = [np.array([1.0, 0.0]), np.array([2.0, 0.0])]
         fam = RegionFamily([(a, Ball(a, 0.1)) for a in anchors])
         cls = FiniteClass((LinearClassifier((1, 0), 0.0),))
         sample = [ex(a, 1) for a in anchors]
-        _, loss = rerm_solve(ExhaustiveFiniteOracle(cls), fam, sample, r=0.0)
-        assert loss == 0.0
+        assert ExhaustiveFiniteOracle(cls).solve(fam, sample, 0.0).achieved_loss == 0.0
 
     def test_empty_sample_rejected(self, game):
         with pytest.raises(ValueError):
-            rerm_solve(ExhaustiveFiniteOracle(game.cls), game.u_family, [], 0.0)
+            ExhaustiveFiniteOracle(game.cls).solve(game.u_family, [], 0.0)
+
+    @pytest.mark.parametrize("r", [-1.0, np.nan])
+    def test_bad_radius_rejected(self, game, r):
+        sample = list(game.dist.examples)
+        for oracle in (
+            ExhaustiveFiniteOracle(game.cls),
+            IndexedExhaustiveOracle(game.cls, game.u_family, game.dist),
+        ):
+            with pytest.raises(ValueError, match="nonnegative"):
+                oracle.solve(game.u_family, sample, r)
 
     def test_tie_break_lowest_index(self):
         anchor = np.array([2.0, 0.0])
@@ -82,7 +85,8 @@ class TestRermSolve:
             sol = oracle.solve(game.v_family, sample, r)
             expanded = game.v_family.expanded(r)
             for h in game.cls:
-                assert sol.achieved_loss <= robust_loss_sample(h, expanded, sample)
+                losses = [robust_loss_point(h, expanded.region_for(e.x), e) for e in sample]
+                assert sol.achieved_loss <= np.mean(losses)
 
 
 def direct_argmin(cls, family, sample, r) -> tuple[int, float]:
@@ -125,6 +129,18 @@ class TestIndexedOracle:
         with pytest.raises(ValueError, match="not an atom"):
             oracle.solve(task.family, [ex(atom.x.copy(), atom.y)], 0.1)
 
+    def test_empty_sample_rejected(self):
+        task = make_learning_task(2)
+        oracle = IndexedExhaustiveOracle(task.cls, task.family, task.dist)
+        no_atoms = np.array([], dtype=int)
+        for call in (
+            lambda: oracle.solve(task.family, [], 0.1),
+            lambda: oracle.solve_indices(no_atoms, 0.1),
+            lambda: oracle.opt_count(no_atoms, 0.1),
+        ):
+            with pytest.raises(ValueError, match="empty sample"):
+                call()
+
     def test_distribution_loss_matches_direct(self):
         from robustlab.classifiers import robust_loss_distribution
 
@@ -133,49 +149,6 @@ class TestIndexedOracle:
         for i, h in enumerate(task.cls):
             direct = robust_loss_distribution(h, task.family, task.dist)
             assert fast.distribution_loss(i, 0.0) == pytest.approx(direct)
-
-
-class TestLinearCandidatesOracle:
-    def test_separable_instance_solved_exactly(self):
-        anchors = [np.array([-1.0, 0.0]), np.array([1.0, 0.0])]
-        fam = RegionFamily([(a, Ball(a, 0.2)) for a in anchors])
-        sample = [ex(anchors[0], -1), ex(anchors[1], 1)]
-        oracle = LinearCandidatesOracle(BoundedLinearClass(2.0, 2), 200, seed=0)
-        sol = oracle.solve(fam, sample, r=0.0)
-        assert sol.achieved_loss == 0.0
-        assert sol.n_candidates == 200
-
-    def test_dominance_over_generated_candidates(self):
-        anchors = [np.array([-1.0, 0.3]), np.array([0.5, -0.2]), np.array([1.2, 0.8])]
-        fam = RegionFamily([(a, Ball(a, 0.15)) for a in anchors])
-        sample = [ex(anchors[0], -1), ex(anchors[1], 1), ex(anchors[2], -1)]
-        oracle = LinearCandidatesOracle(BoundedLinearClass(2.0, 2), 150, seed=1)
-        sol = oracle.solve(fam, sample, r=0.1)
-        expanded = fam.expanded(0.1)
-        for h in oracle._candidates(fam, sample, 0.1):
-            assert sol.achieved_loss <= robust_loss_sample(h, expanded, sample)
-
-    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
-    def test_solution_is_lowest_index_brute_force_minimum(self, seed):
-        rng = rng_for(seed, "candidates-brute-force")
-        anchors = [rng.uniform(-1.5, 1.5, size=2) for _ in range(6)]
-        fam = RegionFamily([(a, Ball(a, float(rng.uniform(0.05, 0.3)))) for a in anchors])
-        sample = [ex(a, 1 if rng.random() < 0.5 else -1) for a in anchors]
-        oracle = LinearCandidatesOracle(BoundedLinearClass(2.0, 2), 60, seed=seed)
-        for r in (0.0, 0.05, 0.2, 0.6):
-            sol = oracle.solve(fam, sample, r)
-            expanded = fam.expanded(r)
-            losses = [robust_loss_sample(h, expanded, sample) for h in oracle._candidates(fam, sample, r)]
-            best = int(np.argmin(losses))
-            assert (sol.index, sol.achieved_loss, sol.n_candidates) == (best, losses[best], len(losses))
-
-    def test_candidates_respect_bound(self):
-        cls = BoundedLinearClass(1.5, 2)
-        anchors = [np.array([0.0, 0.0]), np.array([4.0, 4.0])]
-        fam = RegionFamily([(a, Ball(a, 0.1)) for a in anchors])
-        sample = [ex(anchors[0], 1), ex(anchors[1], -1)]
-        oracle = LinearCandidatesOracle(cls, 100, seed=2)
-        assert all(cls.contains(h) for h in oracle._candidates(fam, sample, 0.0))
 
 
 class TestTolRerm:
@@ -235,17 +208,11 @@ class TestTolRerm:
         with pytest.raises(ValueError):
             tolrerm(oracle, game.u_family, game.dist, 0.5, 0.5, -1.0, 5, 0)
 
-    def test_with_candidate_search_oracle(self):
-        # the approximate oracle plugs into the tolerant learner unchanged
-        anchors = [np.array([-1.0, 0.0]), np.array([1.0, 0.0])]
-        fam = RegionFamily([(a, Ball(a, 0.2)) for a in anchors])
-        dist = DiscreteDistribution.uniform([ex(anchors[0], -1), ex(anchors[1], 1)])
-        oracle = LinearCandidatesOracle(BoundedLinearClass(2.0, 2), 150, seed=0)
-        res = tolrerm(oracle, fam, dist, 0.5, 0.5, 0.3, 30, seed=4)
-        assert res.achieved_loss == 0.0
-        from robustlab.classifiers import robust_loss_distribution
-
-        assert robust_loss_distribution(res.hypothesis, fam, dist) == 0.0
+    @pytest.mark.parametrize("gamma", [np.nan, np.inf])
+    def test_nonfinite_gamma_rejected(self, game, gamma):
+        oracle = ExhaustiveFiniteOracle(game.cls)
+        with pytest.raises(ValueError, match="gamma"):
+            tolrerm(oracle, game.u_family, game.dist, 0.5, 0.5, gamma, 5, 0)
 
 
 class TestOptProfile:
@@ -253,10 +220,9 @@ class TestOptProfile:
         anchor = np.array([5.0, 0.0])
         fam = RegionFamily([(anchor, Ball(anchor, 0.1))])
         cls = FiniteClass((LinearClassifier((1, 0), 0.0),))
-        profile = opt_profile(
-            ExhaustiveFiniteOracle(cls), fam, [ex(anchor, 1)], [0.0, 1.0, 2.0]
-        )
-        assert np.all(profile.opt_values == 0.0)
+        oracle = ExhaustiveFiniteOracle(cls)
+        opts = [oracle.solve(fam, [ex(anchor, 1)], r).achieved_loss for r in (0.0, 1.0, 2.0)]
+        assert opts == sorted(opts) == [0.0, 0.0, 0.0]
 
     def test_two_point_jump_at_touching_radius(self):
         # crossing oracle: center-to-boundary distance = radius + r at r = 1
@@ -265,34 +231,50 @@ class TestOptProfile:
         fam = RegionFamily([(a, Ball(a, 1.0)) for a in anchors])
         sample = [ex(anchors[0], -1), ex(anchors[1], 1)]
         oracle = ExhaustiveFiniteOracle(FiniteClass((h,)))
-        profile = opt_profile(oracle, fam, sample, [0.0, 0.5, 0.999, 1.0, 1.5])
-        assert list(profile.opt_values[:3]) == [0.0, 0.0, 0.0]
-        assert profile.opt_values[3] == 0.5  # the -1 atom touches, 0-margin is +1
-        assert profile.opt_values[4] == 1.0
+        opts = [oracle.solve(fam, sample, r).achieved_loss for r in (0.0, 0.5, 0.999, 1.0, 1.5)]
+        assert opts == sorted(opts)
+        assert opts[:3] == [0.0, 0.0, 0.0]
+        assert opts[3] == 0.5  # the -1 atom touches, 0-margin is +1
+        assert opts[4] == 1.0
 
     def test_separated_profile_flat_until_margin(self, game):
         oracle = ExhaustiveFiniteOracle(game.cls)
         sample = list(game.dist.examples)
         gamma = game.gamma
         grid = [0.0, gamma, 2 * gamma, 3.999 * gamma, 4 * gamma]
-        profile = opt_profile(oracle, game.u_family, sample, grid)
-        assert np.all(profile.opt_values[:4] == 0.0)
-        assert profile.opt_values[4] == 0.5
-
-    def test_monotonicity_enforced(self):
-        with pytest.raises(ValueError):
-            OptProfile(np.array([0.0, 1.0]), np.array([0.5, 0.25]))
+        opts = [oracle.solve(game.u_family, sample, r).achieved_loss for r in grid]
+        assert opts == sorted(opts)
+        assert opts[:4] == [0.0, 0.0, 0.0, 0.0]
+        assert opts[4] == 0.5
 
     def test_exact_oracle_values_are_sample_fractions(self):
         task = make_learning_task(21)
         oracle = ExhaustiveFiniteOracle(task.cls)
         sample = task.dist.sample(17, seed=3)
-        profile = opt_profile(oracle, task.family, sample, np.linspace(0, 0.4, 6))
-        scaled = profile.opt_values * len(sample)
+        opts = [oracle.solve(task.family, sample, r).achieved_loss for r in np.linspace(0, 0.4, 6)]
+        assert opts == sorted(opts)
+        scaled = np.array(opts) * len(sample)
         assert np.allclose(scaled, np.round(scaled))  # multiples of 1/|S|
 
 
 class TestGapAudit:
+    @pytest.mark.parametrize(
+        "eps,delta,gamma",
+        [
+            (0.0, 0.3, 1.0),
+            (2.0, 2.0, 1.0),
+            (0.3, 0.0, 1.0),
+            (np.nan, 0.3, 1.0),
+            (0.3, np.nan, 1.0),
+            (0.3, 0.3, 0.0),
+            (0.3, 0.3, np.nan),
+            (0.3, 0.3, np.inf),
+        ],
+    )
+    def test_bad_parameters_rejected(self, eps, delta, gamma):
+        with pytest.raises(ValueError):
+            opt_gap_audit(lambda r: 0.0, eps, delta, gamma, 500, seed=0)
+
     def test_constant_profile(self):
         audit = opt_gap_audit(lambda r: 0.25, 0.3, 0.3, 1.0, 500, seed=0)
         assert audit.frequency_ok == 1.0

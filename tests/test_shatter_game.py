@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from robustlab.classifiers import LabeledExample, linear_net_2d
+from robustlab.classifiers import LabeledExample, linear_net_2d, robust_loss_point
 from robustlab.regions import point_key
 from robustlab.shatter_game import (
     best_response_learner,
@@ -129,13 +129,12 @@ class TestFailureInstance:
                 )
 
     def test_m_two_witness_sample_loss_is_third(self):
-        from robustlab.classifiers import robust_loss_sample
-
         inst = build_failure_instance(2, 1.0, 2, seed=1)
         sample = [LabeledExample(a, -1) for a in inst.anchors]
         for h in inst.witnesses[:5]:
             # each witness lacks robustness on exactly its m = 2 anchors
-            assert robust_loss_sample(h, inst.family, sample) == pytest.approx(2 / 6)
+            losses = [robust_loss_point(h, inst.family.region_for(e.x), e) for e in sample]
+            assert np.mean(losses) == pytest.approx(2 / 6)
 
     def test_m_two_random_cross_loss_pairs(self):
         inst = build_failure_instance(2, 1.0, 2, seed=1)
@@ -157,12 +156,11 @@ class TestFailureInstance:
         # enumeration over a discretized net: any bounded halfspace is
         # positive on some cell, hence non-robust on all m anchors of that
         # cell's subset, so its sample loss on the full support is >= m/(3m)
-        from robustlab.classifiers import robust_loss_sample
-
         inst = build_failure_instance(1, 1.0, 2, seed=2)
         sample = [LabeledExample(a, -1) for a in inst.anchors]
         for h in linear_net_2d(1.0, 20, 15):
-            assert robust_loss_sample(h, inst.family, sample) >= 1 / 3
+            losses = [robust_loss_point(h, inst.family.region_for(e.x), e) for e in sample]
+            assert np.mean(losses) >= 1 / 3
 
 
 @pytest.fixture(scope="module")
