@@ -23,7 +23,7 @@ print(f"support {len(task.dist)} atoms, class {len(task.cls)} hypotheses, "
 for n in (10, 30, 100, 300):
     excesses = []
     for trial in range(200):
-        res = tolrerm(oracle, task.family, task.dist, eps, delta, task.gamma, n, seed=1000 * n + trial)
+        res = tolrerm(oracle, eps, delta, task.gamma, n, seed=1000 * n + trial)
         excesses.append(oracle.distribution_loss(res.index, 0.0) - opt_gamma)
     excesses = np.array(excesses)
     print(
@@ -46,9 +46,6 @@ print(f"mean gap {audit.mean_gap:.5f} vs bound alpha/(gamma-alpha) = {audit.mean
 
 print()
 print("== the drawn radius is auditable ==")
-rs = [
-    tolrerm(oracle, task.family, task.dist, eps, delta, task.gamma, 5, seed=s).r_used
-    for s in range(5)
-]
+rs = [tolrerm(oracle, eps, delta, task.gamma, 5, seed=s).r_used for s in range(5)]
 lo = eps * delta * task.gamma / 7
 print(f"r draws {np.round(rs, 4)} all inside [{lo:.5f}, {task.gamma}]")

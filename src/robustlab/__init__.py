@@ -30,7 +30,6 @@ from .classifiers import (
     robust_loss_point,
 )
 from .rerm import (
-    ExhaustiveFiniteOracle,
     IndexedExhaustiveOracle,
     opt_gap_audit,
     tolrerm,
@@ -67,7 +66,6 @@ __all__ = [
     "regularity_check",
     "robust_loss_distribution",
     "robust_loss_point",
-    "ExhaustiveFiniteOracle",
     "IndexedExhaustiveOracle",
     "opt_gap_audit",
     "tolrerm",

@@ -263,7 +263,7 @@ def _run_tolrerm_sweep(params: dict, seed: int):
         for n in n_grid:
             for trial in range(params["trials"]):
                 run_seed = seed_derive(seed, f"run-{task_idx}-{n}-{trial}")
-                res = tolrerm(oracle, task.family, task.dist, eps, delta, task.gamma, n, run_seed)
+                res = tolrerm(oracle, eps, delta, task.gamma, n, run_seed)
                 excess = oracle.distribution_loss(res.index, 0.0) - opt_gamma
                 rows.append(
                     {

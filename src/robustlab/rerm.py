@@ -1,22 +1,16 @@
-"""Robust empirical risk minimization oracles and the tolerant variant.
+"""The exact RERM oracle and the tolerant learner built on it.
 
 The tolerant learner draws an expansion radius uniformly from
 ``[eps * delta * gamma / 7, gamma]``, draws its sample independently of the
-radius (separate derived RNG streams), and asks an oracle for the class
+radius (separate derived RNG streams), and asks the oracle for the class
 member minimizing empirical robust loss on the radius-expanded regions.
 
-Two exact oracle realizations ship, both on one violation table: the
-(hypothesis x example) flip radii of
-:func:`~robustlab.classifiers.violation_radius` on the unexpanded regions,
-compared against the requested radius.
-
-* :class:`ExhaustiveFiniteOracle` scans an explicit class and returns a
-  true argmin with lowest-index tie-breaking;
-* :class:`IndexedExhaustiveOracle` builds the table once over a bound
-  distribution's atoms and answers any radius and any sample of those
-  atoms from it.
-
-Both reject an empty sample and a radius that is negative or NaN with
+:class:`IndexedExhaustiveOracle` is bound to one class, one region family
+and one finite distribution.  It builds the (hypothesis x atom) table of
+:func:`~robustlab.classifiers.violation_radius` flip radii once, and takes
+every sample as an array of atom indices into the distribution.  It returns
+a true argmin with lowest-index tie-breaking, and rejects an empty sample,
+an index that is not an atom's, and a radius that is negative or NaN with
 ``ValueError``.
 """
 
@@ -43,7 +37,6 @@ from .seeding import rng_for, uniform_sphere
 
 __all__ = [
     "RermSolution",
-    "ExhaustiveFiniteOracle",
     "IndexedExhaustiveOracle",
     "TolRermResult",
     "tolrerm",
@@ -61,46 +54,32 @@ class RermSolution:
     hypothesis: Hypothesis
     achieved_loss: float
     index: int
-    n_candidates: int
 
 
-class ExhaustiveFiniteOracle:
-    """Exact argmin over an explicit finite class (lowest index wins ties)."""
-
-    def __init__(self, cls: FiniteClass):
-        self.cls = cls
-
-    def solve(self, family: RegionFamily, sample: list[LabeledExample], r: float) -> RermSolution:
-        if not sample:
-            raise ValueError("empty sample")
-        regions = [family.region_for(ex.x) for ex in sample]
-        counts = _violated(*_violation_table(self.cls, regions, sample), r).sum(axis=1)
-        best = int(np.argmin(counts))
-        return RermSolution(self.cls[best], int(counts[best]) / len(sample), best, len(self.cls))
+def _check_indices(indices: np.ndarray, size: int, what: str) -> None:
+    """Reject indices that are not integers in ``[0, size)``."""
+    if indices.dtype.kind not in "iu":
+        raise ValueError(f"{what} indices must be integers")
+    if not (indices.min() >= 0 and indices.max() < size):
+        raise ValueError(f"{what} indices must lie in [0, {size})")
 
 
 class IndexedExhaustiveOracle:
-    """Exhaustive oracle bound to one family and one finite support.
+    """Exact argmin over a finite class, bound to one family and one support.
 
     Builds the violation table once, over the support atoms: per
     (hypothesis, atom), the expansion radius at which the robust loss flips
-    to 1.  Solving at any radius then reduces to the same vectorized
-    comparison :class:`ExhaustiveFiniteOracle` makes per solve, which makes
-    radius profiles and large trial sweeps exact and cheap.
+    to 1.  Solving at any radius is then one vectorized comparison, which
+    makes radius profiles and large trial sweeps exact and cheap.
 
-    Atoms are identified by their index in the bound distribution, so a
-    sample must hold the distribution's own example objects (as
-    ``dist.sample`` returns them); any other example raises ``ValueError``.
-    Atoms sharing a point keep apart, and answers are identical to
-    :class:`ExhaustiveFiniteOracle` on its bound support.
+    A sample is an array of atom indices into the bound distribution (as
+    ``dist.sample_indices`` draws them), so atoms sharing a point keep
+    apart.  The lowest class index wins ties.
     """
 
     def __init__(self, cls: FiniteClass, family: RegionFamily, dist: DiscreteDistribution):
         self.cls = cls
-        self.family = family
         self.dist = dist
-        # the distribution keeps its atoms alive, so their ids stay unique
-        self._atom_index = {id(ex): j for j, ex in enumerate(dist.examples)}
         regions = [family.region_for(ex.x) for ex in dist.examples]
         self._radii, self._incl = _violation_table(cls, regions, dist.examples)
 
@@ -110,29 +89,22 @@ class IndexedExhaustiveOracle:
 
     def distribution_loss(self, h_idx: int, r: float) -> float:
         """Exact expected robust loss of class member ``h_idx`` at radius r."""
+        _check_indices(np.asarray(h_idx), len(self.cls), "hypothesis")
         return float(self.violated(r)[h_idx] @ self.dist.probabilities)
 
     def _counts(self, atom_indices: np.ndarray, r: float) -> np.ndarray:
         """Per-hypothesis violation counts at r over a nonempty sample of atom indices."""
-        if len(atom_indices) == 0:
+        atom_indices = np.asarray(atom_indices)
+        if atom_indices.size == 0:
             raise ValueError("empty sample")
+        _check_indices(atom_indices, len(self.dist), "atom")
         return self.violated(r)[:, atom_indices].sum(axis=1)
 
-    def solve_indices(self, atom_indices: np.ndarray, r: float) -> RermSolution:
+    def solve(self, atom_indices: np.ndarray, r: float) -> RermSolution:
+        """Lowest-index minimizer of empirical robust loss at r on the sampled atoms."""
         counts = self._counts(atom_indices, r)
         idx = int(np.argmin(counts))
-        return RermSolution(self.cls[idx], counts[idx] / len(atom_indices), idx, len(self.cls))
-
-    def solve(self, family: RegionFamily, sample: list[LabeledExample], r: float) -> RermSolution:
-        if family is not self.family:
-            raise ValueError("oracle is bound to a different region family")
-        try:
-            idx = np.array([self._atom_index[id(ex)] for ex in sample])
-        except KeyError:
-            raise ValueError(
-                "sample holds an example that is not an atom of the bound distribution"
-            ) from None
-        return self.solve_indices(idx, r)
+        return RermSolution(self.cls[idx], int(counts[idx]) / len(atom_indices), idx)
 
     def opt_count(self, atom_indices: np.ndarray, r: float) -> int:
         return int(np.min(self._counts(atom_indices, r)))
@@ -156,9 +128,7 @@ class TolRermResult:
 
 
 def tolrerm(
-    oracle,
-    family: RegionFamily,
-    dist: DiscreteDistribution,
+    oracle: IndexedExhaustiveOracle,
     eps: float,
     delta: float,
     gamma: float,
@@ -177,8 +147,8 @@ def tolrerm(
         raise ValueError("need at least one sample point")
     lo = eps * delta * gamma / 7.0
     r = float(rng_for(seed, "radius").uniform(lo, gamma))
-    sample = dist.sample(n, rng_for(seed, "sample"))
-    sol = oracle.solve(family, sample, r)
+    sample = oracle.dist.sample_indices(n, rng_for(seed, "sample"))
+    sol = oracle.solve(sample, r)
     return TolRermResult(sol.hypothesis, r, sol.achieved_loss, n, sol.index)
 
 

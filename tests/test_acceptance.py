@@ -464,7 +464,7 @@ def test_c10_property_suites_and_reproducibility(tmp_path):
         grid = np.linspace(0, task.gamma, 9)
         opts = [oracle.opt_count(sample_idx, r) for r in grid]
         assert all(b >= a for a, b in zip(opts, opts[1:]))
-        sol = oracle.solve_indices(sample_idx, task.gamma / 2)
+        sol = oracle.solve(sample_idx, task.gamma / 2)
         counts = oracle.violated(task.gamma / 2)[:, sample_idx].sum(axis=1)
         assert np.all(sol.achieved_loss * len(sample_idx) <= counts + 1e-9)
 

@@ -15,12 +15,12 @@ from robustlab.geometry import Ball
 from robustlab.oracle_game import build_oracle_game
 from robustlab.regions import RegionFamily
 from robustlab.rerm import (
-    ExhaustiveFiniteOracle,
     IndexedExhaustiveOracle,
     make_learning_task,
     opt_gap_audit,
     tolrerm,
 )
+from robustlab.seeding import rng_for
 from test_classifiers import direct_loss
 
 
@@ -33,56 +33,57 @@ def game():
     return build_oracle_game(D=20.0, gamma=1.0, d=2)
 
 
+def all_atoms(dist):
+    return np.arange(len(dist))
+
+
 class TestRermSolve:
     def test_picks_h1_under_plain_family(self, game):
-        oracle = ExhaustiveFiniteOracle(game.cls)
-        sample = list(game.dist.examples)
-        sol = oracle.solve(game.u_family, sample, 0.0)
+        oracle = IndexedExhaustiveOracle(game.cls, game.u_family, game.dist)
+        sol = oracle.solve(all_atoms(game.dist), 0.0)
         assert sol.hypothesis is game.h1
         assert sol.achieved_loss == 0.0
 
     def test_picks_h2_under_side_ball_family(self, game):
-        oracle = ExhaustiveFiniteOracle(game.cls)
-        sample = list(game.dist.examples)
-        sol = oracle.solve(game.v_family, sample, 0.0)
+        oracle = IndexedExhaustiveOracle(game.cls, game.v_family, game.dist)
+        sol = oracle.solve(all_atoms(game.dist), 0.0)
         assert sol.hypothesis is game.h2
         assert sol.achieved_loss == 0.5
 
     def test_realizable_case(self):
         anchors = [np.array([1.0, 0.0]), np.array([2.0, 0.0])]
         fam = RegionFamily([(a, Ball(a, 0.1)) for a in anchors])
+        dist = DiscreteDistribution.uniform([ex(a, 1) for a in anchors])
         cls = FiniteClass((LinearClassifier((1, 0), 0.0),))
-        sample = [ex(a, 1) for a in anchors]
-        assert ExhaustiveFiniteOracle(cls).solve(fam, sample, 0.0).achieved_loss == 0.0
+        oracle = IndexedExhaustiveOracle(cls, fam, dist)
+        assert oracle.solve(all_atoms(dist), 0.0).achieved_loss == 0.0
 
     def test_empty_sample_rejected(self, game):
+        oracle = IndexedExhaustiveOracle(game.cls, game.u_family, game.dist)
         with pytest.raises(ValueError):
-            ExhaustiveFiniteOracle(game.cls).solve(game.u_family, [], 0.0)
+            oracle.solve(np.array([], dtype=int), 0.0)
 
     @pytest.mark.parametrize("r", [-1.0, np.nan])
     def test_bad_radius_rejected(self, game, r):
-        sample = list(game.dist.examples)
-        for oracle in (
-            ExhaustiveFiniteOracle(game.cls),
-            IndexedExhaustiveOracle(game.cls, game.u_family, game.dist),
-        ):
-            with pytest.raises(ValueError, match="nonnegative"):
-                oracle.solve(game.u_family, sample, r)
+        oracle = IndexedExhaustiveOracle(game.cls, game.u_family, game.dist)
+        with pytest.raises(ValueError, match="nonnegative"):
+            oracle.solve(all_atoms(game.dist), r)
 
     def test_tie_break_lowest_index(self):
         anchor = np.array([2.0, 0.0])
         fam = RegionFamily([(anchor, Ball(anchor, 0.1))])
+        dist = DiscreteDistribution([(ex(anchor, 1), 1.0)])
         twins = FiniteClass(
             (LinearClassifier((1, 0), 0.0), LinearClassifier((1, 0), -0.5))
         )
-        sol = ExhaustiveFiniteOracle(twins).solve(fam, [ex(anchor, 1)], 0.0)
+        sol = IndexedExhaustiveOracle(twins, fam, dist).solve(np.array([0]), 0.0)
         assert sol.index == 0
 
     def test_oracle_dominance_exhaustive(self, game):
-        oracle = ExhaustiveFiniteOracle(game.cls)
+        oracle = IndexedExhaustiveOracle(game.cls, game.v_family, game.dist)
         sample = list(game.dist.examples)
         for r in (0.0, 0.5, 2.0, 5.0):
-            sol = oracle.solve(game.v_family, sample, r)
+            sol = oracle.solve(all_atoms(game.dist), r)
             expanded = game.v_family.expanded(r)
             for h in game.cls:
                 losses = [robust_loss_point(h, expanded.region_for(e.x), e) for e in sample]
@@ -101,14 +102,13 @@ class TestIndexedOracle:
     def test_matches_exhaustive_everywhere(self):
         for task_seed in range(4):
             task = make_learning_task(task_seed)
-            slow = ExhaustiveFiniteOracle(task.cls)
-            fast = IndexedExhaustiveOracle(task.cls, task.family, task.dist)
-            sample = task.dist.sample(40, seed=task_seed + 100)
+            oracle = IndexedExhaustiveOracle(task.cls, task.family, task.dist)
+            sample_idx = task.dist.sample_indices(40, seed=task_seed + 100)
+            sample = [task.dist.examples[i] for i in sample_idx]
             for r in (0.0, 0.05, 0.17, task.gamma):
                 expected = direct_argmin(task.cls, task.family, sample, r)
-                for oracle in (slow, fast):
-                    sol = oracle.solve(task.family, sample, r)
-                    assert (sol.index, sol.achieved_loss) == expected
+                sol = oracle.solve(sample_idx, r)
+                assert (sol.index, sol.achieved_loss) == expected
 
     def test_label_noise_atoms_kept_apart(self):
         # two atoms at one point with opposite labels
@@ -116,30 +116,41 @@ class TestIndexedOracle:
         fam = RegionFamily([(x, Ball(x, 0.1))])
         dist = DiscreteDistribution([(ex(x, 1), 1 / 3), (ex(x, -1), 2 / 3)])
         cls = FiniteClass((LinearClassifier((1, 0), 0.0), LinearClassifier((1, 0), -5.0)))
-        sample = [dist.examples[0], dist.examples[1], dist.examples[1]]
-        slow = ExhaustiveFiniteOracle(cls).solve(fam, sample, 0.0)
-        fast = IndexedExhaustiveOracle(cls, fam, dist).solve(fam, sample, 0.0)
-        assert slow.achieved_loss == pytest.approx(1 / 3)
-        assert (fast.index, fast.achieved_loss) == (slow.index, slow.achieved_loss)
-
-    def test_example_outside_support_rejected(self):
-        task = make_learning_task(2)
-        oracle = IndexedExhaustiveOracle(task.cls, task.family, task.dist)
-        atom = task.dist.examples[0]
-        with pytest.raises(ValueError, match="not an atom"):
-            oracle.solve(task.family, [ex(atom.x.copy(), atom.y)], 0.1)
+        sol = IndexedExhaustiveOracle(cls, fam, dist).solve(np.array([0, 1, 1]), 0.0)
+        assert sol.achieved_loss == pytest.approx(1 / 3)
+        assert sol.index == 1  # the -1 side, wrong only on the single +1 draw
 
     def test_empty_sample_rejected(self):
         task = make_learning_task(2)
         oracle = IndexedExhaustiveOracle(task.cls, task.family, task.dist)
         no_atoms = np.array([], dtype=int)
         for call in (
-            lambda: oracle.solve(task.family, [], 0.1),
-            lambda: oracle.solve_indices(no_atoms, 0.1),
+            lambda: oracle.solve(no_atoms, 0.1),
             lambda: oracle.opt_count(no_atoms, 0.1),
         ):
             with pytest.raises(ValueError, match="empty sample"):
                 call()
+
+    @pytest.mark.parametrize("bad", ["negative", "past_end", "float"])
+    def test_bad_atom_indices_rejected(self, bad):
+        task = make_learning_task(1)
+        oracle = IndexedExhaustiveOracle(task.cls, task.family, task.dist)
+        atoms = {
+            "negative": np.array([0, -1]),
+            "past_end": np.array([0, len(task.dist)]),
+            "float": np.array([0.0, 1.0]),
+        }[bad]
+        for call in (oracle.solve, oracle.opt_count):
+            with pytest.raises(ValueError, match="atom indices"):
+                call(atoms, 0.1)
+
+    @pytest.mark.parametrize("bad", ["negative", "past_end", "float"])
+    def test_bad_hypothesis_index_rejected(self, bad):
+        task = make_learning_task(1)
+        oracle = IndexedExhaustiveOracle(task.cls, task.family, task.dist)
+        h_idx = {"negative": -1, "past_end": len(task.cls), "float": np.array([0.0])}[bad]
+        with pytest.raises(ValueError, match="hypothesis indices"):
+            oracle.distribution_loss(h_idx, 0.1)
 
     def test_distribution_loss_matches_direct(self):
         from robustlab.classifiers import robust_loss_distribution
@@ -153,20 +164,17 @@ class TestIndexedOracle:
 
 class TestTolRerm:
     def test_radius_interval_endpoints(self, game):
-        oracle = ExhaustiveFiniteOracle(game.cls)
-        rs = [
-            tolrerm(oracle, game.u_family, game.dist, 1.0, 1.0, 0.7, 5, seed).r_used
-            for seed in range(200)
-        ]
+        oracle = IndexedExhaustiveOracle(game.cls, game.u_family, game.dist)
+        rs = [tolrerm(oracle, 1.0, 1.0, 0.7, 5, seed).r_used for seed in range(200)]
         assert all(0.1 <= r <= 0.7 for r in rs)  # endpoints eps*delta*gamma/7, gamma
         assert min(rs) < 0.2 and max(rs) > 0.6
 
     def test_separated_construction_returns_optimal(self, game):
         # expanding by any r <= gamma keeps the plain family separated:
         # the margin of h1 to the core balls is 4 * gamma
-        oracle = ExhaustiveFiniteOracle(game.cls)
+        oracle = IndexedExhaustiveOracle(game.cls, game.u_family, game.dist)
         for seed in range(10):
-            res = tolrerm(oracle, game.u_family, game.dist, 0.5, 0.5, game.gamma, 50, seed)
+            res = tolrerm(oracle, 0.5, 0.5, game.gamma, 50, seed)
             assert res.hypothesis is game.h1
             from robustlab.classifiers import robust_loss_distribution
 
@@ -177,51 +185,62 @@ class TestTolRerm:
         fam = RegionFamily([(anchor, Ball(anchor, 0.1))])
         dist = DiscreteDistribution([(ex(anchor, 1), 1.0)])
         cls = FiniteClass((LinearClassifier((1, 0), 1.0),))
-        res = tolrerm(ExhaustiveFiniteOracle(cls), fam, dist, 1.0, 1.0, 0.2, 1, seed=0)
+        res = tolrerm(IndexedExhaustiveOracle(cls, fam, dist), 1.0, 1.0, 0.2, 1, seed=0)
         assert res.achieved_loss == 0.0
 
     def test_r_used_uniform_ks(self, game):
         eps = delta = 0.5
         gamma = 0.8
         lo = eps * delta * gamma / 7.0
-        oracle = ExhaustiveFiniteOracle(game.cls)
-        rs = np.array(
-            [
-                tolrerm(oracle, game.u_family, game.dist, eps, delta, gamma, 2, s).r_used
-                for s in range(800)
-            ]
-        )
+        oracle = IndexedExhaustiveOracle(game.cls, game.u_family, game.dist)
+        rs = np.array([tolrerm(oracle, eps, delta, gamma, 2, s).r_used for s in range(800)])
         _, p = stats.kstest(rs, "uniform", args=(lo, gamma - lo))
         assert p > 1e-3
 
-    def test_independent_streams(self, game):
-        # same seed must reuse both streams; different seeds move both
-        oracle = ExhaustiveFiniteOracle(game.cls)
-        a = tolrerm(oracle, game.u_family, game.dist, 1.0, 1.0, 0.7, 5, seed=3)
-        b = tolrerm(oracle, game.u_family, game.dist, 1.0, 1.0, 0.7, 5, seed=3)
-        assert a.r_used == b.r_used
+    def test_independent_streams(self):
+        # the radius comes from the seed's "radius" stream alone, the sample
+        # from its "sample" stream alone, and different seeds move both
+        task = make_learning_task(5)
+        oracle = IndexedExhaustiveOracle(task.cls, task.family, task.dist)
+        eps = delta = 0.5
+        lo = eps * delta * task.gamma / 7.0
+        rs, samples = [], set()
+        for seed in range(20):
+            a = tolrerm(oracle, eps, delta, task.gamma, 20, seed)
+            b = tolrerm(oracle, eps, delta, task.gamma, 20, seed)
+            assert (a.r_used, a.index, a.achieved_loss) == (b.r_used, b.index, b.achieved_loss)
+            assert a.r_used == rng_for(seed, "radius").uniform(lo, task.gamma)
+            assert tolrerm(oracle, eps, delta, task.gamma, 7, seed).r_used == a.r_used
+            sample = task.dist.sample_indices(20, rng_for(seed, "sample"))
+            sol = oracle.solve(sample, a.r_used)
+            assert (sol.index, sol.achieved_loss) == (a.index, a.achieved_loss)
+            rs.append(a.r_used)
+            samples.add(tuple(sample))
+        assert len(set(rs)) == 20
+        assert len(samples) > 1
 
     def test_parameter_validation(self, game):
-        oracle = ExhaustiveFiniteOracle(game.cls)
+        oracle = IndexedExhaustiveOracle(game.cls, game.u_family, game.dist)
         with pytest.raises(ValueError):
-            tolrerm(oracle, game.u_family, game.dist, 0.0, 0.5, 1.0, 5, 0)
+            tolrerm(oracle, 0.0, 0.5, 1.0, 5, 0)
         with pytest.raises(ValueError):
-            tolrerm(oracle, game.u_family, game.dist, 0.5, 0.5, -1.0, 5, 0)
+            tolrerm(oracle, 0.5, 0.5, -1.0, 5, 0)
 
     @pytest.mark.parametrize("gamma", [np.nan, np.inf])
     def test_nonfinite_gamma_rejected(self, game, gamma):
-        oracle = ExhaustiveFiniteOracle(game.cls)
+        oracle = IndexedExhaustiveOracle(game.cls, game.u_family, game.dist)
         with pytest.raises(ValueError, match="gamma"):
-            tolrerm(oracle, game.u_family, game.dist, 0.5, 0.5, gamma, 5, 0)
+            tolrerm(oracle, 0.5, 0.5, gamma, 5, 0)
 
 
 class TestOptProfile:
     def test_constant_class(self):
         anchor = np.array([5.0, 0.0])
         fam = RegionFamily([(anchor, Ball(anchor, 0.1))])
+        dist = DiscreteDistribution([(ex(anchor, 1), 1.0)])
         cls = FiniteClass((LinearClassifier((1, 0), 0.0),))
-        oracle = ExhaustiveFiniteOracle(cls)
-        opts = [oracle.solve(fam, [ex(anchor, 1)], r).achieved_loss for r in (0.0, 1.0, 2.0)]
+        oracle = IndexedExhaustiveOracle(cls, fam, dist)
+        opts = [oracle.solve(np.array([0]), r).achieved_loss for r in (0.0, 1.0, 2.0)]
         assert opts == sorted(opts) == [0.0, 0.0, 0.0]
 
     def test_two_point_jump_at_touching_radius(self):
@@ -229,31 +248,30 @@ class TestOptProfile:
         h = LinearClassifier((1.0, 0.0), 0.0)
         anchors = [np.array([-2.0, 0.0]), np.array([2.0, 0.0])]
         fam = RegionFamily([(a, Ball(a, 1.0)) for a in anchors])
-        sample = [ex(anchors[0], -1), ex(anchors[1], 1)]
-        oracle = ExhaustiveFiniteOracle(FiniteClass((h,)))
-        opts = [oracle.solve(fam, sample, r).achieved_loss for r in (0.0, 0.5, 0.999, 1.0, 1.5)]
+        dist = DiscreteDistribution.uniform([ex(anchors[0], -1), ex(anchors[1], 1)])
+        oracle = IndexedExhaustiveOracle(FiniteClass((h,)), fam, dist)
+        opts = [oracle.solve(all_atoms(dist), r).achieved_loss for r in (0.0, 0.5, 0.999, 1.0, 1.5)]
         assert opts == sorted(opts)
         assert opts[:3] == [0.0, 0.0, 0.0]
         assert opts[3] == 0.5  # the -1 atom touches, 0-margin is +1
         assert opts[4] == 1.0
 
     def test_separated_profile_flat_until_margin(self, game):
-        oracle = ExhaustiveFiniteOracle(game.cls)
-        sample = list(game.dist.examples)
+        oracle = IndexedExhaustiveOracle(game.cls, game.u_family, game.dist)
         gamma = game.gamma
         grid = [0.0, gamma, 2 * gamma, 3.999 * gamma, 4 * gamma]
-        opts = [oracle.solve(game.u_family, sample, r).achieved_loss for r in grid]
+        opts = [oracle.solve(all_atoms(game.dist), r).achieved_loss for r in grid]
         assert opts == sorted(opts)
         assert opts[:4] == [0.0, 0.0, 0.0, 0.0]
         assert opts[4] == 0.5
 
     def test_exact_oracle_values_are_sample_fractions(self):
         task = make_learning_task(21)
-        oracle = ExhaustiveFiniteOracle(task.cls)
-        sample = task.dist.sample(17, seed=3)
-        opts = [oracle.solve(task.family, sample, r).achieved_loss for r in np.linspace(0, 0.4, 6)]
+        oracle = IndexedExhaustiveOracle(task.cls, task.family, task.dist)
+        sample_idx = task.dist.sample_indices(17, seed=3)
+        opts = [oracle.solve(sample_idx, r).achieved_loss for r in np.linspace(0, 0.4, 6)]
         assert opts == sorted(opts)
-        scaled = np.array(opts) * len(sample)
+        scaled = np.array(opts) * len(sample_idx)
         assert np.allclose(scaled, np.round(scaled))  # multiples of 1/|S|
 
 
