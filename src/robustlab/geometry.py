@@ -7,7 +7,10 @@ bounding-box queries from the kernels ``_in_ball``, ``_in_union`` and
 ``_pair_distances``.  Every region variant shares it: ``Ball`` is its
 one-ball case, ``FinitePoints`` and ``UnionOfBalls`` hold their arrays,
 and ``Expanded`` is the union of balls its base expands to.  Each scalar
-query is the one-row case of its batched form.
+query is the one-row case of its batched form.  Every Euclidean norm of a
+batch is the square root of ``_sq_norms`` of the squared differences,
+which is ``np.add.reduce(sq, axis=-1)`` (the sum behind
+``np.linalg.norm(x, axis=-1)``) bit for bit, added column by column.
 
 Conventions used throughout the library:
 
@@ -83,11 +86,33 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _sq_norms(sq: np.ndarray) -> np.ndarray:
+    """``np.add.reduce(sq, axis=-1)`` bit for bit, for C-contiguous ``sq``.
+
+    Below 8 terms numpy adds the last axis left to right, so for ``d < 8``
+    the columns are added in that order, each a vectorised pass over all
+    rows, instead of one short reduction per row.
+    """
+    d = sq.shape[-1]
+    if d >= 8:
+        return np.add.reduce(sq, axis=-1)
+    out = sq[..., 0].copy()
+    for j in range(1, d):
+        out += sq[..., j]
+    return out
+
+
+def _norms(diff: np.ndarray) -> np.ndarray:
+    """``np.linalg.norm(diff, axis=-1)`` bit for bit; squares ``diff`` in place."""
+    out = _sq_norms(np.multiply(diff, diff, out=diff))
+    return np.sqrt(out, out=out)
+
+
 def _in_ball(pts: np.ndarray, center: np.ndarray, radius: float) -> np.ndarray:
     """Rows of ``pts`` in the closed ball; radius 0 is the center alone, by exact equality."""
     if radius == 0:
         return np.all(pts == center, axis=1)
-    return np.linalg.norm(pts - center, axis=1) <= radius
+    return _norms(pts - center) <= radius
 
 
 def _in_union(pts: np.ndarray, centers: np.ndarray, radii: np.ndarray) -> np.ndarray:
@@ -109,16 +134,13 @@ def _pair_distances(pts: np.ndarray, centers: np.ndarray):
     """``(slice, dist)`` per row block, ``dist[i, j]`` = |pts[slice][i] - centers[j]|.
 
     A block has at most 4,096 rows and a ``(rows, k, d)`` difference of about
-    2**20 floats, squared in place; the sums and roots are those of
-    ``np.linalg.norm(diff, axis=-1)``, bit for bit, without its second
-    block-sized array.
+    2**20 floats, measured by :func:`_norms` without a second block-sized array.
     """
     pts = np.atleast_2d(pts)
     size = max(1, min(4096, 2**20 // (len(centers) * pts.shape[1])))
     for start in range(0, len(pts), size):
         sl = slice(start, min(start + size, len(pts)))
-        diff = pts[sl, None, :] - centers[None, :, :]
-        yield sl, np.sqrt(np.add.reduce(np.multiply(diff, diff, out=diff), axis=-1))
+        yield sl, _norms(pts[sl, None, :] - centers[None, :, :])
 
 
 def _union_distances(pts: np.ndarray, centers: np.ndarray, radii: np.ndarray | float) -> np.ndarray:
@@ -156,7 +178,7 @@ class _BallArray:
         """``_in_union(p[None], centers, radii)[0]``, the one row tested against all balls at once."""
         p = self._point(p)
         centers, radii = self._arrays()
-        near = np.linalg.norm(p - centers, axis=1) <= radii
+        near = _norms(p - centers) <= radii
         return bool(np.any(np.where(radii == 0, np.all(p == centers, axis=1), near)))
 
     def distance_to(self, p) -> float:
@@ -197,7 +219,7 @@ class Ball(_BallArray):
         return self._balls
 
     def contains_many(self, pts: np.ndarray) -> np.ndarray:
-        return _in_ball(pts, self.center, self.radius)
+        return _in_union(pts, *self._arrays())
 
     def expand(self, gamma: float) -> "Ball":
         if gamma <= 0:
@@ -226,7 +248,7 @@ class SphereCover:
         object.__setattr__(self, "centers", _readonly(np.atleast_2d(self.centers)))
         if self.sphere_radius <= 0 or self.mesh <= 0:
             raise ValueError("sphere_radius and mesh must be positive")
-        norms = np.linalg.norm(self.centers, axis=1)
+        norms = _norms(self.centers.copy())
         if not np.allclose(norms, self.sphere_radius, rtol=GEOM_TOL, atol=0.0):
             raise ValueError("cover centers must lie on the sphere")
         for rows, dists in _pair_distances(self.centers, self.centers):
@@ -385,7 +407,7 @@ def _grid_cover_failures(
     last = np.array([len(a) - 1 for a in axes])
     index = np.clip(np.rint((probes - start) / pitch), 0, last).astype(np.intp)
     nearest = np.stack([a[i] for a, i in zip(axes, index.T)], axis=1)
-    near = np.linalg.norm(probes - nearest, axis=1) - cover.radii[0] <= 0
+    near = _norms(probes - nearest) - cover.radii[0] <= 0
     covered = kept[tuple(index.T)] & near
     return int(np.count_nonzero(cover.distance_to_many(probes[~covered]) > 0))
 

@@ -13,6 +13,7 @@ which scales like the inverse of that relative mass.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -232,6 +233,11 @@ def wilson_interval(successes: int, n: int) -> tuple[float, float]:
     return max(0.0, center - half), min(1.0, center + half)
 
 
+def _is_integer(x) -> bool:
+    """A Python or numpy integer, not a bool."""
+    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
+
+
 def run_query_game(
     inst: OracleGameInstance,
     budgets: list[int],
@@ -252,10 +258,22 @@ def run_query_game(
     every budget; only V-trials are materialized.  All budgets share one
     trial stream: the recorded statistic per trial is the index of its
     first distinguishing draw.
+
+    ``budgets`` must be distinct nonnegative integers (Python or numpy) and
+    ``trials`` a positive integer; anything else raises ``ValueError``.
     """
+    budgets = list(budgets)
+    if not budgets:
+        raise ValueError("need at least one budget")
+    if not all(_is_integer(b) for b in budgets):
+        raise ValueError(f"budgets must be integers, got {budgets}")
     budgets_arr = np.asarray(sorted(int(b) for b in budgets))
     if np.any(budgets_arr < 0):
         raise ValueError("budgets must be nonnegative")
+    if np.any(np.diff(budgets_arr) == 0):
+        raise ValueError(f"budgets must be distinct, got {budgets}")
+    if not _is_integer(trials):
+        raise ValueError(f"trials must be an integer, got {trials!r}")
     if trials < 1:
         raise ValueError("need at least one trial")
     rng = rng_for(seed, "query-game")

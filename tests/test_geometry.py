@@ -53,6 +53,20 @@ class TestDistance:
             assert distance(a, b) == distance(b, a)
 
 
+class TestSqNorms:
+    @pytest.mark.parametrize("d", range(1, 13))
+    def test_matches_add_reduce(self, d):
+        # magnitudes over 16 decades make the order of the additions visible in the last bits
+        rng = rng_for(d, "sq-norms")
+        for shape in [(3000, d), (60, 7, d)]:
+            sq = 10.0 ** rng.uniform(-8, 8, size=shape)
+            assert np.array_equal(geometry._sq_norms(sq), np.add.reduce(sq, axis=-1))
+
+    def test_norms_match_linalg_norm(self):
+        diff = rng_for(0, "norms").normal(size=(500, 3)) * 10.0 ** np.arange(-4, 5, 4)
+        assert np.array_equal(geometry._norms(diff.copy()), np.linalg.norm(diff, axis=-1))
+
+
 class TestPointToRegionDistance:
     def test_containment(self):
         assert Ball((0, 0), 1).distance_to((0, 0)) == 0.0

@@ -149,6 +149,34 @@ class TestQueryGame:
         b = run_query_game(inst, [0, 4, 16], trials=500, seed=9)
         assert np.array_equal(a.excess_error, b.excess_error)
 
+    @pytest.mark.parametrize(
+        "budgets, match",
+        [
+            ([], "at least one budget"),
+            ([2.7, 1, 1, True], "integers"),
+            ([4.0, 8], "integers"),
+            ([1, True], "integers"),
+            ([1, 2, 1], "distinct"),
+            ([np.int64(4), 4], "distinct"),
+        ],
+        ids=["empty", "float-and-bool", "integral-float", "bool", "repeated", "repeated-numpy"],
+    )
+    def test_bad_budgets_rejected(self, inst, budgets, match):
+        with pytest.raises(ValueError, match=match):
+            run_query_game(inst, budgets, trials=10, seed=0)
+
+    @pytest.mark.parametrize("trials", [2.5, 10.0, True, "10"], ids=["fraction", "float", "bool", "str"])
+    def test_bad_trials_rejected(self, inst, trials):
+        with pytest.raises(ValueError, match="trials must be an integer"):
+            run_query_game(inst, [1], trials=trials, seed=0)
+
+    def test_numpy_integer_budgets_accepted(self, inst):
+        grid = sorted(set([0] + list(np.geomspace(1, 64, 8).astype(int))))
+        result = run_query_game(inst, grid, trials=np.int64(300), seed=9)
+        plain = run_query_game(inst, [int(b) for b in grid], trials=300, seed=9)
+        assert result.budgets.tolist() == plain.budgets.tolist() == [int(b) for b in grid]
+        assert np.array_equal(result.excess_error, plain.excess_error)
+
     def test_threshold_interpolation(self, inst):
         result = run_query_game(inst, [1, 2, 4, 8, 16, 32, 64], trials=3000, seed=6)
         k_star = detection_threshold(result)

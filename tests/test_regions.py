@@ -1,5 +1,6 @@
 """Region algebra: expansion, membership, diameter, uniform sampling."""
 
+import json
 import math
 import tracemalloc
 
@@ -12,10 +13,12 @@ from robustlab.oracle_game import build_oracle_game
 from robustlab.regions import (
     Expanded,
     FinitePoints,
+    SLICE_FLOATS,
     RegionFamily,
     UnionOfBalls,
     ZeroMeasureError,
     _region_balls,
+    _skip,
     point_key,
     uniform_sample,
 )
@@ -306,6 +309,14 @@ def _reference_sample(region, n: int, rng: np.random.Generator) -> np.ndarray:
     return out
 
 
+def _stream_state(rng: np.random.Generator) -> str:
+    """The bit generator's full state, less a used-up Philox buffer (it is never read again)."""
+    state = rng.bit_generator.state
+    if state.get("buffer_pos") == 4:
+        del state["buffer"]
+    return json.dumps(state, default=lambda a: a.tolist(), sort_keys=True)
+
+
 def _stream_region(variant: str, d: int):
     rng = np.random.default_rng(d)
     if variant == "ball":
@@ -338,10 +349,24 @@ class TestUniformSample:
         # in d >= 8 a box point lands in the region with probability <= 2%;
         # larger n there only repeats the same code path more slowly
         sizes = [1, 1000, 5000] if d <= 3 else [1, 1000] if variant != "union200" else [1]
-        ours, ref = np.random.default_rng(5), np.random.default_rng(5)
-        for n in sizes + sizes[::-1]:  # consecutive calls on one generator
-            assert np.array_equal(uniform_sample(region, n, ours), _reference_sample(region, n, ref))
-            assert ours.bit_generator.state == ref.bit_generator.state
+        # PCG64 skips the untested rows by drawing them, Philox (rng_for) by a counter jump
+        for make in (np.random.default_rng, lambda seed: rng_for(seed, "stream")):
+            ours, ref = make(5), make(5)
+            for n in sizes + sizes[::-1]:  # consecutive calls on one generator
+                assert np.array_equal(uniform_sample(region, n, ours), _reference_sample(region, n, ref))
+                assert _stream_state(ours) == _stream_state(ref)
+            assert np.array_equal(ours.random(5), ref.random(5))
+
+    def test_peak_memory_near_output(self):
+        # slices are drawn as they are tested: no whole (2n, d) batch is held
+        region = _stream_region("query_union", 3)
+        tracemalloc.start()
+        try:
+            out = uniform_sample(region, 200_000, rng_for(1, "x"))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < out.nbytes + 2 * 2**20
 
     @pytest.mark.parametrize(
         "region, acceptance",
@@ -441,6 +466,54 @@ class TestUniformSample:
             counts.append(int(inside.sum()))
         _, p_value = stats.chisquare(counts)
         assert p_value > 1e-3
+
+
+def _drawn_both_ways(make, used: int, pending: bool, m: int):
+    """Two generators from ``make``, each past ``used`` doubles and, if ``pending``, an int32
+    draw that leaves a 32-bit half word; one then moves ``m`` doubles on by ``_skip``, one by drawing."""
+    ours, ref = make(), make()
+    for rng in (ours, ref):
+        rng.random(used)
+        if pending:
+            rng.integers(0, 10, dtype=np.int32)
+    _skip(ours, m)
+    ref.random(m)
+    return ours, ref
+
+
+class TestSkip:
+    @pytest.mark.parametrize("pending", [False, True], ids=["whole-words", "pending-uint32"])
+    @pytest.mark.parametrize("used", [0, 1, 3])
+    @pytest.mark.parametrize("m", [0, 1, 2, 3, 4, 8, 4096, 4099, 1_000_000, 1_000_001])
+    def test_matches_drawing_on_philox(self, m, used, pending):
+        ours, ref = _drawn_both_ways(lambda: rng_for(7, "skip"), used, pending, m)
+        assert isinstance(ours.bit_generator, np.random.Philox)
+        assert _stream_state(ours) == _stream_state(ref)
+        # the pending half word is read first, then whole outputs
+        ours_next, ref_next = [
+            (rng.integers(0, 2**31, 3, dtype=np.int32), rng.random(9), rng.bit_generator.random_raw(6))
+            for rng in (ours, ref)
+        ]
+        for a, b in zip(ours_next, ref_next):
+            assert np.array_equal(a, b)
+
+    def test_carries_across_counter_words(self):
+        def make():
+            rng = rng_for(7, "skip")
+            state = rng.bit_generator.state
+            state["state"]["counter"][:] = [2**64 - 2, 2**64 - 1, 5, 0]
+            rng.bit_generator.state = state
+            return rng
+
+        ours, ref = _drawn_both_ways(make, 0, False, 41)
+        assert ours.bit_generator.state["state"]["counter"].tolist() == [9, 0, 6, 0]
+        assert _stream_state(ours) == _stream_state(ref)
+
+    @pytest.mark.parametrize("m", [0, 5, 2 * SLICE_FLOATS + 3])
+    def test_other_generators_draw_and_drop(self, m):
+        ours, ref = _drawn_both_ways(lambda: np.random.default_rng(7), 1, True, m)
+        assert _stream_state(ours) == _stream_state(ref)
+        assert np.array_equal(ours.random(9), ref.random(9))
 
 
 class TestRegionFamily:
