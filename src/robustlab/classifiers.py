@@ -9,7 +9,9 @@ for finite structures): it returns the expansion radius at which the loss
 flips to 1, so the loss at any expansion, the raw region included, is one
 comparison, and experiments that need exactness get it with zero sampling
 error.  ``_violation_table`` lays the kernel out over (hypothesis, example)
-pairs; the RERM oracles compare that one table against their radius.
+pairs and is the one source of robust losses over pairs: the RERM oracle
+compares it against its radius, and ``_loss_table`` reads it at one radius
+for every other caller, :func:`robust_loss_point` being its 1x1 case.
 
 Boundary convention: linear hypotheses predict +1 exactly when
 ``<w, x> + b >= 0`` (ties to the positive side), sphere-boundary hypotheses
@@ -25,7 +27,7 @@ from typing import Union
 
 import numpy as np
 
-from .geometry import Ball, DimensionMismatch, as_point, _in_ball, _readonly
+from .geometry import Ball, as_point, _check_same_dim, _in_ball, _readonly
 from .regions import (
     FinitePoints,
     Region,
@@ -94,8 +96,7 @@ class LinearClassifier:
 
     def margin(self, x) -> float:
         x = as_point(x)
-        if x.size != self.dimension:
-            raise DimensionMismatch(f"dimension mismatch: {x.size} vs {self.dimension}")
+        _check_same_dim(x.size, self.dimension)
         return float(self.w @ x + self.b)
 
     def predict(self, x) -> int:
@@ -135,8 +136,7 @@ class SphereBoundary:
 
     def predict(self, x) -> int:
         x = as_point(x)
-        if x.size != self.dimension:
-            raise DimensionMismatch(f"dimension mismatch: {x.size} vs {self.dimension}")
+        _check_same_dim(x.size, self.dimension)
         return int(self.predict_many(x[None, :])[0])
 
     def predict_many(self, pts: np.ndarray) -> np.ndarray:
@@ -240,11 +240,9 @@ def robust_loss_point(h: Hypothesis, region: Region, ex: LabeledExample) -> int:
     """0/1 robust loss of ``h`` at one labeled example, evaluated exactly.
 
     Returns 1 iff some point of the region is labeled differently from
-    ``ex.y``: the zero-expansion query of :func:`violation_radius`.
+    ``ex.y``: the 1x1 case of the loss table.
     """
-    if region.dimension != ex.x.size:
-        raise DimensionMismatch("region and example dimensions differ")
-    return loss_at_expansion(h, region, ex, 0.0)
+    return int(_loss_table([h], [region], [ex])[0, 0])
 
 
 def violation_radius(h: Hypothesis, region: Region, y: int) -> tuple[float, bool]:
@@ -254,21 +252,24 @@ def violation_radius(h: Hypothesis, region: Region, y: int) -> tuple[float, bool
     ``r`` equals 1 iff ``r > r_star`` (or ``r >= r_star`` when inclusive).
     Negative values mean the unexpanded region is already violated.  This
     makes loss profiles over expansion radii exact and O(1) to query.
+    A hypothesis and a region of different dimensions raise
+    ``DimensionMismatch``.
     """
+    if not isinstance(h, (LinearClassifier, SphereBoundary, TableClassifier)):
+        raise UnsupportedPairError(f"unsupported hypothesis type {type(h).__name__}")
+    centers, radii = _region_balls(region)
+    _check_same_dim(h.dimension, centers.shape[1])
     if isinstance(h, TableClassifier):
         return _table_violation_radius(h, region, y)
-    centers, radii = _region_balls(region)
     if isinstance(h, LinearClassifier):
         margins = (centers @ h.w + h.b) / float(np.linalg.norm(h.w))
         if y == 1:
             return float(np.min(margins - radii)), False
         return float(np.min(-margins - radii)), True
-    if isinstance(h, SphereBoundary):
-        dist = np.linalg.norm(centers - h.center, axis=1)
-        if y == h.inside_label:
-            return float(np.min(h.radius - dist - radii)), False
-        return float(np.min(dist - radii - h.radius)), True
-    raise UnsupportedPairError(f"unsupported hypothesis type {type(h).__name__}")
+    dist = np.linalg.norm(centers - h.center, axis=1)
+    if y == h.inside_label:
+        return float(np.min(h.radius - dist - radii)), False
+    return float(np.min(dist - radii - h.radius)), True
 
 
 def _has_nontable_point(h: TableClassifier, region: Region) -> bool:
@@ -309,7 +310,13 @@ def _violated(radii, inclusive, r: float):
 
 
 def _violation_table(hypotheses, regions, examples) -> tuple[np.ndarray, np.ndarray]:
-    """(hypothesis x example) arrays of flip radii and inclusive flags."""
+    """(hypothesis x example) arrays of flip radii and inclusive flags.
+
+    Column ``j`` is ``examples[j]`` on ``regions[j]``; a region whose
+    dimension differs from its example's raises ``DimensionMismatch``.
+    """
+    for region, ex in zip(regions, examples, strict=True):
+        _check_same_dim(region.dimension, ex.x.size)
     radii = np.empty((len(hypotheses), len(examples)))
     inclusive = np.empty(radii.shape, dtype=bool)
     for i, h in enumerate(hypotheses):
@@ -318,19 +325,15 @@ def _violation_table(hypotheses, regions, examples) -> tuple[np.ndarray, np.ndar
     return radii, inclusive
 
 
-def loss_at_expansion(h: Hypothesis, region: Region, ex: LabeledExample, r: float) -> int:
-    """Robust loss on the region expanded by ``r >= 0`` (0 means raw)."""
-    return int(_violated(*violation_radius(h, region, ex.y), r))
+def _loss_table(hypotheses, regions, examples, r: float = 0.0) -> np.ndarray:
+    """(hypothesis x example) int8 robust losses on the regions expanded by ``r``."""
+    return _violated(*_violation_table(hypotheses, regions, examples), r).astype(np.int8)
 
 
 def robust_loss_distribution(h: Hypothesis, family: RegionFamily, dist: DiscreteDistribution) -> float:
-    """Exact expected robust loss under a finite-support distribution."""
-    return float(
-        sum(
-            p * robust_loss_point(h, family.region_for(ex.x), ex)
-            for ex, p in zip(dist.examples, dist.probabilities)
-        )
-    )
+    """Exact expected robust loss: the loss row over the atoms times their probabilities."""
+    regions = [family.region_for(ex.x) for ex in dist.examples]
+    return float(_loss_table([h], regions, dist.examples)[0] @ dist.probabilities)
 
 
 def robust_loss_sampled(

@@ -74,10 +74,10 @@ def _check_same_dim(da: int, db: int) -> None:
 
 
 def distance(a, b) -> float:
-    """Euclidean distance between two points of equal dimension."""
+    """Euclidean distance between two points of equal dimension, the one-row case of :func:`_norms`."""
     pa, pb = as_point(a), as_point(b)
     _check_same_dim(pa.size, pb.size)
-    return float(np.linalg.norm(pa - pb))
+    return float(_norms((pa - pb)[None, :])[0])
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -108,6 +108,15 @@ def _norms(diff: np.ndarray) -> np.ndarray:
     return np.sqrt(out, out=out)
 
 
+def _batch(pts, d: int) -> np.ndarray:
+    """``pts`` as an ``(n, d)`` float array; another shape raises instead of broadcasting."""
+    pts = np.asarray(pts, dtype=float)
+    if pts.ndim != 2:
+        raise ValueError(f"a batch of points must be an (n, d) array, got shape {pts.shape}")
+    _check_same_dim(pts.shape[1], d)
+    return pts
+
+
 def _in_ball(pts: np.ndarray, center: np.ndarray, radius: float) -> np.ndarray:
     """Rows of ``pts`` in the closed ball; radius 0 is the center alone, by exact equality."""
     if radius == 0:
@@ -121,6 +130,7 @@ def _in_union(pts: np.ndarray, centers: np.ndarray, radii: np.ndarray) -> np.nda
     Off radius-zero balls this is ``_union_distances(...) <= 0``, since finite
     ``a - b`` rounds to at most 0 exactly when ``a <= b``.  Blocks hold about 2**18 floats.
     """
+    pts = _batch(pts, centers.shape[1])
     out = np.zeros(len(pts), dtype=bool)
     size = max(1, 2**18 // centers.shape[1])
     for start in range(0, len(pts), size):
@@ -136,7 +146,7 @@ def _pair_distances(pts: np.ndarray, centers: np.ndarray):
     A block has at most 4,096 rows and a ``(rows, k, d)`` difference of about
     2**20 floats, measured by :func:`_norms` without a second block-sized array.
     """
-    pts = np.atleast_2d(pts)
+    pts = _batch(pts, centers.shape[1])
     size = max(1, min(4096, 2**20 // (len(centers) * pts.shape[1])))
     for start in range(0, len(pts), size):
         sl = slice(start, min(start + size, len(pts)))

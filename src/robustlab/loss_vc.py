@@ -7,12 +7,11 @@ desk-scale: pattern sets are enumerated exactly, shattered sets carry
 verified witnesses, and dimension reports always distinguish a certified
 upper bound from a best-found lower bound.
 
-Each loss is evaluated once: a (hypothesis x example) 0/1 matrix is built
-from :func:`~robustlab.classifiers.robust_loss_point`, the pattern of a
-hypothesis on a sample is a row of it, and the pattern set on a subset is
-the set of distinct rows of the matrix restricted to the subset's columns.
-One column-projection search serves the robust, plain 0-1 and ordinary VC
-searches.
+Each loss is evaluated once: the (hypothesis x example) 0/1 matrix is the
+classifiers module's loss table, the pattern of a hypothesis on a sample is
+a row of it, and the pattern set on a subset is the set of distinct rows of
+the matrix restricted to the subset's columns.  One column-projection
+search serves the robust, plain 0-1 and ordinary VC searches.
 """
 
 from __future__ import annotations
@@ -24,7 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .classifiers import FiniteClass, LabeledExample, robust_loss_point
+from .classifiers import FiniteClass, LabeledExample, _loss_table
 from .regions import FinitePoints, Region, RegionFamily
 
 __all__ = [
@@ -44,14 +43,6 @@ __all__ = [
 
 # Cap on the subsets one shattering search may scan.
 SUBSET_BUDGET = 1_000_000
-
-
-def _loss_matrix(
-    cls: FiniteClass, regions: Sequence[Region], sample: Sequence[LabeledExample]
-) -> np.ndarray:
-    """(hypothesis x example) 0/1 robust losses, one evaluation per cell."""
-    losses = [[robust_loss_point(h, reg, ex) for reg, ex in zip(regions, sample)] for h in cls]
-    return np.array(losses, dtype=np.int8)
 
 
 def _family_regions(family: RegionFamily, sample: Sequence[LabeledExample]) -> list[Region]:
@@ -77,7 +68,7 @@ def pattern_witnesses(
     cls: FiniteClass, family: RegionFamily, sample: Sequence[LabeledExample]
 ) -> dict[tuple[int, ...], int]:
     """Map each realized loss pattern to the lowest witness index."""
-    return _row_witnesses(_loss_matrix(cls, _family_regions(family, sample), sample))
+    return _row_witnesses(_loss_table(cls, _family_regions(family, sample), sample))
 
 
 @dataclass(frozen=True)
@@ -152,7 +143,7 @@ def robust_vc_search(
     shattered set.  Witnesses behind any reported lower bound are
     re-verifiable through :func:`pattern_witnesses`.
     """
-    matrix = _loss_matrix(cls, _family_regions(family, universe), universe)
+    matrix = _loss_table(cls, _family_regions(family, universe), universe)
     return _search_vc(matrix, max_m, SUBSET_BUDGET)
 
 
@@ -200,7 +191,7 @@ def distinct_pattern_correspondence(
             raise ValueError("correspondence check needs finite-point regions")
     T = np.vstack(region_pts)
 
-    patterns = [tuple(row) for row in _loss_matrix(cls, regions, sample).tolist()]
+    patterns = [tuple(row) for row in _loss_table(cls, regions, sample).tolist()]
     labelings = [tuple(h.predict_many(T).tolist()) for h in cls]
     bad = []
     for i in range(len(cls)):
@@ -240,7 +231,7 @@ def overhead_audit(
     rows = []
     for d, k, cls, family, universe in instances:
         regions = _family_regions(family, universe)
-        matrix = _loss_matrix(cls, regions, universe)
+        matrix = _loss_table(cls, regions, universe)
         estimate = _search_vc(matrix, max_m, SUBSET_BUDGET)
         region_pts = [region.points for region in regions]
         sizes = [len(pts) for pts in region_pts]
@@ -271,7 +262,7 @@ def vball_shatter_check(
     """
     from .geometry import Ball
 
-    matrix = _loss_matrix(cls, [Ball(ex.x, radius) for ex in candidates], candidates)
+    matrix = _loss_table(cls, [Ball(ex.x, radius) for ex in candidates], candidates)
     witness_map = _row_witnesses(matrix)
     achieved = len(witness_map)
     return ShatterReport(

@@ -31,8 +31,8 @@ from .classifiers import (
     LabeledExample,
     RegularityCertificate,
     TableClassifier,
+    _loss_table,
     regularity_check,
-    robust_loss_point,
 )
 from .geometry import Ball, cover_compact_by_balls, grid_cover_bound
 from .regions import FinitePoints, Region, uniform_sample
@@ -159,27 +159,23 @@ def sandwich_audit(
 
     Each hypothesis gets a radius-``alpha`` regularity certificate probed
     over the upper expansion's bounding ball; rows record all three exact
-    losses plus the certificate verdict, and the report lists violating
-    rows with their witnesses rather than raising.
+    losses, read from one loss table per region, plus the certificate
+    verdict, and the report lists violating rows with their witnesses
+    rather than raising.
     """
     certs = tuple(
         regularity_check(h, triple.alpha, CERTIFICATE_PROBES, _certificate_domain(triple), rng_for(seed, f"cert-{i}"))
         for i, h in enumerate(hypotheses)
     )
-    rows = []
-    for i, h in enumerate(hypotheses):
-        for j, ex in enumerate(examples):
-            rows.append(
-                SandwichAuditRow(
-                    i,
-                    j,
-                    robust_loss_point(h, triple.lower, ex),
-                    robust_loss_point(h, triple.middle, ex),
-                    robust_loss_point(h, triple.upper, ex),
-                    certs[i].passed,
-                )
-            )
-    return SandwichAuditReport(triple, tuple(rows), certs)
+    lower, middle, upper = (
+        _loss_table(hypotheses, [region] * len(examples), examples)
+        for region in (triple.lower, triple.middle, triple.upper)
+    )
+    rows = tuple(
+        SandwichAuditRow(i, j, int(lower[i, j]), int(middle[i, j]), int(upper[i, j]), certs[i].passed)
+        for i, j in np.ndindex(lower.shape)
+    )
+    return SandwichAuditReport(triple, rows, certs)
 
 
 def make_nonregular_control(

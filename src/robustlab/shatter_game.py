@@ -24,7 +24,7 @@ from typing import Callable
 
 import numpy as np
 
-from .classifiers import LabeledExample, LinearClassifier
+from .classifiers import LabeledExample, LinearClassifier, _loss_table
 from .geometry import SphereCover, _in_ball, _pair_distances, greedy_sphere_cover
 from .regions import FinitePoints, RegionFamily, point_key
 from .seeding import as_generator, rng_for, uniform_sphere
@@ -173,12 +173,13 @@ def build_shatter_family(
     witnesses = tuple(
         tangent_hypothesis(cover.centers[i] / (1.0 + beta), W) for i in range(M)
     )
-    for i, h in enumerate(witnesses):
-        for j, cell in enumerate(cells):
-            if j == i:
-                continue
-            if np.any(h.predict_many(cell) == 1):
-                raise RuntimeError(f"witness {i} is positive on cell {j}: construction bug")
+    # the robust loss at label -1 on a cell is 1 iff the witness is positive there
+    regions = [FinitePoints(cell) for cell in cells]
+    losses = _loss_table(witnesses, regions, [LabeledExample(cell[0], -1) for cell in cells])
+    np.fill_diagonal(losses, 0)
+    if np.any(losses):
+        i, j = np.argwhere(losses)[0]
+        raise RuntimeError(f"witness {i} is positive on cell {j}: construction bug")
     return ShatterFamily(W, beta, M, cover, tuple(cells), witnesses)
 
 
@@ -200,11 +201,8 @@ def stipulation_one_failures(family: ShatterFamily, hypotheses) -> int:
     the count should be zero.
     """
     pts = family.all_points()
-    failures = 0
-    for h in hypotheses:
-        if not np.any(h.predict_many(pts) == 1):
-            failures += 1
-    return failures
+    losses = _loss_table(hypotheses, [FinitePoints(pts)], [LabeledExample(pts[0], -1)])
+    return int(np.count_nonzero(losses == 0))  # robustly -1: positive nowhere
 
 
 @dataclass(frozen=True, eq=False)
@@ -260,18 +258,16 @@ def build_failure_instance(m: int, W: float, d: int, seed: int) -> FailureInstan
             raise RuntimeError(f"cell {t_first} has only {len(cell)} samples (< m)")
         anchors[i] = cell[rank]
 
-    family = RegionFamily(
-        [(anchors[i], FinitePoints(cell_stacks[i])) for i in range(n)]
-    )
+    regions = [FinitePoints(stack) for stack in cell_stacks]
+    family = RegionFamily(list(zip(anchors, regions)))
     witnesses = shatter.witnesses
 
-    for t, T in enumerate(subsets):
-        h = witnesses[t]
-        for i in range(n):
-            region_pts = cell_stacks[i]
-            lacks = bool(np.any(h.predict_many(region_pts) == 1))  # label is -1
-            if (i in T) != lacks:
-                raise RuntimeError(f"witness {t} robustness pattern wrong at anchor {i}")
+    # witness t must lack robustness (label -1) exactly on the anchors in subset t
+    incidence = np.array([[i in T for i in range(n)] for T in subsets], dtype=np.int8)
+    losses = _loss_table(witnesses, regions, [LabeledExample(a, -1) for a in anchors])
+    if np.any(losses != incidence):
+        t, i = np.argwhere(losses != incidence)[0]
+        raise RuntimeError(f"witness {t} robustness pattern wrong at anchor {i}")
     return FailureInstance(m, M, W, d, subsets, shatter, family, anchors, witnesses)
 
 
@@ -304,12 +300,9 @@ def export_instance(inst: FailureInstance) -> dict:
 def cross_loss_exact(inst: FailureInstance, t: int, t_prime: int) -> float:
     """Robust loss of witness t under the uniform distribution on anchors
     outside subset t_prime, evaluated by direct enumeration."""
-    from .classifiers import robust_loss_point
-
-    h = inst.witnesses[t]
     support = [inst.anchors[i] for i in range(inst.n_anchors) if i not in inst.subsets[t_prime]]
-    losses = [robust_loss_point(h, inst.family.region_for(a), LabeledExample(a, -1)) for a in support]
-    return float(np.mean(losses))
+    regions = [inst.family.region_for(a) for a in support]
+    return float(np.mean(_loss_table([inst.witnesses[t]], regions, [LabeledExample(a, -1) for a in support])))
 
 
 def cross_loss_formula(inst: FailureInstance, t: int, t_prime: int) -> float:

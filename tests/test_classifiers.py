@@ -4,15 +4,15 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from robustlab.geometry import Ball, SphereCover
+from robustlab.geometry import Ball, DimensionMismatch, SphereCover
 from robustlab.classifiers import (
     DiscreteDistribution,
     LabeledExample,
     LinearClassifier,
     SphereBoundary,
     TableClassifier,
+    _loss_table,
     linear_net_2d,
-    loss_at_expansion,
     regularity_check,
     robust_loss_distribution,
     robust_loss_point,
@@ -273,7 +273,7 @@ class TestViolationRadius:
                     for r in r_grid:
                         grown = region if r == 0 else region.expand(r)
                         direct = direct_loss(h, grown, y)
-                        assert loss_at_expansion(h, region, e, r) == direct, (type(region), type(h), y, r)
+                        assert _loss_table([h], [region], [e], r)[0, 0] == direct, (type(region), type(h), y, r)
                         assert robust_loss_point(h, grown, e) == direct, (type(region), type(h), y, r)
 
     def test_flip_exactly_at_radius(self):
@@ -286,6 +286,29 @@ class TestViolationRadius:
         # already violated at r = 0: the ball sits on the positive side
         assert r_star == pytest.approx(-2.5)
         assert inclusive
+
+    @pytest.mark.parametrize(
+        "h",
+        [LinearClassifier((1.0,), 0.0), SphereBoundary((0.0,), 1.0), TableClassifier([(2.0,)], [-1], default=1)],
+        ids=["linear", "sphere", "table"],
+    )
+    def test_hypothesis_of_other_dimension_rejected(self, h):
+        # numpy would broadcast a 1-D sphere or table against a disc, and
+        # fail inside its matmul for a 1-D halfspace
+        region = Ball((0.0, 0.0), 1.0)
+        for y in (1, -1):
+            with pytest.raises(DimensionMismatch):
+                violation_radius(h, region, y)
+            with pytest.raises(DimensionMismatch):
+                robust_loss_point(h, region, ex((0.0, 0.0), y))
+
+    def test_example_of_other_dimension_rejected(self):
+        h = LinearClassifier((1.0, 0.0), 0.0)
+        disc = Ball((0.0, 0.0), 1.0)
+        with pytest.raises(DimensionMismatch):
+            robust_loss_point(h, disc, ex((0.0,), 1))
+        with pytest.raises(DimensionMismatch):
+            _loss_table([h, h], [disc, disc], [ex((0.0, 0.0), 1), ex((0.0,), 1)])
 
 
 coord_st = st.floats(-2, 2, allow_subnormal=False)
@@ -322,7 +345,7 @@ def test_kernel_matches_direct_loss(region, h, y, r):
     assume(abs(r - r_star) > 1e-9 or (r == 0 and isinstance(h, TableClassifier)))
     grown = region if r == 0 else region.expand(r)
     e = ex(np.zeros(2), y)
-    assert loss_at_expansion(h, region, e, r) == direct_loss(h, grown, y)
+    assert _loss_table([h], [region], [e], r)[0, 0] == direct_loss(h, grown, y)
 
 
 @derandomized
@@ -333,7 +356,7 @@ def test_sampled_loss_never_exceeds_kernel(region, h, y, r):
     grown = region if r == 0 else region.expand(r)
     assume(isinstance(grown, FinitePoints) or np.any(_region_balls(grown)[1] > 0))
     e = ex(np.zeros(2), y)
-    if loss_at_expansion(h, region, e, r) == 0:
+    if _loss_table([h], [region], [e], r)[0, 0] == 0:
         assert robust_loss_sampled(h, grown, e, 64, seed=0) == 0
 
 

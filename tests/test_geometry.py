@@ -52,6 +52,13 @@ class TestDistance:
             a, b = rng.normal(size=(2, 5))
             assert distance(a, b) == distance(b, a)
 
+    def test_point_lies_in_ball_of_its_distance(self):
+        # distance is the one-row case of the batched norm the region queries use
+        rng = np.random.default_rng(0)
+        center = np.zeros(3)
+        for p in rng.normal(size=(20_000, 3)):
+            assert Ball(center, distance(p, center)).contains(p)
+
 
 class TestSqNorms:
     @pytest.mark.parametrize("d", range(1, 13))

@@ -4,7 +4,7 @@ from itertools import combinations
 
 import numpy as np
 
-import robustlab.loss_vc
+import robustlab.classifiers
 from robustlab.classifiers import (
     FiniteClass,
     LabeledExample,
@@ -348,12 +348,14 @@ class TestLossMatrixAgainstRecomputation:
         expected = [reference_overhead_row(*inst, max_m=3) for inst in instances]
 
         calls = []
+        kernel = robustlab.classifiers.violation_radius
 
         def counted(*args):
             calls.append(args)
-            return robust_loss_point(*args)
+            return kernel(*args)
 
-        monkeypatch.setattr(robustlab.loss_vc, "robust_loss_point", counted)
+        monkeypatch.setattr(robustlab.classifiers, "violation_radius", counted)
         assert overhead_audit(instances, max_m=3) == expected
-        # each loss is evaluated once for the search and once for the Sauer pass
-        assert len(calls) <= 2 * len(instances) * len(cls) * len(examples)
+        # one kernel evaluation per (hypothesis, example) cell per instance,
+        # shared by the search and the Sauer pass
+        assert len(calls) == len(instances) * len(cls) * len(examples)

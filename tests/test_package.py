@@ -1,6 +1,8 @@
 """Package surface: every exported name exists, none is exported twice, and
-the demos and the README's library tour run against the current API."""
+the demos and the README's library tour run against the current API, and
+each demo prints the bytes it printed before."""
 
+import hashlib
 import importlib
 import os
 import pathlib
@@ -12,6 +14,18 @@ import sys
 import robustlab
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
+
+# sha256 of each demo's stdout.  The demos are seeded, so a change meant to
+# leave results alone, such as a refactor or a speed-up, must keep these.
+DEMO_STDOUT_SHA256 = {
+    "01_regions_and_robust_loss.py": "21a2182e41aafc3d85670b03b4d5c98f831213be47315721aee352194daa4310",
+    "02_sphere_covers_and_caps.py": "bb6327eed9402790439f5d73943f4d74ff035936aac128b2c134ce57c4208749",
+    "03_proper_failure_game.py": "3a0bf607ffa1add1ef2b6ce812b16debc65c7ad616493241e9df23435ed47cd1",
+    "04_oracle_query_game.py": "6a3d6c7f71832b60e5e7931ae4a369d6b601381f4e0b81410e910a556d1169f9",
+    "05_tolerant_learning_curve.py": "5924f40e67df8cf5d735fcec69de64ed1b0d098deebc463aa40521c74d058ec5",
+    "06_sandwich_constructions.py": "dff3ab3373ec4b55b7ced4c9effde390fe79a8551c56ad70d24d4a8eec7cf446",
+    "07_robust_vc.py": "85ad08e37b71a6acd49c8c769427dc8c680765f7e9278556120a5ecfd3ddb67c",
+}
 
 
 def test_exports_resolve_and_are_unique():
@@ -28,10 +42,11 @@ def test_exports_resolve_and_are_unique():
 def test_demos_and_readme_tour_run(tmp_path):
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     demos = sorted((ROOT / "demos").glob("0*.py"))
-    assert demos
+    assert [demo.name for demo in demos] == sorted(DEMO_STDOUT_SHA256)
     for demo in demos:
-        proc = subprocess.run([sys.executable, str(demo)], cwd=tmp_path, env=env, capture_output=True, text=True)
-        assert proc.returncode == 0, (demo.name, proc.stderr)
+        proc = subprocess.run([sys.executable, str(demo)], cwd=tmp_path, env=env, capture_output=True)
+        assert proc.returncode == 0, (demo.name, proc.stderr.decode())
+        assert hashlib.sha256(proc.stdout).hexdigest() == DEMO_STDOUT_SHA256[demo.name], demo.name
 
     blocks = re.findall(r"```python\n(.*?)```", (ROOT / "README.md").read_text(), re.S)
     assert len(blocks) == 1

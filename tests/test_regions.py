@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from robustlab.geometry import Ball, SphereCover, cover_compact_by_balls
+from robustlab.geometry import Ball, DimensionMismatch, SphereCover, cover_compact_by_balls
 from robustlab.oracle_game import build_oracle_game
 from robustlab.regions import (
     Expanded,
@@ -104,6 +104,30 @@ class TestContains:
         expected = [True, True, False, False, False]
         assert [region.contains(p) for p in probes] == expected
         assert region.contains_many(probes).tolist() == expected
+
+
+BATCH_REGIONS = {
+    "ball": lambda: Ball((0.0, 0.0), 1.0),
+    "points": lambda: FinitePoints([(0.0, 0.0), (0.5, 0.5)]),
+    "union": lambda: UnionOfBalls([(0.0, 0.0), (2.0, 0.0)], [1.0, 0.0]),
+    "expanded": lambda: Expanded(FinitePoints([(0.0, 0.0)]), 1.0),
+}
+
+
+@pytest.mark.parametrize("variant", sorted(BATCH_REGIONS))
+@pytest.mark.parametrize("query", ["contains_many", "distance_to_many"])
+def test_batch_of_wrong_shape_rejected(variant, query):
+    # numpy would broadcast a (1, 1) batch against the 2-D centres and
+    # answer a 1-D array once per coordinate
+    method = getattr(BATCH_REGIONS[variant](), query)
+    for bad in ([[0.5]], np.zeros((3, 3)), np.zeros((0, 1))):
+        with pytest.raises(DimensionMismatch):
+            method(bad)
+    for bad in (np.array([0.5, 0.5]), np.zeros((1, 1, 2))):
+        with pytest.raises(ValueError, match="batch"):
+            method(bad)
+    assert len(method([[0.5, 0.5]])) == 1
+    assert len(method(np.zeros((0, 2)))) == 0
 
 
 # Ball((0, 0, 0), r) and a point of its sphere that the 1-D norm puts inside

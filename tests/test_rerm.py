@@ -159,7 +159,7 @@ class TestIndexedOracle:
         fast = IndexedExhaustiveOracle(task.cls, task.family, task.dist)
         for i, h in enumerate(task.cls):
             direct = robust_loss_distribution(h, task.family, task.dist)
-            assert fast.distribution_loss(i, 0.0) == pytest.approx(direct)
+            assert fast.distribution_loss(i, 0.0) == direct
 
 
 class TestTolRerm:

@@ -7,6 +7,7 @@ from robustlab.classifiers import (
     LabeledExample,
     LinearClassifier,
     SphereBoundary,
+    TableClassifier,
     robust_loss_point,
 )
 from robustlab.geometry import Ball, grid_cover_bound
@@ -135,6 +136,37 @@ class TestSandwichAudit:
         assert not row.left_ok
         assert not report.certificates[0].passed
         assert report.violations and not report.certified_violations
+
+    @pytest.mark.parametrize("build", [build_point_sandwich, build_ball_sandwich])
+    def test_rows_match_pointwise_losses(self, build):
+        # the audit reads one loss table per region; the pointwise loss is the reference
+        base = FinitePoints([[0.0, 0.0]])
+        _, control, example = make_nonregular_control(base, r=1.0, alpha=0.4, seed=5)
+        triple = build(base, r=1.0, alpha=0.4, seed=5)
+        rng = rng_for(23, "audit-rows")
+        hyps = [
+            LinearClassifier((1.0, 0.0), -0.3),
+            LinearClassifier(rng.normal(size=2), float(rng.uniform(-1, 1))),
+            SphereBoundary((0.2, 0.0), 0.9, -1),
+            SphereBoundary(rng.uniform(-1, 1, 2), 2.0),
+            TableClassifier([(0.5, 0.0), (1.5, 0.0)], [-1, 1], default=1),
+            control,
+        ]
+        examples = [example, ex((0.3, -0.2), -1), ex(rng.uniform(-1, 1, 2), 1)]
+        report = sandwich_audit(triple, hyps, examples, seed=5)
+        regions = (triple.lower, triple.middle, triple.upper)
+        expected = [
+            (i, j, *(robust_loss_point(h, region, e) for region in regions), report.certificates[i].passed)
+            for i, h in enumerate(hyps)
+            for j, e in enumerate(examples)
+        ]
+        got = [
+            (r.hypothesis_index, r.example_index, r.loss_lower, r.loss_middle, r.loss_upper, r.certificate_passed)
+            for r in report.rows
+        ]
+        assert got == expected
+        assert all(type(v) is int for row in got for v in row[:5])
+        assert len({row[2:5] for row in got}) >= 3  # the rows are not all alike
 
     def test_ball_variant_immune_to_the_control(self):
         # set inclusion makes the sandwich unconditional for any hypothesis

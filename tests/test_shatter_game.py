@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from robustlab.classifiers import LabeledExample, linear_net_2d, robust_loss_point
+from robustlab.classifiers import LabeledExample, LinearClassifier, linear_net_2d, robust_loss_point
 from robustlab.regions import point_key
 from robustlab.shatter_game import (
     best_response_learner,
@@ -93,6 +93,16 @@ class TestShatterFamily:
         fam = build_shatter_family(1.0, 2, 8, seed=5)
         net = linear_net_2d(1.0, 25, 20)
         assert stipulation_one_failures(fam, net) == 0
+
+    def test_stipulation_one_counts_hypotheses_positive_nowhere(self):
+        # two halfspaces beyond the sphere are positive nowhere, one holding it all is not
+        fam = build_shatter_family(1.0, 2, 8, seed=5)
+        pts = fam.all_points()
+        hyps = linear_net_2d(1.0, 6, 3) + [LinearClassifier((1.0, 0.0), -5.0), LinearClassifier((0.0, -1.0), -2.0)]
+        hyps.append(LinearClassifier((1.0, 0.0), 5.0))
+        expected = sum(not np.any(h.predict_many(pts) == 1) for h in hyps)
+        assert expected == 2
+        assert stipulation_one_failures(fam, hyps) == expected
 
     def test_dimension_one_rejected(self):
         with pytest.raises(ValueError):

@@ -56,13 +56,13 @@ def test_install_then_uninstall_restores_every_original():
         )
         assert record.assertions_passed
         assert spans.counts["loss_vc.subsets_scanned"] > 0
-        # one loss per (hypothesis, example) per instance, shared by the
-        # search and the Sauer pass
+        # one kernel evaluation per (hypothesis, example) per instance,
+        # shared by the search and the Sauer pass
         n_instances = len(params["k_grid"])
         cells = n_instances * params["thresholds"] * params["universe_size"]
-        assert spans.calls["classifiers.robust_loss_point"] == cells
-        # the pointwise loss is a query of the one flip-radius kernel
         assert spans.calls["classifiers.violation_radius"] == cells
+        # the audit reads the loss table, not the pointwise loss
+        assert spans.calls["classifiers.robust_loss_point"] == 0
     finally:
         uninstall()
     assert_restored(before)
