@@ -2,16 +2,24 @@
 
 The robust loss of a hypothesis on a labeled point charges 1 exactly when
 some point of the perturbation region receives a label different from the
-example's.  One kernel, :func:`violation_radius`, evaluates it analytically
-for every hypothesis and region variant shipped here (ball extrema of linear
-functions, center-distance arithmetic for sphere boundaries, enumeration
-for finite structures): it returns the expansion radius at which the loss
-flips to 1, so the loss at any expansion, the raw region included, is one
-comparison, and experiments that need exactness get it with zero sampling
-error.  ``_violation_table`` lays the kernel out over (hypothesis, example)
-pairs and is the one source of robust losses over pairs: the RERM oracle
-compares it against its radius, and ``_loss_table`` reads it at one radius
-for every other caller, :func:`robust_loss_point` being its 1x1 case.
+example's.  It is evaluated analytically for every hypothesis and region
+variant shipped here (ball extrema of linear functions, center-distance
+arithmetic for sphere boundaries, enumeration for finite structures) as the
+expansion radius at which the loss flips to 1, so the loss at any
+expansion, the raw region included, is one comparison, and experiments
+that need exactness get it with zero sampling error.
+
+``_violation_table`` holds the one flip-radius formula per hypothesis type,
+laid out over (hypothesis, example) pairs.  A halfspace or sphere row is
+one numpy pass over the stacked balls of all regions, each column the
+minimum over its own balls; a lookup-table row enumerates its entries cell
+by cell.  :func:`violation_radius` is the table's 1x1 case.  The table is
+the one source of robust losses over pairs: the RERM oracle compares it
+against its radius, and ``_loss_table`` reads it at one radius for every
+other caller, :func:`robust_loss_point` being its 1x1 case.
+
+:class:`DiscreteDistribution` draws atom indices by searching a CDF it
+normalises once, on construction; its ``probabilities`` are read-only.
 
 Boundary convention: linear hypotheses predict +1 exactly when
 ``<w, x> + b >= 0`` (ties to the positive side), sphere-boundary hypotheses
@@ -27,7 +35,7 @@ from typing import Union
 
 import numpy as np
 
-from .geometry import Ball, as_point, _check_same_dim, _in_ball, _readonly
+from .geometry import Ball, as_point, _batch, _check_same_dim, _in_ball, _readonly, _norms, _sq_norms
 from .regions import (
     FinitePoints,
     Region,
@@ -81,13 +89,15 @@ class LinearClassifier:
 
     w: np.ndarray
     b: float
+    _w_norm: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "w", _readonly(as_point(self.w)))
         object.__setattr__(self, "b", float(self.b))
         if not np.isfinite(self.b):
             raise ValueError("offset b must be finite")
-        if np.linalg.norm(self.w) == 0:
+        object.__setattr__(self, "_w_norm", float(np.linalg.norm(self.w)))
+        if self._w_norm == 0:
             raise ValueError("weight vector must be nonzero")
 
     @property
@@ -103,11 +113,11 @@ class LinearClassifier:
         return 1 if self.margin(x) >= 0 else -1
 
     def predict_many(self, pts: np.ndarray) -> np.ndarray:
-        return np.where(pts @ self.w + self.b >= 0, 1, -1)
+        return np.where(_batch(pts, self.dimension) @ self.w + self.b >= 0, 1, -1)
 
     def offset(self) -> float:
         """Distance of the decision boundary from the origin."""
-        return abs(self.b) / float(np.linalg.norm(self.w))
+        return abs(self.b) / self._w_norm
 
 
 @dataclass(frozen=True, eq=False)
@@ -140,7 +150,7 @@ class SphereBoundary:
         return int(self.predict_many(x[None, :])[0])
 
     def predict_many(self, pts: np.ndarray) -> np.ndarray:
-        inside = np.linalg.norm(pts - self.center, axis=1) <= self.radius
+        inside = np.linalg.norm(_batch(pts, self.dimension) - self.center, axis=1) <= self.radius
         return np.where(inside, self.inside_label, -self.inside_label)
 
 
@@ -171,10 +181,12 @@ class TableClassifier:
         return self.points.shape[1]
 
     def predict(self, x) -> int:
-        return self._index.get(point_key(x), self.default)
+        key = point_key(x)
+        _check_same_dim(len(key), self.dimension)
+        return self._index.get(key, self.default)
 
     def predict_many(self, pts: np.ndarray) -> np.ndarray:
-        return np.array([self.predict(p) for p in pts])
+        return np.array([self.predict(p) for p in _batch(pts, self.dimension)])
 
     def flipped_points(self, y: int) -> np.ndarray:
         """Table entries whose label differs from ``y``."""
@@ -208,17 +220,23 @@ class FiniteClass:
 
 
 class DiscreteDistribution:
-    """Finite-support labeled distribution with exact expectations."""
+    """Finite-support labeled distribution with exact expectations.
+
+    ``probabilities`` is read-only: the normalised CDF that
+    :meth:`sample_indices` searches is computed from it once, here.
+    """
 
     def __init__(self, atoms: list[tuple[LabeledExample, float]]):
         if not atoms:
             raise ValueError("distribution needs at least one atom")
         self.examples: tuple[LabeledExample, ...] = tuple(ex for ex, _ in atoms)
-        self.probabilities = np.asarray([p for _, p in atoms], dtype=float)
+        self.probabilities = _readonly([p for _, p in atoms])
         if not np.all(np.isfinite(self.probabilities) & (self.probabilities > 0)):
             raise ValueError("atom probabilities must be finite and positive")
         if abs(self.probabilities.sum() - 1.0) > 1e-12:
             raise ValueError("atom probabilities must sum to 1 within 1e-12")
+        self._cdf = self.probabilities.cumsum()
+        self._cdf /= self._cdf[-1]
 
     def __len__(self) -> int:
         return len(self.examples)
@@ -229,8 +247,14 @@ class DiscreteDistribution:
         return cls([(ex, 1.0 / n) for ex in examples])
 
     def sample_indices(self, n: int, seed) -> np.ndarray:
-        rng = as_generator(seed)
-        return rng.choice(len(self.examples), size=n, p=self.probabilities)
+        """``n`` atom indices drawn i.i.d. from the probabilities.
+
+        The indices and the generator state after the draw are those of
+        ``rng.choice(len(self), size=n, p=self.probabilities)``: this is
+        numpy's own search of ``n`` uniform doubles in the normalised CDF,
+        without re-checking the probabilities on every call.
+        """
+        return self._cdf.searchsorted(as_generator(seed).random(n), side="right")
 
     def sample(self, n: int, seed) -> list[LabeledExample]:
         return [self.examples[i] for i in self.sample_indices(n, seed)]
@@ -253,23 +277,17 @@ def violation_radius(h: Hypothesis, region: Region, y: int) -> tuple[float, bool
     Negative values mean the unexpanded region is already violated.  This
     makes loss profiles over expansion radii exact and O(1) to query.
     A hypothesis and a region of different dimensions raise
-    ``DimensionMismatch``.
+    ``DimensionMismatch``.  Halfspaces and sphere boundaries are the 1x1
+    case of the violation table; a lookup table enumerates its entries,
+    and its rows of the violation table are these calls, one per cell.
     """
-    if not isinstance(h, (LinearClassifier, SphereBoundary, TableClassifier)):
-        raise UnsupportedPairError(f"unsupported hypothesis type {type(h).__name__}")
-    centers, radii = _region_balls(region)
-    _check_same_dim(h.dimension, centers.shape[1])
+    if y not in (-1, 1):
+        raise ValueError("label must be +1 or -1")
     if isinstance(h, TableClassifier):
+        _check_same_dim(h.dimension, region.dimension)
         return _table_violation_radius(h, region, y)
-    if isinstance(h, LinearClassifier):
-        margins = (centers @ h.w + h.b) / float(np.linalg.norm(h.w))
-        if y == 1:
-            return float(np.min(margins - radii)), False
-        return float(np.min(-margins - radii)), True
-    dist = np.linalg.norm(centers - h.center, axis=1)
-    if y == h.inside_label:
-        return float(np.min(h.radius - dist - radii)), False
-    return float(np.min(dist - radii - h.radius)), True
+    radii, inclusive = _flip_table([h], [region], np.array([y]))
+    return float(radii[0, 0]), bool(inclusive[0, 0])
 
 
 def _has_nontable_point(h: TableClassifier, region: Region) -> bool:
@@ -317,12 +335,69 @@ def _violation_table(hypotheses, regions, examples) -> tuple[np.ndarray, np.ndar
     """
     for region, ex in zip(regions, examples, strict=True):
         _check_same_dim(region.dimension, ex.x.size)
-    radii = np.empty((len(hypotheses), len(examples)))
+    return _flip_table(hypotheses, regions, np.array([ex.y for ex in examples], dtype=int))
+
+
+def _flip_table(hypotheses, regions, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`violation_radius` of every hypothesis on every (region, label) column.
+
+    The balls of all columns are stacked once (one region is used as it
+    is), and a halfspace or sphere row is one pass over them: a flip
+    radius per ball, then each column's minimum over its own balls
+    (``np.minimum.reduceat``).  Every ball's value is computed on its own
+    row alone, so a cell has the same bits whatever the other columns are.
+    Columns of different dimensions raise ``DimensionMismatch``; with no
+    columns the arrays have shape ``(len(hypotheses), 0)``.
+    """
+    radii = np.empty((len(hypotheses), len(regions)))
     inclusive = np.empty(radii.shape, dtype=bool)
+    if not len(regions):
+        return radii, inclusive
+    centers, ball_radii, ball_labels, starts = _stacked_balls(regions, labels)
+    d = centers.shape[1]
+    negative = labels == -1
     for i, h in enumerate(hypotheses):
-        for j, (region, ex) in enumerate(zip(regions, examples)):
-            radii[i, j], inclusive[i, j] = violation_radius(h, region, ex.y)
+        if isinstance(h, LinearClassifier):
+            _check_same_dim(h.dimension, d)
+            # <c, w> added as geometry._sq_norms adds squares: each row on its own
+            margins = (_sq_norms(centers * h.w) + h.b) / h._w_norm
+            per_ball = ball_labels * margins - ball_radii
+            inclusive[i] = negative
+        elif isinstance(h, SphereBoundary):
+            _check_same_dim(h.dimension, d)
+            dist = _norms(centers - h.center)
+            agree = ball_labels == h.inside_label
+            per_ball = np.where(agree, h.radius - dist - ball_radii, dist - ball_radii - h.radius)
+            inclusive[i] = ~negative if h.inside_label == -1 else negative
+        elif isinstance(h, TableClassifier):
+            for j, (region, y) in enumerate(zip(regions, labels.tolist())):
+                radii[i, j], inclusive[i, j] = violation_radius(h, region, y)
+            continue
+        else:
+            raise UnsupportedPairError(f"unsupported hypothesis type {type(h).__name__}")
+        radii[i] = np.minimum.reduceat(per_ball, starts)
     return radii, inclusive
+
+
+def _stacked_balls(regions, labels: np.ndarray):
+    """The balls of all regions stacked in order, each ball's label, and each region's first ball.
+
+    One region is read as it is, with its label a scalar.
+    """
+    if len(regions) == 1:
+        centers, radii = _region_balls(regions[0])
+        return centers, radii, labels[0], np.zeros(1, dtype=np.intp)
+    balls = [_region_balls(region) for region in regions]
+    d = balls[0][0].shape[1]
+    for centers, _ in balls:
+        _check_same_dim(centers.shape[1], d)
+    sizes = [len(radii) for _, radii in balls]
+    return (
+        np.concatenate([centers for centers, _ in balls]),
+        np.concatenate([radii for _, radii in balls]),
+        np.repeat(labels, sizes),
+        np.cumsum([0] + sizes[:-1]),
+    )
 
 
 def _loss_table(hypotheses, regions, examples, r: float = 0.0) -> np.ndarray:

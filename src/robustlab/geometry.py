@@ -143,10 +143,11 @@ def _in_union(pts: np.ndarray, centers: np.ndarray, radii: np.ndarray) -> np.nda
 def _pair_distances(pts: np.ndarray, centers: np.ndarray):
     """``(slice, dist)`` per row block, ``dist[i, j]`` = |pts[slice][i] - centers[j]|.
 
+    ``pts`` is an ``(n, d)`` array of the centers' dimension, as :func:`_batch` returns.
+
     A block has at most 4,096 rows and a ``(rows, k, d)`` difference of about
     2**20 floats, measured by :func:`_norms` without a second block-sized array.
     """
-    pts = _batch(pts, centers.shape[1])
     size = max(1, min(4096, 2**20 // (len(centers) * pts.shape[1])))
     for start in range(0, len(pts), size):
         sl = slice(start, min(start + size, len(pts)))
@@ -155,6 +156,7 @@ def _pair_distances(pts: np.ndarray, centers: np.ndarray):
 
 def _union_distances(pts: np.ndarray, centers: np.ndarray, radii: np.ndarray | float) -> np.ndarray:
     """Distance from each row of ``pts`` to the union of balls, by :func:`_pair_distances` blocks."""
+    pts = _batch(pts, centers.shape[1])
     out = np.empty(len(pts))
     for rows, dist in _pair_distances(pts, centers):
         dist -= radii

@@ -6,12 +6,13 @@ radius (separate derived RNG streams), and asks the oracle for the class
 member minimizing empirical robust loss on the radius-expanded regions.
 
 :class:`IndexedExhaustiveOracle` is bound to one class, one region family
-and one finite distribution.  It builds the (hypothesis x atom) table of
-:func:`~robustlab.classifiers.violation_radius` flip radii once, and takes
-every sample as an array of atom indices into the distribution.  It returns
-a true argmin with lowest-index tie-breaking, and rejects an empty sample,
-an index that is not an atom's, and a radius that is negative or NaN with
-``ValueError``.
+and one finite distribution.  It builds the (hypothesis x atom) violation
+table of :func:`~robustlab.classifiers.violation_radius` flip radii once,
+one batched pass per hypothesis, and takes every sample as an array of
+atom indices into the distribution.  It returns a true argmin with
+lowest-index tie-breaking, and rejects an empty sample, an index that is
+not an atom's, and a radius that is negative or NaN with ``ValueError``.
+The exact expected loss of one class member reads that member's row alone.
 """
 
 from __future__ import annotations
@@ -90,7 +91,8 @@ class IndexedExhaustiveOracle:
     def distribution_loss(self, h_idx: int, r: float) -> float:
         """Exact expected robust loss of class member ``h_idx`` at radius r."""
         _check_indices(np.asarray(h_idx), len(self.cls), "hypothesis")
-        return float(self.violated(r)[h_idx] @ self.dist.probabilities)
+        row = _violated(self._radii[h_idx], self._incl[h_idx], r)
+        return float(row @ self.dist.probabilities)
 
     def _counts(self, atom_indices: np.ndarray, r: float) -> np.ndarray:
         """Per-hypothesis violation counts at r over a nonempty sample of atom indices."""

@@ -12,6 +12,8 @@ from robustlab.classifiers import (
     SphereBoundary,
     TableClassifier,
     _loss_table,
+    _violated,
+    _violation_table,
     linear_net_2d,
     regularity_check,
     robust_loss_distribution,
@@ -113,6 +115,22 @@ class TestPredict:
         table = TableClassifier([(0.0, 0.0)], [-1], default=1)
         assert table.predict((0, 0)) == -1
         assert table.predict((1, 1)) == 1
+
+    @pytest.mark.parametrize(
+        "h",
+        [LinearClassifier((1.0, 0.0), 0.0), SphereBoundary((0.0, 0.0), 1.0), TableClassifier([(0.0, 0.0)], [-1])],
+        ids=["linear", "sphere", "table"],
+    )
+    def test_point_of_other_dimension_rejected(self, h):
+        # numpy would broadcast a 1-D batch against a disc, a 1-D key never
+        # matches a table entry, and a halfspace failed inside its matmul
+        with pytest.raises(DimensionMismatch):
+            h.predict((0.0,))
+        with pytest.raises(DimensionMismatch):
+            h.predict_many(np.array([[0.5]]))
+        with pytest.raises(ValueError, match="batch"):
+            h.predict_many(np.array([0.5, 0.5]))
+        assert h.predict_many(np.array([[0.5, 0.0]])).tolist() == [h.predict((0.5, 0.0))]
 
     def test_sphere_predict_matches_predict_many_and_loss_kernel(self):
         # the 1-D norm of x - center exceeds the radius by one ulp, the row
@@ -311,6 +329,97 @@ class TestViolationRadius:
             _loss_table([h, h], [disc, disc], [ex((0.0, 0.0), 1), ex((0.0,), 1)])
 
 
+def scalar_violation_radius(h, region, y) -> tuple[float, bool]:
+    """The halfspace and sphere flip radius as a matrix-vector product per region.
+
+    An independent reference for the batched violation table, which adds
+    each margin's products on its own row instead of calling ``@``.
+    """
+    centers, radii = _region_balls(region)
+    if isinstance(h, LinearClassifier):
+        margins = (centers @ h.w + h.b) / float(np.linalg.norm(h.w))
+        if y == 1:
+            return float(np.min(margins - radii)), False
+        return float(np.min(-margins - radii)), True
+    dist = np.linalg.norm(centers - h.center, axis=1)
+    if y == h.inside_label:
+        return float(np.min(h.radius - dist - radii)), False
+    return float(np.min(dist - radii - h.radius)), True
+
+
+def table_cases(d):
+    """Hypotheses of every type and columns of every region variant, with both labels, in R^d."""
+    rng = rng_for(d, "batched-table")
+    regions = [
+        Ball(rng.normal(size=d), 0.4),
+        Ball(rng.normal(size=d), 0.0),
+        FinitePoints(rng.normal(size=(3, d))),
+        UnionOfBalls(rng.normal(size=(3, d)), [0.3, 0.0, 0.6]),
+        Expanded(FinitePoints(rng.normal(size=(2, d))), 0.25),
+        Expanded(Ball(rng.normal(size=d), 0.2), 0.1),
+    ]
+    columns = [(region, ex(_region_balls(region)[0][0], y)) for region in regions for y in (1, -1)]
+    hyps = [
+        LinearClassifier(rng.normal(size=d), 0.3),
+        LinearClassifier(rng.normal(size=d), -1.1),
+        SphereBoundary(rng.normal(size=d), 1.2, 1),
+        SphereBoundary(rng.normal(size=d), 0.9, -1),
+        TableClassifier(np.vstack([regions[2].points[:1], rng.normal(size=(2, d))]), [-1, 1, -1], default=1),
+        TableClassifier(rng.normal(size=(2, d)), [1, -1], default=-1),
+    ]
+    return hyps, [region for region, _ in columns], [e for _, e in columns]
+
+
+def bits(x) -> bytes:
+    return np.float64(x).tobytes()
+
+
+class TestBatchedViolationTable:
+    """Each cell of the batched table is its 1x1 case, whatever the other columns are."""
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 9])
+    def test_cells_equal_their_one_by_one_case(self, d):
+        hyps, regions, examples = table_cases(d)
+        radii, inclusive = _violation_table(hyps, regions, examples)
+        assert radii.shape == inclusive.shape == (len(hyps), len(examples))
+        for j, (region, e) in enumerate(zip(regions, examples)):
+            column = _violation_table(hyps, [region], [e])
+            assert [bits(v) for v in column[0][:, 0]] == [bits(v) for v in radii[:, j]]
+            assert np.array_equal(column[1][:, 0], inclusive[:, j])
+            for i, h in enumerate(hyps):
+                r_star, inc = violation_radius(h, region, e.y)
+                assert bits(r_star) == bits(radii[i, j]) and inc == inclusive[i, j], (i, j)
+
+    def test_zero_columns(self):
+        hyps, _, _ = table_cases(2)
+        radii, inclusive = _violation_table(hyps, [], [])
+        assert radii.shape == inclusive.shape == (len(hyps), 0)
+        assert inclusive.dtype == bool
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 9])
+    def test_matches_matrix_vector_reference(self, d):
+        hyps, regions, examples = table_cases(d)
+        hyps = [h for h in hyps if not isinstance(h, TableClassifier)]
+        radii, inclusive = _violation_table(hyps, regions, examples)
+        reference = [[scalar_violation_radius(h, region, e.y) for region, e in zip(regions, examples)] for h in hyps]
+        ref_radii = np.array([[r for r, _ in row] for row in reference])
+        assert np.array_equal(inclusive, [[inc for _, inc in row] for row in reference])
+        # the two sums of products may round differently, by a few units in the last place
+        assert np.all(np.abs(radii - ref_radii) <= 4 * np.spacing(np.maximum(np.abs(radii), np.abs(ref_radii))))
+        for r in rng_for(d, "radii").uniform(0, 3, size=50):
+            assert np.array_equal(_violated(radii, inclusive, r), _violated(ref_radii, inclusive, r))
+
+    def test_columns_of_other_dimensions_rejected(self):
+        h = LinearClassifier((1.0, 0.0), 0.0)
+        with pytest.raises(DimensionMismatch):
+            _violation_table([h], [Ball((0.0, 0.0), 1.0), Ball((0.0,), 1.0)], [ex((0.0, 0.0), 1), ex((0.0,), 1)])
+
+    def test_label_outside_plus_minus_one_rejected(self):
+        for h in table_cases(2)[0]:
+            with pytest.raises(ValueError, match="label"):
+                violation_radius(h, Ball((0.0, 0.0), 1.0), 0)
+
+
 coord_st = st.floats(-2, 2, allow_subnormal=False)
 point_st = st.tuples(coord_st, coord_st)
 radius_st = st.one_of(st.just(0.0), st.floats(0.1, 1))
@@ -486,6 +595,13 @@ class TestRegularity:
         assert cert.passed
 
 
+def same_state(a: dict, b: dict) -> bool:
+    """Whether two bit-generator states are equal, array entries (Philox's key and counter) included."""
+    return a.keys() == b.keys() and all(
+        same_state(a[k], b[k]) if isinstance(a[k], dict) else np.array_equal(a[k], b[k]) for k in a
+    )
+
+
 class TestDiscreteDistribution:
     def test_probability_validation(self):
         e = ex((0.0,), 1)
@@ -493,6 +609,27 @@ class TestDiscreteDistribution:
             DiscreteDistribution([(e, 0.5), (e, 0.6)])
         with pytest.raises(ValueError):
             DiscreteDistribution([(e, 1.0), (e, 0.0)])
+
+    @pytest.mark.parametrize("n", [0, 1, 10, 30, 100, 300])
+    def test_sample_indices_match_numpy_choice(self, n):
+        # the same indices and the same generator state afterwards, for
+        # the Philox streams rng_for derives and numpy's default PCG64
+        for seed in range(300):
+            size = 1 + seed % 12
+            probs = rng_for(seed, "probs").dirichlet(np.ones(size))
+            probs /= probs.sum()
+            dist = DiscreteDistribution([(ex((float(i),), 1), p) for i, p in enumerate(probs)])
+            for make in (lambda: rng_for(seed, "draw"), lambda: np.random.default_rng(seed)):
+                ours, theirs = make(), make()
+                expected = theirs.choice(size, size=n, p=dist.probabilities)
+                got = dist.sample_indices(n, ours)
+                assert got.dtype == expected.dtype and np.array_equal(got, expected)
+                assert same_state(ours.bit_generator.state, theirs.bit_generator.state)
+
+    def test_probabilities_read_only(self):
+        dist = DiscreteDistribution.uniform([ex((0.0,), 1), ex((1.0,), -1)])
+        with pytest.raises(ValueError, match="read-only"):
+            dist.probabilities[0] = 1.0
 
     def test_sampling_deterministic(self):
         examples = [ex((float(i),), 1) for i in range(4)]

@@ -41,6 +41,11 @@ SMALL_CSV_SHA256 = {
     "regularity_check": "72e65c68a42ac980c07efd5cbff03a4e4c50056ed9ce7c8a929112aaffea6153",
 }
 
+# The tolrerm_sweep CSV at the benchmark's size (40 tasks, so 40 oracles and
+# 800 learner calls) and seed 11, pinned the same way; SMALL covers 2 tasks.
+TOLRERM_BENCH_PARAMS = {"tasks": 40, "trials": 5, "n_grid": [10, 30, 100, 300]}
+TOLRERM_BENCH_CSV_SHA256 = "0a133350771d7745a6cf312be74c47ee90ca3b879e92f991d4c4cd552b9c9bc0"
+
 
 class TestConfigParsing:
     def test_unknown_top_level_key_rejected(self):
@@ -209,6 +214,17 @@ class TestRunAndWrite:
         lines = path.read_bytes().splitlines(keepends=True)
         body = b"".join(line for line in lines if not line.startswith(b"# config:"))
         assert hashlib.sha256(body).hexdigest() == SMALL_CSV_SHA256[name]
+
+    def test_benchmark_size_tolrerm_digest_pinned(self, tmp_path):
+        path = tmp_path / "tolrerm_sweep.csv"
+        run(
+            ExperimentConfig.from_dict(
+                {"experiment": "tolrerm_sweep", "seed": 11, "params": TOLRERM_BENCH_PARAMS, "output_path": str(path)}
+            )
+        )
+        lines = path.read_bytes().splitlines(keepends=True)
+        body = b"".join(line for line in lines if not line.startswith(b"# config:"))
+        assert hashlib.sha256(body).hexdigest() == TOLRERM_BENCH_CSV_SHA256
 
 
 class TestSeedDerivation:

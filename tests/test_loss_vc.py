@@ -347,15 +347,16 @@ class TestLossMatrixAgainstRecomputation:
         instances = [(2, 2, cls, fam, examples), (2, 1, cls, singleton_family(examples), examples)]
         expected = [reference_overhead_row(*inst, max_m=3) for inst in instances]
 
-        calls = []
-        kernel = robustlab.classifiers.violation_radius
+        shapes = []
+        table = robustlab.classifiers._violation_table
 
-        def counted(*args):
-            calls.append(args)
-            return kernel(*args)
+        def counted(hypotheses, regions, examples):
+            radii, inclusive = table(hypotheses, regions, examples)
+            shapes.append(radii.shape)
+            return radii, inclusive
 
-        monkeypatch.setattr(robustlab.classifiers, "violation_radius", counted)
+        monkeypatch.setattr(robustlab.classifiers, "_violation_table", counted)
         assert overhead_audit(instances, max_m=3) == expected
-        # one kernel evaluation per (hypothesis, example) cell per instance,
-        # shared by the search and the Sauer pass
-        assert len(calls) == len(instances) * len(cls) * len(examples)
+        # one table evaluation per instance, covering every (hypothesis,
+        # example) cell, shared by the search and the Sauer pass
+        assert shapes == [(len(cls), len(examples))] * len(instances)

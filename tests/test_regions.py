@@ -123,7 +123,8 @@ def test_batch_of_wrong_shape_rejected(variant, query):
     for bad in ([[0.5]], np.zeros((3, 3)), np.zeros((0, 1))):
         with pytest.raises(DimensionMismatch):
             method(bad)
-    for bad in (np.array([0.5, 0.5]), np.zeros((1, 1, 2))):
+    # a scalar and a 0-d array are checked before anything takes their length
+    for bad in (np.array([0.5, 0.5]), np.zeros((1, 1, 2)), 0.5, np.array(0.5)):
         with pytest.raises(ValueError, match="batch"):
             method(bad)
     assert len(method([[0.5, 0.5]])) == 1

@@ -12,9 +12,10 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import robustlab
-from robustlab import geometry, harness, regions
+from robustlab import classifiers, geometry, harness, regions
 
 TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -45,26 +46,39 @@ def test_install_then_uninstall_restores_every_original():
     tracer = load_tracer()
     before = snapshot()
     spans = tracer.Tracer()
-    uninstall = tracer.install(spans)
-    try:
-        assert regions.point_key is not before["robustlab.regions"]["point_key"]
-        params = {"universe_size": 6, "thresholds": 12, "k_grid": [1, 2, 3], "max_m": 3}
-        record = harness.run(
-            harness.ExperimentConfig.from_dict(
-                {"experiment": "robust_vc_audit", "seed": 3, "params": params}
+    shapes = []
+    table = classifiers._violation_table
+
+    def counted(hypotheses, regions, examples):
+        radii, inclusive = table(hypotheses, regions, examples)
+        shapes.append(radii.shape)
+        return radii, inclusive
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(classifiers, "_violation_table", counted)
+        uninstall = tracer.install(spans)
+        try:
+            assert regions.point_key is not before["robustlab.regions"]["point_key"]
+            params = {"universe_size": 6, "thresholds": 12, "k_grid": [1, 2, 3], "max_m": 3}
+            record = harness.run(
+                harness.ExperimentConfig.from_dict(
+                    {"experiment": "robust_vc_audit", "seed": 3, "params": params}
+                )
             )
-        )
-        assert record.assertions_passed
-        assert spans.counts["loss_vc.subsets_scanned"] > 0
-        # one kernel evaluation per (hypothesis, example) per instance,
-        # shared by the search and the Sauer pass
-        n_instances = len(params["k_grid"])
-        cells = n_instances * params["thresholds"] * params["universe_size"]
-        assert spans.calls["classifiers.violation_radius"] == cells
-        # the audit reads the loss table, not the pointwise loss
-        assert spans.calls["classifiers.robust_loss_point"] == 0
-    finally:
-        uninstall()
+            assert record.assertions_passed
+            assert spans.counts["loss_vc.subsets_scanned"] > 0
+            # one table evaluation per instance, covering every (hypothesis,
+            # example) cell, shared by the search and the Sauer pass
+            cells = (params["thresholds"], params["universe_size"])
+            assert shapes == [cells] * len(params["k_grid"])
+            # the class holds only halfspace thresholds, whose rows the table
+            # computes in one batched pass each: violation_radius is called
+            # per cell for lookup-table rows only
+            assert spans.calls["classifiers.violation_radius"] == 0
+            # the audit reads the loss table, not the pointwise loss
+            assert spans.calls["classifiers.robust_loss_point"] == 0
+        finally:
+            uninstall()
     assert_restored(before)
 
 
