@@ -85,7 +85,14 @@ class LabeledExample:
 
 @dataclass(frozen=True, eq=False)
 class LinearClassifier:
-    """Halfspace classifier: predicts +1 iff <w, x> + b >= 0."""
+    """Halfspace classifier: predicts +1 iff <w, x> + b >= 0.
+
+    Every margin, of one point, of a batch or of the balls in the loss
+    table, is :meth:`_margins` of its rows: each row's products are added
+    on their own, as ``geometry._sq_norms`` adds squares, so a point gets
+    the same bits alone and in any batch, and prediction and robust loss
+    agree on points of the decision boundary.
+    """
 
     w: np.ndarray
     b: float
@@ -107,13 +114,17 @@ class LinearClassifier:
     def margin(self, x) -> float:
         x = as_point(x)
         _check_same_dim(x.size, self.dimension)
-        return float(self.w @ x + self.b)
+        return float(self._margins(x[None, :])[0])
 
     def predict(self, x) -> int:
         return 1 if self.margin(x) >= 0 else -1
 
     def predict_many(self, pts: np.ndarray) -> np.ndarray:
-        return np.where(_batch(pts, self.dimension) @ self.w + self.b >= 0, 1, -1)
+        return np.where(self._margins(_batch(pts, self.dimension)) >= 0, 1, -1)
+
+    def _margins(self, pts: np.ndarray) -> np.ndarray:
+        """``<w, x> + b`` for each row ``x`` of an ``(n, d)`` array."""
+        return _sq_norms(pts * self.w) + self.b
 
     def offset(self) -> float:
         """Distance of the decision boundary from the origin."""
@@ -359,8 +370,7 @@ def _flip_table(hypotheses, regions, labels: np.ndarray) -> tuple[np.ndarray, np
     for i, h in enumerate(hypotheses):
         if isinstance(h, LinearClassifier):
             _check_same_dim(h.dimension, d)
-            # <c, w> added as geometry._sq_norms adds squares: each row on its own
-            margins = (_sq_norms(centers * h.w) + h.b) / h._w_norm
+            margins = h._margins(centers) / h._w_norm
             per_ball = ball_labels * margins - ball_radii
             inclusive[i] = negative
         elif isinstance(h, SphereBoundary):

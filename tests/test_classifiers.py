@@ -132,6 +132,23 @@ class TestPredict:
             h.predict_many(np.array([0.5, 0.5]))
         assert h.predict_many(np.array([[0.5, 0.0]])).tolist() == [h.predict((0.5, 0.0))]
 
+    @pytest.mark.parametrize("d", [2, 3, 9])
+    def test_halfspace_predict_matches_predict_many_and_loss_table_on_boundary(self, d):
+        # points solved onto the boundary have margins of a few ulp either
+        # side, where a matrix product and a one-point dot product can disagree
+        rng = rng_for(d, "on-boundary")
+        for _ in range(40):
+            h = LinearClassifier(rng.normal(size=d), rng.normal())
+            pts = rng.normal(size=(16, d))
+            pts[:, -1] = -(pts[:, :-1] @ h.w[:-1] + h.b) / h.w[-1]
+            batch = h.predict_many(pts)
+            assert batch.tolist() == [h.predict(p) for p in pts]
+            for y in (1, -1):
+                assert robust_loss_point(h, FinitePoints(pts), ex(pts[0], y)) == int(np.any(batch != y))
+                assert _loss_table([h], [FinitePoints([p]) for p in pts], [ex(p, y) for p in pts])[0].tolist() == [
+                    int(label != y) for label in batch
+                ]
+
     def test_sphere_predict_matches_predict_many_and_loss_kernel(self):
         # the 1-D norm of x - center exceeds the radius by one ulp, the row
         # norm that predict_many and the loss kernel take does not
