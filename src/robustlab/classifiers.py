@@ -35,7 +35,7 @@ from typing import Union
 
 import numpy as np
 
-from .geometry import Ball, as_point, _batch, _check_same_dim, _in_ball, _readonly, _norms, _sq_norms
+from .geometry import Ball, as_point, _batch, _check_same_dim, _in_ball, _is_integer, _readonly, _norms, _sq_norms
 from .regions import (
     FinitePoints,
     Region,
@@ -326,14 +326,16 @@ def _table_violation_radius(h: TableClassifier, region: Region, y: int) -> tuple
     return best, inclusive
 
 
-def _violated(radii, inclusive, r: float):
+def _violated(radii, inclusive, r):
     """Whether the loss at expansion ``r`` is 1, given flip radii and flags.
 
     The one statement of the boundary rule: ``r >= r_star`` when inclusive,
-    ``r > r_star`` otherwise.  Works elementwise on arrays of flip radii;
-    a negative or NaN ``r`` raises ``ValueError``.
+    ``r > r_star`` otherwise.  ``r`` is one radius or an array of them, with
+    result shape ``np.shape(r) + radii.shape``; a negative or NaN radius
+    raises ``ValueError``.
     """
-    if not r >= 0:
+    r = np.asarray(r)[(...,) + (None,) * radii.ndim]
+    if not r.min(initial=0.0) >= 0:  # NaN fails too; an empty array passes
         raise ValueError("expansion radius must be nonnegative")
     return np.where(inclusive, r >= radii, r > radii)
 
@@ -480,9 +482,13 @@ def regularity_check(
       when every candidate ball contains a conflicting table entry.  Table
       entries inside the domain are always probed in addition to the random
       probes, since those are the only points where a table can misbehave.
+
+    A ``probes`` that is not a nonnegative integer raises ``ValueError``.
     """
     if not alpha > 0:  # also rejects NaN
         raise ValueError("alpha must be positive")
+    if not _is_integer(probes) or probes < 0:
+        raise ValueError(f"probes must be a nonnegative integer, got {probes!r}")
     rng = as_generator(seed)
     probe_pts = uniform_sample(domain, probes, rng) if probes > 0 else np.empty((0, domain.dimension))
     if isinstance(h, TableClassifier):

@@ -21,6 +21,7 @@ Conventions used throughout the library:
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -71,6 +72,11 @@ def as_point(x) -> np.ndarray:
 def _check_same_dim(da: int, db: int) -> None:
     if da != db:
         raise DimensionMismatch(f"dimension mismatch: {da} vs {db}")
+
+
+def _is_integer(x) -> bool:
+    """A Python or numpy integer, not a bool."""
+    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
 
 
 def distance(a, b) -> float:

@@ -13,7 +13,6 @@ which scales like the inverse of that relative mass.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,7 +24,7 @@ from .classifiers import (
     LinearClassifier,
     robust_loss_distribution,
 )
-from .geometry import Ball
+from .geometry import Ball, _is_integer
 from .regions import Region, RegionFamily, UnionOfBalls, uniform_sample
 from .seeding import rng_for
 
@@ -231,11 +230,6 @@ def wilson_interval(successes: int, n: int) -> tuple[float, float]:
     center = (p + z * z / (2 * n)) / denom
     half = z * math.sqrt(p * (1 - p) / n + z * z / (4 * n * n)) / denom
     return max(0.0, center - half), min(1.0, center + half)
-
-
-def _is_integer(x) -> bool:
-    """A Python or numpy integer, not a bool."""
-    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
 
 
 def run_query_game(

@@ -6,13 +6,13 @@ radius (separate derived RNG streams), and asks the oracle for the class
 member minimizing empirical robust loss on the radius-expanded regions.
 
 :class:`IndexedExhaustiveOracle` is bound to one class, one region family
-and one finite distribution.  It builds the (hypothesis x atom) violation
-table of :func:`~robustlab.classifiers.violation_radius` flip radii once,
-one batched pass per hypothesis, and takes every sample as an array of
-atom indices into the distribution.  It returns a true argmin with
+and one finite distribution.  It builds the (hypothesis x atom) table of
+:func:`~robustlab.classifiers.violation_radius` flip radii once and takes
+every sample as an array of atom indices.  It returns a true argmin with
 lowest-index tie-breaking, and rejects an empty sample, an index that is
-not an atom's, and a radius that is negative or NaN with ``ValueError``.
-The exact expected loss of one class member reads that member's row alone.
+not an atom's, and a negative or NaN radius with ``ValueError``.  A
+member's exact expected loss reads its row alone, and an array of radii
+gives one optimal count per radius.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from .classifiers import (
     _violated,
     _violation_table,
 )
-from .geometry import Ball
+from .geometry import Ball, _is_integer
 from .regions import FinitePoints, RegionFamily, UnionOfBalls
 from .seeding import rng_for, uniform_sphere
 
@@ -84,8 +84,8 @@ class IndexedExhaustiveOracle:
         regions = [family.region_for(ex.x) for ex in dist.examples]
         self._radii, self._incl = _violation_table(cls, regions, dist.examples)
 
-    def violated(self, r: float) -> np.ndarray:
-        """Boolean (hypothesis, atom) table of robust-loss violations at r."""
+    def violated(self, r) -> np.ndarray:
+        """Boolean (hypothesis, atom) violation table at r: (H, N), or (R, H, N) for R radii."""
         return _violated(self._radii, self._incl, r)
 
     def distribution_loss(self, h_idx: int, r: float) -> float:
@@ -94,13 +94,13 @@ class IndexedExhaustiveOracle:
         row = _violated(self._radii[h_idx], self._incl[h_idx], r)
         return float(row @ self.dist.probabilities)
 
-    def _counts(self, atom_indices: np.ndarray, r: float) -> np.ndarray:
-        """Per-hypothesis violation counts at r over a nonempty sample of atom indices."""
+    def _counts(self, atom_indices: np.ndarray, r) -> np.ndarray:
+        """Per-hypothesis violation counts at r (last axis) over a nonempty sample of atom indices."""
         atom_indices = np.asarray(atom_indices)
         if atom_indices.size == 0:
             raise ValueError("empty sample")
         _check_indices(atom_indices, len(self.dist), "atom")
-        return self.violated(r)[:, atom_indices].sum(axis=1)
+        return self.violated(r)[..., atom_indices].sum(axis=-1)
 
     def solve(self, atom_indices: np.ndarray, r: float) -> RermSolution:
         """Lowest-index minimizer of empirical robust loss at r on the sampled atoms."""
@@ -108,8 +108,9 @@ class IndexedExhaustiveOracle:
         idx = int(np.argmin(counts))
         return RermSolution(self.cls[idx], int(counts[idx]) / len(atom_indices), idx)
 
-    def opt_count(self, atom_indices: np.ndarray, r: float) -> int:
-        return int(np.min(self._counts(atom_indices, r)))
+    def opt_count(self, atom_indices: np.ndarray, r) -> np.ndarray:
+        """Least violation count over the class at r, one per radius for an array of radii."""
+        return self._counts(atom_indices, r).min(axis=-1)
 
 
 def _check_tolerance(eps: float, delta: float, gamma: float) -> None:
@@ -168,7 +169,7 @@ class GapAudit:
 
 
 def opt_gap_audit(
-    opt_fn: Callable[[float], float],
+    profile: Callable[[np.ndarray], np.ndarray],
     eps: float,
     delta: float,
     gamma: float,
@@ -177,22 +178,28 @@ def opt_gap_audit(
 ) -> GapAudit:
     """Sample radii and measure how often the optimum moved by > eps/3.
 
-    Draws ``r`` uniform on ``[alpha, gamma]`` with ``alpha = eps*delta*gamma/7``
-    and evaluates the gap ``opt(r) - opt(r - alpha)``.  For any monotone
-    [0, 1]-valued profile the mean gap is at most ``alpha / (gamma - alpha)``
-    and the frequency of gaps below ``eps/3`` is at least ``1 - delta/2``;
-    the audit returns both empirical statistics alongside those targets.
+    Draws ``trials`` radii ``r`` uniform on ``[alpha, gamma]`` with ``alpha =
+    eps*delta*gamma/7`` and evaluates the gaps ``opt(r) - opt(r - alpha)`` in
+    two calls of ``profile``, which maps an array of radii to their optima.
+    For any monotone [0, 1]-valued profile the mean gap is at most ``alpha /
+    (gamma - alpha)`` and the frequency of gaps below ``eps/3`` is at least
+    ``1 - delta/2``; the audit returns both empirical statistics alongside
+    those targets.  Non-integer ``trials`` raise ``ValueError``, and so does a
+    profile without one optimum per radius.
     """
     _check_tolerance(eps, delta, gamma)
+    if not _is_integer(trials):
+        raise ValueError(f"trials must be an integer, got {trials!r}")
     if trials < 100:
         raise ValueError("need at least 100 trials for a meaningful audit")
     alpha = eps * delta * gamma / 7.0
-    rng = rng_for(seed, "gap-audit")
-    rs = rng.uniform(alpha, gamma, size=trials)
-    gaps = np.array([opt_fn(r) - opt_fn(r - alpha) for r in rs])
-    freq = float(np.mean(gaps <= eps / 3.0 + 1e-12))
+    rs = rng_for(seed, "gap-audit").uniform(alpha, gamma, size=trials)
+    upper, lower = profile(rs), profile(rs - alpha)
+    if np.shape(upper) != rs.shape or np.shape(lower) != rs.shape:
+        raise ValueError(f"profile must return one optimum per radius, shape {rs.shape}")
+    gaps = np.subtract(upper, lower)
     return GapAudit(
-        frequency_ok=freq,
+        frequency_ok=float(np.mean(gaps <= eps / 3.0 + 1e-12)),
         mean_gap=float(np.mean(gaps)),
         alpha=alpha,
         gap_threshold=eps / 3.0,

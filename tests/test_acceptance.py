@@ -15,6 +15,7 @@ import time
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from robustlab.classifiers import (
     LabeledExample,
@@ -283,6 +284,100 @@ def test_c06_opt_gap_audit():
                 worst.append(audit.frequency_ok - audit.target_frequency)
     _verdict("C06", all_ok, f"200 audits, worst frequency margin {min(worst):+.4f}")
     assert all_ok
+
+
+def _exact_gap_reference(flips: np.ndarray, n: int, eps: float, alpha: float, gamma: float):
+    """Exact gap statistics of one fixed sample under ``r ~ U[alpha, gamma]``.
+
+    ``flips`` are the (hypothesis x sampled atom) flip radii.  The optimal
+    count is a nondecreasing step function of r with its breakpoints at the
+    flip radii, so between breakpoints it is the count at the midpoint, where
+    no inclusive flag matters.  Returns the mean gap, from the telescoped
+    integrals ``(int_{gamma-alpha}^{gamma} opt - int_0^{alpha} opt) / (gamma - alpha)``;
+    the probability that the gap passes ``eps/3``, from the pieces of
+    ``[alpha, gamma]`` split at every breakpoint ``b`` and ``b + alpha``; and the
+    probability of each gap count ``0, 1, ...``, from the same pieces.
+    """
+    breaks = flips[np.isfinite(flips)].ravel()
+
+    def pieces(lo, hi, cuts):
+        edges = np.unique(np.concatenate([[lo, hi], cuts[(cuts > lo) & (cuts < hi)]]))
+        return np.diff(edges), (edges[:-1] + edges[1:]) / 2
+
+    def opt(r):
+        return (r[:, None, None] > flips).sum(axis=-1).min(axis=-1)
+
+    top, top_mid = pieces(gamma - alpha, gamma, breaks)
+    bottom, bottom_mid = pieces(0.0, alpha, breaks)
+    mean_gap = (top @ (opt(top_mid) / n) - bottom @ (opt(bottom_mid) / n)) / (gamma - alpha)
+    lengths, mids = pieces(alpha, gamma, np.concatenate([breaks, breaks + alpha]))
+    upper, lower = opt(mids), opt(mids - alpha)
+    passes = upper / n - lower / n <= eps / 3.0 + 1e-12  # the audit's own float rule
+    weights = lengths / (gamma - alpha)
+    return mean_gap, float(weights @ passes), np.bincount(upper - lower, weights=weights)
+
+
+def _two_sided_p(pmf: np.ndarray, k: int) -> float:
+    """Exact two-sided tail probability of the outcome ``k`` under ``pmf`` on 0, 1, ..."""
+    return min(1.0, 2 * min(pmf[: k + 1].sum(), pmf[k:].sum()))
+
+
+def _convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The pmf of the sum of two independent counts, its upper tail below 1e-30 dropped."""
+    out = np.convolve(a, b)
+    return out[: np.flatnonzero(out > 1e-30).max() + 1]
+
+
+def test_c06_exact_reference():
+    """C06's 200 cells against their exact gap statistics.
+
+    The exact mean gap is at most ``alpha / (gamma - alpha)`` in every cell:
+    the lemma itself, with no sampling.  Each cell's count of failed gaps is
+    tested against its exact binomial law, and its sum of 400 gap counts
+    against the exact law of that sum; the totals over all cells are tested
+    against the convolutions of those laws.  The level is fixed at 1e-3 over
+    the 200 x 2 + 2 tests (Bonferroni), each two-sided p at least 1e-3 / 402.
+    """
+    level = 1e-3 / (200 * 2 + 2)
+    tasks = [make_learning_task(seed_derive(MASTER_SEED, f"c6-{i}"), gamma=0.5) for i in range(50)]
+    oracles = [IndexedExhaustiveOracle(t.cls, t.family, t.dist) for t in tasks]
+    samples = [t.dist.sample_indices(30, rng_for(MASTER_SEED, f"c6-sample-{i}")) for i, t in enumerate(tasks)]
+    lemma_ok = True
+    p_values = []
+    total_fail_pmf, total_sum_pmf = np.ones(1), np.ones(1)
+    total_fails = total_sum = 0
+    for eps in (0.1, 0.3):
+        for delta in (0.1, 0.3):
+            alpha = eps * delta * 0.5 / 7.0
+            for i, (oracle, idx) in enumerate(zip(oracles, samples)):
+                audit = opt_gap_audit(
+                    lambda r, o=oracle, s=idx: o.opt_count(s, r) / len(s),
+                    eps, delta, 0.5, 400, seed_derive(MASTER_SEED, f"c6-{eps}-{delta}-{i}"),
+                )
+                mean_gap, p_ok, gap_pmf = _exact_gap_reference(oracle._radii[:, idx], len(idx), eps, alpha, 0.5)
+                assert gap_pmf.sum() == pytest.approx(1.0, abs=1e-12)
+                assert gap_pmf @ np.arange(len(gap_pmf)) / len(idx) == pytest.approx(mean_gap, abs=1e-12)
+                lemma_ok = lemma_ok and mean_gap <= audit.mean_gap_bound + 1e-12
+                fails = 400 - round(audit.frequency_ok * 400)
+                fail_pmf = stats.binom.pmf(np.arange(401), 400, max(0.0, 1.0 - p_ok))
+                count_sum = round(audit.mean_gap * 400 * len(idx))
+                sum_pmf = np.ones(1)
+                for _ in range(400):
+                    sum_pmf = _convolve(sum_pmf, gap_pmf)
+                p_values.append((_two_sided_p(fail_pmf, fails), _two_sided_p(sum_pmf, count_sum)))
+                total_fail_pmf = _convolve(total_fail_pmf, fail_pmf)
+                total_sum_pmf = _convolve(total_sum_pmf, sum_pmf)
+                total_fails += fails
+                total_sum += count_sum
+    p_freq, p_mean = np.min(p_values, axis=0)
+    p_total = min(_two_sided_p(total_fail_pmf, total_fails), _two_sided_p(total_sum_pmf, total_sum))
+    ok = lemma_ok and min(p_freq, p_mean, p_total) >= level
+    _verdict(
+        "C06-exact",
+        ok,
+        f"lemma={lemma_ok} min p per cell: frequency {p_freq:.3g}, mean gap {p_mean:.3g}; totals {p_total:.3g}",
+    )
+    assert ok
 
 
 def test_c07_sandwich_audits():

@@ -426,6 +426,12 @@ class TestBatchedViolationTable:
         for r in rng_for(d, "radii").uniform(0, 3, size=50):
             assert np.array_equal(_violated(radii, inclusive, r), _violated(ref_radii, inclusive, r))
 
+    @pytest.mark.parametrize("bad", [-1e-300, np.nan])
+    def test_array_of_radii_with_one_bad_entry_rejected(self, bad):
+        radii, inclusive = _violation_table(*table_cases(2))
+        with pytest.raises(ValueError, match="nonnegative"):
+            _violated(radii, inclusive, np.array([0.0, 0.5, bad, 1.0]))
+
     def test_columns_of_other_dimensions_rejected(self):
         h = LinearClassifier((1.0, 0.0), 0.0)
         with pytest.raises(DimensionMismatch):
@@ -605,6 +611,16 @@ class TestRegularity:
     def test_nan_alpha_rejected(self):
         with pytest.raises(ValueError, match="alpha"):
             regularity_check(LinearClassifier((1, 0), 0.0), np.nan, 10, Ball((0, 0), 1.0), seed=0)
+
+    @pytest.mark.parametrize("probes", [-5, 10.5, np.float64(8.0), True])
+    def test_bad_probe_count_rejected(self, probes):
+        # 64 probes find failures on this sphere, so -5 must not certify it
+        with pytest.raises(ValueError, match="probes must be a nonnegative integer"):
+            regularity_check(SphereBoundary((0, 0), 1.0), 0.9, probes, Ball((0, 0), 3.0), seed=0)
+
+    def test_numpy_integer_probe_count_accepted(self):
+        cert = regularity_check(SphereBoundary((0, 0), 1.0), 0.9, np.int64(64), Ball((0, 0), 3.0), seed=0)
+        assert cert.probes == 64 and not cert.passed
 
     def test_all_default_table_passes(self):
         table = TableClassifier([(0.5, 0.5)], [1], default=1)

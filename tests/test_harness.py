@@ -46,6 +46,10 @@ SMALL_CSV_SHA256 = {
 TOLRERM_BENCH_PARAMS = {"tasks": 40, "trials": 5, "n_grid": [10, 30, 100, 300]}
 TOLRERM_BENCH_CSV_SHA256 = "0a133350771d7745a6cf312be74c47ee90ca3b879e92f991d4c4cd552b9c9bc0"
 
+# The same digest for opt_gap_audit at its default parameters (50 instances
+# x 400 trials) and seed 11.
+OPT_GAP_AUDIT_DEFAULT_CSV_SHA256 = "ec86005a0a5f954d15a45b436ffd727973abddbb73b174d2a37f8878a26f5bbe"
+
 
 class TestConfigParsing:
     def test_unknown_top_level_key_rejected(self):
@@ -225,6 +229,13 @@ class TestRunAndWrite:
         lines = path.read_bytes().splitlines(keepends=True)
         body = b"".join(line for line in lines if not line.startswith(b"# config:"))
         assert hashlib.sha256(body).hexdigest() == TOLRERM_BENCH_CSV_SHA256
+
+    def test_default_size_opt_gap_audit_digest_pinned(self, tmp_path):
+        path = tmp_path / "opt_gap_audit.csv"
+        run(ExperimentConfig.from_dict({"experiment": "opt_gap_audit", "seed": 11, "output_path": str(path)}))
+        lines = path.read_bytes().splitlines(keepends=True)
+        body = b"".join(line for line in lines if not line.startswith(b"# config:"))
+        assert hashlib.sha256(body).hexdigest() == OPT_GAP_AUDIT_DEFAULT_CSV_SHA256
 
 
 class TestSeedDerivation:

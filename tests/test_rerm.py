@@ -110,6 +110,21 @@ class TestIndexedOracle:
                 sol = oracle.solve(sample_idx, r)
                 assert (sol.index, sol.achieved_loss) == expected
 
+    def test_opt_count_over_radii_matches_one_radius_at_a_time(self):
+        # radii at 0, at every sampled flip radius exactly and one ulp above it
+        flags = set()
+        for task_seed in range(4):
+            task = make_learning_task(task_seed)
+            oracle = IndexedExhaustiveOracle(task.cls, task.family, task.dist)
+            sample_idx = task.dist.sample_indices(40, seed=task_seed + 100)
+            flips = oracle._radii[:, sample_idx]
+            reachable = np.isfinite(flips) & (flips >= 0)
+            flags.update(oracle._incl[:, sample_idx][reachable].tolist())
+            rs = np.concatenate([[0.0], flips[reachable], np.nextafter(flips[reachable], np.inf)])
+            assert np.array_equal(oracle.opt_count(sample_idx, rs), [oracle.opt_count(sample_idx, r) for r in rs])
+            assert np.array_equal(oracle.violated(rs), [oracle.violated(r) for r in rs])
+        assert flags == {True, False}
+
     def test_label_noise_atoms_kept_apart(self):
         # two atoms at one point with opposite labels
         x = np.array([2.0, 0.0])
@@ -294,7 +309,7 @@ class TestGapAudit:
             opt_gap_audit(lambda r: 0.0, eps, delta, gamma, 500, seed=0)
 
     def test_constant_profile(self):
-        audit = opt_gap_audit(lambda r: 0.25, 0.3, 0.3, 1.0, 500, seed=0)
+        audit = opt_gap_audit(lambda r: np.full_like(r, 0.25), 0.3, 0.3, 1.0, 500, seed=0)
         assert audit.frequency_ok == 1.0
         assert audit.mean_gap == 0.0
 
@@ -304,7 +319,7 @@ class TestGapAudit:
         eps, delta, gamma = 0.3, 0.3, 1.0
         alpha = eps * delta * gamma / 7.0
         s = gamma / 2.0
-        profile = lambda r: 0.5 if r >= s else 0.0  # noqa: E731
+        profile = lambda r: np.where(r >= s, 0.5, 0.0)  # noqa: E731
         audit = opt_gap_audit(profile, eps, delta, gamma, 40_000, seed=1)
         expected = 0.5 * alpha / (gamma - alpha)
         # Bernoulli(alpha/(gamma-alpha)) scaled by 1/2: 3 sigma envelope
@@ -319,7 +334,7 @@ class TestGapAudit:
                 heights = rng.dirichlet(np.ones(len(jumps)))
 
                 def profile(r, jumps=jumps, heights=heights):
-                    return float(heights[jumps <= r].sum())
+                    return heights @ (jumps[:, None] <= r)
 
                 audit = opt_gap_audit(profile, eps, delta, 1.0, 2000, seed=9)
                 sigma = np.sqrt(audit.target_frequency * delta / 2 / 2000)
@@ -328,6 +343,24 @@ class TestGapAudit:
                 # empirical mean gets a 3 sigma Monte-Carlo allowance
                 gap_sigma = np.sqrt(audit.mean_gap_bound / audit.trials)
                 assert audit.mean_gap <= audit.mean_gap_bound + 3 * gap_sigma
+
+    @pytest.mark.parametrize("trials", [150.5, np.float64(200.0), True, "200"])
+    def test_non_integer_trials_rejected(self, trials):
+        with pytest.raises(ValueError, match="trials must be an integer"):
+            opt_gap_audit(np.zeros_like, 0.3, 0.3, 1.0, trials, seed=0)
+
+    def test_numpy_integer_trials_accepted(self):
+        audit = opt_gap_audit(np.zeros_like, 0.3, 0.3, 1.0, np.int64(200), seed=0)
+        assert (audit.trials, audit.frequency_ok, audit.mean_gap) == (200, 1.0, 0.0)
+
+    @pytest.mark.parametrize(
+        "profile",
+        [lambda r: 0.25, lambda r: np.zeros(r.size - 1), lambda r: np.zeros((r.size, 1))],
+        ids=["scalar", "short", "column"],
+    )
+    def test_profile_without_one_optimum_per_radius_rejected(self, profile):
+        with pytest.raises(ValueError, match="one optimum per radius"):
+            opt_gap_audit(profile, 0.3, 0.3, 1.0, 200, seed=0)
 
 
 class TestLearningTask:
