@@ -10,13 +10,13 @@ expansion, the raw region included, is one comparison, and experiments
 that need exactness get it with zero sampling error.
 
 ``_violation_table`` holds the one flip-radius formula per hypothesis type,
-laid out over (hypothesis, example) pairs.  A halfspace or sphere row is
-one numpy pass over the stacked balls of all regions, each column the
-minimum over its own balls; a lookup-table row enumerates its entries cell
-by cell.  :func:`violation_radius` is the table's 1x1 case.  The table is
-the one source of robust losses over pairs: the RERM oracle compares it
-against its radius, and ``_loss_table`` reads it at one radius for every
-other caller, :func:`robust_loss_point` being its 1x1 case.
+laid out over (hypothesis, example) pairs.  Every row, halfspace, sphere or
+lookup table, is one numpy pass over the stacked balls of all regions, each
+column reduced over its own balls, and :func:`violation_radius` is the
+table's 1x1 case for every type.  The table is the one source of robust
+losses over pairs: the RERM oracle compares it against its radius, and
+``_loss_table`` reads it at one radius for every other caller,
+:func:`robust_loss_point` being its 1x1 case.
 
 :class:`DiscreteDistribution` draws atom indices by searching a CDF it
 normalises once, on construction; its ``probabilities`` are read-only.
@@ -29,22 +29,14 @@ zero-margin cases are deterministic.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Union
 
 import numpy as np
 
-from .geometry import Ball, as_point, _batch, _check_same_dim, _in_ball, _is_integer, _readonly, _norms, _sq_norms
-from .regions import (
-    FinitePoints,
-    Region,
-    RegionFamily,
-    _positive_measure,
-    _region_balls,
-    point_key,
-    uniform_sample,
-)
+from .geometry import Ball, as_point, _batch, _check_same_dim, _cover_probes, _in_ball, _is_integer, _norms
+from .geometry import _pair_distances, _readonly, _sq_norms
+from .regions import Region, RegionFamily, _region_balls, uniform_sample
 from .seeding import as_generator, uniform_sphere
 
 __all__ = [
@@ -167,12 +159,11 @@ class SphereBoundary:
 
 @dataclass(frozen=True, eq=False)
 class TableClassifier:
-    """Finite lookup table over distinct exact points (:func:`point_key`) with a default label."""
+    """Finite lookup table over distinct finite points (equal as floats, ``-0.0 == 0.0``) with a default label."""
 
     points: np.ndarray
     labels: np.ndarray
     default: int = 1
-    _index: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         pts = np.atleast_2d(np.asarray(self.points, dtype=float))
@@ -181,28 +172,27 @@ class TableClassifier:
             raise ValueError("points and labels must align")
         if not np.all(np.isin(labels, (-1, 1))) or self.default not in (-1, 1):
             raise ValueError("labels must be +1 or -1")
+        if pts.ndim != 2 or pts.shape[1] == 0 or not np.all(np.isfinite(pts)):
+            raise ValueError(f"table entries must be finite points of dimension >= 1, got shape {pts.shape}")
+        if len(set(map(tuple, pts.tolist()))) != len(pts):  # Python floats: -0.0 == 0.0, equal hashes
+            raise ValueError("table entries must be distinct points")
         object.__setattr__(self, "points", _readonly(pts))
         object.__setattr__(self, "labels", _readonly(labels.astype(float)))
-        object.__setattr__(self, "_index", {point_key(p): int(l) for p, l in zip(pts, labels)})
-        if len(self._index) != len(pts):
-            raise ValueError("table entries must be distinct points")
 
     @property
     def dimension(self) -> int:
         return self.points.shape[1]
 
     def predict(self, x) -> int:
-        key = point_key(x)
-        _check_same_dim(len(key), self.dimension)
-        return self._index.get(key, self.default)
+        return int(self.predict_many(as_point(x)[None, :])[0])
 
     def predict_many(self, pts: np.ndarray) -> np.ndarray:
-        return np.array([self.predict(p) for p in _batch(pts, self.dimension)])
-
-    def flipped_points(self, y: int) -> np.ndarray:
-        """Table entries whose label differs from ``y``."""
-        mask = self.labels.astype(int) != y
-        return self.points[mask]
+        """Each row's entry label, matched entry by entry, and the default off the table."""
+        pts = _batch(pts, self.dimension)
+        out = np.full(len(pts), self.default)
+        for entry, label in zip(self.points, self.labels):
+            out[np.all(pts == entry, axis=1)] = label
+        return out
 
 
 Hypothesis = Union[LinearClassifier, SphereBoundary, TableClassifier]
@@ -288,42 +278,13 @@ def violation_radius(h: Hypothesis, region: Region, y: int) -> tuple[float, bool
     Negative values mean the unexpanded region is already violated.  This
     makes loss profiles over expansion radii exact and O(1) to query.
     A hypothesis and a region of different dimensions raise
-    ``DimensionMismatch``.  Halfspaces and sphere boundaries are the 1x1
-    case of the violation table; a lookup table enumerates its entries,
-    and its rows of the violation table are these calls, one per cell.
+    ``DimensionMismatch``.  Every hypothesis type is the 1x1 case of the
+    violation table.
     """
     if y not in (-1, 1):
         raise ValueError("label must be +1 or -1")
-    if isinstance(h, TableClassifier):
-        _check_same_dim(h.dimension, region.dimension)
-        return _table_violation_radius(h, region, y)
-    radii, inclusive = _flip_table([h], [region], np.array([y]))
+    radii, inclusive = _flip_table([h], [region], np.array([y], dtype=int))
     return float(radii[0, 0]), bool(inclusive[0, 0])
-
-
-def _has_nontable_point(h: TableClassifier, region: Region) -> bool:
-    """Whether the region contains a point that is not a table entry."""
-    if _positive_measure(region):
-        return True  # table entries are finitely many
-    return any(point_key(c) not in h._index for c in _region_balls(region)[0])
-
-
-def _table_violation_radius(h: TableClassifier, region: Region, y: int) -> tuple[float, bool]:
-    candidates: list[tuple[float, bool]] = []
-    flips = h.flipped_points(y)
-    if len(flips):
-        # a distance can round to 0 off the region: only a contained entry counts at r = 0
-        nearest = float(np.min(region.distance_to_many(flips)))
-        candidates.append((nearest, nearest > 0 or bool(np.any(region.contains_many(flips)))))
-    if h.default != y:
-        # any positive expansion has non-table points; the raw region may too
-        inclusive_at_zero = _has_nontable_point(h, region)
-        candidates.append((0.0, inclusive_at_zero))
-    if not candidates:
-        return math.inf, False
-    best = min(v for v, _ in candidates)
-    inclusive = any(inc for v, inc in candidates if v == best)
-    return best, inclusive
 
 
 def _violated(radii, inclusive, r):
@@ -355,12 +316,13 @@ def _flip_table(hypotheses, regions, labels: np.ndarray) -> tuple[np.ndarray, np
     """:func:`violation_radius` of every hypothesis on every (region, label) column.
 
     The balls of all columns are stacked once (one region is used as it
-    is), and a halfspace or sphere row is one pass over them: a flip
-    radius per ball, then each column's minimum over its own balls
-    (``np.minimum.reduceat``).  Every ball's value is computed on its own
-    row alone, so a cell has the same bits whatever the other columns are.
-    Columns of different dimensions raise ``DimensionMismatch``; with no
-    columns the arrays have shape ``(len(hypotheses), 0)``.
+    is), and every row is one pass over them: a flip radius per ball, then
+    each column's minimum over its own balls (``np.minimum.reduceat``), and
+    a table's flags too (:func:`_table_row`).  Every ball's value is
+    computed on its own row alone, so a cell has the same bits whatever the
+    other columns are.  Columns of different dimensions raise
+    ``DimensionMismatch``; with no columns the arrays have shape
+    ``(len(hypotheses), 0)``.
     """
     radii = np.empty((len(hypotheses), len(regions)))
     inclusive = np.empty(radii.shape, dtype=bool)
@@ -382,12 +344,44 @@ def _flip_table(hypotheses, regions, labels: np.ndarray) -> tuple[np.ndarray, np
             per_ball = np.where(agree, h.radius - dist - ball_radii, dist - ball_radii - h.radius)
             inclusive[i] = ~negative if h.inside_label == -1 else negative
         elif isinstance(h, TableClassifier):
-            for j, (region, y) in enumerate(zip(regions, labels.tolist())):
-                radii[i, j], inclusive[i, j] = violation_radius(h, region, y)
+            _check_same_dim(h.dimension, d)
+            radii[i], inclusive[i] = _table_row(h, centers, ball_radii, ball_labels, starts, labels)
             continue
         else:
             raise UnsupportedPairError(f"unsupported hypothesis type {type(h).__name__}")
         radii[i] = np.minimum.reduceat(per_ball, starts)
+    return radii, inclusive
+
+
+def _table_row(h: TableClassifier, centers, ball_radii, ball_labels, starts, labels):
+    """A lookup table's row of :func:`_flip_table`, from one ``_pair_distances`` pass over the stacked balls.
+
+    A default that flips a column's label flips it at radius 0, inclusive when
+    a ball holds a point that is no entry.  Otherwise the radius is the least
+    ``|entry - center| - radius`` (at least 0) over the entries of the other
+    label, inclusive when positive or when a ball holds such an entry (a
+    radius-0 ball by exact equality, as ``_in_ball`` tests); with no such
+    entry the loss never flips.
+    """
+    ball_labels = np.broadcast_to(ball_labels, ball_radii.shape)
+    gap = np.empty(len(ball_radii))
+    on_entry = np.empty(len(ball_radii), dtype=bool)
+    on_flip = np.empty(len(ball_radii), dtype=bool)
+    for rows, dist in _pair_distances(centers, h.points):
+        flips = h.labels != ball_labels[rows, None]
+        equal = np.all(centers[rows, None, :] == h.points, axis=2)
+        dist -= ball_radii[rows, None]
+        gap[rows] = np.min(dist, axis=1, where=flips, initial=np.inf)
+        on_entry[rows] = equal.any(axis=1)
+        on_flip[rows] = (equal & flips).any(axis=1)
+    positive = ball_radii > 0
+    nearest = np.maximum(0.0, np.minimum.reduceat(gap, starts))
+    holds_flip = np.logical_or.reduceat(np.where(positive, gap <= 0, on_flip), starts)
+    off_table = np.logical_or.reduceat(positive | ~on_entry, starts)
+    has_flip = np.isin(-labels, h.labels)
+    by_default = labels != h.default
+    radii = np.where(by_default, 0.0, np.where(has_flip, nearest, np.inf))
+    inclusive = np.where(by_default, holds_flip | off_table, has_flip & (holds_flip | (nearest > 0)))
     return radii, inclusive
 
 
@@ -432,13 +426,11 @@ def robust_loss_sampled(
 ) -> int:
     """One-sided sampled loss check: may miss witnesses, never invents them.
 
-    Finite point regions are enumerated exactly; positive-measure regions
-    are probed with ``n_samples`` uniform draws.
+    Positive-measure regions are probed with ``n_samples`` uniform draws;
+    a zero-measure region (finite points, radius-zero balls) is enumerated
+    exactly at its defining points, as a cover check probes it.
     """
-    if isinstance(region, FinitePoints):
-        return int(np.any(h.predict_many(region.points) != ex.y))
-    pts = uniform_sample(region, n_samples, seed)
-    return int(np.any(h.predict_many(pts) != ex.y))
+    return int(np.any(h.predict_many(_cover_probes(region, n_samples, seed)) != ex.y))
 
 
 @dataclass(frozen=True)
@@ -492,9 +484,7 @@ def regularity_check(
     rng = as_generator(seed)
     probe_pts = uniform_sample(domain, probes, rng) if probes > 0 else np.empty((0, domain.dimension))
     if isinstance(h, TableClassifier):
-        inside = [p for p in h.points if domain.contains(p)]
-        if inside:
-            probe_pts = np.vstack([probe_pts, np.asarray(inside)]) if len(probe_pts) else np.asarray(inside)
+        probe_pts = np.vstack([probe_pts, h.points[[domain.contains(p) for p in h.points]]])
 
     failures: list[np.ndarray] = []
     for p in probe_pts:
@@ -512,7 +502,7 @@ def _regular_at(h: Hypothesis, p: np.ndarray, alpha: float, rng) -> bool:
         y0 = h.predict(p)
         if h.default != y0:
             return False  # every candidate ball contains non-table points
-        flips = h.flipped_points(y0)
+        flips = h.points[h.labels != y0]
         if len(flips) == 0:
             return True
         d = p.size

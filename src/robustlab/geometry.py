@@ -154,7 +154,7 @@ def _pair_distances(pts: np.ndarray, centers: np.ndarray):
     A block has at most 4,096 rows and a ``(rows, k, d)`` difference of about
     2**20 floats, measured by :func:`_norms` without a second block-sized array.
     """
-    size = max(1, min(4096, 2**20 // (len(centers) * pts.shape[1])))
+    size = max(1, min(4096, 2**20 // max(1, len(centers) * pts.shape[1])))
     for start in range(0, len(pts), size):
         sl = slice(start, min(start + size, len(pts)))
         yield sl, _norms(pts[sl, None, :] - centers[None, :, :])

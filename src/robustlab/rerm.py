@@ -10,9 +10,10 @@ and one finite distribution.  It builds the (hypothesis x atom) table of
 :func:`~robustlab.classifiers.violation_radius` flip radii once and takes
 every sample as an array of atom indices.  It returns a true argmin with
 lowest-index tie-breaking, and rejects an empty sample, an index that is
-not an atom's, and a negative or NaN radius with ``ValueError``.  A
-member's exact expected loss reads its row alone, and an array of radii
-gives one optimal count per radius.
+not an atom's, a negative or NaN radius, and an array of radii where one
+radius is asked for with ``ValueError``.  A member's exact expected loss
+reads its row alone, and an array of radii gives one optimal count per
+radius.
 """
 
 from __future__ import annotations
@@ -90,6 +91,8 @@ class IndexedExhaustiveOracle:
 
     def distribution_loss(self, h_idx: int, r: float) -> float:
         """Exact expected robust loss of class member ``h_idx`` at radius r."""
+        if np.ndim(r):
+            raise ValueError(f"distribution_loss takes one radius, got {r!r}")
         _check_indices(np.asarray(h_idx), len(self.cls), "hypothesis")
         row = _violated(self._radii[h_idx], self._incl[h_idx], r)
         return float(row @ self.dist.probabilities)
@@ -104,6 +107,8 @@ class IndexedExhaustiveOracle:
 
     def solve(self, atom_indices: np.ndarray, r: float) -> RermSolution:
         """Lowest-index minimizer of empirical robust loss at r on the sampled atoms."""
+        if np.ndim(r):
+            raise ValueError(f"solve takes one radius, got {r!r}")
         counts = self._counts(atom_indices, r)
         idx = int(np.argmin(counts))
         return RermSolution(self.cls[idx], int(counts[idx]) / len(atom_indices), idx)
@@ -143,11 +148,12 @@ def tolrerm(
     The radius is uniform on ``[eps*delta*gamma/7, gamma]`` and the sample
     of size ``n`` is drawn from an independently derived RNG stream, so the
     two draws never share state.  Deterministic per seed; the radius used
-    is reported for audit, and so is the oracle's index of the answer.
+    is reported for audit, and so is the oracle's index of the answer.  An
+    ``n`` that is not a positive integer (a bool is not) raises ``ValueError``.
     """
     _check_tolerance(eps, delta, gamma)
-    if n < 1:
-        raise ValueError("need at least one sample point")
+    if not _is_integer(n) or n < 1:
+        raise ValueError(f"n must be a positive integer, got {n!r}")
     lo = eps * delta * gamma / 7.0
     r = float(rng_for(seed, "radius").uniform(lo, gamma))
     sample = oracle.dist.sample_indices(n, rng_for(seed, "sample"))

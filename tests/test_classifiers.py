@@ -50,13 +50,14 @@ def direct_loss(h, region, y) -> int:
         if y == h.inside_label:
             return int(np.any(dist + radii > h.radius))
         return int(np.any(dist - radii <= h.radius))
-    flips = h.flipped_points(y)
+    flips = h.points[h.labels != y]
     if len(flips) and np.any(region.contains_many(flips)):
         return 1
     if h.default == y:
         return 0
     # positive measure holds non-entry points; a finite set may too
-    return int(np.any(radii > 0) or any(point_key(c) not in h._index for c in centers))
+    entries = {point_key(p) for p in h.points}
+    return int(np.any(radii > 0) or any(point_key(c) not in entries for c in centers))
 
 
 @pytest.mark.parametrize(
@@ -75,6 +76,8 @@ def direct_loss(h, region, y) -> int:
         lambda: UnionOfBalls([(0, 0), (np.nan, 0)], [1.0, 1.0]),
         lambda: TableClassifier([(0, 0), (0, 0)], [1, -1], default=-1),
         lambda: TableClassifier([(0, 0), (-0.0, 0)], [1, 1]),
+        lambda: TableClassifier([(0, 0), (np.nan, 0)], [1, -1]),
+        lambda: TableClassifier([(0, 0), (0, np.inf)], [1, -1]),
     ],
     ids=[
         "ball-nan-radius",
@@ -90,6 +93,8 @@ def direct_loss(h, region, y) -> int:
         "union-nan-center",
         "table-duplicate-entry",
         "table-signed-zero-duplicate",
+        "table-nan-entry",
+        "table-inf-entry",
     ],
 )
 def test_bad_numeric_input_rejected(make):
@@ -443,6 +448,108 @@ class TestBatchedViolationTable:
                 violation_radius(h, Ball((0.0, 0.0), 1.0), 0)
 
 
+def per_cell_table_radius(h, region, y) -> tuple[float, bool]:
+    """A lookup table's flip radius on one region, cell by cell: the reference for its batched row.
+
+    The nearest entry of the other label measured by ``distance_to_many``,
+    inclusive when it is positive or ``contains_many`` holds such an entry;
+    a default that flips ``y`` gives radius 0, inclusive when the region
+    holds a point that is no entry (by ``point_key``).
+    """
+    candidates = []
+    flips = h.points[h.labels != y]
+    if len(flips):
+        nearest = float(np.min(region.distance_to_many(flips)))
+        candidates.append((nearest, nearest > 0 or bool(np.any(region.contains_many(flips)))))
+    if h.default != y:
+        centers, radii = _region_balls(region)
+        entries = {point_key(p) for p in h.points}
+        candidates.append((0.0, bool(np.any(radii > 0)) or any(point_key(c) not in entries for c in centers)))
+    if not candidates:
+        return np.inf, False
+    best = min(v for v, _ in candidates)
+    return best, any(inc for v, inc in candidates if v == best)
+
+
+def lookup_table_cases(d):
+    """Tables and columns whose points sit on, beside and off the table entries, in R^d."""
+    rng = rng_for(d, "lookup-table-rows")
+    entries = rng.normal(size=(4, d))
+    entries[0, 0] = -0.0
+    signed = entries[0].copy()
+    signed[0] = 0.0  # the same point as entries[0]
+    beside = entries[1].copy()
+    beside[-1] = np.nextafter(beside[-1], np.inf)
+    underflow = entries[0].copy()
+    underflow[0] = 1e-170  # its distance to entries[0] rounds to 0
+    regions = [
+        Ball(entries[2], 0.3),
+        Ball(rng.normal(size=d), 0.5),
+        Ball(entries[3], 0.0),
+        Ball(underflow, 0.0),
+        Ball(rng.normal(size=d), 0.0),
+        FinitePoints(np.vstack([signed, beside, rng.normal(size=d)])),
+        FinitePoints(entries[1:3]),
+        FinitePoints(np.vstack([underflow, beside])),
+        UnionOfBalls(np.vstack([entries[1], underflow, rng.normal(size=(2, d))]), [0.0, 0.0, 0.2, 0.7]),
+        Expanded(FinitePoints(entries[:2]), 0.25),
+        Expanded(Ball(rng.normal(size=d), 0.2), 0.1),
+    ]
+    tables = [
+        TableClassifier(entries, [-1, 1, -1, 1], default=1),
+        TableClassifier(entries, [1, -1, -1, 1], default=-1),
+        # every entry labeled +1: nothing flips a +1 column
+        TableClassifier(entries[:3], [1, 1, 1], default=1),
+        TableClassifier(entries[:3], [1, 1, 1], default=-1),
+        TableClassifier(entries[1:2], [-1], default=1),
+        TableClassifier(np.empty((0, d)), [], default=-1),
+    ]
+    columns = [(region, y) for region in regions for y in (1, -1)]
+    return tables, [region for region, _ in columns], [ex(_region_balls(r)[0][0], y) for r, y in columns]
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 9])
+def test_table_rows_equal_the_per_cell_reference(d):
+    tables, regions, examples = lookup_table_cases(d)
+    radii, inclusive = _violation_table(tables, regions, examples)
+    for i, h in enumerate(tables):
+        for j, (region, e) in enumerate(zip(regions, examples)):
+            r_star, inc = per_cell_table_radius(h, region, e.y)
+            assert radii[i, j] == r_star and bits(radii[i, j]) == bits(r_star), (i, j)
+            assert inclusive[i, j] == inc, (i, j)
+            assert violation_radius(h, region, e.y) == (r_star, inc), (i, j)
+    # (radius is 0, radius is inf, inclusive): every kind of cell turns up
+    kinds = {(r == 0, np.isinf(r), inc) for r, inc in zip(radii.ravel().tolist(), inclusive.ravel().tolist())}
+    assert kinds >= {(True, False, True), (True, False, False), (False, False, True), (False, True, False)}
+
+
+def test_table_flip_beyond_the_float_range_stays_inclusive():
+    # the distance to the flipping entry overflows to inf, yet a flipping entry exists
+    h = TableClassifier([(1e308, 0.0)], [-1], default=1)
+    region = Ball((-1e308, 0.0), 0.0)
+    with np.errstate(over="ignore"):
+        assert violation_radius(h, region, 1) == per_cell_table_radius(h, region, 1) == (np.inf, True)
+        assert violation_radius(h, region, -1) == per_cell_table_radius(h, region, -1) == (0.0, True)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 9])
+def test_table_predict_many_matches_dict_lookup(d):
+    rng = rng_for(d, "table-predict")
+    entries = rng.normal(size=(6, d))
+    entries[0, 0] = -0.0
+    h = TableClassifier(entries, rng.choice([-1, 1], size=6), default=-1)
+    signed, beside = entries.copy(), entries.copy()
+    signed[0, 0] = 0.0
+    beside[:, -1] = np.nextafter(beside[:, -1], np.inf)
+    queries = np.vstack([entries, signed, beside, rng.normal(size=(6, d))])
+    lookup = {point_key(p): int(label) for p, label in zip(h.points, h.labels)}
+    expected = [lookup.get(point_key(q), h.default) for q in queries]
+    assert h.predict_many(queries).tolist() == expected
+    assert [h.predict(q) for q in queries] == expected
+    # and within a large batch
+    assert h.predict_many(np.tile(queries, (1000, 1))).tolist() == expected * 1000
+
+
 coord_st = st.floats(-2, 2, allow_subnormal=False)
 point_st = st.tuples(coord_st, coord_st)
 radius_st = st.one_of(st.just(0.0), st.floats(0.1, 1))
@@ -484,9 +591,8 @@ def test_kernel_matches_direct_loss(region, h, y, r):
 @given(region_st, classifier_st, label_st, st.one_of(st.just(0.0), st.floats(0.1, 2)))
 def test_sampled_loss_never_exceeds_kernel(region, h, y, r):
     # r = 0 or r >= 0.1 keeps every positive radius >= 0.1, so rejection sampling stays
-    # cheap; a zero-measure region other than a finite point set cannot be sampled
+    # cheap; a zero-measure region is probed at its defining points
     grown = region if r == 0 else region.expand(r)
-    assume(isinstance(grown, FinitePoints) or np.any(_region_balls(grown)[1] > 0))
     e = ex(np.zeros(2), y)
     if _loss_table([h], [region], [e], r)[0, 0] == 0:
         assert robust_loss_sampled(h, grown, e, 64, seed=0) == 0
@@ -508,6 +614,20 @@ def test_table_loss_near_entry(entry_label, y, offset, expected):
     # the same single point as a radius-zero ball, alone or in a union
     assert robust_loss_point(h, Ball((0.0, offset), 0.0), e) == expected
     assert robust_loss_point(h, UnionOfBalls([(0.0, offset)], [0.0]), e) == expected
+
+
+@pytest.mark.parametrize(
+    "region",
+    [Ball((1.0, 0.0), 0.0), UnionOfBalls([(1.0, 0.0), (3.0, 0.0)], [0.0, 0.0]), FinitePoints([(1.0, 0.0), (3.0, 0.0)])],
+    ids=["zero-ball", "zero-union", "points"],
+)
+def test_sampled_loss_probes_zero_measure_regions_at_their_points(region):
+    # no uniform draw exists on a zero-measure region; its points are enumerated exactly
+    h = LinearClassifier((1.0, 0.0), -2.0)  # labels (1, 0) -1 and (3, 0) +1
+    for y in (1, -1):
+        e = ex((1.0, 0.0), y)
+        assert robust_loss_sampled(h, region, e, 10, seed=0) == robust_loss_point(h, region, e)
+    assert robust_loss_sampled(h, region, ex((1.0, 0.0), 1), 10, seed=0) == 1
 
 
 def test_table_loss_on_expansion_matches_collapsed_form():

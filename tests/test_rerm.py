@@ -167,6 +167,16 @@ class TestIndexedOracle:
         with pytest.raises(ValueError, match="hypothesis indices"):
             oracle.distribution_loss(h_idx, 0.1)
 
+    @pytest.mark.parametrize("rs", [np.array([0.0, 0.25]), np.array([0.25])], ids=["two", "one"])
+    def test_array_radius_rejected_where_one_is_asked_for(self, rs):
+        # violated and opt_count take arrays of radii; solve and distribution_loss take one
+        task = make_learning_task(1)
+        oracle = IndexedExhaustiveOracle(task.cls, task.family, task.dist)
+        for call in (lambda: oracle.solve(all_atoms(task.dist), rs), lambda: oracle.distribution_loss(0, rs)):
+            with pytest.raises(ValueError, match=r"one radius, got array\(\["):
+                call()
+        assert oracle.opt_count(all_atoms(task.dist), rs).shape == rs.shape
+
     def test_distribution_loss_matches_direct(self):
         from robustlab.classifiers import robust_loss_distribution
 
@@ -240,6 +250,16 @@ class TestTolRerm:
             tolrerm(oracle, 0.0, 0.5, 1.0, 5, 0)
         with pytest.raises(ValueError):
             tolrerm(oracle, 0.5, 0.5, -1.0, 5, 0)
+
+    @pytest.mark.parametrize("n", [2.5, True, np.float64(3.0)], ids=["float", "bool", "numpy-float"])
+    def test_non_integer_sample_size_rejected(self, game, n):
+        oracle = IndexedExhaustiveOracle(game.cls, game.u_family, game.dist)
+        with pytest.raises(ValueError, match="n must be a positive integer"):
+            tolrerm(oracle, 0.5, 0.5, 1.0, n, 0)
+
+    def test_numpy_integer_sample_size_accepted(self, game):
+        oracle = IndexedExhaustiveOracle(game.cls, game.u_family, game.dist)
+        assert tolrerm(oracle, 0.5, 0.5, 1.0, np.int64(5), 3) == tolrerm(oracle, 0.5, 0.5, 1.0, 5, 3)
 
     @pytest.mark.parametrize("gamma", [np.nan, np.inf])
     def test_nonfinite_gamma_rejected(self, game, gamma):

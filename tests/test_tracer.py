@@ -71,9 +71,8 @@ def test_install_then_uninstall_restores_every_original():
             # example) cell, shared by the search and the Sauer pass
             cells = (params["thresholds"], params["universe_size"])
             assert shapes == [cells] * len(params["k_grid"])
-            # the class holds only halfspace thresholds, whose rows the table
-            # computes in one batched pass each: violation_radius is called
-            # per cell for lookup-table rows only
+            # the table computes every row in one batched pass: it never
+            # calls violation_radius, its 1x1 case
             assert spans.calls["classifiers.violation_radius"] == 0
             # the audit reads the loss table, not the pointwise loss
             assert spans.calls["classifiers.robust_loss_point"] == 0
@@ -101,9 +100,10 @@ def test_sandwich_audit_counts_through_shared_ball_geometry():
         assert record.assertions_passed
         # exact counts for this config; the benchmark's traced sandwich
         # workload records the same counters, which a change to region
-        # geometry must leave unchanged
-        assert spans.calls["regions.contains_many"] == 29
-        assert spans.counts["regions.contains_many.rows"] == 10305
+        # geometry must leave unchanged.  The control table's row reads its
+        # entries against the stacked balls, not through contains_many.
+        assert spans.calls["regions.contains_many"] == 27
+        assert spans.counts["regions.contains_many.rows"] == 10303
         assert spans.counts["geometry.Ball.init.calls"] == 21
         # scalar queries test their one row without a contains_many span
         calls = spans.calls["regions.contains_many"]
