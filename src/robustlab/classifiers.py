@@ -62,6 +62,12 @@ class UnsupportedPairError(TypeError):
     """No exact loss evaluation exists for this hypothesis/region pair."""
 
 
+def _check_label(y, name: str = "label") -> None:
+    """Raise ``ValueError`` unless ``y`` is the integer +1 or -1; a bool is no label."""
+    if not (_is_integer(y) and y in (-1, 1)):
+        raise ValueError(f"{name} must be +1 or -1, got {y!r}")
+
+
 @dataclass(frozen=True, eq=False)
 class LabeledExample:
     """A point with a binary label in {+1, -1}."""
@@ -71,8 +77,7 @@ class LabeledExample:
 
     def __post_init__(self):
         object.__setattr__(self, "x", _readonly(as_point(self.x)))
-        if self.y not in (-1, 1):
-            raise ValueError("label must be +1 or -1")
+        _check_label(self.y)
 
 
 @dataclass(frozen=True, eq=False)
@@ -140,8 +145,7 @@ class SphereBoundary:
         object.__setattr__(self, "radius", float(self.radius))
         if not self.radius > 0:  # also rejects NaN
             raise ValueError("radius must be positive")
-        if self.inside_label not in (-1, 1):
-            raise ValueError("inside_label must be +1 or -1")
+        _check_label(self.inside_label, "inside_label")
 
     @property
     def dimension(self) -> int:
@@ -167,11 +171,12 @@ class TableClassifier:
 
     def __post_init__(self):
         pts = np.atleast_2d(np.asarray(self.points, dtype=float))
-        labels = np.asarray(self.labels, dtype=int)
+        labels = np.asarray(self.labels)
         if len(pts) != len(labels):
             raise ValueError("points and labels must align")
-        if not np.all(np.isin(labels, (-1, 1))) or self.default not in (-1, 1):
-            raise ValueError("labels must be +1 or -1")
+        if (labels.size and labels.dtype.kind not in "iu") or not np.all(np.isin(labels, (-1, 1))):
+            raise ValueError("labels must be integers +1 or -1")
+        _check_label(self.default, "default")
         if pts.ndim != 2 or pts.shape[1] == 0 or not np.all(np.isfinite(pts)):
             raise ValueError(f"table entries must be finite points of dimension >= 1, got shape {pts.shape}")
         if len(set(map(tuple, pts.tolist()))) != len(pts):  # Python floats: -0.0 == 0.0, equal hashes
@@ -281,8 +286,7 @@ def violation_radius(h: Hypothesis, region: Region, y: int) -> tuple[float, bool
     ``DimensionMismatch``.  Every hypothesis type is the 1x1 case of the
     violation table.
     """
-    if y not in (-1, 1):
-        raise ValueError("label must be +1 or -1")
+    _check_label(y)
     radii, inclusive = _flip_table([h], [region], np.array([y], dtype=int))
     return float(radii[0, 0]), bool(inclusive[0, 0])
 
@@ -475,44 +479,45 @@ def regularity_check(
       entries inside the domain are always probed in addition to the random
       probes, since those are the only points where a table can misbehave.
 
-    A ``probes`` that is not a nonnegative integer raises ``ValueError``.
+    Halfspace certificates, and sphere ones with ``alpha <= radius / 2``,
+    are exact for the whole domain: they draw nothing, and ``probes`` is
+    the requested count.  Before any draw, a ``probes`` that is not a
+    nonnegative integer raises ``ValueError``, another hypothesis type
+    ``UnsupportedPairError`` and a domain of another dimension ``DimensionMismatch``.
     """
     if not alpha > 0:  # also rejects NaN
         raise ValueError("alpha must be positive")
     if not _is_integer(probes) or probes < 0:
         raise ValueError(f"probes must be a nonnegative integer, got {probes!r}")
+    if not isinstance(h, Hypothesis):
+        raise UnsupportedPairError(f"unsupported hypothesis type {type(h).__name__}")
+    _check_same_dim(h.dimension, domain.dimension)
+    if isinstance(h, LinearClassifier) or (isinstance(h, SphereBoundary) and alpha <= h.radius / 2.0):
+        return RegularityCertificate(alpha, int(probes), (), domain)
     rng = as_generator(seed)
     probe_pts = uniform_sample(domain, probes, rng) if probes > 0 else np.empty((0, domain.dimension))
-    if isinstance(h, TableClassifier):
+    if isinstance(h, SphereBoundary):
+        failures = probe_pts[h.predict_many(probe_pts) == h.inside_label]
+    else:
         probe_pts = np.vstack([probe_pts, h.points[[domain.contains(p) for p in h.points]]])
-
-    failures: list[np.ndarray] = []
-    for p in probe_pts:
-        if not _regular_at(h, p, alpha, rng):
-            failures.append(p)
+        failures = [p for p in probe_pts if not _regular_at(h, p, alpha, rng)]
     return RegularityCertificate(alpha, len(probe_pts), tuple(map(tuple, failures)), domain)
 
 
-def _regular_at(h: Hypothesis, p: np.ndarray, alpha: float, rng) -> bool:
-    if isinstance(h, LinearClassifier):
+def _regular_at(h: TableClassifier, p: np.ndarray, alpha: float, rng) -> bool:
+    y0 = h.predict(p)
+    if h.default != y0:
+        return False  # every candidate ball contains non-table points
+    flips = h.points[h.labels != y0]
+    if len(flips) == 0:
         return True
-    if isinstance(h, SphereBoundary):
-        return alpha <= h.radius / 2.0 or h.predict(p) != h.inside_label
-    if isinstance(h, TableClassifier):
-        y0 = h.predict(p)
-        if h.default != y0:
-            return False  # every candidate ball contains non-table points
-        flips = h.points[h.labels != y0]
-        if len(flips) == 0:
+    d = p.size
+    dirs = np.vstack([np.zeros((1, d)), np.eye(d), -np.eye(d), uniform_sphere(2 * d, d, 1.0, rng)])
+    for u in dirs:
+        c = p + alpha * (1.0 - 1e-9) * u
+        if not np.any(_in_ball(flips, c, alpha)):
             return True
-        d = p.size
-        dirs = np.vstack([np.zeros((1, d)), np.eye(d), -np.eye(d), uniform_sphere(2 * d, d, 1.0, rng)])
-        for u in dirs:
-            c = p + alpha * (1.0 - 1e-9) * u
-            if not np.any(_in_ball(flips, c, alpha)):
-                return True
-        return False
-    raise UnsupportedPairError(f"unsupported hypothesis type {type(h).__name__}")
+    return False
 
 
 def linear_net_2d(W: float, n_angles: int, n_offsets: int) -> list[LinearClassifier]:

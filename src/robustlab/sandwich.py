@@ -36,7 +36,7 @@ from .classifiers import (
 )
 from .geometry import Ball, cover_compact_by_balls, grid_cover_bound
 from .regions import FinitePoints, Region, uniform_sample
-from .seeding import rng_for
+from .seeding import rng_for, seed_derive
 
 __all__ = [
     "SandwichTriple",
@@ -164,7 +164,9 @@ def sandwich_audit(
     rather than raising.
     """
     certs = tuple(
-        regularity_check(h, triple.alpha, CERTIFICATE_PROBES, _certificate_domain(triple), rng_for(seed, f"cert-{i}"))
+        regularity_check(
+            h, triple.alpha, CERTIFICATE_PROBES, _certificate_domain(triple), seed_derive(seed, f"cert-{i}")
+        )
         for i, h in enumerate(hypotheses)
     )
     lower, middle, upper = (

@@ -9,8 +9,10 @@ from robustlab.classifiers import (
     DiscreteDistribution,
     LabeledExample,
     LinearClassifier,
+    RegularityCertificate,
     SphereBoundary,
     TableClassifier,
+    UnsupportedPairError,
     _loss_table,
     _violated,
     _violation_table,
@@ -22,8 +24,8 @@ from robustlab.classifiers import (
     violation_radius,
 )
 from robustlab.oracle_game import build_oracle_game, run_query_game
-from robustlab.regions import Expanded, FinitePoints, RegionFamily, UnionOfBalls, _region_balls, point_key
-from robustlab.seeding import rng_for
+from robustlab.regions import Expanded, FinitePoints, RegionFamily, UnionOfBalls, _region_balls, point_key, uniform_sample
+from robustlab.seeding import as_generator, rng_for
 from robustlab.shatter_game import build_failure_instance, build_shatter_family
 
 
@@ -161,10 +163,10 @@ class TestPredict:
         x = np.array([1.0418397592128221, 1.4022648267725224, 1.1501656361496921])
         assert h.predict(x) == h.predict_many(x[None])[0] == 1
         assert robust_loss_point(h, FinitePoints([x]), ex(x, 1)) == 0
-        # inside the sphere, so alpha beyond half the radius is not regular here
-        from robustlab.classifiers import _regular_at
-
-        assert not _regular_at(h, x, 1.0, rng_for(0))
+        # inside the sphere, so alpha beyond half the radius is not regular
+        # here: the certificate's rule, applied at a point no probe can hit
+        assert 1.0 > h.radius / 2
+        assert h.predict_many(x[None]) == h.inside_label
 
 
 class TestRobustLossPoint:
@@ -448,6 +450,36 @@ class TestBatchedViolationTable:
                 violation_radius(h, Ball((0.0, 0.0), 1.0), 0)
 
 
+# True == 1 and np.True_ == 1, so a membership test alone took them for +1
+NOT_LABELS = [True, False, np.True_, 1.0, np.float64(-1.0), 0, 2]
+
+
+@pytest.mark.parametrize("y", NOT_LABELS)
+def test_label_that_is_not_the_integer_one_or_minus_one_rejected(y):
+    with pytest.raises(ValueError, match="must be \\+1 or -1"):
+        LabeledExample((0.0, 0.0), y)
+    with pytest.raises(ValueError, match="inside_label"):
+        SphereBoundary((0.0, 0.0), 1.0, inside_label=y)
+    with pytest.raises(ValueError, match="default"):
+        TableClassifier([(0.0, 0.0)], [-1], default=y)
+    with pytest.raises(ValueError, match="labels must be integers"):
+        TableClassifier([(0.0, 0.0)], [y])
+    for h in table_cases(2)[0]:
+        with pytest.raises(ValueError, match="label"):
+            violation_radius(h, Ball((0.0, 0.0), 1.0), y)
+
+
+def test_bool_label_array_rejected_and_numpy_integer_labels_accepted():
+    with pytest.raises(ValueError, match="labels must be integers"):
+        TableClassifier([(0.0, 0.0), (1.0, 0.0)], np.array([True, False]))
+    h = TableClassifier([(0.0, 0.0)], np.array([-1], dtype=np.int8), default=np.int64(1))
+    assert h.predict_many(np.array([[0.0, 0.0], [1.0, 0.0]])).tolist() == [-1, 1]
+    assert h.predict_many(np.zeros((1, 2))).dtype.kind == "i"
+    assert LabeledExample((0.0,), np.int32(-1)).y == -1
+    assert SphereBoundary((0.0,), 1.0, inside_label=np.int64(-1)).predict((0.0,)) == -1
+    assert violation_radius(h, Ball((0.0, 0.0), 1.0), np.int64(-1)) == violation_radius(h, Ball((0.0, 0.0), 1.0), -1)
+
+
 def per_cell_table_radius(h, region, y) -> tuple[float, bool]:
     """A lookup table's flip radius on one region, cell by cell: the reference for its batched row.
 
@@ -709,12 +741,13 @@ class TestRegularity:
         # conservative displacement rule: inside probes fail for alpha > R/2
         h = SphereBoundary((0, 0), 2.0)
         cert = regularity_check(h, 1.5, 0, Ball((1.6, 0.0), 1e-6), seed=2)
-        assert cert.probes == 0  # no random probes requested, domain only
-        probe = np.array([1.6, 0.0])
-        from robustlab.classifiers import _regular_at
-
-        assert not _regular_at(h, probe, 1.5, rng_for(0))
-        assert _regular_at(h, np.array([2.5, 0.0]), 1.5, rng_for(0))
+        assert cert.probes == 0 and cert.passed  # no random probes requested, domain only
+        inside = regularity_check(h, 1.5, 8, Ball((1.6, 0.0), 1e-6), seed=2)
+        assert inside.probes == len(inside.failures) == 8
+        outside = regularity_check(h, 1.5, 8, Ball((2.5, 0.0), 1e-6), seed=2)
+        assert outside.probes == 8 and outside.passed
+        # the rule at the two points themselves
+        assert h.predict_many(np.array([[1.6, 0.0], [2.5, 0.0]])).tolist() == [h.inside_label, -h.inside_label]
 
     def test_sphere_failures_recorded(self):
         h = SphereBoundary((0, 0), 2.0)
@@ -746,6 +779,80 @@ class TestRegularity:
         table = TableClassifier([(0.5, 0.5)], [1], default=1)
         cert = regularity_check(table, 0.3, 16, Ball((0, 0), 2.0), seed=5)
         assert cert.passed
+
+    @pytest.mark.parametrize(
+        "h",
+        [
+            LinearClassifier((1, 0, 0), 0.0),
+            SphereBoundary((0, 0, 0), 2.0),  # thick: alpha 1.0 <= radius / 2
+            SphereBoundary((0, 0, 0), 1.5),  # thin: alpha 1.0 > radius / 2
+            TableClassifier([(0.5, 0.5, 0.5)], [-1]),
+        ],
+        ids=["linear", "thick-sphere", "thin-sphere", "table"],
+    )
+    @pytest.mark.parametrize("probes", [0, 64])
+    def test_domain_of_other_dimension_rejected(self, h, probes):
+        with pytest.raises(DimensionMismatch):
+            regularity_check(h, 1.0, probes, Ball((0, 0), 3.0), seed=0)
+
+    @pytest.mark.parametrize("probes", [0, 4])
+    def test_unsupported_hypothesis_rejected_before_drawing(self, probes):
+        rng = rng_for(0)
+        state = rng.bit_generator.state
+        with pytest.raises(UnsupportedPairError):
+            regularity_check("not a hypothesis", 1.0, probes, Ball((0, 0), 3.0), rng)
+        assert same_state(rng.bit_generator.state, state)
+
+    def test_exact_rules_draw_nothing(self):
+        domain = Ball((0, 0), 3.0)
+        for h, alpha in [(LinearClassifier((1, 0), 0.0), 10.0), (SphereBoundary((0, 0), 2.0), 1.0)]:
+            rng = rng_for(4)
+            state = rng.bit_generator.state
+            cert = regularity_check(h, alpha, np.int64(64), domain, rng)
+            assert same_state(rng.bit_generator.state, state)
+            assert cert == RegularityCertificate(alpha, 64, (), domain) and type(cert.probes) is int
+        rng = rng_for(4)
+        state = rng.bit_generator.state
+        regularity_check(SphereBoundary((0, 0), 2.0), np.nextafter(1.0, 2.0), 64, domain, rng)
+        assert not same_state(rng.bit_generator.state, state)
+
+
+def per_probe_certificate(h, alpha, probes, domain, seed):
+    """``(probes, failures, passed)`` by the per-probe rule that decided each probe on its own.
+
+    The reference for halfspace and sphere certificates: every probe is
+    drawn from the seed's stream and judged alone, by ``predict``.
+    """
+    rng = as_generator(seed)
+    pts = uniform_sample(domain, probes, rng) if probes > 0 else np.empty((0, domain.dimension))
+
+    def regular(p):
+        if isinstance(h, LinearClassifier):
+            return True
+        return alpha <= h.radius / 2.0 or h.predict(p) != h.inside_label
+
+    failures = [p for p in pts if not regular(p)]
+    return len(pts), tuple(map(tuple, failures)), not failures
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("probes", [0, 64])
+def test_certificate_matches_per_probe_rule(d, probes):
+    rng = rng_for(d, "certificate-cases")
+    domain = Ball(rng.uniform(-0.5, 0.5, d), 2.0)
+    cases = [(LinearClassifier(rng.normal(size=d), float(rng.normal())), alpha) for alpha in (0.1, 5.0)]
+    for inside_label in (1, -1):
+        h = SphereBoundary(rng.uniform(-0.5, 0.5, d), float(rng.uniform(1.0, 2.0)), inside_label)
+        half = h.radius / 2.0
+        cases += [(h, alpha) for alpha in (0.5 * half, half, np.nextafter(half, np.inf), 1.5 * half)]
+    for seed, (h, alpha) in enumerate(cases):
+        cert = regularity_check(h, alpha, probes, domain, seed)
+        want = per_probe_certificate(h, alpha, probes, domain, seed)
+        assert (cert.probes, cert.failures, cert.passed) == want
+        # a thin sphere with probes to draw is the only case that can fail
+        thin = isinstance(h, SphereBoundary) and alpha > h.radius / 2.0
+        assert cert.passed or (thin and probes)
+    assert any(not regularity_check(h, alpha, 64, domain, seed).passed for seed, (h, alpha) in enumerate(cases))
 
 
 def same_state(a: dict, b: dict) -> bool:

@@ -15,7 +15,7 @@ from robustlab.harness import (
     run,
     write_record,
 )
-from robustlab.seeding import rng_for, seed_derive
+from robustlab.seeding import as_generator, rng_for, seed_derive
 
 # A small config of every experiment.
 SMALL = {
@@ -49,6 +49,27 @@ TOLRERM_BENCH_CSV_SHA256 = "0a133350771d7745a6cf312be74c47ee90ca3b879e92f991d4c4
 # The same digest for opt_gap_audit at its default parameters (50 instances
 # x 400 trials) and seed 11.
 OPT_GAP_AUDIT_DEFAULT_CSV_SHA256 = "ec86005a0a5f954d15a45b436ffd727973abddbb73b174d2a37f8878a26f5bbe"
+
+# More configs pinned the same way at seed 11: regularity certificates of a
+# thin sphere (alpha > radius / 2, so probes are drawn and judged) and of a
+# halfspace, and the sandwich_audit CSV at the benchmark's size.
+MORE_CSV_SHA256 = [
+    (
+        "regularity_check",
+        {"alpha": 1.5},
+        "88755abb8f9491349b08db8fc22f3631dbc1e67972f7ae95af97917a6d9a5ba7",
+    ),
+    (
+        "regularity_check",
+        {"hypothesis": {"kind": "linear", "w": [1.0, -0.5], "b": 0.25}},
+        "72e65c68a42ac980c07efd5cbff03a4e4c50056ed9ce7c8a929112aaffea6153",
+    ),
+    (
+        "sandwich_audit",
+        {"audits": 200, "include_control": True},
+        "067715ecb2be825be18cf61ee60256f67c42a9c868dbcafda99d48f4bca23248",
+    ),
+]
 
 
 class TestConfigParsing:
@@ -237,6 +258,21 @@ class TestRunAndWrite:
         body = b"".join(line for line in lines if not line.startswith(b"# config:"))
         assert hashlib.sha256(body).hexdigest() == OPT_GAP_AUDIT_DEFAULT_CSV_SHA256
 
+    @pytest.mark.parametrize(
+        "name, params, digest", MORE_CSV_SHA256, ids=["regularity-thin-sphere", "regularity-linear", "sandwich-bench"]
+    )
+    def test_more_seeded_csv_digests_pinned(self, name, params, digest, tmp_path):
+        path = tmp_path / f"{name}.csv"
+        run(ExperimentConfig.from_dict({"experiment": name, "seed": 11, "params": params, "output_path": str(path)}))
+        lines = path.read_bytes().splitlines(keepends=True)
+        body = b"".join(line for line in lines if not line.startswith(b"# config:"))
+        assert hashlib.sha256(body).hexdigest() == digest
+
+
+def plain_state(state: dict) -> dict:
+    """A bit-generator state with its arrays (Philox's counter, key and buffer) as lists, so ``==`` compares it."""
+    return {k: plain_state(v) if isinstance(v, dict) else np.asarray(v).tolist() for k, v in state.items()}
+
 
 class TestSeedDerivation:
     def test_deterministic(self):
@@ -255,6 +291,17 @@ class TestSeedDerivation:
         b = rng_for(99, "S").random(10_000)
         corr = np.corrcoef(a, b)[0, 1]
         assert abs(corr) < 0.05
+
+    @pytest.mark.parametrize("master", [0, 1, 2**31 - 1, 2**64 - 1, -1])
+    def test_derived_seed_gives_the_labelled_stream(self, master):
+        # sandwich_audit hands its certificates derived seeds, so a
+        # generator is built only where one draws
+        for label in ("cert-0", "cert-17", ""):
+            a = as_generator(seed_derive(master, label))
+            b = rng_for(master, label)
+            assert plain_state(a.bit_generator.state) == plain_state(b.bit_generator.state)
+            assert np.array_equal(a.random(1000), b.random(1000))
+            assert np.array_equal(a.integers(2**62, size=100), b.integers(2**62, size=100))
 
 
 class TestCli:
