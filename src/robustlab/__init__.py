@@ -10,37 +10,12 @@ robust-VC machinery, all behind a seeded experiment harness.
 __version__ = "0.1.0"
 
 from .geometry import Ball, SphereCover, cover_compact_by_balls, distance, greedy_sphere_cover
-from .regions import (
-    Expanded,
-    FinitePoints,
-    Region,
-    RegionFamily,
-    UnionOfBalls,
-    uniform_sample,
-)
-from .classifiers import (
-    DiscreteDistribution,
-    FiniteClass,
-    LabeledExample,
-    LinearClassifier,
-    SphereBoundary,
-    TableClassifier,
-    regularity_check,
-    robust_loss_distribution,
-    robust_loss_point,
-)
-from .rerm import (
-    IndexedExhaustiveOracle,
-    opt_gap_audit,
-    tolrerm,
-)
+from .regions import Expanded, FinitePoints, Region, RegionFamily, UnionOfBalls, uniform_sample
+from .classifiers import DiscreteDistribution, FiniteClass, LabeledExample, LinearClassifier, SphereBoundary
+from .classifiers import TableClassifier, regularity_check, robust_loss_distribution, robust_loss_point
+from .rerm import IndexedExhaustiveOracle, opt_gap_audit, tolrerm
 from .sandwich import SandwichTriple, build_ball_sandwich, build_point_sandwich, sandwich_audit
-from .shatter_game import (
-    build_failure_instance,
-    build_shatter_family,
-    run_adversarial_game,
-    tangent_hypothesis,
-)
+from .shatter_game import build_failure_instance, build_shatter_family, run_adversarial_game, tangent_hypothesis
 from .oracle_game import build_oracle_game, loss_table, measure_bound_audit, run_query_game
 from .loss_vc import loss_patterns, robust_vc_search, vball_shatter_check
 

@@ -174,10 +174,11 @@ class TableClassifier:
         labels = np.asarray(self.labels)
         if len(pts) != len(labels):
             raise ValueError("points and labels must align")
-        if (labels.size and labels.dtype.kind not in "iu") or not np.all(np.isin(labels, (-1, 1))):
+        integers = all(map(_is_integer, np.asarray(self.labels, dtype=object).flat))  # a bool is no label
+        if not integers or not np.all(np.isin(labels, (-1, 1))):
             raise ValueError("labels must be integers +1 or -1")
         _check_label(self.default, "default")
-        if pts.ndim != 2 or pts.shape[1] == 0 or not np.all(np.isfinite(pts)):
+        if pts.ndim != 2 or pts.shape[1] == 0 or not np.isfinite(pts).all():
             raise ValueError(f"table entries must be finite points of dimension >= 1, got shape {pts.shape}")
         if len(set(map(tuple, pts.tolist()))) != len(pts):  # Python floats: -0.0 == 0.0, equal hashes
             raise ValueError("table entries must be distinct points")
@@ -237,7 +238,7 @@ class DiscreteDistribution:
             raise ValueError("distribution needs at least one atom")
         self.examples: tuple[LabeledExample, ...] = tuple(ex for ex, _ in atoms)
         self.probabilities = _readonly([p for _, p in atoms])
-        if not np.all(np.isfinite(self.probabilities) & (self.probabilities > 0)):
+        if not (np.isfinite(self.probabilities) & (self.probabilities > 0)).all():
             raise ValueError("atom probabilities must be finite and positive")
         if abs(self.probabilities.sum() - 1.0) > 1e-12:
             raise ValueError("atom probabilities must sum to 1 within 1e-12")

@@ -64,7 +64,7 @@ def as_point(x) -> np.ndarray:
     p = np.asarray(x, dtype=float)
     if p.ndim != 1 or p.size < 1:
         raise ValueError(f"point must be a 1-D vector, got shape {p.shape}")
-    if not np.all(np.isfinite(p)):
+    if not np.isfinite(p).all():
         raise ValueError("point has non-finite coordinates")
     return p
 
@@ -126,7 +126,7 @@ def _batch(pts, d: int) -> np.ndarray:
 def _in_ball(pts: np.ndarray, center: np.ndarray, radius: float) -> np.ndarray:
     """Rows of ``pts`` in the closed ball; radius 0 is the center alone, by exact equality."""
     if radius == 0:
-        return np.all(pts == center, axis=1)
+        return (pts == center).all(axis=1)
     return _norms(pts - center) <= radius
 
 
@@ -197,7 +197,7 @@ class _BallArray:
         p = self._point(p)
         centers, radii = self._arrays()
         near = _norms(p - centers) <= radii
-        return bool(np.any(np.where(radii == 0, np.all(p == centers, axis=1), near)))
+        return bool(np.where(radii == 0, (p == centers).all(axis=1), near).any())
 
     def distance_to(self, p) -> float:
         return float(self.distance_to_many(self._point(p)[None, :])[0])

@@ -23,14 +23,9 @@ import numpy as np
 
 from . import __version__
 from .classifiers import LabeledExample, SphereBoundary, LinearClassifier, regularity_check
-from .geometry import Ball
+from .geometry import Ball, _is_integer
 from .regions import FinitePoints, RegionFamily
-from .rerm import (
-    IndexedExhaustiveOracle,
-    make_learning_task,
-    opt_gap_audit,
-    tolrerm,
-)
+from .rerm import IndexedExhaustiveOracle, make_learning_task, opt_gap_audit, tolrerm
 from .seeding import rng_for, seed_derive
 
 __all__ = [
@@ -250,39 +245,29 @@ def _atomic_write(path: str, text: str) -> None:
 
 
 def _run_tolrerm_sweep(params: dict, seed: int):
-    n_grid = sorted(int(n) for n in params["n_grid"])
+    for key, sizes in (("tasks", [params["tasks"]]), ("trials", [params["trials"]]), ("n_grid", params["n_grid"])):
+        if not sizes or not all(_is_integer(k) and k >= 1 for k in sizes):
+            raise ConfigError(f"{key} must be a positive integer or a nonempty list of them, got {params[key]!r}")
+    n_grid = sorted(params["n_grid"])
     eps, delta = params["eps"], params["delta"]
+    runs = [(n, trial) for n in n_grid for trial in range(params["trials"])]
     rows = []
     for task_idx in range(params["tasks"]):
         task = make_learning_task(seed_derive(seed, f"task-{task_idx}"), gamma=params["gamma"])
         oracle = IndexedExhaustiveOracle(task.cls, task.family, task.dist)
         # exact tolerant benchmark: best expanded-loss member of the class
-        opt_gamma = min(
-            oracle.distribution_loss(i, task.gamma) for i in range(len(task.cls))
-        )
-        for n in n_grid:
-            for trial in range(params["trials"]):
-                run_seed = seed_derive(seed, f"run-{task_idx}-{n}-{trial}")
-                res = tolrerm(oracle, eps, delta, task.gamma, n, run_seed)
-                excess = oracle.distribution_loss(res.index, 0.0) - opt_gamma
-                rows.append(
-                    {
-                        "task": task_idx,
-                        "n": n,
-                        "trial": trial,
-                        "r_used": res.r_used,
-                        "excess": excess,
-                        "success": excess <= eps,
-                    }
-                )
-    medians = {
-        n: float(np.median([row["excess"] for row in rows if row["n"] == n]))
-        for n in n_grid
-    }
-    q90 = {
-        n: float(np.quantile([row["excess"] for row in rows if row["n"] == n], 0.9))
-        for n in n_grid
-    }
+        members = range(len(task.cls))
+        opt_gamma = min(oracle.distribution_loss(i, task.gamma) for i in members)
+        plain_loss = [oracle.distribution_loss(i, 0.0) for i in members]
+        run_seeds = [seed_derive(seed, f"run-{task_idx}-{n}-{trial}") for n, trial in runs]
+        results = tolrerm(oracle, eps, delta, task.gamma, [n for n, _ in runs], run_seeds)
+        for (n, trial), res in zip(runs, results):
+            excess = plain_loss[res.index] - opt_gamma
+            rows.append({"task": task_idx, "n": n, "trial": trial, "r_used": res.r_used, "excess": excess,
+                         "success": excess <= eps})
+    excesses = {n: [row["excess"] for row in rows if row["n"] == n] for n in n_grid}
+    medians = {n: float(np.median(values)) for n, values in excesses.items()}
+    q90 = {n: float(np.quantile(values, 0.9)) for n, values in excesses.items()}
     final = [row for row in rows if row["n"] == n_grid[-1]]
     success_fraction = float(np.mean([row["success"] for row in final]))
     med_values = [medians[n] for n in n_grid]
@@ -542,7 +527,7 @@ def _run_regularity_check(params: dict, seed: int):
         h = SphereBoundary(
             np.asarray(spec["center"], dtype=float),
             float(spec["radius"]),
-            int(spec.get("inside_label", 1)),
+            spec.get("inside_label", 1),
         )
     else:
         raise ConfigError("hypothesis.kind must be 'linear' or 'sphere'")

@@ -90,7 +90,7 @@ class FinitePoints(_BallArray):
         pts = np.atleast_2d(np.asarray(self.points, dtype=float))
         if pts.size == 0:
             raise ValueError("FinitePoints must be nonempty")
-        if not np.all(np.isfinite(pts)):
+        if not np.isfinite(pts).all():
             raise ValueError("points must be finite")
         object.__setattr__(self, "points", _readonly(pts))
         object.__setattr__(self, "_radii", _readonly(np.zeros(len(pts))))
@@ -123,7 +123,7 @@ class UnionOfBalls(_BallArray):
         centers, radii = _readonly(self.centers), _readonly(self.radii)
         if centers.ndim != 2 or centers.size == 0 or radii.shape != (len(centers),):
             raise ValueError(f"need nonempty (k, d) centers and k radii, got {centers.shape}, {radii.shape}")
-        if not (np.all(np.isfinite(centers)) and np.all(np.isfinite(radii) & (radii >= 0))):
+        if not (np.isfinite(centers).all() and (np.isfinite(radii) & (radii >= 0)).all()):
             raise ValueError("centers must be finite and radii finite and nonnegative")
         object.__setattr__(self, "centers", centers)
         object.__setattr__(self, "radii", radii)

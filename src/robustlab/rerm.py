@@ -3,7 +3,8 @@
 The tolerant learner draws an expansion radius uniformly from
 ``[eps * delta * gamma / 7, gamma]``, draws its sample independently of the
 radius (separate derived RNG streams), and asks the oracle for the class
-member minimizing empirical robust loss on the radius-expanded regions.
+member minimizing empirical robust loss on the radius-expanded regions;
+given lists of sample sizes and seeds it solves one run per entry in one pass.
 
 :class:`IndexedExhaustiveOracle` is bound to one class, one region family
 and one finite distribution.  It builds the (hypothesis x atom) table of
@@ -97,25 +98,29 @@ class IndexedExhaustiveOracle:
         row = _violated(self._radii[h_idx], self._incl[h_idx], r)
         return float(row @ self.dist.probabilities)
 
-    def _counts(self, atom_indices: np.ndarray, r) -> np.ndarray:
-        """Per-hypothesis violation counts at r (last axis) over a nonempty sample of atom indices."""
+    def _atom_counts(self, atom_indices) -> np.ndarray:
+        """How many times a nonempty sample of atom indices holds each atom."""
         atom_indices = np.asarray(atom_indices)
         if atom_indices.size == 0:
             raise ValueError("empty sample")
         _check_indices(atom_indices, len(self.dist), "atom")
-        return self.violated(r)[..., atom_indices].sum(axis=-1)
+        return np.bincount(atom_indices.astype(np.intp), minlength=len(self.dist))
+
+    def _counts(self, atom_counts: np.ndarray, r) -> np.ndarray:
+        """Integer violation counts at r, hypotheses last, of an ``(N,)`` atom tally or ``(R, N)`` at R radii."""
+        return (self.violated(r) @ atom_counts[..., None])[..., 0]
 
     def solve(self, atom_indices: np.ndarray, r: float) -> RermSolution:
         """Lowest-index minimizer of empirical robust loss at r on the sampled atoms."""
         if np.ndim(r):
             raise ValueError(f"solve takes one radius, got {r!r}")
-        counts = self._counts(atom_indices, r)
+        counts = self._counts(self._atom_counts(atom_indices), r)
         idx = int(np.argmin(counts))
         return RermSolution(self.cls[idx], int(counts[idx]) / len(atom_indices), idx)
 
     def opt_count(self, atom_indices: np.ndarray, r) -> np.ndarray:
         """Least violation count over the class at r, one per radius for an array of radii."""
-        return self._counts(atom_indices, r).min(axis=-1)
+        return self._counts(self._atom_counts(atom_indices), r).min(axis=-1)
 
 
 def _check_tolerance(eps: float, delta: float, gamma: float) -> None:
@@ -140,25 +145,38 @@ def tolrerm(
     eps: float,
     delta: float,
     gamma: float,
-    n: int,
-    seed: int,
-) -> TolRermResult:
-    """Tolerant RERM: random radius, independent sample, one oracle call.
+    n,
+    seed,
+) -> TolRermResult | list[TolRermResult]:
+    """Tolerant RERM: random radius, independent sample, one exact argmin.
 
     The radius is uniform on ``[eps*delta*gamma/7, gamma]`` and the sample
     of size ``n`` is drawn from an independently derived RNG stream, so the
     two draws never share state.  Deterministic per seed; the radius used
-    is reported for audit, and so is the oracle's index of the answer.  An
-    ``n`` that is not a positive integer (a bool is not) raises ``ValueError``.
+    is reported for audit, and so is the oracle's index of the answer.
+
+    Equal-length 1-D sequences ``n`` and ``seed`` make one run per entry, on
+    its own two streams, solved in one pass (the table at every radius times
+    each run's atom tally); the results come in order, each equal to its
+    scalar call.  An ``n`` that is not a positive integer (a bool is not),
+    unequal lengths and an empty run list raise ``ValueError``.
     """
     _check_tolerance(eps, delta, gamma)
-    if not _is_integer(n) or n < 1:
-        raise ValueError(f"n must be a positive integer, got {n!r}")
+    one = np.ndim(n) == np.ndim(seed) == 0
+    if not one and not (np.ndim(n) == np.ndim(seed) == 1 and len(n) == len(seed) > 0):
+        raise ValueError("n and seed must be one value each or equal-length nonempty 1-D sequences")
+    ns, seeds = ([n], [seed]) if one else (list(n), list(seed))
+    for k in ns:
+        if not _is_integer(k) or k < 1:
+            raise ValueError(f"n must be a positive integer, got {k!r}")
     lo = eps * delta * gamma / 7.0
-    r = float(rng_for(seed, "radius").uniform(lo, gamma))
-    sample = oracle.dist.sample_indices(n, rng_for(seed, "sample"))
-    sol = oracle.solve(sample, r)
-    return TolRermResult(sol.hypothesis, r, sol.achieved_loss, n, sol.index)
+    rs = np.array([rng_for(s, "radius").uniform(lo, gamma) for s in seeds])
+    draws = [oracle.dist.sample_indices(k, rng_for(s, "sample")) for k, s in zip(ns, seeds)]
+    counts = oracle._counts(np.array([np.bincount(d, minlength=len(oracle.dist)) for d in draws]), rs)
+    best = counts.argmin(axis=-1)  # the first minimum: lowest index on ties
+    results = [TolRermResult(oracle.cls[i], float(r), int(c[i]) / int(k), k, int(i))
+               for r, c, i, k in zip(rs, counts, best, ns)]
+    return results[0] if one else results
 
 
 @dataclass(frozen=True)

@@ -8,11 +8,15 @@ streams that reproduce bit-identically across runs.
 
 Derivation rule (fixed for reproducibility): the 64-bit substream seed is
 the big-endian BLAKE2b-64 digest of ``"{master:016x}:{label}"``.  Streams
-are realized with the counter-based Philox generator keyed by that seed.
+are realized with the counter-based Philox generator keyed by that seed:
+its 128-bit key is ``[seed, 0]`` and its counter starts at 0, the state
+``Philox(key=seed)`` sets.  The key reaches Philox through a seed sequence
+that returns those two words, so no OS entropy is drawn.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 
 import numpy as np
@@ -33,15 +37,32 @@ def seed_derive(master: int, label: str) -> int:
     return int.from_bytes(digest, "big")
 
 
+@functools.cache
+def _philox_key_type() -> type:
+    """The seed sequence of the Philox key ``[key, 0]``, made on first use so the import loads no ``numpy.random``."""
+
+    class PhiloxKey(np.random.bit_generator.ISeedSequence):
+        def __init__(self, key: int):
+            self.key = key
+
+        def generate_state(self, n_words, dtype=np.uint32) -> np.ndarray:
+            if n_words != 2 or np.dtype(dtype) != np.uint64:
+                raise ValueError(f"a Philox key is 2 uint64 words, not {n_words} of {dtype}")
+            return np.array([self.key, 0], dtype=np.uint64)
+
+    return PhiloxKey
+
+
 def rng_for(master: int, *labels: str) -> np.random.Generator:
     """Build a Philox generator for the substream named by ``labels``.
 
-    With no labels the master seed keys the stream directly.
+    With no labels the master seed keys the stream directly.  The generator
+    is the one ``Philox(key=seed)`` gives, built without drawing OS entropy.
     """
     seed = master & _MASK64
     for label in labels:
         seed = seed_derive(seed, label)
-    return np.random.Generator(np.random.Philox(key=np.uint64(seed)))
+    return np.random.Generator(np.random.Philox(_philox_key_type()(seed)))
 
 
 def as_generator(seed_or_rng: int | np.random.Generator) -> np.random.Generator:

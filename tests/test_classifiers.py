@@ -480,6 +480,20 @@ def test_bool_label_array_rejected_and_numpy_integer_labels_accepted():
     assert violation_radius(h, Ball((0.0, 0.0), 1.0), np.int64(-1)) == violation_radius(h, Ball((0.0, 0.0), 1.0), -1)
 
 
+@pytest.mark.parametrize("labels", [[1, True], [np.True_, -1], [-1, np.False_]], ids=["bool", "numpy-bool", "numpy-false"])
+def test_bool_inside_a_mixed_label_list_rejected(labels):
+    # np.asarray gives these an integer dtype, so the dtype alone let them through
+    with pytest.raises(ValueError, match="labels must be integers"):
+        TableClassifier([(0.0, 0.0), (1.0, 0.0)], labels)
+
+
+def test_python_and_numpy_integer_labels_mixed_accepted():
+    h = TableClassifier([(0.0, 0.0), (1.0, 0.0)], [np.int64(1), -1])
+    assert h.labels.tolist() == [1.0, -1.0]
+    assert TableClassifier([(0.0, 0.0), (1.0, 0.0)], np.array([-1, 1], dtype=np.int16)).labels.tolist() == [-1.0, 1.0]
+    assert TableClassifier([(0.0, 0.0)], [np.int8(-1)]).labels.tolist() == [-1.0]
+
+
 def per_cell_table_radius(h, region, y) -> tuple[float, bool]:
     """A lookup table's flip radius on one region, cell by cell: the reference for its batched row.
 

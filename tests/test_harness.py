@@ -122,6 +122,37 @@ class TestConfigParsing:
         with pytest.raises(ValueError):
             run(cfg)
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("tasks", 0), ("trials", 0), ("tasks", 1.5), ("trials", True), ("tasks", -2),
+            ("n_grid", []), ("n_grid", [10.7, 30]), ("n_grid", [True, 30]), ("n_grid", [0, 30]),
+        ],
+    )
+    def test_bad_tolrerm_sweep_size_names_its_key(self, key, value, tmp_path):
+        # these raised IndexError or TypeError, warned and failed the
+        # verdict, or ran a truncated size (10.7 as 10, True as 1)
+        params = {**SMALL["tolrerm_sweep"], key: value}
+        out = tmp_path / "out.csv"
+        cfg = ExperimentConfig.from_dict(
+            {"experiment": "tolrerm_sweep", "seed": 1, "params": params, "output_path": str(out)}
+        )
+        with pytest.raises(ValueError, match=key):
+            run(cfg)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("label", [True, 1.7, -1.2])
+    def test_regularity_inside_label_reaches_the_sphere_unconverted(self, label, tmp_path):
+        # int() read these as 1, 1 and -1 and wrote a certificate
+        hypothesis = {"kind": "sphere", "center": [0.0, 0.0], "radius": 2.0, "inside_label": label}
+        out = tmp_path / "out.csv"
+        cfg = ExperimentConfig.from_dict(
+            {"experiment": "regularity_check", "seed": 1, "params": {"hypothesis": hypothesis}, "output_path": str(out)}
+        )
+        with pytest.raises(ValueError, match="inside_label must be \\+1 or -1"):
+            run(cfg)
+        assert not out.exists()
+
 
 class TestRunAndWrite:
     def test_csv_reproducible_bit_identical(self, tmp_path):
@@ -303,6 +334,29 @@ class TestSeedDerivation:
             assert np.array_equal(a.random(1000), b.random(1000))
             assert np.array_equal(a.integers(2**62, size=100), b.integers(2**62, size=100))
 
+    def test_keyed_stream_is_numpys_keyed_philox(self):
+        # rng_for keys Philox through its own seed sequence; if numpy ever
+        # reads a seed sequence differently, the streams part here
+        keys = [0, 2**64 - 1] + [seed_derive(i, "philox-key") for i in range(1000)]
+        for key in keys:
+            a = rng_for(key)
+            b = np.random.Generator(np.random.Philox(key=np.uint64(key)))
+            assert plain_state(a.bit_generator.state) == plain_state(b.bit_generator.state)
+            assert np.array_equal(a.random(7), b.random(7))
+            assert np.array_equal(a.integers(2**62, size=5), b.integers(2**62, size=5))
+            assert np.array_equal(a.standard_normal(3), b.standard_normal(3))
+            assert plain_state(a.bit_generator.state) == plain_state(b.bit_generator.state)
+
+    def test_keyed_stream_seed_sequence_is_the_key_alone(self):
+        # no entropy-drawn SeedSequence: the sequence Philox read returns
+        # the two key words and refuses any other request
+        seq = rng_for(5, "radius").bit_generator.seed_seq
+        assert not isinstance(seq, np.random.SeedSequence)
+        assert seq.generate_state(2, np.uint64).tolist() == [seed_derive(5, "radius"), 0]
+        for n_words, dtype in [(4, np.uint32), (2, np.uint32), (1, np.uint64)]:
+            with pytest.raises(ValueError, match="Philox key"):
+                seq.generate_state(n_words, dtype)
+
 
 class TestCli:
     def _write_config(self, tmp_path, extra=None):
@@ -332,6 +386,12 @@ class TestCli:
         path.write_text(json.dumps({"experiment": "regularity_check"}))
         code = main(["validate", "--config", str(path)])
         assert code == 2
+        assert not (tmp_path / "out.csv").exists()
+
+    def test_bad_tolrerm_sweep_size_exit_two(self, tmp_path, capsys):
+        extra = {"experiment": "tolrerm_sweep", "params": {"tasks": 0}}
+        assert main(["run", "--config", self._write_config(tmp_path, extra)]) == 2
+        assert "tasks must be a positive integer" in capsys.readouterr().err
         assert not (tmp_path / "out.csv").exists()
 
     def test_bad_override_exit_two(self, tmp_path):

@@ -20,7 +20,7 @@ from robustlab.rerm import (
     opt_gap_audit,
     tolrerm,
 )
-from robustlab.seeding import rng_for
+from robustlab.seeding import rng_for, seed_derive
 from test_classifiers import direct_loss
 
 
@@ -243,6 +243,47 @@ class TestTolRerm:
             samples.add(tuple(sample))
         assert len(set(rs)) == 20
         assert len(samples) > 1
+
+    @pytest.mark.parametrize("task_seed", range(5))
+    def test_runs_in_one_call_equal_scalar_calls_bit_for_bit(self, task_seed):
+        # every benchmark sample size, each seed at several sizes, and one
+        # (n, seed) pair twice
+        task = make_learning_task(task_seed)
+        oracle = IndexedExhaustiveOracle(task.cls, task.family, task.dist)
+        eps = delta = 0.1
+        ns = [n for n in (10, 30, 100, 300) for _ in range(4)] + [10]
+        seeds = [seed_derive(task_seed, f"run-{i % 6}") for i in range(len(ns) - 1)] + [seed_derive(task_seed, "run-0")]
+        runs = tolrerm(oracle, eps, delta, task.gamma, np.array(ns), seeds)
+        assert isinstance(runs, list) and len(runs) == len(ns)
+        assert runs[-1] == runs[0]
+        for res, n, seed in zip(runs, ns, seeds):
+            one = tolrerm(oracle, eps, delta, task.gamma, n, seed)
+            assert res.hypothesis is one.hypothesis is task.cls[one.index]
+            assert np.float64(res.r_used).tobytes() == np.float64(one.r_used).tobytes()
+            assert np.float64(res.achieved_loss).tobytes() == np.float64(one.achieved_loss).tobytes()
+            assert (res.index, res.n) == (one.index, n)
+            # the answer is the gather-and-sum argmin over the run's own streams
+            assert one.r_used == rng_for(seed, "radius").uniform(eps * delta * task.gamma / 7.0, task.gamma)
+            sample = task.dist.sample_indices(n, rng_for(seed, "sample"))
+            counts = oracle.violated(one.r_used)[:, sample].sum(axis=1)
+            assert (one.index, one.achieved_loss) == (int(np.argmin(counts)), counts.min() / n)
+            assert oracle.solve(sample.astype(np.uint32), one.r_used).index == one.index
+
+    @pytest.mark.parametrize(
+        "ns, seeds",
+        [([5, 5], [1]), ([5], [1, 2]), ([], []), (5, [1, 2]), ([5, 5], 1), ([[5]], [[1]])],
+        ids=["short-seeds", "short-sizes", "empty", "scalar-size", "scalar-seed", "two-dimensional"],
+    )
+    def test_run_lists_of_unequal_length_or_empty_rejected(self, game, ns, seeds):
+        oracle = IndexedExhaustiveOracle(game.cls, game.u_family, game.dist)
+        with pytest.raises(ValueError, match="equal-length nonempty"):
+            tolrerm(oracle, 0.5, 0.5, 1.0, ns, seeds)
+
+    @pytest.mark.parametrize("n", [2.5, True, np.float64(3.0), 0, -3], ids=["float", "bool", "numpy-float", "zero", "negative"])
+    def test_bad_sample_size_in_a_run_list_rejected(self, game, n):
+        oracle = IndexedExhaustiveOracle(game.cls, game.u_family, game.dist)
+        with pytest.raises(ValueError, match="n must be a positive integer"):
+            tolrerm(oracle, 0.5, 0.5, 1.0, [5, n], [0, 1])
 
     def test_parameter_validation(self, game):
         oracle = IndexedExhaustiveOracle(game.cls, game.u_family, game.dist)
