@@ -51,3 +51,13 @@ def test_demos_and_readme_tour_run(tmp_path):
     blocks = re.findall(r"```python\n(.*?)```", (ROOT / "README.md").read_text(), re.S)
     assert len(blocks) == 1
     exec(compile(blocks[0], "README.md", "exec"), {})
+
+
+def test_import_leaves_numpy_random_unloaded():
+    # numpy loads numpy.random on first use; loading it at import time slowed
+    # every fresh interpreter's set-up and raised its peak memory
+    code = "import sys, robustlab, robustlab.harness, robustlab.seeding; print('numpy.random' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
