@@ -7,6 +7,10 @@ experiment's embedded assertions, and writes the table atomically (CSV
 with a ``#``-prefixed schema header, or JSON with a ``schema`` field).
 Re-running an identical config and seed reproduces the output
 byte-for-byte; wall-clock time lives only on the in-memory record.
+
+The module loads only the standard library at import, so parsing and
+validating a config never loads numpy: each runner imports numpy and the
+library modules it uses when it runs.
 """
 
 from __future__ import annotations
@@ -19,14 +23,7 @@ import time
 from dataclasses import dataclass
 from typing import Callable
 
-import numpy as np
-
 from . import __version__
-from .classifiers import LabeledExample, SphereBoundary, LinearClassifier, regularity_check
-from .geometry import Ball, _is_integer
-from .regions import FinitePoints, RegionFamily
-from .rerm import IndexedExhaustiveOracle, make_learning_task, opt_gap_audit, tolrerm
-from .seeding import rng_for, seed_derive
 
 __all__ = [
     "ConfigError",
@@ -69,8 +66,10 @@ class ExperimentConfig:
             )
         if self.format not in ("csv", "json"):
             raise ConfigError(f"format must be csv or json, got {self.format!r}")
-        if not isinstance(self.seed, int) or self.seed < 0 or self.seed >= 2**64:
-            raise ConfigError("seed must be an unsigned 64-bit integer")
+        if isinstance(self.seed, bool) or not isinstance(self.seed, int) or not 0 <= self.seed < 2**64:
+            raise ConfigError(f"seed must be an unsigned 64-bit integer, got {self.seed!r}")
+        if self.output_path is not None and not isinstance(self.output_path, str):
+            raise ConfigError(f"output_path must be a string, got {self.output_path!r}")
         spec = EXPERIMENTS[self.experiment]
         unknown = set(self.params) - set(spec.defaults)
         if unknown:
@@ -183,10 +182,10 @@ def resolve_output_path(path: str) -> str:
     return path
 
 
-def _format_value(v) -> str:
-    if isinstance(v, (bool, np.bool_)):
+def _format_value(v, bools: tuple[type, ...], floats: tuple[type, ...]) -> str:
+    if isinstance(v, bools):
         return "true" if v else "false"
-    if isinstance(v, (float, np.floating)):
+    if isinstance(v, floats):
         return repr(float(v))
     return str(v)
 
@@ -195,6 +194,9 @@ def write_record(record: RunRecord, path: str, fmt: str) -> None:
     """Atomic write: the target file appears complete or not at all."""
     buf = io.StringIO()
     if fmt == "csv":
+        import numpy as np  # once per write: cells may hold numpy scalars
+
+        bools, floats = (bool, np.bool_), (float, np.floating)
         for name, desc in record.schema:
             buf.write(f"# schema: {name} = {desc}\n")
         buf.write(f"# config: {json.dumps(record.config, sort_keys=True)}\n")
@@ -202,7 +204,7 @@ def write_record(record: RunRecord, path: str, fmt: str) -> None:
         names = [name for name, _ in record.schema]
         buf.write(",".join(names) + "\n")
         for row in record.rows:
-            buf.write(",".join(_format_value(row[name]) for name in names) + "\n")
+            buf.write(",".join(_format_value(row[name], bools, floats) for name in names) + "\n")
     else:
         json.dump(
             {
@@ -244,7 +246,19 @@ def _atomic_write(path: str, text: str) -> None:
 # --------------------------------------------------------------------------
 
 
+def _member_losses(oracle, r: float) -> list[float]:
+    """Each member's exact expected loss at r, as ``distribution_loss`` computes it, from one table."""
+    probs = oracle.dist.probabilities
+    return [float(row @ probs) for row in oracle.violated(r)]
+
+
 def _run_tolrerm_sweep(params: dict, seed: int):
+    import numpy as np
+
+    from .geometry import _is_integer
+    from .rerm import IndexedExhaustiveOracle, make_learning_task, tolrerm
+    from .seeding import seed_derive
+
     for key, sizes in (("tasks", [params["tasks"]]), ("trials", [params["trials"]]), ("n_grid", params["n_grid"])):
         if not sizes or not all(_is_integer(k) and k >= 1 for k in sizes):
             raise ConfigError(f"{key} must be a positive integer or a nonempty list of them, got {params[key]!r}")
@@ -256,9 +270,8 @@ def _run_tolrerm_sweep(params: dict, seed: int):
         task = make_learning_task(seed_derive(seed, f"task-{task_idx}"), gamma=params["gamma"])
         oracle = IndexedExhaustiveOracle(task.cls, task.family, task.dist)
         # exact tolerant benchmark: best expanded-loss member of the class
-        members = range(len(task.cls))
-        opt_gamma = min(oracle.distribution_loss(i, task.gamma) for i in members)
-        plain_loss = [oracle.distribution_loss(i, 0.0) for i in members]
+        opt_gamma = min(_member_losses(oracle, task.gamma))
+        plain_loss = _member_losses(oracle, 0.0)
         run_seeds = [seed_derive(seed, f"run-{task_idx}-{n}-{trial}") for n, trial in runs]
         results = tolrerm(oracle, eps, delta, task.gamma, [n for n, _ in runs], run_seeds)
         for (n, trial), res in zip(runs, results):
@@ -292,6 +305,11 @@ def _run_tolrerm_sweep(params: dict, seed: int):
 
 
 def _run_opt_gap_audit(params: dict, seed: int):
+    import numpy as np
+
+    from .rerm import IndexedExhaustiveOracle, make_learning_task, opt_gap_audit
+    from .seeding import rng_for, seed_derive
+
     eps, delta, gamma = params["eps"], params["delta"], params["gamma"]
     rows = []
     passed = True
@@ -332,13 +350,21 @@ def _run_opt_gap_audit(params: dict, seed: int):
 
 
 def _run_sandwich_audit(params: dict, seed: int):
+    from .classifiers import LabeledExample, LinearClassifier, SphereBoundary
+    from .geometry import Ball, _is_integer
+    from .regions import FinitePoints
     from .sandwich import (
         build_ball_sandwich,
         build_point_sandwich,
         make_nonregular_control,
         sandwich_audit,
     )
+    from .seeding import rng_for, seed_derive
 
+    if not (_is_integer(params["audits"]) and params["audits"] >= 1):
+        raise ConfigError(f"audits must be a positive integer, got {params['audits']!r}")
+    if not isinstance(params["include_control"], bool):
+        raise ConfigError(f"include_control must be true or false, got {params['include_control']!r}")
     rng = rng_for(seed, "sandwich-harness")
     rows = []
     certified_violation_count = 0
@@ -389,6 +415,9 @@ def _run_sandwich_audit(params: dict, seed: int):
 
 
 def _run_lb_linear_game(params: dict, seed: int):
+    import numpy as np
+
+    from .seeding import seed_derive
     from .shatter_game import (
         best_response_learner,
         build_failure_instance,
@@ -435,7 +464,10 @@ def _run_lb_linear_game(params: dict, seed: int):
 
 
 def _run_oracle_query_sweep(params: dict, seed: int):
+    import numpy as np
+
     from .oracle_game import build_oracle_game, detection_threshold, run_query_game
+    from .seeding import seed_derive
 
     inst = build_oracle_game(params["D"], params["gamma"], params["d"])
     result = run_query_game(inst, params["budgets"], params["trials"], seed_derive(seed, "sweep"))
@@ -465,8 +497,12 @@ def _run_oracle_query_sweep(params: dict, seed: int):
 
 
 def _run_robust_vc_audit(params: dict, seed: int):
-    from .classifiers import FiniteClass
+    import numpy as np
+
+    from .classifiers import FiniteClass, LabeledExample, LinearClassifier
     from .loss_vc import overhead_audit, sauer_bound
+    from .regions import FinitePoints, RegionFamily
+    from .seeding import rng_for
 
     rng = rng_for(seed, "vc-audit")
     instances = []
@@ -519,6 +555,11 @@ def _run_robust_vc_audit(params: dict, seed: int):
 
 
 def _run_regularity_check(params: dict, seed: int):
+    import numpy as np
+
+    from .classifiers import LinearClassifier, SphereBoundary, regularity_check
+    from .geometry import Ball
+
     spec = params["hypothesis"]
     kind = spec.get("kind")
     if kind == "linear":

@@ -11,10 +11,12 @@ from robustlab.cli import main
 from robustlab.harness import (
     ConfigError,
     ExperimentConfig,
+    _member_losses,
     list_experiments,
     run,
     write_record,
 )
+from robustlab.rerm import IndexedExhaustiveOracle, make_learning_task
 from robustlab.seeding import as_generator, rng_for, seed_derive
 
 # A small config of every experiment.
@@ -153,6 +155,37 @@ class TestConfigParsing:
             run(cfg)
         assert not out.exists()
 
+    @pytest.mark.parametrize("seed", [True, False])
+    def test_bool_seed_rejected(self, seed):
+        # isinstance(True, int) holds, so true was read as seed 1
+        with pytest.raises(ConfigError, match="seed must be an unsigned 64-bit integer"):
+            ExperimentConfig.from_dict({"experiment": "regularity_check", "seed": seed})
+
+    @pytest.mark.parametrize("path", [5, 1.5, True, ["out.csv"], {"file": "out.csv"}])
+    def test_non_string_output_path_rejected(self, path):
+        # this failed only at write time, after the whole run
+        with pytest.raises(ConfigError, match="output_path must be a string"):
+            ExperimentConfig.from_dict({"experiment": "regularity_check", "seed": 1, "output_path": path})
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("audits", -3), ("audits", 0), ("audits", 1.5), ("audits", True),
+            ("include_control", "no"), ("include_control", 1), ("include_control", None),
+        ],
+    )
+    def test_bad_sandwich_audit_value_names_its_key(self, key, value, tmp_path):
+        # audits: -3 ran no audit and include_control: "no" ran the control,
+        # and both reported a pass
+        params = {**SMALL["sandwich_audit"], key: value}
+        out = tmp_path / "out.csv"
+        cfg = ExperimentConfig.from_dict(
+            {"experiment": "sandwich_audit", "seed": 1, "params": params, "output_path": str(out)}
+        )
+        with pytest.raises(ConfigError, match=key):
+            run(cfg)
+        assert not out.exists()
+
 
 class TestRunAndWrite:
     def test_csv_reproducible_bit_identical(self, tmp_path):
@@ -282,6 +315,18 @@ class TestRunAndWrite:
         body = b"".join(line for line in lines if not line.startswith(b"# config:"))
         assert hashlib.sha256(body).hexdigest() == TOLRERM_BENCH_CSV_SHA256
 
+    def test_tolrerm_sweep_member_losses_are_distribution_losses(self):
+        # the sweep reads every member's loss from one table per radius; the
+        # bits must be those of the per-member oracle call
+        for task_idx in range(5):
+            task = make_learning_task(seed_derive(11, f"task-{task_idx}"), gamma=0.25)
+            oracle = IndexedExhaustiveOracle(task.cls, task.family, task.dist)
+            for r in (task.gamma, 0.0):
+                reference = [oracle.distribution_loss(i, r).hex() for i in range(len(task.cls))]
+                assert [loss.hex() for loss in _member_losses(oracle, r)] == reference
+        with pytest.raises(ValueError, match="nonnegative"):
+            _member_losses(oracle, -0.1)
+
     def test_default_size_opt_gap_audit_digest_pinned(self, tmp_path):
         path = tmp_path / "opt_gap_audit.csv"
         run(ExperimentConfig.from_dict({"experiment": "opt_gap_audit", "seed": 11, "output_path": str(path)}))
@@ -392,6 +437,24 @@ class TestCli:
         extra = {"experiment": "tolrerm_sweep", "params": {"tasks": 0}}
         assert main(["run", "--config", self._write_config(tmp_path, extra)]) == 2
         assert "tasks must be a positive integer" in capsys.readouterr().err
+        assert not (tmp_path / "out.csv").exists()
+
+    def test_bool_seed_exit_two(self, tmp_path, capsys):
+        assert main(["validate", "--config", self._write_config(tmp_path, {"seed": True})]) == 2
+        assert "seed must be an unsigned 64-bit integer" in capsys.readouterr().err
+
+    def test_non_string_output_path_exit_two_before_running(self, tmp_path, capsys, monkeypatch):
+        def no_run(config):
+            raise AssertionError("the experiment ran")
+
+        monkeypatch.setattr("robustlab.cli.run", no_run)
+        assert main(["run", "--config", self._write_config(tmp_path), "--set", "output_path=5"]) == 2
+        assert "output_path must be a string" in capsys.readouterr().err
+
+    def test_bad_sandwich_audit_exit_two(self, tmp_path, capsys):
+        extra = {"experiment": "sandwich_audit", "params": {"audits": -3, "include_control": "no"}}
+        assert main(["run", "--config", self._write_config(tmp_path, extra)]) == 2
+        assert "audits must be a positive integer" in capsys.readouterr().err
         assert not (tmp_path / "out.csv").exists()
 
     def test_bad_override_exit_two(self, tmp_path):

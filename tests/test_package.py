@@ -1,6 +1,7 @@
-"""Package surface: every exported name exists, none is exported twice, and
-the demos and the README's library tour run against the current API, and
-each demo prints the bytes it printed before."""
+"""Package surface: every exported name exists, none is exported twice, the
+namespace resolves each name from its module on use, parsing a config loads
+no numpy, the demos and the README's library tour run against the current
+API, and each demo prints the bytes it printed before."""
 
 import hashlib
 import importlib
@@ -10,6 +11,8 @@ import pkgutil
 import re
 import subprocess
 import sys
+
+import pytest
 
 import robustlab
 
@@ -61,3 +64,49 @@ def test_import_leaves_numpy_random_unloaded():
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+def test_config_parsing_loads_neither_numpy_nor_the_library(tmp_path):
+    # the set-up a benchmark interpreter times, then the two CLI commands
+    # that never run an experiment
+    config = tmp_path / "tolrerm.json"
+    config.write_text(
+        '{"experiment": "tolrerm_sweep", "seed": 1, "output_path": "out.csv",'
+        ' "params": {"tasks": 40, "trials": 5, "n_grid": [10, 30, 100, 300], "eps": 0.1, "delta": 0.1}}'
+    )
+    code = """
+import sys
+import robustlab
+from robustlab.harness import ExperimentConfig
+ExperimentConfig.from_file(sys.argv[1])
+loaded = lambda: sorted(m for m in sys.modules if m.split(".")[0] in ("numpy", "robustlab"))
+print(loaded())
+from robustlab.cli import main
+assert main(["validate", "--config", sys.argv[1]]) == 0
+assert main(["list-experiments"]) == 0
+print(loaded())
+"""
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    proc = subprocess.run([sys.executable, "-c", code, str(config)], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0] == str(["robustlab", "robustlab.harness"])
+    assert lines[-1] == str(["robustlab", "robustlab.cli", "robustlab.harness"])
+
+
+def test_lazy_namespace_reads_each_name_from_its_module(monkeypatch):
+    for name in robustlab.__all__[1:]:
+        owner = importlib.import_module(f"robustlab.{robustlab._MODULE_OF[name]}")
+        assert getattr(robustlab, name) is getattr(owner, name), name
+        # never stored in the package, so a later rebinding is what it returns
+        assert name not in vars(robustlab), name
+    rerm = importlib.import_module("robustlab.rerm")
+    monkeypatch.setattr(rerm, "tolrerm", lambda *args: None)
+    assert robustlab.tolrerm is rerm.tolrerm
+    assert robustlab.__all__[0] == "__version__"
+    assert dir(robustlab) == sorted(robustlab.__all__)
+    with pytest.raises(AttributeError, match="no_such_name"):
+        robustlab.no_such_name
+    namespace = {}
+    exec("from robustlab import *", namespace)
+    assert set(robustlab.__all__) <= set(namespace)
