@@ -11,6 +11,8 @@ query is the one-row case of its batched form.  Every Euclidean norm of a
 batch is the square root of ``_sq_norms`` of the squared differences,
 which is ``np.add.reduce(sq, axis=-1)`` (the sum behind
 ``np.linalg.norm(x, axis=-1)``) bit for bit, added column by column.
+Ball membership takes no square root: ``_in_ball`` compares the same sum
+of squares with ``_sq_bound(radius)``, which gives the same verdict.
 
 Conventions used throughout the library:
 
@@ -21,7 +23,9 @@ Conventions used throughout the library:
 
 from __future__ import annotations
 
+import math
 import numbers
+import sys
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -123,11 +127,44 @@ def _batch(pts, d: int) -> np.ndarray:
     return pts
 
 
+def _sq_bound(r: float) -> float:
+    """The largest double ``s`` whose correctly rounded ``math.sqrt(s)`` is at most ``r > 0``.
+
+    ``sqrt`` is monotone, so ``sqrt(s) <= r`` exactly when ``s <= _sq_bound(r)``.
+    The search starts at ``r * r`` (the largest finite double when that
+    overflows) and moves a few ulps: the rounding of ``r * r`` and of the
+    square root each shift the bound by at most about one ulp of ``r * r``.
+    """
+    s = min(r * r, sys.float_info.max)
+    while math.sqrt(s) > r:
+        s = math.nextafter(s, 0.0)
+    while s < math.inf and math.sqrt(up := math.nextafter(s, math.inf)) <= r:
+        s = up
+    return s
+
+
 def _in_ball(pts: np.ndarray, center: np.ndarray, radius: float) -> np.ndarray:
-    """Rows of ``pts`` in the closed ball; radius 0 is the center alone, by exact equality."""
+    """Rows of ``pts`` in the closed ball; radius 0 is the center alone, by exact equality.
+
+    Off radius 0 this is ``_norms(pts - center) <= radius`` bit for bit: the
+    squared distances, summed in :func:`_sq_norms` order, are compared with
+    :func:`_sq_bound` instead of taking their square roots.  Below 8
+    dimensions the squares are summed column by column, with no ``(n, d)``
+    temporary.
+    """
     if radius == 0:
         return (pts == center).all(axis=1)
-    return _norms(pts - center) <= radius
+    bound = _sq_bound(float(radius))
+    if pts.shape[1] >= 8:
+        diff = pts - center
+        return _sq_norms(np.multiply(diff, diff, out=diff)) <= bound
+    sq = pts[:, 0] - center[0]
+    sq *= sq
+    for j in range(1, pts.shape[1]):
+        term = pts[:, j] - center[j]
+        term *= term
+        sq += term
+    return sq <= bound
 
 
 def _in_union(pts: np.ndarray, centers: np.ndarray, radii: np.ndarray) -> np.ndarray:

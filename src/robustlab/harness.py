@@ -433,6 +433,8 @@ def _run_lb_linear_game(params: dict, seed: int):
     }
     if params["learner"] not in learners:
         raise ConfigError(f"unknown learner {params['learner']!r}; known: {sorted(learners)}")
+    if not isinstance(params["export_path"], str):
+        raise ConfigError(f"export_path must be a string, got {params['export_path']!r}")
     inst = build_failure_instance(params["m"], params["W"], params["d"], seed_derive(seed, "instance"))
     if params["export_path"]:
         from .shatter_game import export_instance
@@ -561,17 +563,21 @@ def _run_regularity_check(params: dict, seed: int):
     from .geometry import Ball
 
     spec = params["hypothesis"]
-    kind = spec.get("kind")
+    required = {"linear": ("w", "b"), "sphere": ("center", "radius")}
+    kind = spec.get("kind") if isinstance(spec, dict) else None
+    if kind not in required:
+        raise ConfigError("hypothesis.kind must be 'linear' or 'sphere'")
+    missing = [key for key in required[kind] if key not in spec]
+    if missing:
+        raise ConfigError(f"a {kind} hypothesis needs hypothesis.{missing[0]}, got {spec!r}")
     if kind == "linear":
         h = LinearClassifier(np.asarray(spec["w"], dtype=float), float(spec["b"]))
-    elif kind == "sphere":
+    else:
         h = SphereBoundary(
             np.asarray(spec["center"], dtype=float),
             float(spec["radius"]),
             spec.get("inside_label", 1),
         )
-    else:
-        raise ConfigError("hypothesis.kind must be 'linear' or 'sphere'")
     domain = Ball(np.zeros(h.dimension), params["domain_radius"])
     cert = regularity_check(h, params["alpha"], params["probes"], domain, seed)
     rows = [

@@ -24,8 +24,8 @@ from .classifiers import (
     LinearClassifier,
     robust_loss_distribution,
 )
-from .geometry import Ball, _is_integer
-from .regions import Region, RegionFamily, UnionOfBalls, uniform_sample
+from .geometry import Ball, _in_ball, _is_integer
+from .regions import RegionFamily, UnionOfBalls, _region_balls, _rejection_draw
 from .seeding import rng_for
 
 __all__ = [
@@ -116,11 +116,38 @@ def loss_table(inst: OracleGameInstance) -> dict[tuple[str, str], float]:
     return out
 
 
-def _expanded_regions(inst: OracleGameInstance) -> tuple[Region, Region, Region]:
-    """The gamma-expanded V region of the +v anchor, then the gamma-expanded U cores of +v and -v."""
+def _escape_label(inst: OracleGameInstance):
+    """The gamma-expanded +v V region and a rejection label: does a row escape both U cores?
+
+    The label (see :func:`~robustlab.regions._rejection_draw`) tests every
+    box row against each ball of the region, and its value for a row is
+    whether the row lies outside the gamma-expanded U cores of +v and -v.
+    Ball 0 of the region is the +v core, the same center and radius, as
+    :func:`build_oracle_game` makes it; this is checked once here, and only
+    then is ball 0's test reused for the core.  Only accepted rows outside
+    the +v core, about 0.3% of them at d = 3 and D = 50, are tested against
+    the -v core.  (:func:`build_oracle_game` checks that its side ball
+    misses that core, so there the test finds none; it keeps the label
+    right for any instance.)
+    """
     u_gam = inst.u_family.expanded(inst.gamma)
-    v_region = inst.v_family.expanded(inst.gamma).region_for(inst.v)
-    return v_region, u_gam.region_for(inst.v), u_gam.region_for(-inst.v)
+    core_plus, core_minus = u_gam.region_for(inst.v), u_gam.region_for(-inst.v)
+    region = inst.v_family.expanded(inst.gamma).region_for(inst.v)
+    centers, radii = _region_balls(region)
+    plus_centers, plus_radii = _region_balls(core_plus)
+    plus_is_ball0 = len(plus_radii) == 1 and np.array_equal(centers[0], plus_centers[0]) and radii[0] == plus_radii[0]
+
+    def label(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        first = _in_ball(rows, centers[0], radii[0])
+        accepted = first.copy()
+        for center, radius in zip(centers[1:], radii[1:]):
+            accepted |= _in_ball(rows, center, radius)
+        escapes = accepted & ~(first if plus_is_ball0 else core_plus.contains_many(rows))
+        off_plus = np.flatnonzero(escapes)
+        escapes[off_plus] = ~core_minus.contains_many(rows[off_plus])
+        return accepted, escapes
+
+    return region, label
 
 
 def _interval_union_length(intervals: list[tuple[float, float]]) -> float:
@@ -155,17 +182,17 @@ def measure_bound_audit(inst: OracleGameInstance, n_mc: int, seed: int) -> Measu
     """Monte-Carlo estimate of ``P(V^gamma \\ U^gamma)`` for the +v anchor.
 
     Samples uniformly from the anchor's gamma-expanded V region and counts
-    the fraction escaping both anchors' gamma-expanded U regions.  In one
-    dimension the exact value from interval lengths is attached as an
-    independent oracle.
+    the fraction escaping both anchors' gamma-expanded U regions.  Only
+    that verdict is kept per draw (:func:`_escape_label`); the draws and
+    ``p_hat`` are those of ``uniform_sample`` followed by two
+    ``contains_many`` tests, bit for bit.  In one dimension the exact value
+    from interval lengths is attached as an independent oracle.
     """
     if inst.d > 4:
         raise ValueError("Monte-Carlo volume audit limited to d <= 4")
     gamma, D0 = inst.gamma, inst.D0
-    region, core_plus, core_minus = _expanded_regions(inst)
-
-    pts = uniform_sample(region, n_mc, rng_for(seed, "measure"))
-    outside = ~(core_plus.contains_many(pts) | core_minus.contains_many(pts))
+    region, label = _escape_label(inst)
+    outside = _rejection_draw(region, n_mc, rng_for(seed, "measure"), label)
     p_hat = float(np.mean(outside))
     sigma = math.sqrt(max(p_hat * (1 - p_hat), 1e-12) / n_mc)
 
@@ -253,6 +280,15 @@ def run_query_game(
     trial stream: the recorded statistic per trial is the index of its
     first distinguishing draw.
 
+    The game keeps one bit per draw, whether it escapes both expanded U
+    cores (:func:`_escape_label`), and never holds the points.  Every draw
+    is taken from the +v V region.  A draw at the -v anchor is the mirror
+    image of one at +v (the first coordinate negated), and it needs no
+    mirroring here.  Negation is exact, and the -v core is the +v core
+    mirrored.  So the mirrored point's squared distance to each core is
+    the original's squared distance to the other core, bit for bit, and a
+    draw and its mirror escape the cores alike.
+
     ``budgets`` must be distinct nonnegative integers (Python or numpy) and
     ``trials`` a positive integer; anything else raises ``ValueError``.
     """
@@ -276,7 +312,7 @@ def run_query_game(
     z_is_v = rng.random(trials) < 0.5
     n_v = int(z_is_v.sum())
 
-    region, core_plus, core_minus = _expanded_regions(inst)
+    region, label = _escape_label(inst)
 
     # first distinguishing draw per V-trial (1-based), inf if never within budget
     detect = np.full(n_v, np.inf)
@@ -288,12 +324,7 @@ def run_query_game(
     chunk = 64
     while alive.size and offset < max_budget:
         k = min(chunk, max_budget - offset)
-        pts = uniform_sample(region, alive.size * k, rng).reshape(alive.size, k, inst.d)
-        parity = (np.arange(offset, offset + k) % 2).astype(bool)
-        pts[:, parity, 0] *= -1.0  # mirrored draw = uniform draw at the -v anchor
-        flat = pts.reshape(-1, inst.d)
-        outside = ~(core_plus.contains_many(flat) | core_minus.contains_many(flat))
-        outside = outside.reshape(alive.size, k)
+        outside = _rejection_draw(region, alive.size * k, rng, label).reshape(alive.size, k)
         any_hit = outside.any(axis=1)
         first = np.where(any_hit, outside.argmax(axis=1), k)
         # probes actually spent this chunk: up to and including the first hit

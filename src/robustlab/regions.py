@@ -28,7 +28,10 @@ blocks of about 2**20 floats; membership of many points in a region is
 tested ball by ball, and of one point against all balls at once.  Uniform sampling is
 Lebesgue-exact via rejection from the region's bounding box, in batches
 that are drawn and tested slice by slice until ``n`` points are kept; the
-generator then jumps past the batch's untested tail.
+generator then jumps past the batch's untested tail.  That loop is
+``_rejection_draw``, which keeps one value per accepted row as a caller's
+label says: ``uniform_sample`` keeps the row itself, and the oracle game
+keeps only whether the row escapes both cores.
 
 Point identity is exact (equal float coordinates): ``point_key`` and
 membership in ``FinitePoints`` and in radius-zero balls share that rule.
@@ -36,6 +39,7 @@ membership in ``FinitePoints`` and in radius-zero balls share that rule.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 from typing import Union
 
@@ -229,34 +233,39 @@ def _skip(rng: np.random.Generator, m: int) -> None:
     bitgen.random_raw(rem)
 
 
-def uniform_sample(
+def _rejection_draw(
     region: Region,
     n: int,
-    seed: int | np.random.Generator,
+    rng: int | np.random.Generator,
+    label: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
 ) -> np.ndarray:
-    """Draw ``n`` Lebesgue-uniform points from a positive-measure region.
+    """Bounding-box rejection from ``region``, keeping a value per accepted row.
 
-    Rejection sampling from the bounding box keeps the draw exactly uniform
-    on unions with overlaps (no inclusion-exclusion bookkeeping).  Each
-    round is a batch of ``max(1024, 2n)`` box points, drawn and tested in
-    slices of at most ``SLICE_FLOATS`` coordinates until ``n`` points are
-    kept; the generator then jumps past the batch's untested rows
-    (:func:`_skip`).  The points and the generator state are those of
-    drawing every batch whole with ``rng.uniform(lo, hi, (batch, d))``, so
-    neither depends on how many rows are tested.  Aborts with diagnostics
-    if the acceptance rate falls below ``MIN_EFFICIENCY``.
+    ``label(rows)`` gets a C-contiguous ``(m, d)`` slice of box rows and
+    returns ``(accepted, values)``: a boolean mask of the rows that lie in
+    ``region`` and an array with one entry per row.  The entries of the
+    first ``n`` accepted rows are returned in draw order, an ``(n, ...)``
+    array (``(0, d)`` floats when ``n`` is 0).  Each round is a batch of
+    ``max(1024, 2n)`` box rows, drawn and labelled in slices of at most
+    ``SLICE_FLOATS`` coordinates until ``n`` rows are accepted; the
+    generator then jumps past the batch's unlabelled rows (:func:`_skip`).
+    The rows and the generator state are those of drawing every batch whole
+    with ``rng.uniform(lo, hi, (batch, d))``, so neither depends on the
+    label or on how many rows are labelled.  ``rng`` is a seed or a
+    generator, as :func:`~robustlab.seeding.as_generator` takes.  Aborts
+    with diagnostics if the acceptance rate falls below ``MIN_EFFICIENCY``.
     """
     if n < 0:
         raise ValueError(f"cannot draw a negative number of points ({n})")
     if not _positive_measure(region):
         raise ZeroMeasureError("region has zero Lebesgue measure; uniform sampling undefined")
-    rng = as_generator(seed)
+    rng = as_generator(rng)
     lo, hi = region.bounding_box()
     width = hi - lo
     if not np.all(np.isfinite(width)):
         raise ValueError(f"bounding box {lo} .. {hi} is too wide to sample: its width overflows")
     d = region.dimension
-    out = np.empty((n, d))
+    out = np.empty((0, d))
     got = drawn = tested = 0
     batch = max(1024, 2 * n)
     cap = max(1, SLICE_FLOATS // d)
@@ -271,10 +280,12 @@ def uniform_sample(
             rows = rng.random((stop - start, d))
             rows *= width
             rows += lo
-            good = rows[region.contains_many(rows)]
-            take = min(need, len(good))
-            out[got : got + take] = good[:take]
-            got += take
+            accepted, values = label(rows)
+            kept = values[accepted][:need]
+            if not got:
+                out = np.empty((n,) + kept.shape[1:], kept.dtype)
+            out[got : got + len(kept)] = kept
+            got += len(kept)
             tested += stop - start
             start = stop
         _skip(rng, (batch - start) * d)
@@ -284,6 +295,22 @@ def uniform_sample(
                 f"after {drawn} draws (bounding box {lo} .. {hi})"
             )
     return out
+
+
+def uniform_sample(
+    region: Region,
+    n: int,
+    seed: int | np.random.Generator,
+) -> np.ndarray:
+    """Draw ``n`` Lebesgue-uniform points from a positive-measure region.
+
+    Rejection sampling from the bounding box keeps the draw exactly uniform
+    on unions with overlaps (no inclusion-exclusion bookkeeping).  This is
+    the case of :func:`_rejection_draw` whose label keeps the accepted rows
+    themselves, tested by ``region.contains_many``; the batches, slices,
+    generator jumps and errors are described there.
+    """
+    return _rejection_draw(region, n, seed, lambda rows: (region.contains_many(rows), rows))
 
 
 def region_to_dict(region: Region) -> dict:

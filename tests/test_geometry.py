@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from robustlab import geometry
 from robustlab.geometry import (
@@ -72,6 +73,52 @@ class TestSqNorms:
     def test_norms_match_linalg_norm(self):
         diff = rng_for(0, "norms").normal(size=(500, 3)) * 10.0 ** np.arange(-4, 5, 4)
         assert np.array_equal(geometry._norms(diff.copy()), np.linalg.norm(diff, axis=-1))
+
+
+class TestSquaredBallBound:
+    @settings(max_examples=400, deadline=None)
+    @given(
+        r=st.floats(min_value=5e-324, max_value=1e200),
+        base=st.sampled_from(["bound", "square"]),
+        steps=st.integers(-3, 3),
+    )
+    @example(r=5e-324, base="bound", steps=1)
+    @example(r=1e-162, base="square", steps=2)
+    @example(r=1.4e154, base="square", steps=-1)  # r * r overflows
+    @example(r=1e200, base="bound", steps=1)
+    def test_is_the_sqrt_rule(self, r, base, steps):
+        # s runs over the nextafter neighbours of the bound and of r * r
+        bound = geometry._sq_bound(r)
+        s = bound if base == "bound" else r * r
+        for _ in range(abs(steps)):
+            s = math.nextafter(s, math.inf if steps > 0 else 0.0)
+        assert (math.sqrt(s) <= r) == (s <= bound)
+        assert math.sqrt(bound) <= r
+        assert math.isinf(bound) or math.sqrt(math.nextafter(bound, math.inf)) > r
+
+    def test_infinite_radius_holds_every_number(self):
+        assert geometry._sq_bound(math.inf) == math.inf
+
+    @pytest.mark.parametrize("d", range(1, 10))
+    def test_in_ball_is_the_distance_rule(self, d):
+        # d >= 8 sums the squares pairwise; scales over 16 decades and points
+        # one ulp on either side of the sphere make any change of order visible
+        rng = rng_for(d, "in-ball")
+        for scale in 10.0 ** np.arange(-8, 9, 4):
+            center = rng.normal(size=d) * scale
+            radius = float(rng.uniform(0.5, 2.0) * scale)
+            on_sphere = center + uniform_sphere(600, d, radius, rng)
+            pts = np.vstack(
+                [
+                    center + rng.normal(size=(600, d)) * radius,
+                    on_sphere,
+                    np.nextafter(on_sphere, np.inf),
+                    np.nextafter(on_sphere, -np.inf),
+                ]
+            )
+            inside = geometry._in_ball(pts, center, radius)
+            assert np.array_equal(inside, geometry._norms(pts - center) <= radius)
+            assert 0 < inside.sum() < len(pts)
 
 
 class TestPointToRegionDistance:

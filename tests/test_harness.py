@@ -48,6 +48,11 @@ SMALL_CSV_SHA256 = {
 TOLRERM_BENCH_PARAMS = {"tasks": 40, "trials": 5, "n_grid": [10, 30, 100, 300]}
 TOLRERM_BENCH_CSV_SHA256 = "0a133350771d7745a6cf312be74c47ee90ca3b879e92f991d4c4cd552b9c9bc0"
 
+# The oracle_query_sweep CSV at the benchmark's size (d = 3, 4,000 trials,
+# budgets up to 4096, so about 630k oracle draws) and seed 11, pinned the same way.
+QUERY_BENCH_PARAMS = {"D": 50.0, "gamma": 1.0, "d": 3, "budgets": [2**i for i in range(13)], "trials": 4000}
+QUERY_BENCH_CSV_SHA256 = "93490aeb580f4e7a1e594375c2e6c0bd49edd282b7a044581585d2df80ac2d05"
+
 # The same digest for opt_gap_audit at its default parameters (50 instances
 # x 400 trials) and seed 11.
 OPT_GAP_AUDIT_DEFAULT_CSV_SHA256 = "ec86005a0a5f954d15a45b436ffd727973abddbb73b174d2a37f8878a26f5bbe"
@@ -315,6 +320,17 @@ class TestRunAndWrite:
         body = b"".join(line for line in lines if not line.startswith(b"# config:"))
         assert hashlib.sha256(body).hexdigest() == TOLRERM_BENCH_CSV_SHA256
 
+    def test_benchmark_size_query_digest_pinned(self, tmp_path):
+        path = tmp_path / "oracle_query_sweep.csv"
+        run(
+            ExperimentConfig.from_dict(
+                {"experiment": "oracle_query_sweep", "seed": 11, "params": QUERY_BENCH_PARAMS, "output_path": str(path)}
+            )
+        )
+        lines = path.read_bytes().splitlines(keepends=True)
+        body = b"".join(line for line in lines if not line.startswith(b"# config:"))
+        assert hashlib.sha256(body).hexdigest() == QUERY_BENCH_CSV_SHA256
+
     def test_tolrerm_sweep_member_losses_are_distribution_losses(self):
         # the sweep reads every member's loss from one table per radius; the
         # bits must be those of the per-member oracle call
@@ -455,6 +471,32 @@ class TestCli:
         extra = {"experiment": "sandwich_audit", "params": {"audits": -3, "include_control": "no"}}
         assert main(["run", "--config", self._write_config(tmp_path, extra)]) == 2
         assert "audits must be a positive integer" in capsys.readouterr().err
+        assert not (tmp_path / "out.csv").exists()
+
+    def test_non_string_export_path_exit_two_before_building(self, tmp_path, capsys, monkeypatch):
+        def no_build(*args):
+            raise AssertionError("the failure instance was built")
+
+        monkeypatch.setattr("robustlab.shatter_game.build_failure_instance", no_build)
+        extra = {"experiment": "lb_linear_game", "params": {"export_path": 5}}
+        assert main(["run", "--config", self._write_config(tmp_path, extra)]) == 2
+        assert "export_path must be a string" in capsys.readouterr().err
+        assert not (tmp_path / "out.csv").exists()
+
+    @pytest.mark.parametrize(
+        "hypothesis, key",
+        [
+            ({"kind": "linear"}, "w"),
+            ({"kind": "linear", "w": [1.0, 0.0]}, "b"),
+            ({"kind": "sphere", "radius": 1.0}, "center"),
+            ({"kind": "sphere", "center": [0.0, 0.0]}, "radius"),
+        ],
+        ids=["linear-w", "linear-b", "sphere-center", "sphere-radius"],
+    )
+    def test_incomplete_hypothesis_exit_two(self, hypothesis, key, tmp_path, capsys):
+        extra = {"params": {"hypothesis": hypothesis}}
+        assert main(["run", "--config", self._write_config(tmp_path, extra)]) == 2
+        assert f"needs hypothesis.{key}" in capsys.readouterr().err
         assert not (tmp_path / "out.csv").exists()
 
     def test_bad_override_exit_two(self, tmp_path):

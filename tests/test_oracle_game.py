@@ -1,9 +1,12 @@
 """Two-anchor distinguishing construction and the query-budget game."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from robustlab.oracle_game import (
+    QuerySweepResult,
     build_oracle_game,
     detection_threshold,
     loss_table,
@@ -11,7 +14,77 @@ from robustlab.oracle_game import (
     run_query_game,
     wilson_interval,
 )
-from robustlab.regions import UnionOfBalls, uniform_sample
+from robustlab.regions import RegionFamily, UnionOfBalls, uniform_sample
+from robustlab.seeding import rng_for
+
+
+def _expanded(inst):
+    """The gamma-expanded +v V region and the gamma-expanded U cores of +v and -v."""
+    u_gam = inst.u_family.expanded(inst.gamma)
+    region = inst.v_family.expanded(inst.gamma).region_for(inst.v)
+    return region, u_gam.region_for(inst.v), u_gam.region_for(-inst.v)
+
+
+def _reference_query_game(inst, budgets, trials, seed):
+    """The query game as it plays with whole points, the reference for ``run_query_game``.
+
+    Each chunk draws its points with ``uniform_sample``, mirrors the draws
+    at the -v anchor (odd draw indices), and tests every point against both
+    expanded U cores with ``contains_many``.
+    """
+    budgets_arr = np.asarray(sorted(int(b) for b in budgets))
+    rng = rng_for(seed, "query-game")
+    max_budget = int(budgets_arr.max(initial=0))
+    n_v = int((rng.random(trials) < 0.5).sum())
+    region, core_plus, core_minus = _expanded(inst)
+    detect = np.full(n_v, np.inf)
+    anchor_queries = np.zeros(2, dtype=np.int64)
+    anchor_detects = np.zeros(2, dtype=np.int64)
+    alive = np.arange(n_v)
+    offset, chunk = 0, 64
+    while alive.size and offset < max_budget:
+        k = min(chunk, max_budget - offset)
+        pts = uniform_sample(region, alive.size * k, rng).reshape(alive.size, k, inst.d)
+        parity = (np.arange(offset, offset + k) % 2).astype(bool)
+        pts[:, parity, 0] *= -1.0
+        flat = pts.reshape(-1, inst.d)
+        outside = ~(core_plus.contains_many(flat) | core_minus.contains_many(flat))
+        outside = outside.reshape(alive.size, k)
+        any_hit = outside.any(axis=1)
+        first = np.where(any_hit, outside.argmax(axis=1), k)
+        spent = np.where(any_hit, first + 1, k)
+        odd = np.sum((offset + spent) // 2 - offset // 2)
+        anchor_queries += (np.sum(spent) - odd, odd)
+        hit_at = offset + first[any_hit]
+        anchor_detects += np.bincount(hit_at % 2, minlength=2)
+        detect[alive[any_hit]] = hit_at + 1
+        alive = alive[~any_hit]
+        offset += k
+        chunk = min(2 * chunk, 4096)
+    undetected = [int(np.count_nonzero(detect > b)) for b in budgets_arr]
+    cis = np.array([wilson_interval(u, trials) for u in undetected]).reshape(-1, 2)
+    return QuerySweepResult(
+        inst.D,
+        inst.gamma,
+        inst.d,
+        budgets_arr,
+        np.array([0.5 * u / trials for u in undetected]),
+        0.5 * cis[:, 0],
+        0.5 * cis[:, 1],
+        trials,
+        tuple(int(q) for q in anchor_queries),
+        tuple(int(q) for q in anchor_detects),
+        seed,
+    )
+
+
+def _assert_same_result(got, want):
+    for field in dataclasses.fields(QuerySweepResult):
+        a, b = getattr(got, field.name), getattr(want, field.name)
+        if isinstance(b, np.ndarray):
+            assert a.dtype == b.dtype and np.array_equal(a, b), field.name
+        else:
+            assert type(a) is type(b) and a == b, field.name
 
 
 @pytest.fixture(scope="module")
@@ -85,6 +158,16 @@ class TestMeasureAudit:
         with pytest.raises(ValueError, match="d <= 4"):
             measure_bound_audit(inst, 1000, seed=0)
 
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_p_hat_is_the_sampled_points_fraction(self, d):
+        # the audit keeps one verdict per draw; the reference keeps the points
+        for D, seed in [(20.0, d), (50.0, 10 + d)]:
+            inst = build_oracle_game(D=D, gamma=1.0, d=d)
+            region, core_plus, core_minus = _expanded(inst)
+            pts = uniform_sample(region, 30_000, rng_for(seed, "measure"))
+            outside = ~(core_plus.contains_many(pts) | core_minus.contains_many(pts))
+            assert measure_bound_audit(inst, 30_000, seed).p_hat.hex() == float(np.mean(outside)).hex()
+
     def test_samples_from_plain_family_never_distinguish(self, inst):
         # draws from the expanded U regions always stay inside them, which
         # justifies skipping sampling on U-trials in the game
@@ -143,6 +226,50 @@ class TestQueryGame:
             target = 0.25 * (1 - audit.p_hat) ** k
             se = 0.5 * np.sqrt(2 * target * (1 - 2 * target) / result.trials) + 1e-4
             assert abs(e - target) <= 4 * se
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize(
+        "budgets", [[0, 1, 3, 63, 64, 65, 127, 128, 150, 192, 200], [0]], ids=["to-200", "zero"]
+    )
+    def test_matches_the_whole_point_reference(self, d, budgets):
+        # a maximum budget of 200 crosses the 64- and 128-draw chunk ends
+        for D, seed, trials in [(20.0, 21, 300), (50.0, 22, 400), (50.0, 23, 257)]:
+            inst = build_oracle_game(D=D, gamma=1.0, d=d)
+            _assert_same_result(
+                run_query_game(inst, budgets, trials, seed), _reference_query_game(inst, budgets, trials, seed)
+            )
+
+    def test_core_that_is_not_ball_zero_is_tested_on_its_own(self):
+        # with the V balls listed side ball first, ball 0 is not the +v core,
+        # so the core is tested by itself; the region and the game are unchanged
+        inst = build_oracle_game(D=50.0, gamma=1.0, d=2)
+        swapped = RegionFamily(
+            [
+                (a, UnionOfBalls([s, a], [2.5, inst.D0 / 2.0]))
+                for a, s in ((inst.v, inst.v_prime), (-inst.v, -inst.v_prime))
+            ]
+        )
+        other = dataclasses.replace(inst, v_family=swapped)
+        budgets = [0, 5, 70, 200]
+        got = run_query_game(other, budgets, 300, 24)
+        _assert_same_result(got, _reference_query_game(other, budgets, 300, 24))
+        _assert_same_result(got, run_query_game(inst, budgets, 300, 24))
+
+    def test_draws_inside_the_other_core_do_not_escape(self):
+        # build_oracle_game's side ball misses the -v core; a third ball inside
+        # it gives draws that leave the +v core and still do not escape
+        inst = build_oracle_game(D=50.0, gamma=1.0, d=2)
+        extra = RegionFamily(
+            [
+                (a, UnionOfBalls([a, s, -a], [inst.D0 / 2.0, 2.5, 10.0]))
+                for a, s in ((inst.v, inst.v_prime), (-inst.v, -inst.v_prime))
+            ]
+        )
+        other = dataclasses.replace(inst, v_family=extra)
+        budgets = [0, 1, 2, 30, 200]
+        got = run_query_game(other, budgets, 300, 25)
+        _assert_same_result(got, _reference_query_game(other, budgets, 300, 25))
+        assert got.excess_error[-1] > run_query_game(inst, budgets, 300, 25).excess_error[-1]
 
     def test_reproducible(self, inst):
         a = run_query_game(inst, [0, 4, 16], trials=500, seed=9)
