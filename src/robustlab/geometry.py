@@ -23,6 +23,7 @@ Conventions used throughout the library:
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 import sys
@@ -127,6 +128,7 @@ def _batch(pts, d: int) -> np.ndarray:
     return pts
 
 
+@functools.lru_cache(maxsize=1024)
 def _sq_bound(r: float) -> float:
     """The largest double ``s`` whose correctly rounded ``math.sqrt(s)`` is at most ``r > 0``.
 
@@ -134,6 +136,7 @@ def _sq_bound(r: float) -> float:
     The search starts at ``r * r`` (the largest finite double when that
     overflows) and moves a few ulps: the rounding of ``r * r`` and of the
     square root each shift the bound by at most about one ulp of ``r * r``.
+    A run uses few distinct radii, so each bound is searched for once.
     """
     s = min(r * r, sys.float_info.max)
     while math.sqrt(s) > r:
@@ -147,24 +150,13 @@ def _in_ball(pts: np.ndarray, center: np.ndarray, radius: float) -> np.ndarray:
     """Rows of ``pts`` in the closed ball; radius 0 is the center alone, by exact equality.
 
     Off radius 0 this is ``_norms(pts - center) <= radius`` bit for bit: the
-    squared distances, summed in :func:`_sq_norms` order, are compared with
-    :func:`_sq_bound` instead of taking their square roots.  Below 8
-    dimensions the squares are summed column by column, with no ``(n, d)``
-    temporary.
+    same squared distances are compared with :func:`_sq_bound` instead of
+    taking their square roots.
     """
     if radius == 0:
         return (pts == center).all(axis=1)
-    bound = _sq_bound(float(radius))
-    if pts.shape[1] >= 8:
-        diff = pts - center
-        return _sq_norms(np.multiply(diff, diff, out=diff)) <= bound
-    sq = pts[:, 0] - center[0]
-    sq *= sq
-    for j in range(1, pts.shape[1]):
-        term = pts[:, j] - center[j]
-        term *= term
-        sq += term
-    return sq <= bound
+    diff = pts - center
+    return _sq_norms(np.multiply(diff, diff, out=diff)) <= _sq_bound(float(radius))
 
 
 def _in_union(pts: np.ndarray, centers: np.ndarray, radii: np.ndarray) -> np.ndarray:

@@ -433,8 +433,8 @@ def _run_lb_linear_game(params: dict, seed: int):
     }
     if params["learner"] not in learners:
         raise ConfigError(f"unknown learner {params['learner']!r}; known: {sorted(learners)}")
-    if not isinstance(params["export_path"], str):
-        raise ConfigError(f"export_path must be a string, got {params['export_path']!r}")
+    if params["export_path"] is not None and not isinstance(params["export_path"], str):
+        raise ConfigError(f"export_path must be a string or null, got {params['export_path']!r}")
     inst = build_failure_instance(params["m"], params["W"], params["d"], seed_derive(seed, "instance"))
     if params["export_path"]:
         from .shatter_game import export_instance
