@@ -98,15 +98,17 @@ def _readonly(a: np.ndarray) -> np.ndarray:
 
 
 def _sq_norms(sq: np.ndarray) -> np.ndarray:
-    """``np.add.reduce(sq, axis=-1)`` bit for bit, for C-contiguous ``sq``.
+    """``np.add.reduce(sq, axis=-1)`` of ``sq`` in C order, bit for bit, in any memory layout.
 
     Below 8 terms numpy adds the last axis left to right, so for ``d < 8``
     the columns are added in that order, each a vectorised pass over all
-    rows, instead of one short reduction per row.
+    rows (over contiguous memory when ``sq`` is column-major), instead of
+    one short reduction per row.  From 8 terms numpy's pairwise sum is
+    taken on ``sq`` in C order, copied to it if needed.
     """
     d = sq.shape[-1]
     if d >= 8:
-        return np.add.reduce(sq, axis=-1)
+        return np.add.reduce(np.ascontiguousarray(sq), axis=-1)
     out = sq[..., 0].copy()
     for j in range(1, d):
         out += sq[..., j]
@@ -151,11 +153,12 @@ def _in_ball(pts: np.ndarray, center: np.ndarray, radius: float) -> np.ndarray:
 
     Off radius 0 this is ``_norms(pts - center) <= radius`` bit for bit: the
     same squared distances are compared with :func:`_sq_bound` instead of
-    taking their square roots.
+    taking their square roots.  The differences are stored column-major, so
+    that :func:`_sq_norms` adds contiguous columns.
     """
     if radius == 0:
         return (pts == center).all(axis=1)
-    diff = pts - center
+    diff = np.subtract(pts, center, order="F")
     return _sq_norms(np.multiply(diff, diff, out=diff)) <= _sq_bound(float(radius))
 
 

@@ -70,6 +70,11 @@ class TestSqNorms:
             sq = 10.0 ** rng.uniform(-8, 8, size=shape)
             assert np.array_equal(geometry._sq_norms(sq), np.add.reduce(sq, axis=-1))
 
+    @pytest.mark.parametrize("d", range(1, 13))
+    def test_column_major_matches_c_order(self, d):
+        sq = 10.0 ** rng_for(d, "sq-norms-layout").uniform(-8, 8, size=(3000, d))
+        assert np.array_equal(geometry._sq_norms(np.asfortranarray(sq)), np.add.reduce(sq, axis=-1))
+
     def test_norms_match_linalg_norm(self):
         diff = rng_for(0, "norms").normal(size=(500, 3)) * 10.0 ** np.arange(-4, 5, 4)
         assert np.array_equal(geometry._norms(diff.copy()), np.linalg.norm(diff, axis=-1))
