@@ -10,7 +10,8 @@ and ``Expanded`` is the union of balls its base expands to.  Each scalar
 query is the one-row case of its batched form.  Every Euclidean norm of a
 batch is the square root of ``_sq_norms`` of the squared differences,
 which is ``np.add.reduce(sq, axis=-1)`` (the sum behind
-``np.linalg.norm(x, axis=-1)``) bit for bit, added column by column.
+``np.linalg.norm(x, axis=-1)``) bit for bit, added column by column
+below 8 dimensions.
 Ball membership takes no square root: ``_in_ball`` compares the same sum
 of squares with ``_sq_bound(radius)``, which gives the same verdict.
 

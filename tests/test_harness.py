@@ -483,11 +483,9 @@ class TestCli:
         assert "export_path must be a string" in capsys.readouterr().err
         assert not (tmp_path / "out.csv").exists()
 
-    @pytest.mark.parametrize("export_path", [None, ""], ids=["null", "empty"])
-    def test_falsy_export_path_runs_without_export(self, export_path, tmp_path, capsys, monkeypatch):
+    def test_null_export_path_runs_without_export(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
-        params = {"trials": 10, "export_path": export_path}
-        extra = {"experiment": "lb_linear_game", "params": params}
+        extra = {"experiment": "lb_linear_game", "params": {"trials": 10, "export_path": None}}
         assert main(["run", "--config", self._write_config(tmp_path, extra)]) == 0
         assert (tmp_path / "out.csv").exists()
         assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "out.csv"]
