@@ -35,7 +35,7 @@ from typing import Union
 import numpy as np
 
 from .geometry import Ball, as_point, _batch, _check_same_dim, _cover_probes, _in_ball, _is_integer, _norms
-from .geometry import _pair_distances, _readonly, _sq_norms
+from .geometry import _order, _pair_distances, _readonly, _sq_norms
 from .regions import Region, RegionFamily, _region_balls, uniform_sample
 from .seeding import as_generator, uniform_sphere
 
@@ -121,7 +121,7 @@ class LinearClassifier:
 
     def _margins(self, pts: np.ndarray) -> np.ndarray:
         """``<w, x> + b`` for each row ``x`` of an ``(n, d)`` array."""
-        return _sq_norms(pts * self.w) + self.b
+        return _sq_norms(np.multiply(pts, self.w, order=_order(self.dimension))) + self.b
 
     def offset(self) -> float:
         """Distance of the decision boundary from the origin."""
@@ -157,7 +157,8 @@ class SphereBoundary:
         return int(self.predict_many(x[None, :])[0])
 
     def predict_many(self, pts: np.ndarray) -> np.ndarray:
-        inside = np.linalg.norm(_batch(pts, self.dimension) - self.center, axis=1) <= self.radius
+        diff = np.subtract(_batch(pts, self.dimension), self.center, order=_order(self.dimension))
+        inside = _norms(diff) <= self.radius
         return np.where(inside, self.inside_label, -self.inside_label)
 
 
@@ -344,7 +345,7 @@ def _flip_table(hypotheses, regions, labels: np.ndarray) -> tuple[np.ndarray, np
             inclusive[i] = negative
         elif isinstance(h, SphereBoundary):
             _check_same_dim(h.dimension, d)
-            dist = _norms(centers - h.center)
+            dist = _norms(np.subtract(centers, h.center, order=_order(d)))
             agree = ball_labels == h.inside_label
             per_ball = np.where(agree, h.radius - dist - ball_radii, dist - ball_radii - h.radius)
             inclusive[i] = ~negative if h.inside_label == -1 else negative
@@ -501,12 +502,13 @@ def regularity_check(
         failures = probe_pts[h.predict_many(probe_pts) == h.inside_label]
     else:
         probe_pts = np.vstack([probe_pts, h.points[[domain.contains(p) for p in h.points]]])
-        failures = [p for p in probe_pts if not _regular_at(h, p, alpha, rng)]
+        labels = h.predict_many(probe_pts)
+        failures = [p for p, y0 in zip(probe_pts, labels) if not _regular_at(h, p, y0, alpha, rng)]
     return RegularityCertificate(alpha, len(probe_pts), tuple(map(tuple, failures)), domain)
 
 
-def _regular_at(h: TableClassifier, p: np.ndarray, alpha: float, rng) -> bool:
-    y0 = h.predict(p)
+def _regular_at(h: TableClassifier, p: np.ndarray, y0: int, alpha: float, rng) -> bool:
+    """Whether a candidate radius-``alpha`` ball holding ``p`` has no point labelled other than ``y0``, ``p``'s label."""
     if h.default != y0:
         return False  # every candidate ball contains non-table points
     flips = h.points[h.labels != y0]

@@ -12,6 +12,11 @@ batch is the square root of ``_sq_norms`` of the squared differences,
 which is ``np.add.reduce(sq, axis=-1)`` (the sum behind
 ``np.linalg.norm(x, axis=-1)``) bit for bit, added column by column
 below 8 dimensions.
+Below 8 dimensions every elementwise operation between a batch and a
+length-``d`` vector writes a column-major result (:func:`_order`), so numpy
+loops over the rows of each column instead of the ``d`` entries of each
+row, and every boolean row selection is an ``np.compress``; both give the
+same bits as the row-major forms.
 Ball membership takes no square root: ``_in_ball`` compares the same sum
 of squares with ``_sq_bound(radius)``, which gives the same verdict.
 
@@ -116,6 +121,16 @@ def _sq_norms(sq: np.ndarray) -> np.ndarray:
     return out
 
 
+def _order(d: int) -> str:
+    """Memory order of an elementwise result over ``(..., d)`` rows: ``"F"`` below 8 dims, else ``"C"``.
+
+    numpy runs its inner loop along the result's contiguous axis, so a
+    column-major result is ``d`` passes over all rows, not one short pass
+    per row; from 8 dims :func:`_sq_norms` reduces C order without a copy.
+    """
+    return "F" if d < 8 else "C"
+
+
 def _norms(diff: np.ndarray) -> np.ndarray:
     """``np.linalg.norm(diff, axis=-1)`` bit for bit; squares ``diff`` in place."""
     out = _sq_norms(np.multiply(diff, diff, out=diff))
@@ -154,12 +169,12 @@ def _in_ball(pts: np.ndarray, center: np.ndarray, radius: float) -> np.ndarray:
 
     Off radius 0 this is ``_norms(pts - center) <= radius`` bit for bit: the
     same squared distances are compared with :func:`_sq_bound` instead of
-    taking their square roots.  The differences are stored column-major, so
-    that :func:`_sq_norms` adds contiguous columns.
+    taking their square roots.  The differences are stored in :func:`_order`,
+    so that :func:`_sq_norms` adds contiguous columns below 8 dims.
     """
     if radius == 0:
         return (pts == center).all(axis=1)
-    diff = np.subtract(pts, center, order="F")
+    diff = np.subtract(pts, center, order=_order(center.size))
     return _sq_norms(np.multiply(diff, diff, out=diff)) <= _sq_bound(float(radius))
 
 
@@ -185,12 +200,14 @@ def _pair_distances(pts: np.ndarray, centers: np.ndarray):
     ``pts`` is an ``(n, d)`` array of the centers' dimension, as :func:`_batch` returns.
 
     A block has at most 4,096 rows and a ``(rows, k, d)`` difference of about
-    2**20 floats, measured by :func:`_norms` without a second block-sized array.
+    2**20 floats in :func:`_order`, measured by :func:`_norms` without a
+    second block-sized array.
     """
-    size = max(1, min(4096, 2**20 // max(1, len(centers) * pts.shape[1])))
+    d = pts.shape[1]
+    size = max(1, min(4096, 2**20 // max(1, len(centers) * d)))
     for start in range(0, len(pts), size):
         sl = slice(start, min(start + size, len(pts)))
-        yield sl, _norms(pts[sl, None, :] - centers[None, :, :])
+        yield sl, _norms(np.subtract(pts[sl, None, :], centers[None, :, :], order=_order(d)))
 
 
 def _union_distances(pts: np.ndarray, centers: np.ndarray, radii: np.ndarray | float) -> np.ndarray:
@@ -433,7 +450,7 @@ def cover_compact_by_balls(
     mesh = np.meshgrid(*axes, indexing="ij")
     nodes = np.stack([m.ravel() for m in mesh], axis=1)
     kept = target.distance_to_many(nodes) <= ball_radius
-    cover = UnionOfBalls(nodes[kept], np.full(np.count_nonzero(kept), float(ball_radius)))
+    cover = UnionOfBalls(np.compress(kept, nodes, axis=0), np.full(np.count_nonzero(kept), float(ball_radius)))
 
     probes = _cover_probes(target, probe_count, seed)
     failures = _grid_cover_failures(probes, axes, pitch, kept.reshape(mesh[0].shape), cover)
@@ -456,11 +473,11 @@ def _grid_cover_failures(
     """
     start = np.array([a[0] for a in axes])
     last = np.array([len(a) - 1 for a in axes])
-    index = np.clip(np.rint((probes - start) / pitch), 0, last).astype(np.intp)
+    index = np.clip(np.rint(np.subtract(probes, start, order=_order(start.size)) / pitch), 0, last).astype(np.intp)
     nearest = np.stack([a[i] for a, i in zip(axes, index.T)], axis=1)
     near = _norms(probes - nearest) - cover.radii[0] <= 0
     covered = kept[tuple(index.T)] & near
-    return int(np.count_nonzero(cover.distance_to_many(probes[~covered]) > 0))
+    return int(np.count_nonzero(cover.distance_to_many(np.compress(~covered, probes, axis=0)) > 0))
 
 
 def _cover_probes(target, probe_count: int, seed: int | np.random.Generator) -> np.ndarray:

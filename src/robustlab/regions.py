@@ -249,6 +249,8 @@ def _rejection_draw(
     ``max(1024, 2n)`` box rows, drawn and labelled in slices of at most
     ``SLICE_FLOATS`` coordinates until ``n`` rows are accepted; the
     generator then jumps past the batch's unlabelled rows (:func:`_skip`).
+    Each slice is mapped from the unit cube to the box in place, one column
+    at a time, and its accepted values are taken with ``np.compress``.
     The rows and the generator state are those of drawing every batch whole
     with ``rng.uniform(lo, hi, (batch, d))``, so neither depends on the
     label or on how many rows are labelled.  ``rng`` is a seed or a
@@ -276,12 +278,13 @@ def _rejection_draw(
             need = n - got
             # the rows still needed at the acceptance seen so far, and at least 256
             stop = min(batch, start + min(cap, max(256, need * tested // max(got, 1), need)))
-            # the same bits as rng.uniform(lo, hi, (stop - start, d)), without its temporaries
+            # the same bits as rng.uniform(lo, hi, (stop - start, d)), mapped in place column by column
             rows = rng.random((stop - start, d))
-            rows *= width
-            rows += lo
+            for col, w, a in zip(rows.T, width, lo):
+                col *= w
+                col += a
             accepted, values = label(rows)
-            kept = values[accepted][:need]
+            kept = np.compress(accepted, values, axis=0)[:need]
             if not got:
                 out = np.empty((n,) + kept.shape[1:], kept.dtype)
             out[got : got + len(kept)] = kept

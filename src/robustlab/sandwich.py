@@ -83,7 +83,7 @@ def build_point_sandwich(base: Region, r: float, alpha: float, seed: int) -> San
     upper = base.expand(r)
     lower = base.expand(r - alpha)
     cover = cover_compact_by_balls(upper, alpha / 2.0, seed)
-    inside = cover.centers[upper.contains_many(cover.centers)]
+    inside = np.compress(upper.contains_many(cover.centers), cover.centers, axis=0)
     if len(inside) == 0:
         raise RuntimeError("no cover center fell inside the upper expansion")
     if len(cover) > _count_bound(base, r, alpha):
@@ -159,20 +159,19 @@ def sandwich_audit(
 
     Each hypothesis gets a radius-``alpha`` regularity certificate probed
     over the upper expansion's bounding ball; rows record all three exact
-    losses, read from one loss table per region, plus the certificate
-    verdict, and the report lists violating rows with their witnesses
-    rather than raising.
+    losses, read from one loss table whose columns are the examples on the
+    lower, middle and upper regions in turn, plus the certificate verdict,
+    and the report lists violating rows with their witnesses rather than
+    raising.
     """
+    domain = _certificate_domain(triple)
     certs = tuple(
-        regularity_check(
-            h, triple.alpha, CERTIFICATE_PROBES, _certificate_domain(triple), seed_derive(seed, f"cert-{i}")
-        )
+        regularity_check(h, triple.alpha, CERTIFICATE_PROBES, domain, seed_derive(seed, f"cert-{i}"))
         for i, h in enumerate(hypotheses)
     )
-    lower, middle, upper = (
-        _loss_table(hypotheses, [region] * len(examples), examples)
-        for region in (triple.lower, triple.middle, triple.upper)
-    )
+    m = len(examples)
+    regions = [triple.lower] * m + [triple.middle] * m + [triple.upper] * m
+    lower, middle, upper = np.split(_loss_table(hypotheses, regions, list(examples) * 3), 3, axis=1)
     rows = tuple(
         SandwichAuditRow(i, j, int(lower[i, j]), int(middle[i, j]), int(upper[i, j]), certs[i].passed)
         for i, j in np.ndindex(lower.shape)

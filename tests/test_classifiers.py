@@ -25,8 +25,9 @@ from robustlab.classifiers import (
 )
 from robustlab.oracle_game import build_oracle_game, run_query_game
 from robustlab.regions import Expanded, FinitePoints, RegionFamily, UnionOfBalls, _region_balls, point_key, uniform_sample
-from robustlab.seeding import as_generator, rng_for
+from robustlab.seeding import as_generator, rng_for, uniform_sphere
 from robustlab.shatter_game import build_failure_instance, build_shatter_family
+from test_geometry import layouts, spread
 
 
 def ex(x, y):
@@ -867,6 +868,90 @@ def test_certificate_matches_per_probe_rule(d, probes):
         thin = isinstance(h, SphereBoundary) and alpha > h.radius / 2.0
         assert cert.passed or (thin and probes)
     assert any(not regularity_check(h, alpha, 64, domain, seed).passed for seed, (h, alpha) in enumerate(cases))
+
+
+class TestColumnMajorKernels:
+    """Margins and sphere distances give the bits of their row-major forms, on both sides of the 8-dim split."""
+
+    @pytest.mark.parametrize("d", range(1, 11))
+    def test_margins_match_row_major_sum(self, d):
+        rng = rng_for(d, "column-margins")
+        pts, w = spread(rng, (500, d)), spread(rng, (1, d))[0]
+        h = LinearClassifier(w, float(rng.normal()))
+        want = np.add.reduce(pts * w, axis=-1) + h.b
+        for layout in layouts(pts):
+            assert h._margins(layout).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("d", range(1, 11))
+    def test_sphere_row_matches_row_major_norm(self, d):
+        rng = rng_for(d, "column-sphere-row")
+        centers, ball_radii = spread(rng, (60, d)), rng.uniform(0, 2, 60)
+        h = SphereBoundary(rng.normal(size=d), float(rng.uniform(1, 3)), inside_label=-1)
+        dist = np.linalg.norm(centers - h.center, axis=1)
+        for y in (1, -1):
+            want = h.radius - dist - ball_radii if y == h.inside_label else dist - ball_radii - h.radius
+            # one column per ball shows every ball's value; one region per layout, as it is stored, its minimum
+            columns = [UnionOfBalls(c[None, :], [r]) for c, r in zip(centers, ball_radii)]
+            radii, _ = _violation_table([h], columns, [ex(c, y) for c in centers])
+            assert radii[0].tobytes() == want.tobytes()
+            for layout in layouts(centers)[:2]:
+                radii, _ = _violation_table([h], [UnionOfBalls(layout, ball_radii)], [ex(centers[0], y)])
+                assert radii[0, 0].tobytes() == want.min().tobytes()
+
+    @pytest.mark.parametrize("d", range(1, 11))
+    def test_sphere_predict_many_matches_row_major_norm(self, d):
+        rng = rng_for(d, "column-sphere-predict")
+        pts, center = spread(rng, (60, d)), rng.normal(size=d)
+        dist = np.linalg.norm(pts - center, axis=1)
+        for layout in layouts(pts):
+            for i in range(len(pts)):
+                # a sphere through pts[i] holds it, and one a unit in the last place smaller does not
+                for radius in (dist[i], np.nextafter(dist[i], 0.0)):
+                    got = SphereBoundary(center, radius).predict_many(layout)
+                    assert np.array_equal(got, np.where(dist <= radius, 1, -1)), (i, radius)
+
+
+def per_probe_table_certificate(h, alpha, probes, domain, rng):
+    """``(probes, failures, passed)`` of a lookup table, each probe labelled by its own ``predict`` call."""
+    pts = uniform_sample(domain, probes, rng) if probes > 0 else np.empty((0, domain.dimension))
+    pts = np.vstack([pts, h.points[[domain.contains(p) for p in h.points]]])
+
+    def regular(p):
+        y0 = h.predict(p)
+        if h.default != y0:
+            return False
+        flips = h.points[h.labels != y0]
+        if len(flips) == 0:
+            return True
+        d = p.size
+        dirs = np.vstack([np.zeros((1, d)), np.eye(d), -np.eye(d), uniform_sphere(2 * d, d, 1.0, rng)])
+        return any(not np.any(np.linalg.norm(flips - (p + alpha * (1.0 - 1e-9) * u), axis=1) <= alpha) for u in dirs)
+
+    failures = [p for p in pts if not regular(p)]
+    return len(pts), tuple(map(tuple, failures)), not failures
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("probes", [0, 64])
+def test_table_certificate_matches_per_probe_labels(d, probes):
+    rng = rng_for(d, "table-certificate-cases")
+    domain = Ball(np.zeros(d), 1.5)
+    entries = rng.uniform(-1.2, 1.2, (40, d))
+    tables = [
+        TableClassifier(entries, rng.choice([-1, 1], 40), default=1),
+        TableClassifier(entries, np.where(rng.random(40) < 0.1, 1, -1), default=-1),
+        TableClassifier(entries[:5], [1] * 5, default=1),
+    ]
+    outcomes = set()
+    for k, h in enumerate(tables):
+        for alpha in (0.05, 0.3):
+            got_rng, want_rng = rng_for(k, "table-certificate"), rng_for(k, "table-certificate")
+            cert = regularity_check(h, alpha, probes, domain, got_rng)
+            want = per_probe_table_certificate(h, alpha, probes, domain, want_rng)
+            assert (cert.probes, cert.failures, cert.passed) == want
+            assert same_state(got_rng.bit_generator.state, want_rng.bit_generator.state)
+            outcomes.add(cert.passed)
+    assert outcomes == {True, False}
 
 
 def same_state(a: dict, b: dict) -> bool:

@@ -325,6 +325,63 @@ class TestGridCoverCheck:
         assert str(err.value) == f"{expected}/500 cover probes uncovered"
 
 
+def layouts(x: np.ndarray) -> list[np.ndarray]:
+    """``x`` row-major, column-major, with strided columns and with reversed rows: the same values each time."""
+    wide = np.zeros((len(x), 2 * x.shape[1]))
+    wide[:, ::2] = x
+    return [np.ascontiguousarray(x), np.asfortranarray(x), wide[:, ::2], x[::-1].copy()[::-1]]
+
+
+def spread(rng, shape) -> np.ndarray:
+    """Normal entries scaled per column over 8 decades, so that the order of a sum shows in its last bits."""
+    return rng.normal(size=shape) * 10.0 ** rng.uniform(-4, 4, shape[-1])
+
+
+class TestColumnMajorKernels:
+    """The column-major kernels give the bits of their row-major forms, on both sides of the 8-dim split."""
+
+    @pytest.mark.parametrize("d", range(1, 11))
+    def test_pair_distances_match_row_major_norm(self, d):
+        rng = rng_for(d, "column-pair-distances")
+        pts, centers = spread(rng, (900, d)), spread(rng, (300, d))
+        want = np.linalg.norm(pts[:, None, :] - centers[None, :, :], axis=-1)
+        for layout in layouts(pts):
+            got = np.full(want.shape, np.nan)
+            blocks = 0
+            for rows, dist in geometry._pair_distances(layout, np.asfortranarray(centers)):
+                got[rows] = dist
+                blocks += 1
+            assert got.tobytes() == want.tobytes()
+        assert blocks > 1 or d < 4  # the larger dimensions take several row blocks
+
+    @pytest.mark.parametrize("d", range(1, 11))
+    def test_grid_cover_check_matches_row_major_form(self, d):
+        rng = rng_for(d, "column-grid-check")
+        per_axis = max(2, 12 // d)
+        radius = rng.uniform(0.2, 0.4)
+        pitch = radius * (2.0 / np.sqrt(d)) * (1.0 - 1e-6)
+        axes = [rng.uniform(-1, 1) + pitch * np.arange(per_axis) for _ in range(d)]
+        nodes = np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=1)
+        kept = rng.random(len(nodes)) < 0.7
+        kept[0] = True
+        cover = UnionOfBalls(nodes[kept], np.full(np.count_nonzero(kept), radius))
+        lo, hi = nodes.min(axis=0) - radius, nodes.max(axis=0) + radius
+        probes = lo + (hi - lo) * rng.random((400, d))
+        # probes midway between nodes, where rounding to the nearest node ties
+        probes[:50] = nodes[rng.integers(len(nodes), size=50)] + pitch / 2.0
+
+        start = np.array([a[0] for a in axes])
+        index = np.clip(np.rint((probes - start) / pitch), 0, per_axis - 1).astype(np.intp)
+        nearest = np.stack([a[i] for a, i in zip(axes, index.T)], axis=1)
+        covered = kept.reshape([per_axis] * d)[tuple(index.T)]
+        covered &= np.linalg.norm(probes - nearest, axis=1) - radius <= 0
+        want = int(np.count_nonzero(cover.distance_to_many(probes[~covered]) > 0))
+        assert want == int(np.count_nonzero(cover.distance_to_many(probes) > 0))
+        for layout in layouts(probes):
+            got = geometry._grid_cover_failures(layout, axes, pitch, kept.reshape([per_axis] * d), cover)
+            assert got == want
+
+
 class TestExpansionDistanceConsistency:
     def test_membership_iff_distance(self):
         rng = rng_for(21, "consistency")

@@ -103,10 +103,11 @@ def test_sandwich_audit_counts_through_shared_ball_geometry():
         # geometry must leave unchanged.  The control table's row reads its
         # entries against the stacked balls, not through contains_many, and
         # halfspace and thick-sphere certificates draw no probes, so only
-        # the control's certificate samples its domain.
+        # the control's certificate samples its domain.  Each audit builds
+        # its certificate domain, one Ball, once for all its hypotheses.
         assert spans.calls["regions.contains_many"] == 19
         assert spans.counts["regions.contains_many.rows"] == 8255
-        assert spans.counts["geometry.Ball.init.calls"] == 21
+        assert spans.counts["geometry.Ball.init.calls"] == 17
         # scalar queries test their one row without a contains_many span
         calls = spans.calls["regions.contains_many"]
         ball = geometry.Ball((0.0, 0.0), 1.0)
@@ -115,7 +116,7 @@ def test_sandwich_audit_counts_through_shared_ball_geometry():
         expanded = regions.Expanded(points, 0.25)
         assert all(region.contains(np.array([0.5, 0.0])) for region in (ball, union, points, expanded))
         assert spans.calls["regions.contains_many"] == calls
-        assert spans.counts["geometry.Ball.init.calls"] == 22
+        assert spans.counts["geometry.Ball.init.calls"] == 18
     finally:
         uninstall()
     assert_restored(before)
