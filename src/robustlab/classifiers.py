@@ -158,8 +158,7 @@ class SphereBoundary:
 
     def predict_many(self, pts: np.ndarray) -> np.ndarray:
         diff = np.subtract(_batch(pts, self.dimension), self.center, order=_order(self.dimension))
-        inside = _norms(diff) <= self.radius
-        return np.where(inside, self.inside_label, -self.inside_label)
+        return np.where(_norms(diff) <= self.radius, self.inside_label, -self.inside_label)
 
 
 @dataclass(frozen=True, eq=False)
@@ -508,7 +507,7 @@ def regularity_check(
 
 
 def _regular_at(h: TableClassifier, p: np.ndarray, y0: int, alpha: float, rng) -> bool:
-    """Whether a candidate radius-``alpha`` ball holding ``p`` has no point labelled other than ``y0``, ``p``'s label."""
+    """Whether some candidate radius-``alpha`` ball holding ``p`` has no point labelled other than ``y0``."""
     if h.default != y0:
         return False  # every candidate ball contains non-table points
     flips = h.points[h.labels != y0]

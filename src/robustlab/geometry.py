@@ -13,10 +13,9 @@ which is ``np.add.reduce(sq, axis=-1)`` (the sum behind
 ``np.linalg.norm(x, axis=-1)``) bit for bit, added column by column
 below 8 dimensions.
 Below 8 dimensions every elementwise operation between a batch and a
-length-``d`` vector writes a column-major result (:func:`_order`), so numpy
-loops over the rows of each column instead of the ``d`` entries of each
-row, and every boolean row selection is an ``np.compress``; both give the
-same bits as the row-major forms.
+length-``d`` vector writes a column-major result (``_order``), so numpy
+loops over the rows of each column, not the ``d`` entries of each row;
+boolean row selections are ``np.compress``.  Both keep the bits.
 Ball membership takes no square root: ``_in_ball`` compares the same sum
 of squares with ``_sq_bound(radius)``, which gives the same verdict.
 
@@ -122,11 +121,9 @@ def _sq_norms(sq: np.ndarray) -> np.ndarray:
 
 
 def _order(d: int) -> str:
-    """Memory order of an elementwise result over ``(..., d)`` rows: ``"F"`` below 8 dims, else ``"C"``.
+    """Memory order of an elementwise ``(..., d)`` result: ``"F"`` below 8 dims, else ``"C"``.
 
-    numpy runs its inner loop along the result's contiguous axis, so a
-    column-major result is ``d`` passes over all rows, not one short pass
-    per row; from 8 dims :func:`_sq_norms` reduces C order without a copy.
+    From 8 dims :func:`_sq_norms` reduces C order, so a C result needs no copy.
     """
     return "F" if d < 8 else "C"
 
@@ -169,8 +166,8 @@ def _in_ball(pts: np.ndarray, center: np.ndarray, radius: float) -> np.ndarray:
 
     Off radius 0 this is ``_norms(pts - center) <= radius`` bit for bit: the
     same squared distances are compared with :func:`_sq_bound` instead of
-    taking their square roots.  The differences are stored in :func:`_order`,
-    so that :func:`_sq_norms` adds contiguous columns below 8 dims.
+    taking their square roots.  The differences are column-major below 8
+    dims (:func:`_order`), so that :func:`_sq_norms` adds contiguous columns.
     """
     if radius == 0:
         return (pts == center).all(axis=1)
@@ -200,8 +197,7 @@ def _pair_distances(pts: np.ndarray, centers: np.ndarray):
     ``pts`` is an ``(n, d)`` array of the centers' dimension, as :func:`_batch` returns.
 
     A block has at most 4,096 rows and a ``(rows, k, d)`` difference of about
-    2**20 floats in :func:`_order`, measured by :func:`_norms` without a
-    second block-sized array.
+    2**20 floats, measured by :func:`_norms` without a second block-sized array.
     """
     d = pts.shape[1]
     size = max(1, min(4096, 2**20 // max(1, len(centers) * d)))

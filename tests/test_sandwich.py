@@ -139,7 +139,7 @@ class TestSandwichAudit:
 
     @pytest.mark.parametrize("build", [build_point_sandwich, build_ball_sandwich])
     def test_rows_match_pointwise_losses(self, build):
-        # the audit reads one loss table per region; the pointwise loss is the reference
+        # the audit reads one loss table for all three regions; the pointwise loss is the reference
         base = FinitePoints([[0.0, 0.0]])
         _, control, example = make_nonregular_control(base, r=1.0, alpha=0.4, seed=5)
         triple = build(base, r=1.0, alpha=0.4, seed=5)
