@@ -1,7 +1,8 @@
 """Command-line entry point for the experiment harness.
 
-Exit codes: 0 when the run's embedded assertions pass, 1 when they fail,
-2 for usage or configuration errors.
+Exit codes: 0 when the run's embedded assertions pass, 1 when they fail
+(or the run raises, e.g. ``D <= 10 * gamma``), 2 for usage or
+configuration errors, which ``validate`` and ``run`` find alike.
 """
 
 from __future__ import annotations
@@ -58,11 +59,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"config ok: experiment={config.experiment} seed={config.seed}")
         return 0
 
-    try:
-        record = run(config)
-    except ConfigError as err:
-        print(f"config error: {err}", file=sys.stderr)
-        return 2
+    record = run(config)
     print(json.dumps(record.summary, sort_keys=True, default=str))
     if config.output_path:
         print(f"wrote {config.output_path} ({len(record.rows)} rows)")

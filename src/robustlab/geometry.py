@@ -357,10 +357,7 @@ def greedy_sphere_cover(
     centers: list[np.ndarray] = []
     consecutive = 0
     batch = 2048
-    while True:
-        limit = stop_factor * max(1, len(centers))
-        if consecutive >= limit:
-            break
+    while consecutive < stop_factor * max(1, len(centers)):
         cand = uniform_sphere(batch, d, sphere_radius, rng)
         # each candidate's distance to the nearest accepted center, lowered
         # by the distance to every center accepted from this batch
@@ -379,9 +376,6 @@ def greedy_sphere_cover(
             consecutive = 0
             start += first + 1
             near[start:] = np.minimum(near[start:], _union_distances(cand[start:], centers[-1][None, :], 0.0))
-        # re-check the stopping rule against the possibly grown center set
-        if consecutive >= stop_factor * max(1, len(centers)):
-            break
 
     arr = np.asarray(centers)
     probes = uniform_sphere(probe_count, d, sphere_radius, rng)

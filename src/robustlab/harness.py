@@ -8,19 +8,22 @@ with a ``#``-prefixed schema header, or JSON with a ``schema`` field).
 Re-running an identical config and seed reproduces the output
 byte-for-byte; wall-clock time lives only on the in-memory record.
 
-The module loads only the standard library at import, so parsing and
-validating a config never loads numpy: each runner imports numpy and the
-library modules it uses when it runs.
+Every config value is checked at parse time against one rule table, the
+top-level ``CONFIG_ROWS`` and each experiment's ``defaults``.  The module
+loads only the standard library at import, so parsing and validating a
+config never loads numpy: each runner imports numpy and the library
+modules it uses when it runs.
 """
 
 from __future__ import annotations
 
 import io
 import json
+import math
 import os
 import tempfile
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable
 
 from . import __version__
@@ -42,9 +45,54 @@ class ConfigError(ValueError):
     """Malformed or unknown experiment configuration."""
 
 
+class Rule:
+    """A stdlib-only test of one config value, and the phrase its error quotes."""
+
+    __slots__ = ("test", "phrase")
+
+    def __init__(self, test: Callable[[object], bool], phrase: str):
+        self.test, self.phrase = test, phrase
+
+
+def _number(v, kind=(int, float)) -> bool:
+    """A finite JSON number of ``kind``; a bool is no number."""
+    return isinstance(v, kind) and not isinstance(v, bool) and -math.inf < v < math.inf
+
+
+def _integer(lo: int, phrase: str, hi: float = math.inf) -> Rule:
+    return Rule(lambda v: _number(v, int) and lo <= v <= hi, phrase)
+
+
+def _list_of(item: Rule, phrase: str, distinct: bool = False) -> Rule:
+    return Rule(lambda v: isinstance(v, (list, tuple)) and len(v) > 0 and all(map(item.test, v))
+                and len(set(v) if distinct else v) == len(v), phrase)
+
+
+REQUIRED = object()  # the default of a key that has none
+POSITIVE = _integer(1, "a positive integer")
+NONNEGATIVE = _integer(0, "a nonnegative integer")
+FINITE = Rule(_number, "a finite number")
+SCALE = Rule(lambda v: _number(v) and v > 0, "a finite number > 0")
+FRACTION = Rule(lambda v: _number(v) and 0 < v <= 1, "a number in (0, 1]")
+PATH = Rule(lambda v: v is None or isinstance(v, str), "a string or null")
+VECTOR = _list_of(FINITE, "a nonempty list of finite numbers")
+HYPOTHESIS = {  # a nested rule: the value's "kind" names the table of its other keys
+    "linear": {"w": (REQUIRED, Rule(lambda v: VECTOR.test(v) and any(v), VECTOR.phrase + ", not all 0")),
+               "b": (REQUIRED, FINITE)},
+    "sphere": {"center": (REQUIRED, VECTOR), "radius": (REQUIRED, SCALE),
+               "inside_label": (1, Rule(lambda v: _number(v, int) and v in (-1, 1), "+1 or -1"))},
+}
+LEARNERS = ("best_response", "random_consistent", "omniscient")
+CONFIG_ROWS = {  # the top-level keys
+    "seed": (REQUIRED, _integer(0, "an unsigned 64-bit integer", hi=2**64 - 1)),
+    "output_path": (None, PATH),
+    "format": ("csv", Rule(lambda v: v in ("csv", "json"), "csv or json")),
+}
+
+
 @dataclass(frozen=True)
 class ExperimentSpec:
-    defaults: dict
+    defaults: dict  # name -> (default, rule)
     runner: Callable[[dict, int], tuple[list[tuple[str, str]], list[dict], dict, bool]]
     description: str
 
@@ -61,26 +109,31 @@ class ExperimentConfig:
 
     def __post_init__(self):
         if self.experiment not in EXPERIMENTS:
-            raise ConfigError(
-                f"unknown experiment {self.experiment!r}; known: {sorted(EXPERIMENTS)}"
-            )
-        if self.format not in ("csv", "json"):
-            raise ConfigError(f"format must be csv or json, got {self.format!r}")
-        if isinstance(self.seed, bool) or not isinstance(self.seed, int) or not 0 <= self.seed < 2**64:
-            raise ConfigError(f"seed must be an unsigned 64-bit integer, got {self.seed!r}")
-        if self.output_path is not None and not isinstance(self.output_path, str):
-            raise ConfigError(f"output_path must be a string, got {self.output_path!r}")
-        spec = EXPERIMENTS[self.experiment]
-        unknown = set(self.params) - set(spec.defaults)
+            raise ConfigError(f"unknown experiment {self.experiment!r}; known: {sorted(EXPERIMENTS)}")
+        self._check(CONFIG_ROWS, {"seed": self.seed, "output_path": self.output_path, "format": self.format})
+        self._check(EXPERIMENTS[self.experiment].defaults, self.params)
+
+    @staticmethod
+    def _check(table: dict, values: dict, where: str = "") -> None:
+        """Raise ``ConfigError`` at the first unknown key, missing key or value that breaks its rule."""
+        unknown = sorted(set(values) - set(table))
         if unknown:
-            raise ConfigError(
-                f"unknown parameter keys for {self.experiment}: {sorted(unknown)}"
-            )
+            raise ConfigError(f"unknown parameter keys{where and ' in ' + where}: {unknown}")
+        for key, (default, rule) in table.items():
+            name, value = f"{where}.{key}".lstrip("."), values.get(key, default)
+            if value is REQUIRED:
+                raise ConfigError(f"{where} needs {name}")
+            if isinstance(rule, dict):  # a nested table, chosen by the value's "kind"
+                kind = value.get("kind") if isinstance(value, dict) else None
+                if not isinstance(kind, str) or kind not in rule:
+                    raise ConfigError(f"{name}.kind must be {' or '.join(rule)}, got {value!r}")
+                ExperimentConfig._check(rule[kind], {k: v for k, v in value.items() if k != "kind"}, name)
+            elif not rule.test(value):
+                raise ConfigError(f"{name} must be {rule.phrase}, got {value!r}")
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
-        allowed = {"experiment", "params", "seed", "output_path", "format"}
-        unknown = set(raw) - allowed
+        unknown = set(raw) - {"experiment", "params", *CONFIG_ROWS}
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         missing = {"experiment", "seed"} - set(raw)
@@ -89,13 +142,7 @@ class ExperimentConfig:
         params = raw.get("params", {})
         if not isinstance(params, dict):
             raise ConfigError("params must be a mapping")
-        return cls(
-            experiment=raw["experiment"],
-            params=dict(params),
-            seed=raw["seed"],
-            output_path=raw.get("output_path"),
-            format=raw.get("format", "csv"),
-        )
+        return cls(raw["experiment"], dict(params), **{key: raw[key] for key in CONFIG_ROWS if key in raw})
 
     @classmethod
     def from_file(cls, path: str) -> "ExperimentConfig":
@@ -112,13 +159,7 @@ class ExperimentConfig:
 
     def with_overrides(self, pairs: list[str]) -> "ExperimentConfig":
         """Apply ``key=value`` overrides; dotted keys reach into params."""
-        raw = {
-            "experiment": self.experiment,
-            "params": dict(self.params),
-            "seed": self.seed,
-            "output_path": self.output_path,
-            "format": self.format,
-        }
+        raw = asdict(self)
         for pair in pairs:
             if "=" not in pair:
                 raise ConfigError(f"override {pair!r} is not of the form key=value")
@@ -137,7 +178,7 @@ class ExperimentConfig:
         return ExperimentConfig.from_dict(raw)
 
     def resolved_params(self) -> dict:
-        merged = dict(EXPERIMENTS[self.experiment].defaults)
+        merged = {key: default for key, (default, _) in EXPERIMENTS[self.experiment].defaults.items()}
         merged.update(self.params)
         return merged
 
@@ -255,13 +296,9 @@ def _member_losses(oracle, r: float) -> list[float]:
 def _run_tolrerm_sweep(params: dict, seed: int):
     import numpy as np
 
-    from .geometry import _is_integer
     from .rerm import IndexedExhaustiveOracle, make_learning_task, tolrerm
     from .seeding import seed_derive
 
-    for key, sizes in (("tasks", [params["tasks"]]), ("trials", [params["trials"]]), ("n_grid", params["n_grid"])):
-        if not sizes or not all(_is_integer(k) and k >= 1 for k in sizes):
-            raise ConfigError(f"{key} must be a positive integer or a nonempty list of them, got {params[key]!r}")
     n_grid = sorted(params["n_grid"])
     eps, delta = params["eps"], params["delta"]
     runs = [(n, trial) for n in n_grid for trial in range(params["trials"])]
@@ -351,7 +388,7 @@ def _run_opt_gap_audit(params: dict, seed: int):
 
 def _run_sandwich_audit(params: dict, seed: int):
     from .classifiers import LabeledExample, LinearClassifier, SphereBoundary
-    from .geometry import Ball, _is_integer
+    from .geometry import Ball
     from .regions import FinitePoints
     from .sandwich import (
         build_ball_sandwich,
@@ -361,10 +398,6 @@ def _run_sandwich_audit(params: dict, seed: int):
     )
     from .seeding import rng_for, seed_derive
 
-    if not (_is_integer(params["audits"]) and params["audits"] >= 1):
-        raise ConfigError(f"audits must be a positive integer, got {params['audits']!r}")
-    if not isinstance(params["include_control"], bool):
-        raise ConfigError(f"include_control must be true or false, got {params['include_control']!r}")
     rng = rng_for(seed, "sandwich-harness")
     rows = []
     certified_violation_count = 0
@@ -426,15 +459,7 @@ def _run_lb_linear_game(params: dict, seed: int):
         run_adversarial_game,
     )
 
-    learners = {
-        "best_response": best_response_learner,
-        "random_consistent": random_consistent_learner,
-        "omniscient": omniscient_learner,
-    }
-    if params["learner"] not in learners:
-        raise ConfigError(f"unknown learner {params['learner']!r}; known: {sorted(learners)}")
-    if params["export_path"] is not None and not isinstance(params["export_path"], str):
-        raise ConfigError(f"export_path must be a string or null, got {params['export_path']!r}")
+    learners = dict(zip(LEARNERS, (best_response_learner, random_consistent_learner, omniscient_learner)))
     inst = build_failure_instance(params["m"], params["W"], params["d"], seed_derive(seed, "instance"))
     if params["export_path"]:
         from .shatter_game import export_instance
@@ -563,21 +588,10 @@ def _run_regularity_check(params: dict, seed: int):
     from .geometry import Ball
 
     spec = params["hypothesis"]
-    required = {"linear": ("w", "b"), "sphere": ("center", "radius")}
-    kind = spec.get("kind") if isinstance(spec, dict) else None
-    if kind not in required:
-        raise ConfigError("hypothesis.kind must be 'linear' or 'sphere'")
-    missing = [key for key in required[kind] if key not in spec]
-    if missing:
-        raise ConfigError(f"a {kind} hypothesis needs hypothesis.{missing[0]}, got {spec!r}")
-    if kind == "linear":
+    if spec["kind"] == "linear":
         h = LinearClassifier(np.asarray(spec["w"], dtype=float), float(spec["b"]))
     else:
-        h = SphereBoundary(
-            np.asarray(spec["center"], dtype=float),
-            float(spec["radius"]),
-            spec.get("inside_label", 1),
-        )
+        h = SphereBoundary(np.asarray(spec["center"], dtype=float), float(spec["radius"]), spec.get("inside_label", 1))
     domain = Ball(np.zeros(h.dimension), params["domain_radius"])
     cert = regularity_check(h, params["alpha"], params["probes"], domain, seed)
     rows = [
@@ -600,73 +614,77 @@ def _run_regularity_check(params: dict, seed: int):
 EXPERIMENTS: dict[str, ExperimentSpec] = {
     "tolrerm_sweep": ExperimentSpec(
         defaults={
-            "tasks": 20,
-            "n_grid": [10, 30, 100, 300],
-            "trials": 200,
-            "eps": 0.1,
-            "delta": 0.1,
-            "gamma": 0.25,
+            "tasks": (20, POSITIVE),
+            "n_grid": ([10, 30, 100, 300], _list_of(POSITIVE, "a nonempty list of positive integers")),
+            "trials": (200, POSITIVE),
+            "eps": (0.1, FRACTION),
+            "delta": (0.1, FRACTION),
+            "gamma": (0.25, SCALE),
         },
         runner=_run_tolrerm_sweep,
         description="excess-error sweep of the tolerant learner over sample sizes",
     ),
     "opt_gap_audit": ExperimentSpec(
         defaults={
-            "instances": 50,
-            "trials": 400,
-            "sample_size": 30,
-            "eps": 0.1,
-            "delta": 0.1,
-            "gamma": 0.5,
+            "instances": (50, POSITIVE),
+            "trials": (400, _integer(100, "an integer >= 100")),
+            "sample_size": (30, POSITIVE),
+            "eps": (0.1, FRACTION),
+            "delta": (0.1, FRACTION),
+            "gamma": (0.5, SCALE),
         },
         runner=_run_opt_gap_audit,
         description="stability of the optimal empirical loss under radius shrink",
     ),
     "sandwich_audit": ExperimentSpec(
-        defaults={"audits": 50, "include_control": True},
+        defaults={
+            "audits": (50, POSITIVE),
+            "include_control": (True, Rule(lambda v: isinstance(v, bool), "true or false")),
+        },
         runner=_run_sandwich_audit,
         description="loss-sandwich audits of the proxy-region constructions",
     ),
     "lb_linear_game": ExperimentSpec(
         defaults={
-            "m": 2,
-            "W": 1.0,
-            "d": 2,
-            "trials": 10_000,
-            "n_samples": 0,
-            "learner": "best_response",
-            "export_path": "",
+            "m": (2, _integer(1, "an integer from 1 to 4", hi=4)),  # C(3m, m) <= 2000
+            "W": (1.0, SCALE),
+            "d": (2, _integer(2, "an integer >= 2")),
+            "trials": (10_000, POSITIVE),
+            "n_samples": (0, NONNEGATIVE),  # 0 draws m samples
+            "learner": ("best_response", Rule(lambda v: v in LEARNERS, " or ".join(LEARNERS))),
+            "export_path": ("", PATH),
         },
         runner=_run_lb_linear_game,
         description="hidden-subset game defeating proper learners on bounded halfspaces",
     ),
     "oracle_query_sweep": ExperimentSpec(
-        defaults={
-            "D": 20.0,
-            "gamma": 1.0,
-            "d": 2,
-            "budgets": [0, 1, 2, 4, 8, 16, 32, 64],
-            "trials": 2000,
+        defaults={  # build_oracle_game also needs D > 10 * gamma
+            "D": (20.0, SCALE),
+            "gamma": (1.0, SCALE),
+            "d": (2, POSITIVE),
+            "budgets": ([0, 1, 2, 4, 8, 16, 32, 64],
+                        _list_of(NONNEGATIVE, "a nonempty list of distinct nonnegative integers", distinct=True)),
+            "trials": (2000, POSITIVE),
         },
         runner=_run_oracle_query_sweep,
         description="excess error of the sampling-oracle game across query budgets",
     ),
     "robust_vc_audit": ExperimentSpec(
         defaults={
-            "universe_size": 8,
-            "thresholds": 25,
-            "k_grid": [1, 2, 3],
-            "max_m": 4,
+            "universe_size": (8, POSITIVE),
+            "thresholds": (25, POSITIVE),
+            "k_grid": ([1, 2, 3], _list_of(POSITIVE, "a nonempty list of positive integers")),
+            "max_m": (4, POSITIVE),
         },
         runner=_run_robust_vc_audit,
         description="robust VC overhead and growth-function audits",
     ),
     "regularity_check": ExperimentSpec(
         defaults={
-            "hypothesis": {"kind": "sphere", "center": [0.0, 0.0], "radius": 2.0},
-            "alpha": 1.0,
-            "probes": 256,
-            "domain_radius": 3.0,
+            "hypothesis": ({"kind": "sphere", "center": [0.0, 0.0], "radius": 2.0}, HYPOTHESIS),
+            "alpha": (1.0, SCALE),
+            "probes": (256, NONNEGATIVE),
+            "domain_radius": (3.0, SCALE),
         },
         runner=_run_regularity_check,
         description="probe a hypothesis for single-label balls of a given radius",

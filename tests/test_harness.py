@@ -1,14 +1,19 @@
 """Config parsing, dispatch, reproducible outputs, and the CLI surface."""
 
 import hashlib
+import importlib.util
 import json
+import math
 import os
+import re
 
 import numpy as np
 import pytest
 
 from robustlab.cli import main
 from robustlab.harness import (
+    CONFIG_ROWS,
+    EXPERIMENTS,
     ConfigError,
     ExperimentConfig,
     _member_losses,
@@ -79,6 +84,175 @@ MORE_CSV_SHA256 = [
 ]
 
 
+SPHERE = {"kind": "sphere", "center": [0.0, 0.0], "radius": 2.0}
+LINEAR = {"kind": "linear", "w": [1.0, -0.5], "b": 0.25}
+
+# A value each rule rejects, for every key of every experiment and every
+# top-level key: (experiment, key, value, the name the error must quote).
+# None for the experiment puts the key at the top level of a
+# regularity_check config.  Nested hypothesis keys are quoted as
+# "hypothesis.<key>".
+BAD_VALUES = [
+    ("tolrerm_sweep", "tasks", 0, "tasks"),
+    ("tolrerm_sweep", "tasks", -2, "tasks"),
+    ("tolrerm_sweep", "tasks", "3", "tasks"),
+    ("tolrerm_sweep", "n_grid", [], "n_grid"),
+    ("tolrerm_sweep", "n_grid", [10.7, 30], "n_grid"),
+    ("tolrerm_sweep", "n_grid", 10, "n_grid"),
+    ("tolrerm_sweep", "trials", True, "trials"),
+    ("tolrerm_sweep", "eps", "0.1", "eps"),
+    ("tolrerm_sweep", "eps", 0.0, "eps"),
+    ("tolrerm_sweep", "delta", 1.5, "delta"),
+    ("tolrerm_sweep", "delta", math.nan, "delta"),
+    ("tolrerm_sweep", "gamma", -0.25, "gamma"),
+    ("tolrerm_sweep", "gamma", math.inf, "gamma"),
+    ("opt_gap_audit", "instances", -1, "instances"),
+    ("opt_gap_audit", "trials", 99, "trials"),
+    ("opt_gap_audit", "trials", 400.0, "trials"),
+    ("opt_gap_audit", "sample_size", 2.5, "sample_size"),
+    ("opt_gap_audit", "sample_size", 0, "sample_size"),
+    ("opt_gap_audit", "eps", 1.01, "eps"),
+    ("opt_gap_audit", "delta", None, "delta"),
+    ("opt_gap_audit", "gamma", "0.5", "gamma"),
+    ("sandwich_audit", "audits", -3, "audits"),
+    ("sandwich_audit", "include_control", "no", "include_control"),
+    ("lb_linear_game", "m", 0, "m"),
+    ("lb_linear_game", "m", 5, "m"),
+    ("lb_linear_game", "m", 2.0, "m"),
+    ("lb_linear_game", "W", -1.0, "W"),
+    ("lb_linear_game", "W", "1", "W"),
+    ("lb_linear_game", "d", 1, "d"),
+    ("lb_linear_game", "trials", 0, "trials"),
+    ("lb_linear_game", "n_samples", -1, "n_samples"),
+    ("lb_linear_game", "n_samples", False, "n_samples"),
+    ("lb_linear_game", "learner", "greedy", "learner"),
+    ("lb_linear_game", "learner", 1, "learner"),
+    ("lb_linear_game", "export_path", 5, "export_path"),
+    ("oracle_query_sweep", "D", math.nan, "D"),
+    ("oracle_query_sweep", "D", [20.0], "D"),
+    ("oracle_query_sweep", "gamma", -1.0, "gamma"),
+    ("oracle_query_sweep", "d", 1.5, "d"),
+    ("oracle_query_sweep", "d", 0, "d"),
+    ("oracle_query_sweep", "budgets", [0, 1.0], "budgets"),
+    ("oracle_query_sweep", "budgets", [0, 1.0, 2], "budgets"),
+    ("oracle_query_sweep", "budgets", [0, 4, 4], "budgets"),
+    ("oracle_query_sweep", "budgets", [-1, 4], "budgets"),
+    ("oracle_query_sweep", "budgets", [], "budgets"),
+    ("oracle_query_sweep", "budgets", "0,4", "budgets"),
+    ("oracle_query_sweep", "trials", 0, "trials"),
+    ("robust_vc_audit", "universe_size", 0, "universe_size"),
+    ("robust_vc_audit", "thresholds", 0, "thresholds"),
+    ("robust_vc_audit", "k_grid", [], "k_grid"),
+    ("robust_vc_audit", "k_grid", [0, 1], "k_grid"),
+    ("robust_vc_audit", "k_grid", [1.0], "k_grid"),
+    ("robust_vc_audit", "max_m", 0, "max_m"),
+    ("robust_vc_audit", "max_m", -2, "max_m"),
+    ("regularity_check", "alpha", math.nan, "alpha"),
+    ("regularity_check", "alpha", 0, "alpha"),
+    ("regularity_check", "probes", -5, "probes"),
+    ("regularity_check", "probes", 2.5, "probes"),
+    ("regularity_check", "domain_radius", 0.0, "domain_radius"),
+    ("regularity_check", "domain_radius", "3", "domain_radius"),
+    ("regularity_check", "hypothesis", [1.0, 0.0], "hypothesis.kind"),
+    ("regularity_check", "hypothesis", {**SPHERE, "kind": "cube"}, "hypothesis.kind"),
+    ("regularity_check", "hypothesis", {**SPHERE, "extra": 1}, "extra"),
+    ("regularity_check", "hypothesis", {**LINEAR, "inside_label": 1}, "inside_label"),
+    ("regularity_check", "hypothesis", {"kind": "linear"}, "hypothesis.w"),
+    ("regularity_check", "hypothesis", {"kind": "sphere", "center": [0.0, 0.0]}, "hypothesis.radius"),
+    ("regularity_check", "hypothesis", {**LINEAR, "w": [0.0, -0.0]}, "hypothesis.w"),
+    ("regularity_check", "hypothesis", {**LINEAR, "w": ["1", 0.5]}, "hypothesis.w"),
+    ("regularity_check", "hypothesis", {**LINEAR, "w": 1.0}, "hypothesis.w"),
+    ("regularity_check", "hypothesis", {**LINEAR, "b": "0.25"}, "hypothesis.b"),
+    ("regularity_check", "hypothesis", {**LINEAR, "b": math.inf}, "hypothesis.b"),
+    ("regularity_check", "hypothesis", {**SPHERE, "center": []}, "hypothesis.center"),
+    ("regularity_check", "hypothesis", {**SPHERE, "radius": 0.0}, "hypothesis.radius"),
+    ("regularity_check", "hypothesis", {**SPHERE, "inside_label": True}, "hypothesis.inside_label"),
+    ("regularity_check", "hypothesis", {**SPHERE, "inside_label": 1.7}, "hypothesis.inside_label"),
+    ("regularity_check", "hypothesis", {**SPHERE, "inside_label": 1.0}, "hypothesis.inside_label"),
+    ("regularity_check", "hypothesis", {**SPHERE, "inside_label": 0}, "hypothesis.inside_label"),
+    (None, "seed", -1, "seed"),
+    (None, "seed", 2**64, "seed"),
+    (None, "seed", "1", "seed"),
+    (None, "output_path", ["out.csv"], "output_path"),
+    (None, "format", "xml", "format"),
+    (None, "format", None, "format"),
+]
+
+
+def bad_config(experiment, key, value):
+    if experiment is None:
+        return {"experiment": "regularity_check", "seed": 1, key: value}
+    return {"experiment": experiment, "seed": 1, "params": {key: value}}
+
+
+def rule_phrases(table):
+    """Every phrase an error from ``table`` can quote, nested tables included."""
+    for _, rule in table.values():
+        if isinstance(rule, dict):
+            for nested in rule.values():
+                yield from rule_phrases(nested)
+        else:
+            yield rule.phrase
+
+
+class TestRuleTable:
+    @pytest.mark.parametrize("experiment, key, value, named", BAD_VALUES)
+    def test_bad_value_names_its_key_at_parse(self, experiment, key, value, named):
+        with pytest.raises(ConfigError, match=re.escape(named)):
+            ExperimentConfig.from_dict(bad_config(experiment, key, value))
+
+    @pytest.mark.parametrize("experiment, key, value, named", BAD_VALUES)
+    def test_validate_and_run_exit_two_without_running(self, experiment, key, value, named, tmp_path, capsys, monkeypatch):
+        def no_run(config):
+            raise AssertionError("the experiment ran")
+
+        monkeypatch.setattr("robustlab.cli.run", no_run)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(bad_config(experiment, key, value)))
+        for command in ("validate", "run"):
+            assert main([command, "--config", str(path)]) == 2
+            assert named in capsys.readouterr().err
+
+    def test_every_key_and_every_phrase_has_a_bad_value(self):
+        covered = {(experiment, key) for experiment, key, _, _ in BAD_VALUES}
+        keys = {(name, key) for name, spec in EXPERIMENTS.items() for key in spec.defaults}
+        assert keys | {(None, key) for key in CONFIG_ROWS} <= covered
+        messages = []
+        for experiment, key, value, _ in BAD_VALUES:
+            with pytest.raises(ConfigError) as err:
+                ExperimentConfig.from_dict(bad_config(experiment, key, value))
+            messages.append(str(err.value))
+        tables = [CONFIG_ROWS] + [spec.defaults for spec in EXPERIMENTS.values()]
+        for phrase in {phrase for table in tables for phrase in rule_phrases(table)}:
+            assert any(f"must be {phrase}, got" in message for message in messages), phrase
+
+    def test_rules_reject_no_config_in_use(self, monkeypatch):
+        configs = [{"experiment": name, "seed": 0} for name in EXPERIMENTS]
+        configs += [{"experiment": name, "seed": 2**64 - 1, "params": params} for name, params in SMALL.items()]
+        configs += [{"experiment": name, "seed": 11, "params": params} for name, params, _ in MORE_CSV_SHA256]
+        configs += [
+            {"experiment": "tolrerm_sweep", "seed": 11, "params": TOLRERM_BENCH_PARAMS},
+            {"experiment": "oracle_query_sweep", "seed": 11, "params": QUERY_BENCH_PARAMS},
+            {"experiment": "regularity_check", "seed": 1, "params": {"hypothesis": {**SPHERE, "inside_label": -1}}},
+            {"experiment": "lb_linear_game", "seed": 1, "params": {"export_path": None, "learner": "omniscient"}},
+        ]
+        root = os.path.join(os.path.dirname(__file__), "..")
+        for name in sorted(os.listdir(os.path.join(root, "demos", "configs"))):
+            with open(os.path.join(root, "demos", "configs", name)) as fh:
+                configs.append(json.load(fh))
+        monkeypatch.syspath_prepend(os.path.join(root, "perfbench"))
+        spec = importlib.util.spec_from_file_location("perfbench_run", os.path.join(root, "perfbench", "run.py"))
+        bench = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(bench)
+        configs += [bench.make_config(workload, seed, "out.csv") for workload in bench.WORKLOADS for seed in (1, 2, 3)]
+        assert len(configs) > 30
+        for raw in configs:
+            cfg = ExperimentConfig.from_dict(raw)
+            # the rules change no value: the echo is the defaults overlaid with the params
+            defaults = {key: default for key, (default, _) in EXPERIMENTS[raw["experiment"]].defaults.items()}
+            assert cfg.resolved_params() == {**defaults, **raw.get("params", {})}
+
+
 class TestConfigParsing:
     def test_unknown_top_level_key_rejected(self):
         with pytest.raises(ConfigError, match="unknown config keys"):
@@ -118,16 +292,18 @@ class TestConfigParsing:
         with pytest.raises(ConfigError):
             cfg.with_overrides(["nope=1"])
 
-    def test_negative_parameter_fails_before_running(self):
-        cfg = ExperimentConfig.from_dict(
-            {
-                "experiment": "oracle_query_sweep",
-                "seed": 1,
-                "params": {"gamma": -1.0, "trials": 10},
-            }
-        )
-        with pytest.raises(ValueError):
-            run(cfg)
+    def test_negative_parameter_fails_before_running(self, tmp_path):
+        out = tmp_path / "out.csv"
+        with pytest.raises(ConfigError, match="gamma"):
+            ExperimentConfig.from_dict(
+                {
+                    "experiment": "oracle_query_sweep",
+                    "seed": 1,
+                    "params": {"gamma": -1.0, "trials": 10},
+                    "output_path": str(out),
+                }
+            )
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "key, value",
@@ -141,11 +317,10 @@ class TestConfigParsing:
         # verdict, or ran a truncated size (10.7 as 10, True as 1)
         params = {**SMALL["tolrerm_sweep"], key: value}
         out = tmp_path / "out.csv"
-        cfg = ExperimentConfig.from_dict(
-            {"experiment": "tolrerm_sweep", "seed": 1, "params": params, "output_path": str(out)}
-        )
-        with pytest.raises(ValueError, match=key):
-            run(cfg)
+        with pytest.raises(ConfigError, match=key):
+            ExperimentConfig.from_dict(
+                {"experiment": "tolrerm_sweep", "seed": 1, "params": params, "output_path": str(out)}
+            )
         assert not out.exists()
 
     @pytest.mark.parametrize("label", [True, 1.7, -1.2])
@@ -153,11 +328,10 @@ class TestConfigParsing:
         # int() read these as 1, 1 and -1 and wrote a certificate
         hypothesis = {"kind": "sphere", "center": [0.0, 0.0], "radius": 2.0, "inside_label": label}
         out = tmp_path / "out.csv"
-        cfg = ExperimentConfig.from_dict(
-            {"experiment": "regularity_check", "seed": 1, "params": {"hypothesis": hypothesis}, "output_path": str(out)}
-        )
-        with pytest.raises(ValueError, match="inside_label must be \\+1 or -1"):
-            run(cfg)
+        with pytest.raises(ConfigError, match="inside_label must be \\+1 or -1"):
+            ExperimentConfig.from_dict(
+                {"experiment": "regularity_check", "seed": 1, "params": {"hypothesis": hypothesis}, "output_path": str(out)}
+            )
         assert not out.exists()
 
     @pytest.mark.parametrize("seed", [True, False])
@@ -184,11 +358,10 @@ class TestConfigParsing:
         # and both reported a pass
         params = {**SMALL["sandwich_audit"], key: value}
         out = tmp_path / "out.csv"
-        cfg = ExperimentConfig.from_dict(
-            {"experiment": "sandwich_audit", "seed": 1, "params": params, "output_path": str(out)}
-        )
         with pytest.raises(ConfigError, match=key):
-            run(cfg)
+            ExperimentConfig.from_dict(
+                {"experiment": "sandwich_audit", "seed": 1, "params": params, "output_path": str(out)}
+            )
         assert not out.exists()
 
 

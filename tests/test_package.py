@@ -1,10 +1,12 @@
 """Package surface: every exported name exists, none is exported twice, the
 namespace resolves each name from its module on use, parsing a config loads
 no numpy, the demos and the README's library tour run against the current
-API, and each demo prints the bytes it printed before."""
+API, each demo prints the bytes it printed before, and the README's config
+tables are the harness's rule tables."""
 
 import hashlib
 import importlib
+import json
 import os
 import pathlib
 import pkgutil
@@ -56,6 +58,21 @@ def test_demos_and_readme_tour_run(tmp_path):
     exec(compile(blocks[0], "README.md", "exec"), {})
 
 
+def test_readme_config_tables_are_the_rule_tables():
+    from robustlab.harness import CONFIG_ROWS, EXPERIMENTS, REQUIRED
+
+    header = r":\n\n\| key \| default \| must be \|\n\| --- \| --- \| --- \|\n((?:\|.*\n)+)"
+    blocks = re.findall(r"^(?:`(\w+)`, .*|Top-level keys)" + header, (ROOT / "README.md").read_text(), re.M)
+    tables = {"": CONFIG_ROWS, **{name: spec.defaults for name, spec in EXPERIMENTS.items()}}
+    assert sorted(name for name, _ in blocks) == sorted(tables)
+    for name, body in blocks:
+        rows = [[cell.strip() for cell in line.strip("|").split("|")] for line in body.splitlines()]
+        assert [key.strip("`") for key, _, _ in rows] == list(tables[name]), name
+        for (_, default, phrase), (value, rule) in zip(rows, tables[name].values()):
+            assert default == ("required" if value is REQUIRED else f"`{json.dumps(value)}`"), name
+            assert phrase == getattr(rule, "phrase", phrase), name
+
+
 def test_import_leaves_numpy_random_unloaded():
     # numpy loads numpy.random on first use; loading it at import time slowed
     # every fresh interpreter's set-up and raised its peak memory
@@ -66,9 +83,36 @@ def test_import_leaves_numpy_random_unloaded():
     assert proc.stdout.strip() == "False"
 
 
+# One config per kind of rule, each with a value that rule rejects.
+REJECTED = [
+    {"experiment": "tolrerm_sweep", "seed": 1, "params": {"tasks": "3"}},
+    {"experiment": "tolrerm_sweep", "seed": 1, "params": {"n_grid": []}},
+    {"experiment": "tolrerm_sweep", "seed": 1, "params": {"eps": 1.5}},
+    {"experiment": "tolrerm_sweep", "seed": 1, "params": {"gamma": float("nan")}},
+    {"experiment": "opt_gap_audit", "seed": 1, "params": {"trials": 99}},
+    {"experiment": "sandwich_audit", "seed": 1, "params": {"include_control": "no"}},
+    {"experiment": "lb_linear_game", "seed": 1, "params": {"m": 5}},
+    {"experiment": "lb_linear_game", "seed": 1, "params": {"learner": "greedy"}},
+    {"experiment": "lb_linear_game", "seed": 1, "params": {"export_path": 5}},
+    {"experiment": "oracle_query_sweep", "seed": 1, "params": {"budgets": [0, 4, 4]}},
+    {"experiment": "regularity_check", "seed": 1, "params": {"probes": -5}},
+    {"experiment": "regularity_check", "seed": 1, "params": {"hypothesis": {"kind": "cube"}}},
+    {"experiment": "regularity_check", "seed": 1, "params": {"hypothesis": {"kind": "linear", "w": [0.0], "b": "0"}}},
+    {"experiment": "regularity_check", "seed": 1, "params": {"hypothesis": {"kind": "sphere", "center": [], "radius": 1}}},
+    {
+        "experiment": "regularity_check",
+        "seed": 1,
+        "params": {"hypothesis": {"kind": "sphere", "center": [0], "radius": 1, "inside_label": True}},
+    },
+    {"experiment": "regularity_check", "seed": -1},
+    {"experiment": "regularity_check", "seed": 1, "format": "xml"},
+]
+
+
 def test_config_parsing_loads_neither_numpy_nor_the_library(tmp_path):
-    # the set-up a benchmark interpreter times, then the two CLI commands
-    # that never run an experiment
+    # the set-up a benchmark interpreter times, every experiment's defaults
+    # and a value each kind of rule rejects, then the two CLI commands that
+    # never run an experiment
     config = tmp_path / "tolrerm.json"
     config.write_text(
         '{"experiment": "tolrerm_sweep", "seed": 1, "output_path": "out.csv",'
@@ -76,9 +120,18 @@ def test_config_parsing_loads_neither_numpy_nor_the_library(tmp_path):
     )
     code = """
 import sys
+import json
 import robustlab
-from robustlab.harness import ExperimentConfig
+from robustlab.harness import EXPERIMENTS, ConfigError, ExperimentConfig
 ExperimentConfig.from_file(sys.argv[1])
+for name in EXPERIMENTS:
+    ExperimentConfig.from_dict({"experiment": name, "seed": 1})
+for raw in json.loads(sys.argv[2]):
+    try:
+        ExperimentConfig.from_dict(raw)
+    except ConfigError:
+        continue
+    raise AssertionError(f"accepted {raw}")
 loaded = lambda: sorted(m for m in sys.modules if m.split(".")[0] in ("numpy", "robustlab"))
 print(loaded())
 from robustlab.cli import main
@@ -87,7 +140,8 @@ assert main(["list-experiments"]) == 0
 print(loaded())
 """
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
-    proc = subprocess.run([sys.executable, "-c", code, str(config)], env=env, capture_output=True, text=True)
+    args = [sys.executable, "-c", code, str(config), json.dumps(REJECTED)]
+    proc = subprocess.run(args, env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
     assert lines[0] == str(["robustlab", "robustlab.harness"])
