@@ -34,7 +34,7 @@ from typing import Union
 
 import numpy as np
 
-from .geometry import Ball, as_point, _batch, _check_same_dim, _cover_probes, _in_ball, _is_integer, _norms
+from .geometry import Ball, as_point, _batch, _check_same_dim, _cover_probes, _is_integer, _norms
 from .geometry import _order, _pair_distances, _readonly, _sq_norms
 from .regions import Region, RegionFamily, _region_balls, uniform_sample
 from .seeding import as_generator, uniform_sphere
@@ -320,14 +320,13 @@ def _violation_table(hypotheses, regions, examples) -> tuple[np.ndarray, np.ndar
 def _flip_table(hypotheses, regions, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """:func:`violation_radius` of every hypothesis on every (region, label) column.
 
-    The balls of all columns are stacked once (one region is used as it
-    is), and every row is one pass over them: a flip radius per ball, then
-    each column's minimum over its own balls (``np.minimum.reduceat``), and
-    a table's flags too (:func:`_table_row`).  Every ball's value is
-    computed on its own row alone, so a cell has the same bits whatever the
-    other columns are.  Columns of different dimensions raise
-    ``DimensionMismatch``; with no columns the arrays have shape
-    ``(len(hypotheses), 0)``.
+    The balls of all columns are stacked once, and every row is one pass
+    over them: a flip radius per ball, then each column's minimum over its
+    own balls (``np.minimum.reduceat``), and a table's flags too
+    (:func:`_table_row`).  Every ball's value is computed on its own row
+    alone, so a cell has the same bits whatever the other columns are.
+    Columns of different dimensions raise ``DimensionMismatch``; with no
+    columns the arrays have shape ``(len(hypotheses), 0)``.
     """
     radii = np.empty((len(hypotheses), len(regions)))
     inclusive = np.empty(radii.shape, dtype=bool)
@@ -368,7 +367,6 @@ def _table_row(h: TableClassifier, centers, ball_radii, ball_labels, starts, lab
     radius-0 ball by exact equality, as ``_in_ball`` tests); with no such
     entry the loss never flips.
     """
-    ball_labels = np.broadcast_to(ball_labels, ball_radii.shape)
     gap = np.empty(len(ball_radii))
     on_entry = np.empty(len(ball_radii), dtype=bool)
     on_flip = np.empty(len(ball_radii), dtype=bool)
@@ -391,13 +389,7 @@ def _table_row(h: TableClassifier, centers, ball_radii, ball_labels, starts, lab
 
 
 def _stacked_balls(regions, labels: np.ndarray):
-    """The balls of all regions stacked in order, each ball's label, and each region's first ball.
-
-    One region is read as it is, with its label a scalar.
-    """
-    if len(regions) == 1:
-        centers, radii = _region_balls(regions[0])
-        return centers, radii, labels[0], np.zeros(1, dtype=np.intp)
+    """The balls of all regions stacked in order, each ball's label, and each region's first ball."""
     balls = [_region_balls(region) for region in regions]
     d = balls[0][0].shape[1]
     for centers, _ in balls:
@@ -501,25 +493,21 @@ def regularity_check(
         failures = probe_pts[h.predict_many(probe_pts) == h.inside_label]
     else:
         probe_pts = np.vstack([probe_pts, h.points[[domain.contains(p) for p in h.points]]])
-        labels = h.predict_many(probe_pts)
-        failures = [p for p, y0 in zip(probe_pts, labels) if not _regular_at(h, p, y0, alpha, rng)]
+        # a probe off the default label fails: every ball around it holds non-table points
+        regular = h.predict_many(probe_pts) == h.default
+        flips = h.points[h.labels != h.default]
+        if len(flips):
+            # centers p + alpha*(1-1e-9)*u for u zero, each signed axis and 2d random directions
+            k, d = int(regular.sum()), domain.dimension
+            axes = np.broadcast_to(np.vstack([np.zeros((1, d)), np.eye(d), -np.eye(d)]), (k, 2 * d + 1, d))
+            dirs = np.concatenate([axes, uniform_sphere(2 * d * k, d, 1.0, rng).reshape(k, 2 * d, d)], axis=1)
+            centers = (probe_pts[regular, None, :] + alpha * (1.0 - 1e-9) * dirs).reshape(-1, d)
+            blocked = np.empty(len(centers), dtype=bool)
+            for rows, dist in _pair_distances(centers, flips):
+                blocked[rows] = np.any(dist <= alpha, axis=1)  # _in_ball's test: the same rounded squares
+            regular[regular] = ~blocked.reshape(k, -1).all(axis=1)
+        failures = probe_pts[~regular]
     return RegularityCertificate(alpha, len(probe_pts), tuple(map(tuple, failures)), domain)
-
-
-def _regular_at(h: TableClassifier, p: np.ndarray, y0: int, alpha: float, rng) -> bool:
-    """Whether some candidate radius-``alpha`` ball holding ``p`` has no point labelled other than ``y0``."""
-    if h.default != y0:
-        return False  # every candidate ball contains non-table points
-    flips = h.points[h.labels != y0]
-    if len(flips) == 0:
-        return True
-    d = p.size
-    dirs = np.vstack([np.zeros((1, d)), np.eye(d), -np.eye(d), uniform_sphere(2 * d, d, 1.0, rng)])
-    for u in dirs:
-        c = p + alpha * (1.0 - 1e-9) * u
-        if not np.any(_in_ball(flips, c, alpha)):
-            return True
-    return False
 
 
 def linear_net_2d(W: float, n_angles: int, n_offsets: int) -> list[LinearClassifier]:

@@ -219,15 +219,15 @@ def _union_distances(pts: np.ndarray, centers: np.ndarray, radii: np.ndarray | f
 class _BallArray:
     """Geometry of a finite union of closed balls, a point being a radius-zero ball.
 
-    A subclass supplies ``_arrays() -> (centers, radii)``, a ``(k, d)`` and a
-    ``(k,)`` array built on construction.  Each scalar query is the
-    dimension-checked one-row case of its batched form, so
-    ``contains(p) == contains_many(p[None])[0]`` and
+    A subclass stores ``_balls = (centers, radii)``, a ``(k, d)`` and a
+    ``(k,)`` array, once on construction; ``_arrays()`` returns it.  Each
+    scalar query is the dimension-checked one-row case of its batched form,
+    so ``contains(p) == contains_many(p[None])[0]`` and
     ``distance_to(p) == distance_to_many(p[None])[0]`` bit for bit.
     """
 
     def _arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        raise NotImplementedError
+        return self._balls
 
     @property
     def dimension(self) -> int:
@@ -278,9 +278,6 @@ class Ball(_BallArray):
         if not self.radius >= 0:  # also rejects NaN
             raise ValueError("radius must be nonnegative")
         object.__setattr__(self, "_balls", (self.center[None, :], _readonly([self.radius])))
-
-    def _arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        return self._balls
 
     def contains_many(self, pts: np.ndarray) -> np.ndarray:
         return _in_union(pts, *self._arrays())

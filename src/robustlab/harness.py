@@ -76,6 +76,7 @@ SCALE = Rule(lambda v: _number(v) and v > 0, "a finite number > 0")
 FRACTION = Rule(lambda v: _number(v) and 0 < v <= 1, "a number in (0, 1]")
 PATH = Rule(lambda v: v is None or isinstance(v, str), "a string or null")
 VECTOR = _list_of(FINITE, "a nonempty list of finite numbers")
+GRID = _list_of(POSITIVE, "a nonempty list of distinct positive integers", distinct=True)
 HYPOTHESIS = {  # a nested rule: the value's "kind" names the table of its other keys
     "linear": {"w": (REQUIRED, Rule(lambda v: VECTOR.test(v) and any(v), VECTOR.phrase + ", not all 0")),
                "b": (REQUIRED, FINITE)},
@@ -615,7 +616,7 @@ EXPERIMENTS: dict[str, ExperimentSpec] = {
     "tolrerm_sweep": ExperimentSpec(
         defaults={
             "tasks": (20, POSITIVE),
-            "n_grid": ([10, 30, 100, 300], _list_of(POSITIVE, "a nonempty list of positive integers")),
+            "n_grid": ([10, 30, 100, 300], GRID),
             "trials": (200, POSITIVE),
             "eps": (0.1, FRACTION),
             "delta": (0.1, FRACTION),
@@ -673,7 +674,7 @@ EXPERIMENTS: dict[str, ExperimentSpec] = {
         defaults={
             "universe_size": (8, POSITIVE),
             "thresholds": (25, POSITIVE),
-            "k_grid": ([1, 2, 3], _list_of(POSITIVE, "a nonempty list of positive integers")),
+            "k_grid": ([1, 2, 3], GRID),
             "max_m": (4, POSITIVE),
         },
         runner=_run_robust_vc_audit,

@@ -119,9 +119,10 @@ def loss_table(inst: OracleGameInstance) -> dict[tuple[str, str], float]:
 def _escape_label(inst: OracleGameInstance):
     """The gamma-expanded +v V region and a rejection label: does a row escape both U cores?
 
-    The label (see :func:`~robustlab.regions._rejection_draw`) tests every
-    box row against each ball of the region, and its value for a row is
-    whether the row lies outside the gamma-expanded U cores of +v and -v.
+    Every region here is its family's ``region_for(x).expand(gamma)``.  The
+    label (see :func:`~robustlab.regions._rejection_draw`) tests every box
+    row against each ball of the region, and its value for a row is whether
+    the row lies outside the gamma-expanded U cores of +v and -v.
     Ball 0 of the region is the +v core, the same center and radius, as
     :func:`build_oracle_game` makes it; this is checked once here, and only
     then is ball 0's test reused for the core.  Only accepted rows outside
@@ -130,9 +131,8 @@ def _escape_label(inst: OracleGameInstance):
     misses that core, so there the test finds none; it keeps the label
     right for any instance.)
     """
-    u_gam = inst.u_family.expanded(inst.gamma)
-    core_plus, core_minus = u_gam.region_for(inst.v), u_gam.region_for(-inst.v)
-    region = inst.v_family.expanded(inst.gamma).region_for(inst.v)
+    core_plus, core_minus = (inst.u_family.region_for(a).expand(inst.gamma) for a in (inst.v, -inst.v))
+    region = inst.v_family.region_for(inst.v).expand(inst.gamma)
     centers, radii = _region_balls(region)
     plus_centers, plus_radii = _region_balls(core_plus)
     plus_is_ball0 = len(plus_radii) == 1 and np.array_equal(centers[0], plus_centers[0]) and radii[0] == plus_radii[0]

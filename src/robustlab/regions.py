@@ -17,10 +17,12 @@ A region is one of four immutable variants:
 
 Each variant's ``expand`` method matches the Minkowski sum with a closed
 ball: expanding a finite point set yields a union of balls, expanding balls
-inflates radii.  All four variants share one geometry implementation,
-``geometry._BallArray``: each supplies ``(centers, radii)`` arrays, finite
-point sets as radius-zero balls, and each scalar query is the one-row case
-of its batched form.  ``_region_balls`` returns those arrays for any
+inflates radii.  It is the only expansion: a family's region is expanded
+as ``family.region_for(x).expand(r)``.  All four variants share one
+geometry implementation, ``geometry._BallArray``: each stores its
+``(centers, radii)`` arrays once, as ``_balls``, finite point sets as
+radius-zero balls, and each scalar query is the one-row case of its
+batched form.  ``_region_balls`` returns those arrays for any
 region; the measure check, the exact robust losses and the cover checks
 all read regions through it.  Distances from many query points to a
 region, and the pairwise distances behind diameters, are computed in row
@@ -97,10 +99,7 @@ class FinitePoints(_BallArray):
         if not np.isfinite(pts).all():
             raise ValueError("points must be finite")
         object.__setattr__(self, "points", _readonly(pts))
-        object.__setattr__(self, "_radii", _readonly(np.zeros(len(pts))))
-
-    def _arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        return self.points, self._radii
+        object.__setattr__(self, "_balls", (self.points, _readonly(np.zeros(len(pts)))))
 
     def contains_many(self, pts: np.ndarray) -> np.ndarray:
         return _in_union(pts, *self._arrays())
@@ -131,6 +130,7 @@ class UnionOfBalls(_BallArray):
             raise ValueError("centers must be finite and radii finite and nonnegative")
         object.__setattr__(self, "centers", centers)
         object.__setattr__(self, "radii", radii)
+        object.__setattr__(self, "_balls", (centers, radii))
 
     def __len__(self) -> int:
         return len(self.radii)
@@ -139,9 +139,6 @@ class UnionOfBalls(_BallArray):
     def balls(self) -> tuple[Ball, ...]:
         """The balls as ``Ball`` objects, built on each access."""
         return tuple(Ball(c, r) for c, r in zip(self.centers, self.radii))
-
-    def _arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        return self.centers, self.radii
 
     def contains_many(self, pts: np.ndarray) -> np.ndarray:
         return _in_union(pts, *self._arrays())
@@ -178,9 +175,6 @@ class Expanded(_BallArray):
         object.__setattr__(self, "base", base)
         object.__setattr__(self, "gamma", gamma)
         object.__setattr__(self, "_balls", base.expand(gamma)._arrays())
-
-    def _arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        return self._balls
 
     def contains_many(self, pts: np.ndarray) -> np.ndarray:
         return _in_union(pts, *self._arrays())
@@ -367,7 +361,6 @@ class RegionFamily:
         allow_outside_anchor: bool = False,
     ):
         self._regions: dict[tuple, Region] = {}
-        self._anchors: list[np.ndarray] = []
         for anchor, region in assignments:
             anchor = as_point(anchor)
             if anchor.size != region.dimension:
@@ -378,24 +371,9 @@ class RegionFamily:
             if key in self._regions:
                 raise ValueError(f"anchor {anchor} repeats an earlier anchor")
             self._regions[key] = region
-            self._anchors.append(anchor)
-
-    @property
-    def anchors(self) -> list[np.ndarray]:
-        return list(self._anchors)
 
     def region_for(self, x) -> Region:
         key = point_key(x)
         if key in self._regions:
             return self._regions[key]
         raise KeyError(f"no region assigned for point {x}")
-
-    def expanded(self, r: float) -> "RegionFamily":
-        """Family of radius-``r`` expansions; ``r == 0`` returns self."""
-        if r < 0:
-            raise ValueError("expansion radius must be nonnegative")
-        if r == 0:
-            return self
-        # one region per anchor, both in insertion order
-        expanded = [(a, region.expand(r)) for a, region in zip(self._anchors, self._regions.values())]
-        return RegionFamily(expanded, allow_outside_anchor=True)

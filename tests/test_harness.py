@@ -64,7 +64,8 @@ OPT_GAP_AUDIT_DEFAULT_CSV_SHA256 = "ec86005a0a5f954d15a45b436ffd727973abddbb73b1
 
 # More configs pinned the same way at seed 11: regularity certificates of a
 # thin sphere (alpha > radius / 2, so probes are drawn and judged) and of a
-# halfspace, and the sandwich_audit CSV at the benchmark's size.
+# halfspace, and the sandwich_audit and robust_vc_audit CSVs at the
+# benchmark's size.
 MORE_CSV_SHA256 = [
     (
         "regularity_check",
@@ -80,6 +81,11 @@ MORE_CSV_SHA256 = [
         "sandwich_audit",
         {"audits": 200, "include_control": True},
         "067715ecb2be825be18cf61ee60256f67c42a9c868dbcafda99d48f4bca23248",
+    ),
+    (
+        "robust_vc_audit",
+        {"universe_size": 9, "thresholds": 25, "k_grid": [1, 2, 3], "max_m": 4},
+        "92ac6136f37ad21826172733c6d967fc70faf1b89888ca28e5a6b1fe41a0e768",
     ),
 ]
 
@@ -99,6 +105,7 @@ BAD_VALUES = [
     ("tolrerm_sweep", "n_grid", [], "n_grid"),
     ("tolrerm_sweep", "n_grid", [10.7, 30], "n_grid"),
     ("tolrerm_sweep", "n_grid", 10, "n_grid"),
+    ("tolrerm_sweep", "n_grid", [10, 10], "n_grid"),
     ("tolrerm_sweep", "trials", True, "trials"),
     ("tolrerm_sweep", "eps", "0.1", "eps"),
     ("tolrerm_sweep", "eps", 0.0, "eps"),
@@ -145,6 +152,7 @@ BAD_VALUES = [
     ("robust_vc_audit", "k_grid", [], "k_grid"),
     ("robust_vc_audit", "k_grid", [0, 1], "k_grid"),
     ("robust_vc_audit", "k_grid", [1.0], "k_grid"),
+    ("robust_vc_audit", "k_grid", [2, 2], "k_grid"),
     ("robust_vc_audit", "max_m", 0, "max_m"),
     ("robust_vc_audit", "max_m", -2, "max_m"),
     ("regularity_check", "alpha", math.nan, "alpha"),
@@ -524,7 +532,9 @@ class TestRunAndWrite:
         assert hashlib.sha256(body).hexdigest() == OPT_GAP_AUDIT_DEFAULT_CSV_SHA256
 
     @pytest.mark.parametrize(
-        "name, params, digest", MORE_CSV_SHA256, ids=["regularity-thin-sphere", "regularity-linear", "sandwich-bench"]
+        "name, params, digest",
+        MORE_CSV_SHA256,
+        ids=["regularity-thin-sphere", "regularity-linear", "sandwich-bench", "vc-bench"],
     )
     def test_more_seeded_csv_digests_pinned(self, name, params, digest, tmp_path):
         path = tmp_path / f"{name}.csv"

@@ -91,11 +91,10 @@ class TestLossPatterns:
         h = large[0]
         for e in examples:
             base_loss = loss_patterns(FiniteClass((h,)), fam, [e])
-            grown = fam.expanded(0.7)
             from robustlab.classifiers import robust_loss_point
 
             assert robust_loss_point(h, fam.region_for(e.x), e) <= robust_loss_point(
-                h, grown.region_for(e.x), e
+                h, fam.region_for(e.x).expand(0.7), e
             )
 
 

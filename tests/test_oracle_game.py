@@ -20,9 +20,8 @@ from robustlab.seeding import rng_for
 
 def _expanded(inst):
     """The gamma-expanded +v V region and the gamma-expanded U cores of +v and -v."""
-    u_gam = inst.u_family.expanded(inst.gamma)
-    region = inst.v_family.expanded(inst.gamma).region_for(inst.v)
-    return region, u_gam.region_for(inst.v), u_gam.region_for(-inst.v)
+    cores = [inst.u_family.region_for(a).expand(inst.gamma) for a in (inst.v, -inst.v)]
+    return inst.v_family.region_for(inst.v).expand(inst.gamma), *cores
 
 
 def _reference_query_game(inst, budgets, trials, seed):
@@ -104,7 +103,7 @@ class TestBuild:
         assert radii == [2.5, 5.5]
 
     def test_gamma_expansion_shapes(self, inst):
-        grown = inst.v_family.expanded(1.0).region_for(inst.v)
+        grown = inst.v_family.region_for(inst.v).expand(1.0)
         radii = sorted(grown.radii.tolist())
         assert radii == [3.5, 6.5]
 
@@ -171,7 +170,7 @@ class TestMeasureAudit:
     def test_samples_from_plain_family_never_distinguish(self, inst):
         # draws from the expanded U regions always stay inside them, which
         # justifies skipping sampling on U-trials in the game
-        region = inst.u_family.expanded(inst.gamma).region_for(inst.v)
+        region = inst.u_family.region_for(inst.v).expand(inst.gamma)
         pts = uniform_sample(region, 20_000, seed=3)
         assert np.all(region.contains_many(pts))
 

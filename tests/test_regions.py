@@ -356,7 +356,7 @@ def _stream_region(variant: str, d: int):
         return FinitePoints(rng.normal(size=(5, d)) * 0.1).expand(0.7)
     # the query game's +v union: it fills 0.47 of its box, so n = 5000 needs a second batch
     inst = build_oracle_game(50.0, 1.0, 3)
-    return inst.v_family.expanded(1.0).region_for(inst.v)
+    return inst.v_family.region_for(inst.v).expand(1.0)
 
 
 class TestUniformSample:
@@ -561,12 +561,6 @@ class TestRegionFamily:
         )
         assert fam.region_for(anchor).radius == 1.0
 
-    def test_expanded_family(self):
-        anchor = np.array([0.0, 0.0])
-        fam = RegionFamily([(anchor, Ball(anchor, 1.0))])
-        assert fam.expanded(0) is fam
-        assert fam.expanded(0.5).region_for(anchor).radius == 1.5
-
     def test_colliding_anchors_rejected(self):
         # -0.0 equals 0.0, so (-0.0, 0) is the origin again
         with pytest.raises(ValueError, match="repeats"):
@@ -577,15 +571,10 @@ class TestRegionFamily:
                 ]
             )
         # anchors 1e-14 and 1e-170 off the origin are other points
-        fam = RegionFamily(
-            [
-                (np.array([0.0, 0.0]), Ball((0.0, 0.0), 0.1)),
-                (np.array([1e-14, 0.0]), Ball((0.0, 0.0), 5.0)),
-                (np.array([0.0, 1e-170]), Ball((0.0, 0.0), 2.0)),
-            ]
-        )
-        assert [fam.region_for(a).radius for a in fam.anchors] == [0.1, 5.0, 2.0]
-        assert [fam.expanded(1.0).region_for(a).radius for a in fam.anchors] == [1.1, 6.0, 3.0]
+        anchors = [np.array([0.0, 0.0]), np.array([1e-14, 0.0]), np.array([0.0, 1e-170])]
+        fam = RegionFamily([(a, Ball((0.0, 0.0), r)) for a, r in zip(anchors, [0.1, 5.0, 2.0])])
+        assert [fam.region_for(a).radius for a in anchors] == [0.1, 5.0, 2.0]
+        assert [fam.region_for(a).expand(1.0).radius for a in anchors] == [1.1, 6.0, 3.0]
 
     def test_point_key_is_exact(self):
         assert point_key((0.0, 1.0)) != point_key((1e-14, 1.0 - 1e-14))

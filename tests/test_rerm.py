@@ -84,16 +84,20 @@ class TestRermSolve:
         sample = list(game.dist.examples)
         for r in (0.0, 0.5, 2.0, 5.0):
             sol = oracle.solve(all_atoms(game.dist), r)
-            expanded = game.v_family.expanded(r)
             for h in game.cls:
-                losses = [robust_loss_point(h, expanded.region_for(e.x), e) for e in sample]
+                losses = [robust_loss_point(h, expanded_region(game.v_family, e.x, r), e) for e in sample]
                 assert sol.achieved_loss <= np.mean(losses)
+
+
+def expanded_region(family, x, r):
+    """``family.region_for(x)`` expanded by ``r``; ``r == 0`` is the region itself."""
+    region = family.region_for(x)
+    return region.expand(r) if r else region
 
 
 def direct_argmin(cls, family, sample, r) -> tuple[int, float]:
     """Lowest-index minimizer of the closed-form losses on the r-expanded family."""
-    expanded = family.expanded(r)
-    counts = [sum(direct_loss(h, expanded.region_for(e.x), e.y) for e in sample) for h in cls]
+    counts = [sum(direct_loss(h, expanded_region(family, e.x, r), e.y) for e in sample) for h in cls]
     best = counts.index(min(counts))
     return best, counts[best] / len(sample)
 
