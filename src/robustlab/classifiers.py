@@ -35,7 +35,7 @@ from typing import Union
 import numpy as np
 
 from .geometry import Ball, as_point, _batch, _check_same_dim, _cover_probes, _is_integer, _norms
-from .geometry import _order, _pair_distances, _readonly, _sq_norms
+from .geometry import _order, _pair_distances, _readonly, _sq_norms, _union_distances
 from .regions import Region, RegionFamily, _region_balls, uniform_sample
 from .seeding import as_generator, uniform_sphere
 
@@ -496,16 +496,21 @@ def regularity_check(
         # a probe off the default label fails: every ball around it holds non-table points
         regular = h.predict_many(probe_pts) == h.default
         flips = h.points[h.labels != h.default]
-        if len(flips):
-            # centers p + alpha*(1-1e-9)*u for u zero, each signed axis and 2d random directions
-            k, d = int(regular.sum()), domain.dimension
-            axes = np.broadcast_to(np.vstack([np.zeros((1, d)), np.eye(d), -np.eye(d)]), (k, 2 * d + 1, d))
-            dirs = np.concatenate([axes, uniform_sphere(2 * d * k, d, 1.0, rng).reshape(k, 2 * d, d)], axis=1)
-            centers = (probe_pts[regular, None, :] + alpha * (1.0 - 1e-9) * dirs).reshape(-1, d)
-            blocked = np.empty(len(centers), dtype=bool)
-            for rows, dist in _pair_distances(centers, flips):
-                blocked[rows] = np.any(dist <= alpha, axis=1)  # _in_ball's test: the same rounded squares
-            regular[regular] = ~blocked.reshape(k, -1).all(axis=1)
+        rows, d = (np.flatnonzero(regular) if len(flips) else ()), domain.dimension
+        axes = np.vstack([np.zeros((1, d)), np.eye(d), -np.eye(d)])
+        step = max(1, 2**16 // (2 * d * d))  # probes per block, bounding the block's draw of 2d directions each
+        for start in range(0, len(rows), step):
+            block = rows[start : start + step]
+            # candidate centers p + alpha*(1-1e-9)*u: u zero, each signed axis, then the probe's 2d random
+            # directions; each is measured only for probes with no free ball yet, so most stop at u zero
+            sphere = uniform_sphere(2 * d * len(block), d, 1.0, rng).reshape(len(block), 2 * d, d)
+            free = np.zeros(len(block), dtype=bool)
+            for j in range(4 * d + 1):
+                todo = np.flatnonzero(~free)
+                u = axes[j] if j <= 2 * d else sphere[todo, j - 2 * d - 1]
+                # free iff every flip lies farther than alpha: _in_ball's test, on the same rounded distances
+                free[todo] = _union_distances(probe_pts[block[todo]] + alpha * (1.0 - 1e-9) * u, flips, alpha) > 0
+            regular[block] = free
         failures = probe_pts[~regular]
     return RegularityCertificate(alpha, len(probe_pts), tuple(map(tuple, failures)), domain)
 

@@ -220,18 +220,15 @@ class _BallArray:
     """Geometry of a finite union of closed balls, a point being a radius-zero ball.
 
     A subclass stores ``_balls = (centers, radii)``, a ``(k, d)`` and a
-    ``(k,)`` array, once on construction; ``_arrays()`` returns it.  Each
+    ``(k,)`` array, once on construction, and every query reads it.  Each
     scalar query is the dimension-checked one-row case of its batched form,
     so ``contains(p) == contains_many(p[None])[0]`` and
     ``distance_to(p) == distance_to_many(p[None])[0]`` bit for bit.
     """
 
-    def _arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        return self._balls
-
     @property
     def dimension(self) -> int:
-        return self._arrays()[0].shape[1]
+        return self._balls[0].shape[1]
 
     def _point(self, p) -> np.ndarray:
         p = as_point(p)
@@ -241,7 +238,7 @@ class _BallArray:
     def contains(self, p) -> bool:
         """``_in_union(p[None], centers, radii)[0]``, the one row tested against all balls at once."""
         p = self._point(p)
-        centers, radii = self._arrays()
+        centers, radii = self._balls
         near = _norms(p - centers) <= radii
         return bool(np.where(radii == 0, (p == centers).all(axis=1), near).any())
 
@@ -249,18 +246,18 @@ class _BallArray:
         return float(self.distance_to_many(self._point(p)[None, :])[0])
 
     def distance_to_many(self, pts: np.ndarray) -> np.ndarray:
-        return _union_distances(pts, *self._arrays())
+        return _union_distances(pts, *self._balls)
 
     def diameter(self) -> float:
         """Pairwise upper bound: max over ball pairs of center gap plus radii."""
-        centers, radii = self._arrays()
+        centers, radii = self._balls
         return max(
             float(np.max(gaps + radii[rows, None] + radii[None, :]))
             for rows, gaps in _pair_distances(centers, centers)
         )
 
     def bounding_box(self) -> tuple[np.ndarray, np.ndarray]:
-        centers, radii = self._arrays()
+        centers, radii = self._balls
         reach = radii[:, None]
         return np.min(centers - reach, axis=0), np.max(centers + reach, axis=0)
 
@@ -280,7 +277,7 @@ class Ball(_BallArray):
         object.__setattr__(self, "_balls", (self.center[None, :], _readonly([self.radius])))
 
     def contains_many(self, pts: np.ndarray) -> np.ndarray:
-        return _in_union(pts, *self._arrays())
+        return _in_union(pts, *self._balls)
 
     def expand(self, gamma: float) -> "Ball":
         if gamma <= 0:

@@ -102,7 +102,7 @@ class FinitePoints(_BallArray):
         object.__setattr__(self, "_balls", (self.points, _readonly(np.zeros(len(pts)))))
 
     def contains_many(self, pts: np.ndarray) -> np.ndarray:
-        return _in_union(pts, *self._arrays())
+        return _in_union(pts, *self._balls)
 
     def expand(self, gamma: float) -> "UnionOfBalls":
         if gamma <= 0:
@@ -141,7 +141,7 @@ class UnionOfBalls(_BallArray):
         return tuple(Ball(c, r) for c, r in zip(self.centers, self.radii))
 
     def contains_many(self, pts: np.ndarray) -> np.ndarray:
-        return _in_union(pts, *self._arrays())
+        return _in_union(pts, *self._balls)
 
     def expand(self, gamma: float) -> "UnionOfBalls":
         if gamma <= 0:
@@ -174,10 +174,10 @@ class Expanded(_BallArray):
             base = base.base
         object.__setattr__(self, "base", base)
         object.__setattr__(self, "gamma", gamma)
-        object.__setattr__(self, "_balls", base.expand(gamma)._arrays())
+        object.__setattr__(self, "_balls", base.expand(gamma)._balls)
 
     def contains_many(self, pts: np.ndarray) -> np.ndarray:
-        return _in_union(pts, *self._arrays())
+        return _in_union(pts, *self._balls)
 
     def expand(self, gamma: float) -> "Expanded":
         if gamma <= 0:
@@ -192,7 +192,7 @@ def _region_balls(region: Region) -> tuple[np.ndarray, np.ndarray]:
     """A region as arrays of ball centers and radii (finite points have radius 0)."""
     if not isinstance(region, _BallArray):
         raise TypeError(f"unsupported region variant {type(region).__name__}")
-    return region._arrays()
+    return region._balls
 
 
 def _positive_measure(region: Region) -> bool:

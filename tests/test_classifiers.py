@@ -954,6 +954,37 @@ def test_table_certificate_matches_per_probe_labels(d, probes):
     assert outcomes == {True, False}
 
 
+
+@pytest.mark.parametrize(
+    "points, labels, domain",
+    [
+        ([(0.5, 0.5)], [-1], Ball((0.0, 0.0), 2.0)),  # every probe is a flipped entry
+        ([(0.5, 0.5), (-0.5, 0.0)], [-1, -1], Ball((0.0, 0.0), 2.0)),
+        ([(5.0, 5.0), (6.0, 5.0)], [-1, 1], Ball((0.0, 0.0), 2.0)),  # no entry in the domain: no probe
+    ],
+)
+def test_table_certificate_with_no_random_probes(points, labels, domain):
+    h = TableClassifier(points, labels, default=1)
+    for alpha in (0.05, 0.3):
+        got_rng, want_rng = rng_for(len(points), "table-no-probes"), rng_for(len(points), "table-no-probes")
+        cert = regularity_check(h, alpha, 0, domain, got_rng)
+        assert (cert.probes, cert.failures, cert.passed) == per_probe_table_certificate(h, alpha, 0, domain, want_rng)
+        assert same_state(got_rng.bit_generator.state, want_rng.bit_generator.state)
+
+
+def test_table_certificate_draws_across_probe_blocks():
+    # at d = 10 one block holds 2**16 // (2 * d * d) = 327 probes, so 700 probes take three blocks
+    d, n = 10, 200
+    rng = rng_for(d, "table-certificate-blocks")
+    h = TableClassifier(rng.uniform(-0.4, 0.4, (n, d)), rng.choice([-1, 1], n), default=1)
+    domain = Ball(np.zeros(d), 0.8)
+    got_rng, want_rng = rng_for(0, "table-certificate-blocks"), rng_for(0, "table-certificate-blocks")
+    cert = regularity_check(h, 0.3, 700, domain, got_rng)
+    want = per_probe_table_certificate(h, 0.3, 700, domain, want_rng)
+    assert (cert.probes, cert.failures, cert.passed) == want
+    assert same_state(got_rng.bit_generator.state, want_rng.bit_generator.state)
+    assert 0 < len(cert.failures) < cert.probes
+
 def same_state(a: dict, b: dict) -> bool:
     """Whether two bit-generator states are equal, array entries (Philox's key and counter) included."""
     return a.keys() == b.keys() and all(
