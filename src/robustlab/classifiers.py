@@ -35,7 +35,7 @@ from typing import Union
 import numpy as np
 
 from .geometry import Ball, as_point, _batch, _check_same_dim, _cover_probes, _is_integer, _norms
-from .geometry import _order, _pair_distances, _readonly, _sq_norms, _union_distances
+from .geometry import _order, _pair_distances, _radius, _readonly, _sq_norms, _union_distances
 from .regions import Region, RegionFamily, _region_balls, uniform_sample
 from .seeding import as_generator, uniform_sphere
 
@@ -142,9 +142,7 @@ class SphereBoundary:
 
     def __post_init__(self):
         object.__setattr__(self, "center", _readonly(as_point(self.center)))
-        object.__setattr__(self, "radius", float(self.radius))
-        if not self.radius > 0:  # also rejects NaN
-            raise ValueError("radius must be positive")
+        object.__setattr__(self, "radius", _radius(self.radius, "radius"))
         _check_label(self.inside_label, "inside_label")
 
     @property

@@ -84,6 +84,19 @@ def _check_same_dim(da: int, db: int) -> None:
         raise DimensionMismatch(f"dimension mismatch: {da} vs {db}")
 
 
+def _radius(value, name: str = "gamma", zero_ok: bool = False) -> float:
+    """``value`` as a float radius: a real number, not a bool, finite and positive (nonnegative if ``zero_ok``).
+
+    The one rule for every ball and sphere radius and every expansion.
+    """
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    r = float(value)
+    if not (0 <= r < math.inf and (zero_ok or r > 0)):
+        raise ValueError(f"{name} must be {'nonnegative' if zero_ok else 'positive'} and finite, got {r}")
+    return r
+
+
 def _is_integer(x) -> bool:
     """A Python or numpy integer, not a bool."""
     return isinstance(x, numbers.Integral) and not isinstance(x, bool)
@@ -271,18 +284,14 @@ class Ball(_BallArray):
 
     def __post_init__(self):
         object.__setattr__(self, "center", _readonly(as_point(self.center)))
-        object.__setattr__(self, "radius", float(self.radius))
-        if not self.radius >= 0:  # also rejects NaN
-            raise ValueError("radius must be nonnegative")
+        object.__setattr__(self, "radius", _radius(self.radius, "radius", zero_ok=True))
         object.__setattr__(self, "_balls", (self.center[None, :], _readonly([self.radius])))
 
     def contains_many(self, pts: np.ndarray) -> np.ndarray:
         return _in_union(pts, *self._balls)
 
     def expand(self, gamma: float) -> "Ball":
-        if gamma <= 0:
-            raise ValueError("gamma must be positive")
-        return Ball(self.center, self.radius + gamma)
+        return Ball(self.center, self.radius + _radius(gamma))
 
 
 @dataclass(frozen=True, eq=False)

@@ -24,6 +24,7 @@ from typing import Sequence
 import numpy as np
 
 from .classifiers import FiniteClass, LabeledExample, _loss_table
+from .geometry import Ball
 from .regions import FinitePoints, Region, RegionFamily
 
 __all__ = [
@@ -260,8 +261,6 @@ def vball_shatter_check(
     convention).  The report records the realized subsets as patterns
     (0 on the subset, 1 off it) with verified witnesses.
     """
-    from .geometry import Ball
-
     matrix = _loss_table(cls, [Ball(ex.x, radius) for ex in candidates], candidates)
     witness_map = _row_witnesses(matrix)
     achieved = len(witness_map)

@@ -47,7 +47,7 @@ from typing import Union
 
 import numpy as np
 
-from .geometry import Ball, DimensionMismatch, as_point, _BallArray, _in_union, _readonly
+from .geometry import Ball, DimensionMismatch, as_point, _BallArray, _in_union, _radius, _readonly
 from .seeding import as_generator
 
 __all__ = [
@@ -105,9 +105,7 @@ class FinitePoints(_BallArray):
         return _in_union(pts, *self._balls)
 
     def expand(self, gamma: float) -> "UnionOfBalls":
-        if gamma <= 0:
-            raise ValueError("gamma must be positive")
-        return UnionOfBalls(self.points, np.full(len(self.points), float(gamma)))
+        return UnionOfBalls(self.points, np.full(len(self.points), _radius(gamma)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -144,9 +142,7 @@ class UnionOfBalls(_BallArray):
         return _in_union(pts, *self._balls)
 
     def expand(self, gamma: float) -> "UnionOfBalls":
-        if gamma <= 0:
-            raise ValueError("gamma must be positive")
-        return UnionOfBalls(self.centers, self.radii + gamma)
+        return UnionOfBalls(self.centers, self.radii + _radius(gamma))
 
 
 @dataclass(frozen=True, eq=False)
@@ -165,10 +161,8 @@ class Expanded(_BallArray):
     gamma: float
 
     def __post_init__(self):
-        gamma = float(self.gamma)
+        gamma = _radius(self.gamma)
         base = self.base
-        if gamma <= 0:
-            raise ValueError("gamma must be positive")
         while isinstance(base, Expanded):
             gamma += base.gamma
             base = base.base
@@ -180,9 +174,7 @@ class Expanded(_BallArray):
         return _in_union(pts, *self._balls)
 
     def expand(self, gamma: float) -> "Expanded":
-        if gamma <= 0:
-            raise ValueError("gamma must be positive")
-        return Expanded(self.base, self.gamma + gamma)
+        return Expanded(self.base, self.gamma + _radius(gamma))
 
 
 Region = Union[FinitePoints, Ball, UnionOfBalls, Expanded]

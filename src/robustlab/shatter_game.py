@@ -24,10 +24,11 @@ from typing import Callable
 
 import numpy as np
 
+from . import seeding  # rng_for is read at each call, so a later rebinding in seeding reaches it
 from .classifiers import LabeledExample, LinearClassifier, _loss_table
 from .geometry import SphereCover, _in_ball, _pair_distances, greedy_sphere_cover
-from .regions import FinitePoints, RegionFamily, point_key
-from .seeding import as_generator, rng_for, uniform_sphere
+from .regions import FinitePoints, RegionFamily, region_to_dict
+from .seeding import as_generator, uniform_sphere
 
 __all__ = [
     "tangent_hypothesis",
@@ -35,7 +36,6 @@ __all__ = [
     "cap_mismatch_fraction",
     "ShatterFamily",
     "build_shatter_family",
-    "cells_mutually_disjoint",
     "stipulation_one_failures",
     "FailureInstance",
     "build_failure_instance",
@@ -148,7 +148,7 @@ def build_shatter_family(
     cover = None
     for halving in range(MAX_HALVINGS):
         mesh = 2.0 * positive_cap_radius(W, beta)
-        cover = greedy_sphere_cover(d, W * (1.0 + beta), mesh, rng_for(seed, f"cover-{halving}"))
+        cover = greedy_sphere_cover(d, W * (1.0 + beta), mesh, seeding.rng_for(seed, f"cover-{halving}"))
         if len(cover) >= M:
             break
         beta /= 2.0
@@ -160,7 +160,7 @@ def build_shatter_family(
         raise RuntimeError(f"sphere cover maximality probe failed ({cover.probe_failures} escapes)")
 
     K = len(cover)
-    rng = rng_for(seed, "cells")
+    rng = seeding.rng_for(seed, "cells")
     samples = uniform_sphere(SAMPLES_PER_CELL * K, d, W * (1.0 + beta), rng)
     nearest = np.empty(len(samples), dtype=np.intp)
     for rows, dist in _pair_distances(samples, cover.centers):
@@ -181,16 +181,6 @@ def build_shatter_family(
         i, j = np.argwhere(losses)[0]
         raise RuntimeError(f"witness {i} is positive on cell {j}: construction bug")
     return ShatterFamily(W, beta, M, cover, tuple(cells), witnesses)
-
-
-def cells_mutually_disjoint(a: ShatterFamily, b: ShatterFamily) -> bool:
-    """Whether two families' cells share no sampled point (exact coordinates).
-
-    Run this audit whenever two families coexist in one construction.
-    """
-    keys_a = {point_key(p) for cell in a.cells for p in cell}
-    keys_b = {point_key(p) for cell in b.cells for p in cell}
-    return not keys_a & keys_b
 
 
 def stipulation_one_failures(family: ShatterFamily, hypotheses) -> int:
@@ -278,8 +268,6 @@ def export_instance(inst: FailureInstance) -> dict:
     explicitly so a run can be re-audited without rebuilding the sphere
     packing.
     """
-    from .regions import region_to_dict
-
     return {
         "m": inst.m,
         "M": inst.M,
@@ -403,7 +391,7 @@ def run_adversarial_game(
     The trial's loss is the exact distributional robust loss of that
     witness, which the construction audits reduce to the overlap formula.
     """
-    rng = rng_for(seed, "subset-game")
+    rng = seeding.rng_for(seed, "subset-game")
     losses = np.empty(trials)
     all_idx = np.arange(inst.n_anchors)
     for t in range(trials):

@@ -68,6 +68,16 @@ def direct_loss(h, region, y) -> int:
     [
         lambda: Ball((0, 0), np.nan),
         lambda: SphereBoundary((0, 0), np.nan),
+        lambda: Ball((0, 0), np.inf),
+        lambda: SphereBoundary((0, 0), np.inf),
+        lambda: Ball((0, 0), 1.0).expand(np.inf),
+        lambda: Ball((0, 0), 1e308).expand(1e308),
+        lambda: Expanded(Ball((0, 0), 1.0), np.inf),
+        lambda: Expanded(Expanded(Ball((0, 0), 1.0), 1e308), 1e308),
+        lambda: FinitePoints([(0, 0)]).expand(np.nan),
+        lambda: UnionOfBalls([(0, 0)], [1.0]).expand(np.inf),
+        lambda: SphereBoundary((0, 0), True),
+        lambda: Ball((0, 0), 1.0).expand("0.5"),
         lambda: LinearClassifier((1, 0), np.nan),
         lambda: LinearClassifier((1, 0), np.inf),
         lambda: DiscreteDistribution([(ex((0, 0), 1), np.nan)]),
@@ -85,6 +95,16 @@ def direct_loss(h, region, y) -> int:
     ids=[
         "ball-nan-radius",
         "sphere-nan-radius",
+        "ball-inf-radius",
+        "sphere-inf-radius",
+        "ball-inf-expansion",
+        "ball-expansion-overflow",
+        "expanded-inf-gamma",
+        "nested-expansion-overflow",
+        "points-nan-expansion",
+        "union-inf-expansion",
+        "sphere-bool-radius",
+        "ball-string-expansion",
         "linear-nan-offset",
         "linear-inf-offset",
         "dist-nan-probability",

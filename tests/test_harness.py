@@ -16,12 +16,12 @@ from robustlab.harness import (
     EXPERIMENTS,
     ConfigError,
     ExperimentConfig,
-    _member_losses,
     list_experiments,
     run,
     write_record,
 )
 from robustlab.rerm import IndexedExhaustiveOracle, make_learning_task
+from robustlab.runners import _member_losses
 from robustlab.seeding import as_generator, rng_for, seed_derive
 
 # A small config of every experiment.
@@ -187,6 +187,10 @@ BAD_VALUES = [
 ]
 
 
+# Each row's test id, read from its content, so adding a row renames no other case.
+BAD_VALUE_IDS = [f"{experiment or 'config'}.{key}={value!r}".replace(" ", "") for experiment, key, value, _ in BAD_VALUES]
+
+
 def bad_config(experiment, key, value):
     if experiment is None:
         return {"experiment": "regularity_check", "seed": 1, key: value}
@@ -204,12 +208,12 @@ def rule_phrases(table):
 
 
 class TestRuleTable:
-    @pytest.mark.parametrize("experiment, key, value, named", BAD_VALUES)
+    @pytest.mark.parametrize("experiment, key, value, named", BAD_VALUES, ids=BAD_VALUE_IDS)
     def test_bad_value_names_its_key_at_parse(self, experiment, key, value, named):
         with pytest.raises(ConfigError, match=re.escape(named)):
             ExperimentConfig.from_dict(bad_config(experiment, key, value))
 
-    @pytest.mark.parametrize("experiment, key, value, named", BAD_VALUES)
+    @pytest.mark.parametrize("experiment, key, value, named", BAD_VALUES, ids=BAD_VALUE_IDS)
     def test_validate_and_run_exit_two_without_running(self, experiment, key, value, named, tmp_path, capsys, monkeypatch):
         def no_run(config):
             raise AssertionError("the experiment ran")

@@ -69,6 +69,8 @@ class TestExpand:
     def test_rejects_nonpositive_gamma(self):
         with pytest.raises(ValueError):
             Ball((0, 0), 1.0).expand(0.0)
+        with pytest.raises(ValueError):
+            Ball((0, 0), 1.0).expand(math.inf)
 
 
 class TestContains:

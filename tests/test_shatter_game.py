@@ -108,17 +108,6 @@ class TestShatterFamily:
         with pytest.raises(ValueError):
             build_shatter_family(1.0, 1, 3, seed=0)
 
-    def test_coexisting_families_disjointness_audit(self):
-        from robustlab.shatter_game import cells_mutually_disjoint
-
-        # distinct starting cap scales put the families on distinct spheres
-        a = build_shatter_family(1.0, 2, 4, seed=0, beta0=0.25)
-        b = build_shatter_family(1.0, 2, 6, seed=0, beta0=0.2)
-        assert a.sphere_radius != b.sphere_radius
-        assert cells_mutually_disjoint(a, b)
-        # negative control: an identical build collides with itself
-        assert not cells_mutually_disjoint(a, build_shatter_family(1.0, 2, 4, seed=0, beta0=0.25))
-
 
 class TestFailureInstance:
     def test_m_one_structure(self):

@@ -7,7 +7,9 @@ test makes that visible in the ordinary suite.
 
 import importlib
 import importlib.util
+import os
 import pkgutil
+import subprocess
 import sys
 from pathlib import Path
 
@@ -120,6 +122,44 @@ def test_sandwich_audit_counts_through_shared_ball_geometry():
     finally:
         uninstall()
     assert_restored(before)
+
+
+FRESH_RUN = """
+import importlib.util
+import sys
+
+spec = importlib.util.spec_from_file_location("perfbench_tracer", sys.argv[1])
+tracing = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(tracing)
+from robustlab import harness
+
+assert "robustlab.runners" not in sys.modules
+uninstall = tracing.install(tracing.Tracer())
+try:
+    params = {"universe_size": 6, "thresholds": 12, "k_grid": [1, 2], "max_m": 3}
+    config = harness.ExperimentConfig.from_dict({"experiment": "robust_vc_audit", "seed": 3, "params": params})
+    assert harness.run(config).assertions_passed
+finally:
+    uninstall()
+assert "robustlab.runners" in sys.modules
+for name, module in list(sys.modules.items()):
+    if name.split(".")[0] == "robustlab":
+        for key, value in vars(module).items():
+            code = getattr(value, "__code__", None)
+            if code is not None and code.co_filename == sys.argv[1]:
+                print(f"{name}.{key}")
+"""
+
+
+def test_no_wrapper_outlives_uninstall_when_runners_load_traced():
+    # installed before any experiment has run, the tracer cannot see the
+    # runners module, or the library modules that only it imports
+    # (shatter_game): the first run loads them, and one that bound a traced
+    # function by name would keep its wrapper after uninstall
+    env = {**os.environ, "PYTHONPATH": str(TRACER_PATH.parents[1] / "src")}
+    proc = subprocess.run([sys.executable, "-c", FRESH_RUN, str(TRACER_PATH)], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == ""
 
 
 def assert_restored(before: dict[str, dict]) -> None:
