@@ -19,6 +19,10 @@ boolean row selections are ``np.compress``.  Both keep the bits.
 Ball membership takes no square root: ``_in_ball`` compares the same sum
 of squares with ``_sq_bound(radius)``, which gives the same verdict.
 
+Grid covers (:func:`cover_compact_by_balls`) are certified exactly from
+the target's balls, not sampled; :func:`verify_cover`, which counts probe
+points outside a cover by brute force, is the reference tests hold them to.
+
 Conventions used throughout the library:
 
 * points are 1-D float ndarrays; batches are ``(n, d)`` arrays;
@@ -66,7 +70,11 @@ class DimensionMismatch(ValueError):
 
 
 class CoverageError(RuntimeError):
-    """A constructed cover failed its own probe verification."""
+    """A grid cover failed its certificate: a cell too wide, or a node within reach dropped.
+
+    Raised by :func:`cover_compact_by_balls`; it means the construction's
+    distance pass is wrong, never bad luck, since the certificate is exact.
+    """
 
 
 def as_point(x) -> np.ndarray:
@@ -87,7 +95,7 @@ def _check_same_dim(da: int, db: int) -> None:
 def _radius(value, name: str = "gamma", zero_ok: bool = False) -> float:
     """``value`` as a float radius: a real number, not a bool, finite and positive (nonnegative if ``zero_ok``).
 
-    The one rule for every ball and sphere radius and every expansion.
+    The one rule for every ball and sphere radius, every cover radius and mesh, and every expansion.
     """
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ValueError(f"{name} must be a real number, got {value!r}")
@@ -312,9 +320,9 @@ class SphereCover:
     probe_failures: int = 0
 
     def __post_init__(self):
+        object.__setattr__(self, "sphere_radius", _radius(self.sphere_radius, "sphere_radius"))
+        object.__setattr__(self, "mesh", _radius(self.mesh, "mesh"))
         object.__setattr__(self, "centers", _readonly(np.atleast_2d(self.centers)))
-        if self.sphere_radius <= 0 or self.mesh <= 0:
-            raise ValueError("sphere_radius and mesh must be positive")
         norms = _norms(self.centers.copy())
         if not np.allclose(norms, self.sphere_radius, rtol=GEOM_TOL, atol=0.0):
             raise ValueError("cover centers must lie on the sphere")
@@ -353,8 +361,7 @@ def greedy_sphere_cover(
     """
     if d < 2:
         raise ValueError("sphere covers need ambient dimension >= 2")
-    if sphere_radius <= 0 or mesh <= 0:
-        raise ValueError("sphere_radius and mesh must be positive")
+    sphere_radius, mesh = _radius(sphere_radius, "sphere_radius"), _radius(mesh, "mesh")
     rng = as_generator(seed)
 
     centers: list[np.ndarray] = []
@@ -399,78 +406,55 @@ def grid_cover_bound(diameter: float, ball_radius: float, d: int) -> int:
     return per_axis**d
 
 
-def cover_compact_by_balls(
-    target,
-    ball_radius: float,
-    seed: int | np.random.Generator = 0,
-    *,
-    probe_count: int = 1000,
-) -> UnionOfBalls:
-    """Cover a bounded region with closed balls of radius ``ball_radius``.
+def cover_compact_by_balls(target, ball_radius: float) -> UnionOfBalls:
+    """Cover a bounded region with closed balls of radius ``r = ball_radius``, certified exactly.
 
-    Axis-aligned grid construction: nodes at pitch
-    ``ball_radius * 2/sqrt(d) * (1 - 1e-6)`` over the inflated bounding box
-    are kept whenever they lie within ``ball_radius`` of the target, which
-    guarantees every target point is within ``ball_radius`` of a kept node.
-    Centers need not lie inside the target.  The cover is returned as a
-    :class:`~robustlab.regions.UnionOfBalls` whose ``centers`` are the kept
-    nodes and whose ``radii`` all equal ``ball_radius``; ``len(cover)`` is
-    the ball count.  The construction is probe verified before returning
-    (seeded; raises ``CoverageError`` on failure, which would indicate a
-    bug rather than bad luck).  The probes are those :func:`verify_cover`
-    draws for the same seed, and each is first checked against its nearest
-    grid node (O(d) per probe); only probes that node does not cover are
-    measured against every center, so the failure count is the one
-    :func:`verify_cover`, the brute-force reference, returns.
+    Grid nodes at pitch ``r * 2/sqrt(d) * (1 - 1e-6)`` span the target's
+    bounding box inflated by ``r``; a node is kept, as a ball center, when
+    ``target.distance_to_many`` puts it within ``r`` of the target.  The
+    :class:`~robustlab.regions.UnionOfBalls` returned has one radius-``r``
+    ball per kept node.  No random numbers are drawn.
+
+    Covering lemma: let ``h`` be the largest grid cell's half-diagonal (each
+    axis's largest node gap halved, combined in quadrature).  A target point
+    ``p`` lies in a target ball ``(c, rho)``, a point being a radius-0 ball,
+    and its nearest node ``n`` has ``|p - n| <= h``, so ``|n - c| <= rho + h``.
+    So if ``h < r`` and every node within ``rho + h`` of a target ball is
+    kept, the ball at ``n`` holds ``p``.  Both conditions are checked, the
+    second by one :func:`_pair_distances` pass of the dropped nodes against
+    the target's own ball arrays, independent of ``distance_to_many``; a
+    failure raises :class:`CoverageError`.
     """
-    from .regions import UnionOfBalls
+    from .regions import UnionOfBalls, _region_balls
 
-    if ball_radius <= 0:
-        raise ValueError("ball_radius must be positive")
+    r = _radius(ball_radius, "ball_radius")
     lo, hi = target.bounding_box()
     if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))):
         raise ValueError("target has an unbounded representation")
     d = lo.size
-    pitch = ball_radius * (2.0 / np.sqrt(d)) * (1.0 - 1e-6)
+    pitch = r * (2.0 / np.sqrt(d)) * (1.0 - 1e-6)
 
-    axes = [np.arange(lo[i] - ball_radius, hi[i] + ball_radius + pitch, pitch) for i in range(d)]
+    axes = [np.arange(lo[i] - r, hi[i] + r + pitch, pitch) for i in range(d)]
     total = int(np.prod([len(a) for a in axes]))
     if total > MAX_GRID_NODES:
         raise ValueError(
             f"grid cover would need {total} nodes (> {MAX_GRID_NODES}); "
             "reduce the target diameter, dimension, or increase ball_radius"
         )
-    mesh = np.meshgrid(*axes, indexing="ij")
-    nodes = np.stack([m.ravel() for m in mesh], axis=1)
-    kept = target.distance_to_many(nodes) <= ball_radius
-    cover = UnionOfBalls(np.compress(kept, nodes, axis=0), np.full(np.count_nonzero(kept), float(ball_radius)))
+    nodes = np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=1)
+    kept = target.distance_to_many(nodes) <= r
 
-    probes = _cover_probes(target, probe_count, seed)
-    failures = _grid_cover_failures(probes, axes, pitch, kept.reshape(mesh[0].shape), cover)
-    if failures:
-        raise CoverageError(f"{failures}/{probe_count} cover probes uncovered")
-    return cover
-
-
-def _grid_cover_failures(
-    probes: np.ndarray, axes: list[np.ndarray], pitch: float, kept: np.ndarray, cover: UnionOfBalls
-) -> int:
-    """Count ``probes`` outside ``cover``, the balls at the ``kept`` grid nodes.
-
-    ``axes`` are the grid's node coordinates per axis at spacing ``pitch``
-    and ``kept`` is the boolean node mask in meshgrid (``"ij"``) shape.
-    Rounding each probe coordinate to its axis gives the probe's nearest
-    node; a probe within the radius of that node, when it is kept, is
-    covered.  Every other probe is measured against all of ``cover``, so
-    the count equals ``verify_cover``'s for the same probes.
-    """
-    start = np.array([a[0] for a in axes])
-    last = np.array([len(a) - 1 for a in axes])
-    index = np.clip(np.rint(np.subtract(probes, start, order=_order(start.size)) / pitch), 0, last).astype(np.intp)
-    nearest = np.stack([a[i] for a, i in zip(axes, index.T)], axis=1)
-    near = _norms(probes - nearest) - cover.radii[0] <= 0
-    covered = kept[tuple(index.T)] & near
-    return int(np.count_nonzero(cover.distance_to_many(np.compress(~covered, probes, axis=0)) > 0))
+    h = math.hypot(*(float(np.max(np.diff(a))) / 2.0 for a in axes))
+    if not h < r:
+        raise CoverageError(f"grid cells reach {h} from their nearest node, not less than the radius {r}")
+    centers, radii = _region_balls(target)
+    missed = 0
+    for _, dist in _pair_distances(np.compress(~kept, nodes, axis=0), centers):
+        dist -= radii
+        missed += int(np.count_nonzero(np.min(dist, axis=1) <= h))
+    if missed:
+        raise CoverageError(f"{missed} dropped grid nodes lie within reach of the target")
+    return UnionOfBalls(np.compress(kept, nodes, axis=0), np.full(np.count_nonzero(kept), r))
 
 
 def _cover_probes(target, probe_count: int, seed: int | np.random.Generator) -> np.ndarray:
@@ -487,7 +471,9 @@ def verify_cover(target, cover: UnionOfBalls, probe_count: int, seed: int | np.r
     """Count probe points of ``target`` outside the ball union ``cover``.
 
     The brute-force reference: every probe is measured against every ball
-    of ``cover``, a :class:`~robustlab.regions.UnionOfBalls`.  Probes are
+    of ``cover``, a :class:`~robustlab.regions.UnionOfBalls`.  It samples
+    the claim that :func:`cover_compact_by_balls` certifies exactly, so a
+    certified cover gives 0 for any probes.  Probes are
     ``probe_count`` uniform samples for positive-measure targets; a
     zero-measure target (finite points, radius-zero balls) is probed at
     its defining points exactly.

@@ -8,9 +8,8 @@ A region is one of four immutable variants:
   ``(k, d)`` array of centers and a ``(k,)`` array of radii, with
   ``len(union) == k``; grid covers
   (:func:`~robustlab.geometry.cover_compact_by_balls`) are returned in
-  this form, checked on construction by a nearest-grid-node lookup with a
-  brute-force fallback (:func:`~robustlab.geometry.verify_cover` is the
-  brute-force reference);
+  this form, each certified from its target's own balls
+  (:func:`~robustlab.geometry.verify_cover` is the brute-force reference);
 * :class:`Expanded` -- the radius-``gamma`` neighborhood of another
   region, held as its union of balls ``base.expand(gamma)``; nested
   expansions collapse on construction.

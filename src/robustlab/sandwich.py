@@ -5,7 +5,8 @@ both builders produce a middle region nested (in robust-loss terms)
 between the ``r - alpha`` and ``r`` expansions:
 
 * :func:`build_point_sandwich` -- a finite point set: the radius-``alpha/2``
-  grid-cover centers of the upper expansion that lie inside it.  The left
+  grid-cover centers of the upper expansion that lie inside it, so every
+  upper point is within ``alpha/2`` of the grid's kept nodes.  The left
   loss inequality holds for hypotheses that put every point in some
   radius-``alpha`` single-label ball, which is why the audit couples it
   with regularity certificates.
@@ -13,6 +14,9 @@ between the ``r - alpha`` and ``r`` expansions:
   covering the lower expansion, each touching it.  Set inclusions
   ``lower <= middle <= upper`` hold outright, so the loss sandwich needs no
   hypothesis assumptions.
+
+Both builders are deterministic: :func:`~robustlab.geometry.cover_compact_by_balls`
+certifies each cover exactly, so ``seed`` is kept for seeded callers but not read.
 
 The audit machinery evaluates the three losses exactly for every shipped
 hypothesis variant and reports violations with witnesses instead of
@@ -77,12 +81,12 @@ def _count_bound(base: Region, r: float, alpha: float) -> int:
 
 
 def build_point_sandwich(base: Region, r: float, alpha: float, seed: int) -> SandwichTriple:
-    """Finite proxy: grid-cover centers of the upper expansion, kept inside it."""
+    """Finite proxy: the certified grid-cover centers of the upper expansion that lie inside it."""
     if not 0 < alpha < r:
         raise ValueError("need 0 < alpha < r")
     upper = base.expand(r)
     lower = base.expand(r - alpha)
-    cover = cover_compact_by_balls(upper, alpha / 2.0, seed)
+    cover = cover_compact_by_balls(upper, alpha / 2.0)
     inside = np.compress(upper.contains_many(cover.centers), cover.centers, axis=0)
     if len(inside) == 0:
         raise RuntimeError("no cover center fell inside the upper expansion")
@@ -96,13 +100,14 @@ def build_ball_sandwich(base: Region, r: float, alpha: float, seed: int) -> Sand
 
     The grid cover keeps exactly the balls whose centers are within
     ``alpha/2`` of the lower expansion, i.e. the balls intersecting it, so
-    ``lower <= middle <= upper`` as sets by the triangle inequality.
+    ``middle <= upper`` by the triangle inequality, and the cover's
+    certificate proves ``lower <= middle``.
     """
     if not 0 < alpha < r:
         raise ValueError("need 0 < alpha < r")
     upper = base.expand(r)
     lower = base.expand(r - alpha)
-    cover = cover_compact_by_balls(lower, alpha / 2.0, seed)
+    cover = cover_compact_by_balls(lower, alpha / 2.0)
     if len(cover) > _count_bound(base, r, alpha):
         raise RuntimeError("grid cover exceeded its a priori count bound")
     return SandwichTriple(lower, cover, upper, alpha, r, "balls")

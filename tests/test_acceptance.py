@@ -40,7 +40,7 @@ from robustlab.oracle_game import (
     measure_bound_audit,
     run_query_game,
 )
-from robustlab.regions import FinitePoints, RegionFamily, UnionOfBalls
+from robustlab.regions import FinitePoints, RegionFamily, UnionOfBalls, _region_balls
 from robustlab.rerm import IndexedExhaustiveOracle, make_learning_task, opt_gap_audit
 from robustlab.sandwich import (
     build_ball_sandwich,
@@ -49,7 +49,7 @@ from robustlab.sandwich import (
     sandwich_audit,
     set_inclusion_probe,
 )
-from robustlab.seeding import rng_for, seed_derive
+from robustlab.seeding import rng_for, seed_derive, uniform_sphere
 from robustlab.shatter_game import (
     best_response_learner,
     build_failure_instance,
@@ -435,6 +435,49 @@ def test_c07_sandwich_audits():
         f"inclusion_failures={inclusion_failures} (total_violations={violations})",
     )
     assert ok
+
+
+def test_c07_sandwich_tight_at_tangent_boundaries():
+    """The loss sandwich where it is tight: boundaries cut a cap of depth below alpha/2 off the lower expansion.
+
+    A halfspace, or a thick sphere (radius at least ``2 alpha``), whose boundary
+    reaches a depth in ``(0, alpha/2)`` inside the lower expansion labels only a
+    thin cap of it apart.  The finite middle still meets the cap's side: the
+    radius-``alpha/2`` cover keeps a node within ``alpha/2`` of the point
+    ``alpha/2`` beyond the cap's tip, and that node is inside the upper
+    expansion and on the cap's side.  A cover at radius ``alpha`` need not
+    keep one, so the point sandwich built from it fails here.  C07's random
+    boundaries rarely fall in this band.
+    """
+    rng = rng_for(MASTER_SEED, "c7-tight")
+    audits = 0
+    for trial in range(90):
+        kind = trial % 3
+        if kind == 0:
+            base = Ball(rng.uniform(-1, 1, 2), float(rng.uniform(0.1, 0.4)))
+        elif kind == 1:
+            base = FinitePoints(rng.uniform(-1, 1, size=(int(rng.integers(1, 4)), 2)))
+        else:
+            base = UnionOfBalls(rng.uniform(-1, 1, (2, 2)), rng.uniform(0.1, 0.3, 2))
+        r = float(rng.uniform(0.4, 0.8))
+        alpha = float(rng.uniform(0.25, 0.6)) * r
+        build = build_point_sandwich if trial % 2 == 0 else build_ball_sandwich
+        triple = build(base, r=r, alpha=alpha, seed=trial)
+        centers, radii = _region_balls(triple.lower)
+        hyps = []
+        for w in uniform_sphere(4, 2, 1.0, rng):
+            reach = centers @ w + radii
+            tip = int(np.argmax(reach))
+            depth = float(rng.uniform(0.02, 0.98)) * alpha / 2.0
+            hyps.append(LinearClassifier(w, depth - float(reach[tip])))  # +1 on the cap
+            big = float(rng.uniform(2 * alpha, 3.0))
+            hyps.append(SphereBoundary(centers[tip] + (radii[tip] + big - depth) * w, big))
+        examples = [LabeledExample(centers[0], 1), LabeledExample(centers[0], -1)]
+        report = sandwich_audit(triple, hyps, examples, seed=trial)
+        assert all(c.passed for c in report.certificates)
+        assert report.violations == (), (trial, triple.variant, report.violations)
+        audits += 1
+    _verdict("C07-tight", True, f"audits={audits} hypotheses=8 depth in (0, alpha/2), no violation")
 
 
 def test_c08_tolerant_learner_contract():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from robustlab.geometry import Ball, DimensionMismatch, SphereCover
+from robustlab.geometry import Ball, DimensionMismatch, SphereCover, cover_compact_by_balls, greedy_sphere_cover
 from robustlab.classifiers import (
     DiscreteDistribution,
     LabeledExample,
@@ -91,6 +91,14 @@ def direct_loss(h, region, y) -> int:
         lambda: TableClassifier([(0, 0), (-0.0, 0)], [1, 1]),
         lambda: TableClassifier([(0, 0), (np.nan, 0)], [1, -1]),
         lambda: TableClassifier([(0, 0), (0, np.inf)], [1, -1]),
+        lambda: cover_compact_by_balls(Ball((0, 0), 1.0), True),
+        lambda: cover_compact_by_balls(Ball((0, 0), 1.0), np.nan),
+        lambda: cover_compact_by_balls(Ball((0, 0), 1.0), np.inf),
+        lambda: greedy_sphere_cover(2, 1.0, np.nan, seed=0),
+        lambda: greedy_sphere_cover(2, np.inf, 0.5, seed=0),
+        lambda: greedy_sphere_cover(2, 1.0, True, seed=0),
+        lambda: SphereCover(1.0, True, [(1.0, 0.0)]),
+        lambda: SphereCover(np.inf, 0.5, [(1.0, 0.0)]),
     ],
     ids=[
         "ball-nan-radius",
@@ -118,6 +126,14 @@ def direct_loss(h, region, y) -> int:
         "table-signed-zero-duplicate",
         "table-nan-entry",
         "table-inf-entry",
+        "grid-cover-bool-radius",
+        "grid-cover-nan-radius",
+        "grid-cover-inf-radius",
+        "greedy-cover-nan-mesh",
+        "greedy-cover-inf-radius",
+        "greedy-cover-bool-mesh",
+        "sphere-cover-bool-mesh",
+        "sphere-cover-inf-radius",
     ],
 )
 def test_bad_numeric_input_rejected(make):

@@ -1,5 +1,6 @@
 """Euclidean primitives: distances, sphere covers, grid ball covers."""
 
+import itertools
 import math
 
 import numpy as np
@@ -17,7 +18,7 @@ from robustlab.geometry import (
     grid_cover_bound,
     verify_cover,
 )
-from robustlab.regions import Expanded, FinitePoints, UnionOfBalls
+from robustlab.regions import Expanded, FinitePoints, UnionOfBalls, _region_balls
 from robustlab.seeding import as_generator, rng_for, uniform_sphere
 
 
@@ -211,26 +212,26 @@ class TestGreedySphereCover:
 
 class TestCoverCompactByBalls:
     def test_single_point(self):
-        cover = cover_compact_by_balls(Ball((0.0, 0.0), 0.0), 1.0, seed=0)
+        cover = cover_compact_by_balls(Ball((0.0, 0.0), 0.0), 1.0)
         assert len(cover) >= 1
         assert np.all(cover.radii == 1.0)
         # a degenerate target needs exactly the nodes near it; pitch > diam
         assert len(cover) <= 4
 
     def test_interval_cover(self):
-        cover = cover_compact_by_balls(Ball(np.array([0.0]), 1.0), 0.5, seed=0)
+        cover = cover_compact_by_balls(Ball(np.array([0.0]), 1.0), 0.5)
         assert len(cover) <= 5
         assert verify_cover(Ball(np.array([0.0]), 1.0), cover, 1000, seed=5) == 0
 
     def test_union_cover_probe_verified(self):
         target = UnionOfBalls([(0, 0), (5, 0)], [1.0, 1.0])
-        cover = cover_compact_by_balls(target, 0.5, seed=0, probe_count=10_000)
+        cover = cover_compact_by_balls(target, 0.5)
         assert len(cover) <= 50
         assert verify_cover(target, cover, 10_000, seed=7) == 0
 
     def test_count_bound_formula(self):
         target = Ball((0.0, 0.0), 1.0)
-        cover = cover_compact_by_balls(target, 0.3, seed=0)
+        cover = cover_compact_by_balls(target, 0.3)
         assert len(cover) <= grid_cover_bound(target.diameter(), 0.3, 2)
 
     def test_rejects_bad_radius(self):
@@ -259,48 +260,80 @@ def random_target(kind, d, rng):
     return Expanded(FinitePoints(rng.uniform(-1, 1, (4, d))), rng.uniform(0.1, 0.4))
 
 
+def half_diagonal(axes) -> float:
+    """Half-diagonal of the largest grid cell: each axis's largest node gap halved, combined in quadrature."""
+    return math.hypot(*(float(np.max(np.diff(a))) / 2.0 for a in axes))
+
+
+def hard_probes(target, ball_radius, rng):
+    """Points where a grid cover is tightest, some inside the target and some outside.
+
+    The grid's nodes and cell midpoints (the corners of each node's
+    nearest-node cell, where a point is farthest from every node), the
+    midpoints pushed onto the nearest target sphere, and random points on
+    every target sphere; a radius-0 ball is its center.
+    """
+    _, pitch, nodes = grid_nodes(target, ball_radius)
+    mids = nodes + pitch / 2.0
+    centers, radii = _region_balls(target)
+    nearest = np.argmin(np.linalg.norm(mids[:, None, :] - centers[None, :, :], axis=-1), axis=1)
+    out = mids - centers[nearest]
+    norms = np.linalg.norm(out, axis=1, keepdims=True)
+    pushed = (centers[nearest] + radii[nearest, None] * out / np.where(norms > 0, norms, 1.0))[radii[nearest] > 0]
+    spheres = [c + uniform_sphere(50, len(c), rho, rng) if rho > 0 else c[None] for c, rho in zip(centers, radii)]
+    return np.vstack([nodes, mids, pushed, *spheres])
+
+
 class TestGridCoverCheck:
-    """The nearest-node cover check against the brute-force ``verify_cover``."""
+    """The cover certificate: exact on correct covers, and it catches a dropped node."""
 
     KINDS = ("ball", "union", "points", "point_ball", "expanded")
 
-    @pytest.mark.parametrize("d", [1, 2, 3])
-    def test_matches_verify_cover_with_centers_knocked_out(self, d, monkeypatch):
-        fallback_rows = []
-        brute = UnionOfBalls.distance_to_many
-
-        def recording(self, pts):
-            fallback_rows.append(len(pts))
-            return brute(self, pts)
-
-        failures = fell_back = 0
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_certified_covers_pass_the_brute_force_reference(self, d):
         for kind in self.KINDS:
-            for trial in range(4):
-                rng = rng_for(trial, "grid-check", kind, str(d))
+            for trial in range(3):
+                rng = rng_for(trial, "certified-cover", kind, str(d))
                 target = random_target(kind, d, rng)
                 radius = rng.uniform(0.15, 0.35)
-                axes, pitch, nodes = grid_nodes(target, radius)
-                kept = target.distance_to_many(nodes) <= radius
-                # knock out about a fifth of the kept centers, leaving at least one
-                knocked = kept & (rng.random(len(kept)) >= 0.2)
-                knocked[np.flatnonzero(kept)[0]] = True
-                shape = [len(a) for a in axes]
-                probes = geometry._cover_probes(target, 300, trial)
-                for mask in (kept, knocked):
-                    cover = UnionOfBalls(nodes[mask], np.full(np.count_nonzero(mask), radius))
-                    fallback_rows.clear()
-                    with monkeypatch.context() as m:
-                        m.setattr(UnionOfBalls, "distance_to_many", recording)
-                        got = geometry._grid_cover_failures(probes, axes, pitch, mask.reshape(shape), cover)
-                    assert got == verify_cover(target, cover, 300, trial), (kind, trial)
-                    if mask is kept:
-                        # every target point's nearest node is kept and in reach
-                        assert got == 0 and sum(fallback_rows) == 0, (kind, trial)
-                    failures += got
-                    fell_back += sum(fallback_rows)
-        # the knocked-out covers miss some probes, and cover others only
-        # through a center that is not the probe's nearest node
-        assert 0 < failures < fell_back
+                cover = cover_compact_by_balls(target, radius)
+                assert verify_cover(target, cover, 1000, trial) == 0, (kind, trial)
+                probes = hard_probes(target, radius, rng)
+                inside = probes[target.contains_many(probes)]
+                assert len(inside) > 0, (kind, trial)
+                inside = inside[rng.permutation(len(inside))[:1500]]  # bounds the d = 4 brute force
+                assert np.count_nonzero(cover.distance_to_many(inside) > 0) == 0, (kind, trial)
+
+    def test_single_hidden_node_raises_coverage_error(self, monkeypatch):
+        # each target hides the node nearest to its first ball's center, which is
+        # within reach; from d = 3 the node's neighbours cover most of its cell,
+        # and in d = 1 all of it but the node, so probes can miss the hole
+        missed_by_probes = []
+        for d, kind in itertools.product([1, 2, 3, 4], self.KINDS):
+            rng = rng_for(d, "hidden-node", kind)
+            target = random_target(kind, d, rng)
+            radius = rng.uniform(0.15, 0.35)
+            _, _, nodes = grid_nodes(target, radius)
+            center = _region_balls(target)[0][0]
+            hidden = nodes[np.argmin(np.linalg.norm(nodes - center, axis=1))]
+            honest = type(target).distance_to_many
+
+            def hiding(self, pts, target=target, hidden=hidden, honest=honest):
+                out = honest(self, pts)
+                if self is target:
+                    out[(pts == hidden).all(axis=1)] = np.inf
+                return out
+
+            with monkeypatch.context() as m:
+                m.setattr(type(target), "distance_to_many", hiding)
+                with pytest.raises(CoverageError, match="^1 dropped grid nodes lie within reach of the target$"):
+                    cover_compact_by_balls(target, radius)
+            kept = (target.distance_to_many(nodes) <= radius) & ~(nodes == hidden).all(axis=1)
+            if kept.any():  # a point target may keep the hidden node alone
+                holed = UnionOfBalls(nodes[kept], np.full(np.count_nonzero(kept), radius))
+                if verify_cover(target, holed, 1000, d) == 0:
+                    missed_by_probes.append((d, kind))
+        assert len(missed_by_probes) >= 5, missed_by_probes
 
     def test_hidden_nodes_raise_coverage_error(self):
         asked = []
@@ -316,13 +349,15 @@ class TestGridCoverCheck:
 
         target = HoledBall((0.0, 0.0), 1.0)
         with pytest.raises(CoverageError) as err:
-            cover_compact_by_balls(target, 0.2, seed=4, probe_count=500)
+            cover_compact_by_balls(target, 0.2)
+        # the certificate reads the ball's own arrays, never its distance method
         (nodes,) = asked
-        kept = (Ball.distance_to_many(target, nodes) <= 0.2) & (nodes[:, 0] <= 0.0)
-        holed = UnionOfBalls(nodes[kept], np.full(np.count_nonzero(kept), 0.2))
-        expected = verify_cover(Ball((0.0, 0.0), 1.0), holed, 500, seed=4)
+        axes, _, grid = grid_nodes(target, 0.2)
+        assert np.array_equal(nodes, grid)
+        reach = np.linalg.norm(nodes - target.center, axis=1) - target.radius <= half_diagonal(axes)
+        expected = int(np.count_nonzero(reach & (nodes[:, 0] > 0.0)))
         assert expected > 0
-        assert str(err.value) == f"{expected}/500 cover probes uncovered"
+        assert str(err.value) == f"{expected} dropped grid nodes lie within reach of the target"
 
 
 def layouts(x: np.ndarray) -> list[np.ndarray]:
@@ -354,33 +389,6 @@ class TestColumnMajorKernels:
             assert got.tobytes() == want.tobytes()
         assert blocks > 1 or d < 4  # the larger dimensions take several row blocks
 
-    @pytest.mark.parametrize("d", range(1, 11))
-    def test_grid_cover_check_matches_row_major_form(self, d):
-        rng = rng_for(d, "column-grid-check")
-        per_axis = max(2, 12 // d)
-        radius = rng.uniform(0.2, 0.4)
-        pitch = radius * (2.0 / np.sqrt(d)) * (1.0 - 1e-6)
-        axes = [rng.uniform(-1, 1) + pitch * np.arange(per_axis) for _ in range(d)]
-        nodes = np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=1)
-        kept = rng.random(len(nodes)) < 0.7
-        kept[0] = True
-        cover = UnionOfBalls(nodes[kept], np.full(np.count_nonzero(kept), radius))
-        lo, hi = nodes.min(axis=0) - radius, nodes.max(axis=0) + radius
-        probes = lo + (hi - lo) * rng.random((400, d))
-        # probes midway between nodes, where rounding to the nearest node ties
-        probes[:50] = nodes[rng.integers(len(nodes), size=50)] + pitch / 2.0
-
-        start = np.array([a[0] for a in axes])
-        index = np.clip(np.rint((probes - start) / pitch), 0, per_axis - 1).astype(np.intp)
-        nearest = np.stack([a[i] for a, i in zip(axes, index.T)], axis=1)
-        covered = kept.reshape([per_axis] * d)[tuple(index.T)]
-        covered &= np.linalg.norm(probes - nearest, axis=1) - radius <= 0
-        want = int(np.count_nonzero(cover.distance_to_many(probes[~covered]) > 0))
-        assert want == int(np.count_nonzero(cover.distance_to_many(probes) > 0))
-        for layout in layouts(probes):
-            got = geometry._grid_cover_failures(layout, axes, pitch, kept.reshape([per_axis] * d), cover)
-            assert got == want
-
 
 class TestExpansionDistanceConsistency:
     def test_membership_iff_distance(self):
@@ -392,3 +400,14 @@ class TestExpansionDistanceConsistency:
         dist = region.distance_to_many(pts)
         inside = grown.contains_many(pts)
         assert np.array_equal(inside, dist <= gamma)
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_distance_zero_iff_contained_for_every_kind(self, d):
+        # on the cross-check's probes: grid nodes, cell midpoints and sphere points
+        for kind in TestGridCoverCheck.KINDS:
+            rng = rng_for(d, "distance-membership", kind)
+            target = random_target(kind, d, rng)
+            pts = np.vstack([hard_probes(target, rng.uniform(0.15, 0.35), rng), geometry._cover_probes(target, 500, d)])
+            inside = target.contains_many(pts)
+            assert np.array_equal(target.distance_to_many(pts) <= 0, inside), kind
+            assert 0 < inside.sum() < len(pts), kind

@@ -230,7 +230,7 @@ class TestUnionMembership:
     def test_many_balls_in_bounded_memory(self):
         # 1,000 probes against 4,073 balls are tested ball by ball in row
         # blocks of about 2**18 floats: no (rows, k, d) temporary
-        cover = cover_compact_by_balls(Ball((0.0, 0.0), 1.0), 0.02, seed=0)
+        cover = cover_compact_by_balls(Ball((0.0, 0.0), 1.0), 0.02)
         assert len(cover) == 4073
         probes = uniform_sample(Ball((0.0, 0.0), 1.1), 1000, 3)
         tracemalloc.start()
@@ -266,7 +266,7 @@ class TestDiameter:
     def test_pairwise_scans_in_bounded_memory(self, variant):
         # a (k, k, d) difference array over 1,052 centres holds 17.7 MB per
         # temporary (50.7 MB peak); row blocks keep each near 2**20 floats
-        cover = cover_compact_by_balls(Ball((0.0, 0.0), 1.0), 0.04, seed=0)
+        cover = cover_compact_by_balls(Ball((0.0, 0.0), 1.0), 0.04)
         assert len(cover) == 1052
         angles = np.linspace(0.0, 2.0 * np.pi, len(cover), endpoint=False)
         circle = np.stack([np.cos(angles), np.sin(angles)], axis=1)  # neighbours 0.00597 apart
@@ -300,7 +300,7 @@ class TestDistanceToMany:
         # 1,000 probes against 4,073 centers in one (rows, k, d) block would
         # hold 65 MB per temporary; blocks of about 2**20 floats hold 8 MB
         disc = Ball((0.0, 0.0), 1.0)
-        cover = cover_compact_by_balls(disc, 0.02, seed=0)
+        cover = cover_compact_by_balls(disc, 0.02)
         assert len(cover) == 4073
         region = cover if variant == "union" else FinitePoints(cover.centers)
         probes = uniform_sample(disc, 1000, 3)

@@ -105,10 +105,11 @@ def test_sandwich_audit_counts_through_shared_ball_geometry():
         # geometry must leave unchanged.  The control table's row reads its
         # entries against the stacked balls, not through contains_many, and
         # halfspace and thick-sphere certificates draw no probes, so only
-        # the control's certificate samples its domain.  Each audit builds
-        # its certificate domain, one Ball, once for all its hypotheses.
-        assert spans.calls["regions.contains_many"] == 19
-        assert spans.counts["regions.contains_many.rows"] == 8255
+        # the control's certificate samples its domain, and grid covers are
+        # certified from their targets' balls without probes.  Each audit
+        # builds its certificate domain, one Ball, once for all its hypotheses.
+        assert spans.calls["regions.contains_many"] == 6
+        assert spans.counts["regions.contains_many.rows"] == 1034
         assert spans.counts["geometry.Ball.init.calls"] == 17
         # scalar queries test their one row without a contains_many span
         calls = spans.calls["regions.contains_many"]
