@@ -450,7 +450,7 @@ def test_c07_sandwich_tight_at_tangent_boundaries():
     boundaries rarely fall in this band.
     """
     rng = rng_for(MASTER_SEED, "c7-tight")
-    audits = 0
+    violations = 0
     for trial in range(90):
         kind = trial % 3
         if kind == 0:
@@ -475,9 +475,10 @@ def test_c07_sandwich_tight_at_tangent_boundaries():
         examples = [LabeledExample(centers[0], 1), LabeledExample(centers[0], -1)]
         report = sandwich_audit(triple, hyps, examples, seed=trial)
         assert all(c.passed for c in report.certificates)
-        assert report.violations == (), (trial, triple.variant, report.violations)
-        audits += 1
-    _verdict("C07-tight", True, f"audits={audits} hypotheses=8 depth in (0, alpha/2), no violation")
+        violations += len(report.violations)
+    ok = violations == 0
+    _verdict("C07-tight", ok, f"violations={violations} over 90 audits of 8 boundaries at depth in (0, alpha/2)")
+    assert ok
 
 
 def test_c08_tolerant_learner_contract():

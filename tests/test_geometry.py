@@ -260,11 +260,6 @@ def random_target(kind, d, rng):
     return Expanded(FinitePoints(rng.uniform(-1, 1, (4, d))), rng.uniform(0.1, 0.4))
 
 
-def half_diagonal(axes) -> float:
-    """Half-diagonal of the largest grid cell: each axis's largest node gap halved, combined in quadrature."""
-    return math.hypot(*(float(np.max(np.diff(a))) / 2.0 for a in axes))
-
-
 def hard_probes(target, ball_radius, rng):
     """Points where a grid cover is tightest, some inside the target and some outside.
 
@@ -306,8 +301,8 @@ class TestGridCoverCheck:
 
     def test_single_hidden_node_raises_coverage_error(self, monkeypatch):
         # each target hides the node nearest to its first ball's center, which is
-        # within reach; from d = 3 the node's neighbours cover most of its cell,
-        # and in d = 1 all of it but the node, so probes can miss the hole
+        # within reach; from d = 3 the node's neighbours cover all of its cell but
+        # a small ball around the node, or all of it, so 1,000 probes miss the hole
         missed_by_probes = []
         for d, kind in itertools.product([1, 2, 3, 4], self.KINDS):
             rng = rng_for(d, "hidden-node", kind)
@@ -335,6 +330,11 @@ class TestGridCoverCheck:
                     missed_by_probes.append((d, kind))
         assert len(missed_by_probes) >= 5, missed_by_probes
 
+    def test_grid_too_fine_for_its_coordinates_raises_coverage_error(self):
+        # doubles near 1e9 are 1.19e-7 apart, so the 2e-7 pitch rounds to gaps of up to 2.4e-7
+        with pytest.raises(CoverageError, match="^grid cells reach 1.19.* not less than the radius 1e-07$"):
+            cover_compact_by_balls(Ball((1e9,), 1e-6), 1e-7)
+
     def test_hidden_nodes_raise_coverage_error(self):
         asked = []
 
@@ -354,7 +354,9 @@ class TestGridCoverCheck:
         (nodes,) = asked
         axes, _, grid = grid_nodes(target, 0.2)
         assert np.array_equal(nodes, grid)
-        reach = np.linalg.norm(nodes - target.center, axis=1) - target.radius <= half_diagonal(axes)
+        # h, the half-diagonal of the largest grid cell: each axis's largest node gap halved, in quadrature
+        h = math.hypot(*(float(np.max(np.diff(a))) / 2.0 for a in axes))
+        reach = np.linalg.norm(nodes - target.center, axis=1) - target.radius <= h
         expected = int(np.count_nonzero(reach & (nodes[:, 0] > 0.0)))
         assert expected > 0
         assert str(err.value) == f"{expected} dropped grid nodes lie within reach of the target"
