@@ -34,7 +34,7 @@ from typing import Union
 
 import numpy as np
 
-from .geometry import Ball, as_point, _batch, _check_same_dim, _cover_probes, _is_integer, _norms
+from .geometry import Ball, as_point, _batch, _check_same_dim, _is_integer, _norms
 from .geometry import _order, _pair_distances, _radius, _readonly, _sq_norms, _union_distances
 from .regions import Region, RegionFamily, _region_balls, uniform_sample
 from .seeding import as_generator, uniform_sphere
@@ -50,7 +50,6 @@ __all__ = [
     "UnsupportedPairError",
     "robust_loss_point",
     "robust_loss_distribution",
-    "robust_loss_sampled",
     "violation_radius",
     "RegularityCertificate",
     "regularity_check",
@@ -410,22 +409,6 @@ def robust_loss_distribution(h: Hypothesis, family: RegionFamily, dist: Discrete
     """Exact expected robust loss: the loss row over the atoms times their probabilities."""
     regions = [family.region_for(ex.x) for ex in dist.examples]
     return float(_loss_table([h], regions, dist.examples)[0] @ dist.probabilities)
-
-
-def robust_loss_sampled(
-    h: Hypothesis,
-    region: Region,
-    ex: LabeledExample,
-    n_samples: int,
-    seed,
-) -> int:
-    """One-sided sampled loss check: may miss witnesses, never invents them.
-
-    Positive-measure regions are probed with ``n_samples`` uniform draws;
-    a zero-measure region (finite points, radius-zero balls) is enumerated
-    exactly at its defining points, as a cover check probes it.
-    """
-    return int(np.any(h.predict_many(_cover_probes(region, n_samples, seed)) != ex.y))
 
 
 @dataclass(frozen=True)

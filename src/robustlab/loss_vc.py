@@ -12,20 +12,25 @@ classifiers module's loss table, the pattern of a hypothesis on a sample is
 a row of it, and the pattern set on a subset is the set of distinct rows of
 the matrix restricted to the subset's columns.  One column-projection
 search serves the robust, plain 0-1 and ordinary VC searches.
+
+The searches and the growth-function audit count patterns a block of
+subsets at a time with :func:`_pattern_counts`, over the matrix mapped once
+to 0/1 bits; it must be two-valued (0/1 losses or +-1 labelings), and a
+third value raises ``ValueError``.  Witness maps use :func:`_row_witnesses`.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations, islice
 from typing import Sequence
 
 import numpy as np
 
 from .classifiers import FiniteClass, LabeledExample, _loss_table
 from .geometry import Ball
-from .regions import FinitePoints, Region, RegionFamily
+from .regions import Region, RegionFamily
 
 __all__ = [
     "loss_patterns",
@@ -36,7 +41,6 @@ __all__ = [
     "zero_one_vc_search",
     "class_vc_on_points",
     "sauer_bound",
-    "distinct_pattern_correspondence",
     "OverheadRow",
     "overhead_audit",
     "vball_shatter_check",
@@ -44,6 +48,10 @@ __all__ = [
 
 # Cap on the subsets one shattering search may scan.
 SUBSET_BUDGET = 1_000_000
+# Pattern codes one block of :func:`_pattern_counts` holds, as ``_pair_distances`` sizes its blocks.
+BLOCK_CODES = 2**20
+# Widest subset whose pattern fits one int64 code.
+MAX_SUBSET_WIDTH = 62
 
 
 def _family_regions(family: RegionFamily, sample: Sequence[LabeledExample]) -> list[Region]:
@@ -56,6 +64,35 @@ def _row_witnesses(matrix: np.ndarray) -> dict[tuple[int, ...], int]:
     for idx, row in enumerate(matrix.tolist()):
         out.setdefault(tuple(row), idx)
     return out
+
+
+def _bits(matrix: np.ndarray) -> np.ndarray:
+    """A two-valued matrix as (column x row) int64 bits, its lower value 0; a third value raises."""
+    values = np.unique(matrix)
+    if len(values) > 2:
+        raise ValueError(f"pattern counts need a two-valued matrix, got {len(values)} values")
+    return np.ascontiguousarray((matrix != values[:1]).T, dtype=np.int64)
+
+
+def _pattern_counts(bits: np.ndarray, m: int):
+    """``(subsets, counts)`` per block of the m-column subsets, in lexicographic order.
+
+    ``subsets`` is a ``(b, m)`` index array into the columns of the matrix
+    that :func:`_bits` mapped, and ``counts[i]`` the number of its distinct
+    rows on ``subsets[i]``: the number of distinct codes
+    ``sum_j bits[subsets[i, j]] << j``, counted after a sort.
+    """
+    if m > MAX_SUBSET_WIDTH:
+        raise ValueError(f"subsets of {m} columns overflow an int64 pattern code (at most {MAX_SUBSET_WIDTH})")
+    n, rows = bits.shape
+    size = max(1, BLOCK_CODES // max(1, rows))
+    subsets = combinations(range(n), m)
+    while len(block := np.fromiter(chain.from_iterable(islice(subsets, size)), np.intp).reshape(-1, m)):
+        codes = bits[block[:, 0]]
+        for j in range(1, m):
+            codes |= bits[block[:, j]] << j
+        codes.sort(axis=1)
+        yield block, np.count_nonzero(codes[:, 1:] != codes[:, :-1], axis=1) + 1
 
 
 def loss_patterns(
@@ -105,13 +142,18 @@ class VcEstimate:
 
 
 def _search_vc(matrix: np.ndarray, max_m: int, subset_budget: float) -> VcEstimate:
-    """Shattering search over the columns of a (hypothesis x point) matrix.
+    """Shattering search over the columns of a two-valued (hypothesis x point) matrix.
 
     A column subset is shattered when the rows restricted to it take all
     ``2**m`` values.  Subsets are scanned by increasing size in
-    lexicographic order, with early exit per size.
+    lexicographic order, a block at a time through :func:`_pattern_counts`,
+    with early exit per size: the first shattered subset of a block counts
+    the block's subsets up to and including it as scanned.  When ``2**m``
+    exceeds the row count no m-subset can be shattered (pigeonhole), and the
+    whole size class is counted as scanned without computing a pattern.
     """
-    n = matrix.shape[1]
+    bits = _bits(matrix)
+    n, rows = bits.shape
     lower = 0
     scanned = 0
     for m in range(1, max_m + 1):
@@ -119,11 +161,15 @@ def _search_vc(matrix: np.ndarray, max_m: int, subset_budget: float) -> VcEstima
         if scanned + total > subset_budget:
             return VcEstimate(lower, None, scanned, True)
         found = False
-        for cols in combinations(range(n), m):
-            scanned += 1
-            if len(_row_witnesses(matrix[:, list(cols)])) == 2**m:
-                found = True
-                break
+        if 2**m > rows:
+            scanned += total
+        else:
+            for block, counts in _pattern_counts(bits, m):
+                hits = np.flatnonzero(counts == 2**m)
+                found = len(hits) > 0
+                scanned += int(hits[0]) + 1 if found else len(block)
+                if found:
+                    break
         if not found:
             # no m-subset shattered, so no larger subset can be either
             return VcEstimate(lower, lower, scanned, False)
@@ -177,31 +223,6 @@ def sauer_bound(vc: int, n: int) -> int:
     return sum(math.comb(n, i) for i in range(min(vc, n) + 1))
 
 
-def distinct_pattern_correspondence(
-    cls: FiniteClass, family: RegionFamily, sample: Sequence[LabeledExample]
-) -> list[tuple[int, int]]:
-    """Pairs with distinct loss patterns but identical labelings on the
-    inflated point set (must be empty: distinct loss behavior on a sample
-    forces distinct base labelings of the union of its regions)."""
-    regions = _family_regions(family, sample)
-    region_pts = []
-    for region in regions:
-        if isinstance(region, FinitePoints):
-            region_pts.append(region.points)
-        else:
-            raise ValueError("correspondence check needs finite-point regions")
-    T = np.vstack(region_pts)
-
-    patterns = [tuple(row) for row in _loss_table(cls, regions, sample).tolist()]
-    labelings = [tuple(h.predict_many(T).tolist()) for h in cls]
-    bad = []
-    for i in range(len(cls)):
-        for j in range(i + 1, len(cls)):
-            if patterns[i] != patterns[j] and labelings[i] == labelings[j]:
-                bad.append((i, j))
-    return bad
-
-
 @dataclass(frozen=True)
 class OverheadRow:
     """One audited cell of the region-size overhead table."""
@@ -227,7 +248,9 @@ def overhead_audit(
     within the Sauer bound implied by that ordinary VC (zero violations
     expected; the count bound is what caps the loss-class dimension at
     d * log(d k) scale).  A subset's inflated point count is the sum of its
-    examples' region sizes, repeats included.
+    examples' region sizes, repeats included.  The check runs a block of
+    subsets at a time through :func:`_pattern_counts`, against a table of
+    ``sauer_bound(base_vc, t)`` per inflated total ``t``.
     """
     rows = []
     for d, k, cls, family, universe in instances:
@@ -235,16 +258,17 @@ def overhead_audit(
         matrix = _loss_table(cls, regions, universe)
         estimate = _search_vc(matrix, max_m, SUBSET_BUDGET)
         region_pts = [region.points for region in regions]
-        sizes = [len(pts) for pts in region_pts]
+        sizes = np.array([len(pts) for pts in region_pts])
         base_vc = class_vc_on_points(cls, np.unique(np.vstack(region_pts), axis=0))
+        # a count never exceeds the row count, so capping the bound there keeps the table in int64
+        caps = np.array([min(sauer_bound(base_vc, t), len(cls)) for t in range(sizes.sum() + 1)])
+        bits = _bits(matrix)
         ok = True
         checks = 0
         for m in range(1, min(len(universe), max_m) + 1):
-            for cols in combinations(range(len(universe)), m):
-                n_patterns = len(_row_witnesses(matrix[:, list(cols)]))
-                checks += 1
-                if n_patterns > sauer_bound(base_vc, sum(sizes[i] for i in cols)):
-                    ok = False
+            for block, counts in _pattern_counts(bits, m):
+                checks += len(block)
+                ok = ok and not np.any(counts > caps[sizes[block].sum(axis=1)])
         rows.append(
             OverheadRow(d, k, estimate.dimension_lower, estimate.dimension_upper, base_vc, ok, checks)
         )

@@ -248,13 +248,14 @@ def run_robust_vc_audit(params: dict, seed: int):
         instances.append((1, int(k), cls, fam, examples))
 
     rows_data = loss_vc.overhead_audit(instances, max_m=params["max_m"])
+    scanned_m = min(params["max_m"], params["universe_size"])  # the audit scans no larger subset
     rows = [
         {
             "d": row.d,
             "k": row.k,
             "vc_lower": row.vc_lower,
             "vc_upper": -1 if row.vc_upper is None else row.vc_upper,
-            "bound_value": loss_vc.sauer_bound(row.base_vc_on_regions, row.k * params["max_m"]),
+            "bound_value": loss_vc.sauer_bound(row.base_vc_on_regions, row.k * scanned_m),
             "pass": row.sauer_ok,
         }
         for row in rows_data

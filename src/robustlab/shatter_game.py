@@ -36,7 +36,6 @@ __all__ = [
     "cap_mismatch_fraction",
     "ShatterFamily",
     "build_shatter_family",
-    "stipulation_one_failures",
     "FailureInstance",
     "build_failure_instance",
     "export_instance",
@@ -181,18 +180,6 @@ def build_shatter_family(
         i, j = np.argwhere(losses)[0]
         raise RuntimeError(f"witness {i} is positive on cell {j}: construction bug")
     return ShatterFamily(W, beta, M, cover, tuple(cells), witnesses)
-
-
-def stipulation_one_failures(family: ShatterFamily, hypotheses) -> int:
-    """Count hypotheses that are positive nowhere on the sampled sphere.
-
-    Every bounded halfspace crosses the sphere (its boundary is closer to
-    the origin than the sphere radius), so with dense enough cell samples
-    the count should be zero.
-    """
-    pts = family.all_points()
-    losses = _loss_table(hypotheses, [FinitePoints(pts)], [LabeledExample(pts[0], -1)])
-    return int(np.count_nonzero(losses == 0))  # robustly -1: positive nowhere
 
 
 @dataclass(frozen=True, eq=False)

@@ -27,7 +27,6 @@ from robustlab.geometry import Ball
 from robustlab.harness import ExperimentConfig, run
 from robustlab.loss_vc import (
     class_vc_on_points,
-    distinct_pattern_correspondence,
     loss_patterns,
     robust_vc_search,
     sauer_bound,
@@ -58,8 +57,8 @@ from robustlab.shatter_game import (
     cross_loss_exact,
     cross_loss_formula,
     run_adversarial_game,
-    stipulation_one_failures,
 )
+from references import distinct_pattern_correspondence, stipulation_one_failures
 
 MASTER_SEED = 20258
 

@@ -20,13 +20,13 @@ from robustlab.classifiers import (
     regularity_check,
     robust_loss_distribution,
     robust_loss_point,
-    robust_loss_sampled,
     violation_radius,
 )
 from robustlab.oracle_game import build_oracle_game, run_query_game
 from robustlab.regions import Expanded, FinitePoints, RegionFamily, UnionOfBalls, _region_balls, point_key, uniform_sample
 from robustlab.seeding import as_generator, rng_for, uniform_sphere
 from robustlab.shatter_game import build_failure_instance, build_shatter_family
+from references import robust_loss_sampled
 from test_geometry import layouts, spread
 
 

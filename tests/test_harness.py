@@ -547,6 +547,15 @@ class TestRunAndWrite:
         body = b"".join(line for line in lines if not line.startswith(b"# config:"))
         assert hashlib.sha256(body).hexdigest() == digest
 
+    def test_robust_vc_audit_bound_is_the_cap_at_the_largest_scanned_size(self):
+        # max_m above universe_size: the audit scans subsets of at most 3
+        # examples, so a threshold class (base VC 1) with k-point regions is
+        # capped at sauer(1, 3k) = 4, 7, 10, not sauer(1, 4k) = 5, 9, 13
+        params = {"universe_size": 3, "thresholds": 12, "max_m": 4}
+        record = run(ExperimentConfig.from_dict({"experiment": "robust_vc_audit", "seed": 11, "params": params}))
+        assert [row["k"] for row in record.rows] == [1, 2, 3]
+        assert [row["bound_value"] for row in record.rows] == [4, 7, 10]
+
 
 def plain_state(state: dict) -> dict:
     """A bit-generator state with its arrays (Philox's counter, key and buffer) as lists, so ``==`` compares it."""

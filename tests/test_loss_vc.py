@@ -1,10 +1,13 @@
 """Robust loss classes, exhaustive shattering, and growth-function checks."""
 
+import math
 from itertools import combinations
 
 import numpy as np
+import pytest
 
 import robustlab.classifiers
+import robustlab.loss_vc
 from robustlab.classifiers import (
     FiniteClass,
     LabeledExample,
@@ -16,9 +19,13 @@ from robustlab.classifiers import (
 )
 from robustlab.geometry import Ball
 from robustlab.loss_vc import (
+    MAX_SUBSET_WIDTH,
     OverheadRow,
+    _bits,
+    _pattern_counts,
+    _row_witnesses,
+    _search_vc,
     class_vc_on_points,
-    distinct_pattern_correspondence,
     loss_patterns,
     overhead_audit,
     pattern_witnesses,
@@ -28,6 +35,7 @@ from robustlab.loss_vc import (
     zero_one_vc_search,
 )
 from robustlab.regions import FinitePoints, RegionFamily, UnionOfBalls
+from references import distinct_pattern_correspondence
 
 
 def ex(x, y):
@@ -339,12 +347,16 @@ class TestLossMatrixAgainstRecomputation:
                 scanned,
             )
 
-    def test_overhead_rows_match_recomputation(self, monkeypatch):
+    @pytest.mark.parametrize("block_codes", [None, 1, 2 * 23])
+    def test_overhead_rows_match_recomputation(self, monkeypatch, block_codes):
         examples = self.examples()
         cls = mixed_class(self.xs)
         fam = self.finite_points_family()
         instances = [(2, 2, cls, fam, examples), (2, 1, cls, singleton_family(examples), examples)]
         expected = [reference_overhead_row(*inst, max_m=3) for inst in instances]
+        if block_codes is not None:
+            # one subset per block, then two per block for the 23 hypotheses
+            monkeypatch.setattr(robustlab.loss_vc, "BLOCK_CODES", block_codes)
 
         shapes = []
         table = robustlab.classifiers._violation_table
@@ -359,3 +371,143 @@ class TestLossMatrixAgainstRecomputation:
         # one table evaluation per instance, covering every (hypothesis,
         # example) cell, shared by the search and the Sauer pass
         assert shapes == [(len(cls), len(examples))] * len(instances)
+
+
+# --------------------------------------------------------------------------
+# the block pattern-count kernel against the one-subset-at-a-time loop
+# --------------------------------------------------------------------------
+#
+# robust_vc_search, zero_one_vc_search, class_vc_on_points and the Sauer pass
+# of overhead_audit all count patterns with _pattern_counts, so C09's
+# comparison of the robust and 0-1 searches cannot catch a kernel fault.
+# The independent check is this file's references: reference_search and
+# reference_overhead_row above recompute every subset from
+# robust_loss_point, and row_witness_search below is the search loop that
+# builds one _row_witnesses dict per subset.
+
+
+def row_witness_search(matrix, max_m, subset_budget=math.inf):
+    """(lower, upper, scanned, budget_exceeded), one subset at a time."""
+    n = matrix.shape[1]
+    lower = scanned = 0
+    for m in range(1, max_m + 1):
+        if scanned + math.comb(n, m) > subset_budget:
+            return lower, None, scanned, True
+        found = False
+        for cols in combinations(range(n), m):
+            scanned += 1
+            if len(_row_witnesses(matrix[:, list(cols)])) == 2**m:
+                found = True
+                break
+        if not found:
+            return lower, lower, scanned, False
+        lower = m
+    return lower, (lower if lower < max_m else None), scanned, False
+
+
+def as_tuple(est):
+    return est.dimension_lower, est.dimension_upper, est.subsets_scanned, est.budget_exceeded
+
+
+def counts_by_loop(matrix, m):
+    return [len(_row_witnesses(matrix[:, list(cols)])) for cols in combinations(range(matrix.shape[1]), m)]
+
+
+class TestPatternCountKernel:
+    def test_random_matrices_match_the_loop(self):
+        rng = np.random.default_rng(27)
+        for trial in range(30):
+            rows, n = int(rng.integers(1, 40)), int(rng.integers(1, 9))
+            matrix = (rng.random((rows, n)) < rng.uniform(0.1, 0.9)).astype(np.int8)
+            for max_m in (1, 3, n + 1):
+                assert as_tuple(_search_vc(matrix, max_m, math.inf)) == row_witness_search(matrix, max_m)
+
+    @pytest.mark.parametrize("per_block", [9, 10, 11, 3, 5, 1])
+    def test_block_boundaries(self, monkeypatch, per_block):
+        # 5 columns give a size class of 10 pairs and 10 triples: one block
+        # holds more, exactly as many or fewer of them (3 leaves a partial
+        # last block, 5 splits evenly)
+        rng = np.random.default_rng(per_block)
+        matrix = (rng.random((12, 5)) < 0.5).astype(np.int8)
+        monkeypatch.setattr(robustlab.loss_vc, "BLOCK_CODES", per_block * len(matrix))
+        bits = _bits(matrix)
+        for m in range(1, 6):
+            blocks = list(_pattern_counts(bits, m))
+            assert all(len(block) == min(per_block, math.comb(5, m)) for block, _ in blocks[:-1])
+            assert np.vstack([block for block, _ in blocks]).tolist() == [list(c) for c in combinations(range(5), m)]
+            assert np.concatenate([counts for _, counts in blocks]).tolist() == counts_by_loop(matrix, m)
+
+    @pytest.mark.parametrize("per_block", [1, 3, 4, 10])
+    def test_first_shattered_subset_counts_its_block_up_to_it(self, monkeypatch, per_block):
+        # rows realize every pattern on columns (2, 3) only, the sixth of the
+        # ten pairs, so the search stops inside a block or at its edge
+        cols23 = np.array([[a, b] for a in (0, 1) for b in (0, 1)])
+        matrix = np.hstack([np.zeros((4, 2), int), cols23, np.zeros((4, 1), int)])
+        monkeypatch.setattr(robustlab.loss_vc, "BLOCK_CODES", per_block * len(matrix))
+        est = _search_vc(matrix, 4, math.inf)
+        assert as_tuple(est) == row_witness_search(matrix, 4) == (2, 2, 5 + 6 + 10, False)
+
+    def test_pigeonhole_size_counts_the_whole_class_unscanned(self, monkeypatch):
+        # 3 rows cannot take the 4 patterns of a pair
+        matrix = np.array([[0, 1, 0, 1, 1, 0], [1, 0, 0, 1, 0, 1], [1, 1, 1, 0, 0, 0]])
+        sizes = []
+        kernel = robustlab.loss_vc._pattern_counts
+
+        def counted(bits, m):
+            sizes.append(m)
+            return kernel(bits, m)
+
+        monkeypatch.setattr(robustlab.loss_vc, "_pattern_counts", counted)
+        est = _search_vc(matrix, 4, math.inf)
+        assert as_tuple(est) == row_witness_search(matrix, 4) == (1, 1, 1 + 15, False)
+        assert sizes == [1]
+
+    @pytest.mark.parametrize("budget", [0, 5, 6, 15, 16, 21, 22, 10**6])
+    def test_budget_exceeded_matches_the_loop(self, budget):
+        # 6 full columns over 64 rows: every subset is shattered, so size m
+        # scans one subset, but it starts only if the m - 1 scanned so far
+        # and all C(6, m) fit the budget; size 3 needs the most, 2 + 20
+        matrix = np.array([[(r >> j) & 1 for j in range(6)] for r in range(64)])
+        assert as_tuple(_search_vc(matrix, 6, budget)) == row_witness_search(matrix, 6, budget)
+        assert _search_vc(matrix, 6, budget).budget_exceeded == (budget < 22)
+
+    def test_plus_minus_one_labelings(self):
+        rng = np.random.default_rng(5)
+        cls = FiniteClass(tuple(linear_net_2d(2.0, 8, 5)))
+        for trial in range(4):
+            points = rng.uniform(-1.5, 1.5, size=(5, 2))
+            labelings = np.array([h.predict_many(points) for h in cls])
+            assert set(np.unique(labelings)) == {-1, 1}
+            assert class_vc_on_points(cls, points) == row_witness_search(labelings, 5)[0]
+        # every labeling of 3 points shatters them
+        pts = np.array([[float(i)] for i in range(3)])
+        tables = FiniteClass(
+            tuple(TableClassifier(pts, [1 if b & (1 << i) else -1 for i in range(3)], default=1) for b in range(8))
+        )
+        assert class_vc_on_points(tables, pts) == 3
+
+    def test_sauer_cap_met_with_equality_on_mixed_region_sizes(self):
+        # four tables of VC 1 on the points 0, 1, 2: (+++), (+-+), (-++) and
+        # (-+-); the pair with regions {0} and {1, 2} takes all 4 patterns,
+        # exactly sauer(1, 1 + 2), so the cap must use each subset's own total
+        pts = np.array([[0.0], [1.0], [2.0]])
+        signs = [(1, 1, 1), (1, -1, 1), (-1, 1, 1), (-1, 1, -1)]
+        cls = FiniteClass(tuple(TableClassifier(pts, list(labels), default=1) for labels in signs))
+        examples = [ex((0.0,), 1), ex((1.0,), 1)]
+        fam = RegionFamily([(pts[0], FinitePoints(pts[:1])), (pts[1], FinitePoints(pts[1:]))])
+        assert len(loss_patterns(cls, fam, examples)) == sauer_bound(1, 3) == 4
+        row = overhead_audit([(1, 2, cls, fam, examples)], max_m=2)[0]
+        assert row == reference_overhead_row(1, 2, cls, fam, examples, 2)
+        assert (row.base_vc_on_regions, row.sauer_ok, row.pattern_checks) == (1, True, 3)
+
+    def test_rejects_a_third_value(self):
+        with pytest.raises(ValueError, match="two-valued"):
+            _search_vc(np.array([[0, 1], [1, 2]]), 2, math.inf)
+
+    def test_rejects_subsets_too_wide_for_a_code(self):
+        bits = _bits(np.vstack([np.zeros(MAX_SUBSET_WIDTH + 1, int), np.ones(MAX_SUBSET_WIDTH + 1, int)]))
+        with pytest.raises(ValueError, match="overflow"):
+            list(_pattern_counts(bits, MAX_SUBSET_WIDTH + 1))
+        # the widest code still counts exactly
+        blocks = list(_pattern_counts(bits[:MAX_SUBSET_WIDTH], MAX_SUBSET_WIDTH))
+        assert [counts.tolist() for _, counts in blocks] == [[2]]

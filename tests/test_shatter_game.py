@@ -18,9 +18,9 @@ from robustlab.shatter_game import (
     positive_cap_radius,
     random_consistent_learner,
     run_adversarial_game,
-    stipulation_one_failures,
     tangent_hypothesis,
 )
+from references import stipulation_one_failures
 
 
 class TestTangentHypothesis:
