@@ -347,16 +347,12 @@ class TestLossMatrixAgainstRecomputation:
                 scanned,
             )
 
-    @pytest.mark.parametrize("block_codes", [None, 1, 2 * 23])
-    def test_overhead_rows_match_recomputation(self, monkeypatch, block_codes):
+    def test_overhead_rows_match_recomputation(self, monkeypatch):
         examples = self.examples()
         cls = mixed_class(self.xs)
         fam = self.finite_points_family()
         instances = [(2, 2, cls, fam, examples), (2, 1, cls, singleton_family(examples), examples)]
         expected = [reference_overhead_row(*inst, max_m=3) for inst in instances]
-        if block_codes is not None:
-            # one subset per block, then two per block for the 23 hypotheses
-            monkeypatch.setattr(robustlab.loss_vc, "BLOCK_CODES", block_codes)
 
         shapes = []
         table = robustlab.classifiers._violation_table
@@ -371,6 +367,15 @@ class TestLossMatrixAgainstRecomputation:
         # one table evaluation per instance, covering every (hypothesis,
         # example) cell, shared by the search and the Sauer pass
         assert shapes == [(len(cls), len(examples))] * len(instances)
+
+    @pytest.mark.parametrize("per_block", [1, 2])
+    def test_overhead_rows_match_recomputation_in_small_blocks(self, monkeypatch, per_block):
+        examples = self.examples()
+        cls = mixed_class(self.xs)
+        instances = [(2, 2, cls, self.finite_points_family(), examples), (2, 1, cls, singleton_family(examples), examples)]
+        expected = [reference_overhead_row(*inst, max_m=3) for inst in instances]
+        monkeypatch.setattr(robustlab.loss_vc, "BLOCK_CODES", per_block * len(cls))
+        assert overhead_audit(instances, max_m=3) == expected
 
 
 # --------------------------------------------------------------------------
