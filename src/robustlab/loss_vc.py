@@ -50,6 +50,8 @@ __all__ = [
 SUBSET_BUDGET = 1_000_000
 # Pattern codes one block of :func:`_pattern_counts` holds, as ``_pair_distances`` sizes its blocks.
 BLOCK_CODES = 2**20
+# Codes in the first block of a size class; blocks double from here, so an early exit costs little.
+FIRST_BLOCK_CODES = 2**12
 # Widest subset whose pattern fits one int64 code.
 MAX_SUBSET_WIDTH = 62
 
@@ -67,11 +69,17 @@ def _row_witnesses(matrix: np.ndarray) -> dict[tuple[int, ...], int]:
 
 
 def _bits(matrix: np.ndarray) -> np.ndarray:
-    """A two-valued matrix as (column x row) int64 bits, its lower value 0; a third value raises."""
-    values = np.unique(matrix)
-    if len(values) > 2:
-        raise ValueError(f"pattern counts need a two-valued matrix, got {len(values)} values")
-    return np.ascontiguousarray((matrix != values[:1]).T, dtype=np.int64)
+    """A two-valued matrix as (column x row) int64 bits, 1 where it differs from its first entry.
+
+    Flipping every bit maps each subset's codes one to one, so either value
+    may read 0; a third value raises.
+    """
+    flat = matrix.ravel()
+    bits = flat != flat[:1]
+    other = flat[bits]
+    if np.any(other != other[:1]):
+        raise ValueError(f"pattern counts need a two-valued matrix, got {len(np.unique(matrix))} values")
+    return np.ascontiguousarray(bits.reshape(matrix.shape).T, dtype=np.int64)
 
 
 def _pattern_counts(bits: np.ndarray, m: int):
@@ -85,7 +93,8 @@ def _pattern_counts(bits: np.ndarray, m: int):
     if m > MAX_SUBSET_WIDTH:
         raise ValueError(f"subsets of {m} columns overflow an int64 pattern code (at most {MAX_SUBSET_WIDTH})")
     n, rows = bits.shape
-    size = max(1, BLOCK_CODES // max(1, rows))
+    cap = max(1, BLOCK_CODES // max(1, rows))
+    size = min(cap, max(1, FIRST_BLOCK_CODES // max(1, rows)))
     subsets = combinations(range(n), m)
     while len(block := np.fromiter(chain.from_iterable(islice(subsets, size)), np.intp).reshape(-1, m)):
         codes = bits[block[:, 0]]
@@ -93,6 +102,7 @@ def _pattern_counts(bits: np.ndarray, m: int):
             codes |= bits[block[:, j]] << j
         codes.sort(axis=1)
         yield block, np.count_nonzero(codes[:, 1:] != codes[:, :-1], axis=1) + 1
+        size = min(cap, 2 * size)
 
 
 def loss_patterns(
@@ -141,19 +151,16 @@ class VcEstimate:
             assert self.dimension_lower <= self.dimension_upper
 
 
-def _search_vc(matrix: np.ndarray, max_m: int, subset_budget: float) -> VcEstimate:
-    """Shattering search over the columns of a two-valued (hypothesis x point) matrix.
+def _search_vc(bits: np.ndarray, max_m: int, subset_budget: float) -> VcEstimate:
+    """Shattering search over the columns of a (hypothesis x point) matrix mapped by :func:`_bits`.
 
     A column subset is shattered when the rows restricted to it take all
     ``2**m`` values.  Subsets are scanned by increasing size in
     lexicographic order, a block at a time through :func:`_pattern_counts`,
     with early exit per size: the first shattered subset of a block counts
-    the block's subsets up to and including it as scanned.  When ``2**m``
-    exceeds the row count no m-subset can be shattered (pigeonhole), and the
-    whole size class is counted as scanned without computing a pattern.
+    the block's subsets up to and including it as scanned.
     """
-    bits = _bits(matrix)
-    n, rows = bits.shape
+    n = bits.shape[0]
     lower = 0
     scanned = 0
     for m in range(1, max_m + 1):
@@ -161,15 +168,12 @@ def _search_vc(matrix: np.ndarray, max_m: int, subset_budget: float) -> VcEstima
         if scanned + total > subset_budget:
             return VcEstimate(lower, None, scanned, True)
         found = False
-        if 2**m > rows:
-            scanned += total
-        else:
-            for block, counts in _pattern_counts(bits, m):
-                hits = np.flatnonzero(counts == 2**m)
-                found = len(hits) > 0
-                scanned += int(hits[0]) + 1 if found else len(block)
-                if found:
-                    break
+        for block, counts in _pattern_counts(bits, m):
+            hits = np.flatnonzero(counts == 2**m)
+            found = len(hits) > 0
+            scanned += int(hits[0]) + 1 if found else len(block)
+            if found:
+                break
         if not found:
             # no m-subset shattered, so no larger subset can be either
             return VcEstimate(lower, lower, scanned, False)
@@ -191,7 +195,7 @@ def robust_vc_search(
     re-verifiable through :func:`pattern_witnesses`.
     """
     matrix = _loss_table(cls, _family_regions(family, universe), universe)
-    return _search_vc(matrix, max_m, SUBSET_BUDGET)
+    return _search_vc(_bits(matrix), max_m, SUBSET_BUDGET)
 
 
 def zero_one_vc_search(
@@ -206,7 +210,7 @@ def zero_one_vc_search(
     ``1[h(x) != y]`` computed directly from predictions.
     """
     matrix = np.array([[int(h.predict(ex.x) != ex.y) for ex in universe] for h in cls])
-    return _search_vc(matrix, max_m, SUBSET_BUDGET)
+    return _search_vc(_bits(matrix), max_m, SUBSET_BUDGET)
 
 
 def class_vc_on_points(cls: FiniteClass, points: np.ndarray, max_m: int | None = None) -> int:
@@ -215,7 +219,7 @@ def class_vc_on_points(cls: FiniteClass, points: np.ndarray, max_m: int | None =
     labelings = np.array([h.predict_many(points) for h in cls])
     n = len(points)
     max_m = n if max_m is None else min(max_m, n)
-    return _search_vc(labelings, max_m, math.inf).dimension_lower
+    return _search_vc(_bits(labelings), max_m, math.inf).dimension_lower
 
 
 def sauer_bound(vc: int, n: int) -> int:
@@ -255,14 +259,13 @@ def overhead_audit(
     rows = []
     for d, k, cls, family, universe in instances:
         regions = _family_regions(family, universe)
-        matrix = _loss_table(cls, regions, universe)
-        estimate = _search_vc(matrix, max_m, SUBSET_BUDGET)
+        bits = _bits(_loss_table(cls, regions, universe))
+        estimate = _search_vc(bits, max_m, SUBSET_BUDGET)
         region_pts = [region.points for region in regions]
         sizes = np.array([len(pts) for pts in region_pts])
         base_vc = class_vc_on_points(cls, np.unique(np.vstack(region_pts), axis=0))
         # a count never exceeds the row count, so capping the bound there keeps the table in int64
         caps = np.array([min(sauer_bound(base_vc, t), len(cls)) for t in range(sizes.sum() + 1)])
-        bits = _bits(matrix)
         ok = True
         checks = 0
         for m in range(1, min(len(universe), max_m) + 1):

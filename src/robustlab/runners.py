@@ -248,7 +248,7 @@ def run_robust_vc_audit(params: dict, seed: int):
         instances.append((1, int(k), cls, fam, examples))
 
     rows_data = loss_vc.overhead_audit(instances, max_m=params["max_m"])
-    scanned_m = min(params["max_m"], params["universe_size"])  # the audit scans no larger subset
+    scanned_m = min(params["max_m"], len(examples))  # the audit scans no larger subset of the universe
     rows = [
         {
             "d": row.d,

@@ -425,7 +425,7 @@ class TestPatternCountKernel:
             rows, n = int(rng.integers(1, 40)), int(rng.integers(1, 9))
             matrix = (rng.random((rows, n)) < rng.uniform(0.1, 0.9)).astype(np.int8)
             for max_m in (1, 3, n + 1):
-                assert as_tuple(_search_vc(matrix, max_m, math.inf)) == row_witness_search(matrix, max_m)
+                assert as_tuple(_search_vc(_bits(matrix), max_m, math.inf)) == row_witness_search(matrix, max_m)
 
     @pytest.mark.parametrize("per_block", [9, 10, 11, 3, 5, 1])
     def test_block_boundaries(self, monkeypatch, per_block):
@@ -449,23 +449,26 @@ class TestPatternCountKernel:
         cols23 = np.array([[a, b] for a in (0, 1) for b in (0, 1)])
         matrix = np.hstack([np.zeros((4, 2), int), cols23, np.zeros((4, 1), int)])
         monkeypatch.setattr(robustlab.loss_vc, "BLOCK_CODES", per_block * len(matrix))
-        est = _search_vc(matrix, 4, math.inf)
+        est = _search_vc(_bits(matrix), 4, math.inf)
         assert as_tuple(est) == row_witness_search(matrix, 4) == (2, 2, 5 + 6 + 10, False)
 
-    def test_pigeonhole_size_counts_the_whole_class_unscanned(self, monkeypatch):
-        # 3 rows cannot take the 4 patterns of a pair
+    def test_size_with_more_patterns_than_rows_scans_its_whole_class(self):
+        # 3 rows cannot take the 4 patterns of a pair, so all 15 pairs are scanned
         matrix = np.array([[0, 1, 0, 1, 1, 0], [1, 0, 0, 1, 0, 1], [1, 1, 1, 0, 0, 0]])
-        sizes = []
-        kernel = robustlab.loss_vc._pattern_counts
-
-        def counted(bits, m):
-            sizes.append(m)
-            return kernel(bits, m)
-
-        monkeypatch.setattr(robustlab.loss_vc, "_pattern_counts", counted)
-        est = _search_vc(matrix, 4, math.inf)
+        est = _search_vc(_bits(matrix), 4, math.inf)
         assert as_tuple(est) == row_witness_search(matrix, 4) == (1, 1, 1 + 15, False)
-        assert sizes == [1]
+
+    def test_blocks_double_from_the_first_block_up_to_the_cap(self, monkeypatch):
+        rng = np.random.default_rng(3)
+        matrix = (rng.random((4, 9)) < 0.5).astype(np.int8)
+        monkeypatch.setattr(robustlab.loss_vc, "FIRST_BLOCK_CODES", 1 * len(matrix))
+        monkeypatch.setattr(robustlab.loss_vc, "BLOCK_CODES", 16 * len(matrix))
+        blocks = list(_pattern_counts(_bits(matrix), 3))
+        assert [len(block) for block, _ in blocks] == [1, 2, 4, 8, 16, 16, 16, 16, 5]
+        assert np.vstack([block for block, _ in blocks]).tolist() == [list(c) for c in combinations(range(9), 3)]
+        assert np.concatenate([counts for _, counts in blocks]).tolist() == counts_by_loop(matrix, 3)
+        for max_m in (1, 2, 3, 4):
+            assert as_tuple(_search_vc(_bits(matrix), max_m, math.inf)) == row_witness_search(matrix, max_m)
 
     @pytest.mark.parametrize("budget", [0, 5, 6, 15, 16, 21, 22, 10**6])
     def test_budget_exceeded_matches_the_loop(self, budget):
@@ -473,8 +476,8 @@ class TestPatternCountKernel:
         # scans one subset, but it starts only if the m - 1 scanned so far
         # and all C(6, m) fit the budget; size 3 needs the most, 2 + 20
         matrix = np.array([[(r >> j) & 1 for j in range(6)] for r in range(64)])
-        assert as_tuple(_search_vc(matrix, 6, budget)) == row_witness_search(matrix, 6, budget)
-        assert _search_vc(matrix, 6, budget).budget_exceeded == (budget < 22)
+        assert as_tuple(_search_vc(_bits(matrix), 6, budget)) == row_witness_search(matrix, 6, budget)
+        assert _search_vc(_bits(matrix), 6, budget).budget_exceeded == (budget < 22)
 
     def test_plus_minus_one_labelings(self):
         rng = np.random.default_rng(5)
@@ -507,7 +510,7 @@ class TestPatternCountKernel:
 
     def test_rejects_a_third_value(self):
         with pytest.raises(ValueError, match="two-valued"):
-            _search_vc(np.array([[0, 1], [1, 2]]), 2, math.inf)
+            _bits(np.array([[0, 1], [1, 2]]))
 
     def test_rejects_subsets_too_wide_for_a_code(self):
         bits = _bits(np.vstack([np.zeros(MAX_SUBSET_WIDTH + 1, int), np.ones(MAX_SUBSET_WIDTH + 1, int)]))
