@@ -9,10 +9,12 @@ Re-running an identical config and seed reproduces the output
 byte-for-byte; wall-clock time lives only on the in-memory record.
 
 Every config value is checked at parse time against one rule table, the
-top-level ``CONFIG_ROWS`` and each experiment's ``defaults``.  The runners
-live in ``runners``, which imports numpy and the library; this module
-imports only the standard library and loads ``runners`` when a runner
-first runs, so parsing and validating a config compiles and loads neither.
+top-level ``CONFIG_ROWS`` and each experiment's in ``EXPERIMENT_TABLES``,
+both plain data.  So set-up, ``import robustlab`` and parsing a config,
+loads ``json`` and the two robustlab modules, and no ``dataclasses``,
+``typing``, ``tempfile`` or numpy: ``EXPERIMENTS`` and ``RunRecord``, and
+with them ``dataclasses``, are built on first use, and ``runners``, which
+imports numpy and the library, loads when a runner first runs.
 """
 
 from __future__ import annotations
@@ -21,10 +23,8 @@ import io
 import json
 import math
 import os
-import tempfile
 import time
-from dataclasses import asdict, dataclass
-from typing import Callable
+from collections.abc import Callable
 
 from . import __version__
 
@@ -91,28 +91,35 @@ CONFIG_ROWS = {  # the top-level keys
 }
 
 
-@dataclass(frozen=True)
-class ExperimentSpec:
-    defaults: dict  # name -> (default, rule)
-    runner: Callable[[dict, int], tuple[list[tuple[str, str]], list[dict], dict, bool]]
-    description: str
-
-
-@dataclass(frozen=True)
 class ExperimentConfig:
-    """Strictly parsed experiment description."""
+    """Strictly parsed experiment description; immutable, and equal to any config of the same values."""
 
-    experiment: str
-    params: dict
-    seed: int
-    output_path: str | None = None
-    format: str = "csv"
+    __slots__ = ("experiment", "params", "seed", "output_path", "format")
 
-    def __post_init__(self):
-        if self.experiment not in EXPERIMENTS:
-            raise ConfigError(f"unknown experiment {self.experiment!r}; known: {sorted(EXPERIMENTS)}")
-        self._check(CONFIG_ROWS, {"seed": self.seed, "output_path": self.output_path, "format": self.format})
-        self._check(EXPERIMENTS[self.experiment].defaults, self.params)
+    def __init__(self, experiment: str, params: dict, seed: int, output_path: str | None = None, format: str = "csv"):
+        if experiment not in EXPERIMENT_TABLES:
+            raise ConfigError(f"unknown experiment {experiment!r}; known: {sorted(EXPERIMENT_TABLES)}")
+        self._check(CONFIG_ROWS, {"seed": seed, "output_path": output_path, "format": format})
+        self._check(EXPERIMENT_TABLES[experiment][0], params)
+        for name, value in zip(self.__slots__, (experiment, params, seed, output_path, format)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot assign to or delete field {name!r} of an ExperimentConfig")
+
+    __delattr__ = __setattr__
+
+    def _fields(self) -> dict:
+        return {name: getattr(self, name) for name in self.__slots__}
+
+    def __eq__(self, other):
+        return self._fields() == other._fields() if other.__class__ is self.__class__ else NotImplemented
+
+    def __repr__(self) -> str:
+        return f"ExperimentConfig({', '.join(f'{name}={value!r}' for name, value in self._fields().items())})"
+
+    def __reduce__(self):  # pickle and copy rebuild a config through __init__; __setattr__ refuses them
+        return ExperimentConfig, tuple(self._fields().values())
 
     @staticmethod
     def _check(table: dict, values: dict, where: str = "") -> None:
@@ -160,7 +167,9 @@ class ExperimentConfig:
 
     def with_overrides(self, pairs: list[str]) -> "ExperimentConfig":
         """Apply ``key=value`` overrides; dotted keys reach into params."""
-        raw = asdict(self)
+        import copy
+
+        raw = {**self._fields(), "params": copy.deepcopy(self.params)}
         for pair in pairs:
             if "=" not in pair:
                 raise ConfigError(f"override {pair!r} is not of the form key=value")
@@ -179,7 +188,7 @@ class ExperimentConfig:
         return ExperimentConfig.from_dict(raw)
 
     def resolved_params(self) -> dict:
-        merged = {key: default for key, (default, _) in EXPERIMENTS[self.experiment].defaults.items()}
+        merged = {key: default for key, (default, _) in EXPERIMENT_TABLES[self.experiment][0].items()}
         merged.update(self.params)
         return merged
 
@@ -193,19 +202,10 @@ class ExperimentConfig:
         }
 
 
-@dataclass(frozen=True)
-class RunRecord:
-    config: dict
-    schema: list[tuple[str, str]]
-    rows: list[dict]
-    summary: dict
-    assertions_passed: bool
-    wall_clock_s: float
-    version: str = __version__
-
-
 def run(config: ExperimentConfig) -> RunRecord:
     """Dispatch to the experiment runner and optionally write the output."""
+    from .harness import EXPERIMENTS, RunRecord  # built by the module's __getattr__ on first use
+
     spec = EXPERIMENTS[config.experiment]
     params = config.resolved_params()
     start = time.perf_counter()
@@ -270,6 +270,8 @@ def _atomic_write(path: str, text: str) -> None:
     The target appears complete or not at all, and the temporary file is
     removed if the write fails.
     """
+    import tempfile
+
     directory = os.path.dirname(os.path.abspath(path)) or "."
     os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".robustlab-", suffix=".tmp")
@@ -294,86 +296,88 @@ def _runner(experiment: str) -> Callable:
     return runner
 
 
-EXPERIMENTS: dict[str, ExperimentSpec] = {
-    "tolrerm_sweep": ExperimentSpec(
-        defaults={
-            "tasks": (20, POSITIVE),
-            "n_grid": ([10, 30, 100, 300], GRID),
-            "trials": (200, POSITIVE),
-            "eps": (0.1, FRACTION),
-            "delta": (0.1, FRACTION),
-            "gamma": (0.25, SCALE),
-        },
-        runner=_runner("tolrerm_sweep"),
-        description="excess-error sweep of the tolerant learner over sample sizes",
-    ),
-    "opt_gap_audit": ExperimentSpec(
-        defaults={
-            "instances": (50, POSITIVE),
-            "trials": (400, _integer(100, "an integer >= 100")),
-            "sample_size": (30, POSITIVE),
-            "eps": (0.1, FRACTION),
-            "delta": (0.1, FRACTION),
-            "gamma": (0.5, SCALE),
-        },
-        runner=_runner("opt_gap_audit"),
-        description="stability of the optimal empirical loss under radius shrink",
-    ),
-    "sandwich_audit": ExperimentSpec(
-        defaults={
-            "audits": (50, POSITIVE),
-            "include_control": (True, Rule(lambda v: isinstance(v, bool), "true or false")),
-        },
-        runner=_runner("sandwich_audit"),
-        description="loss-sandwich audits of the proxy-region constructions",
-    ),
-    "lb_linear_game": ExperimentSpec(
-        defaults={
-            "m": (2, _integer(1, "an integer from 1 to 4", hi=4)),  # C(3m, m) <= 2000
-            "W": (1.0, SCALE),
-            "d": (2, _integer(2, "an integer >= 2")),
-            "trials": (10_000, POSITIVE),
-            "n_samples": (0, NONNEGATIVE),  # 0 draws m samples
-            "learner": ("best_response", Rule(lambda v: v in LEARNERS, " or ".join(LEARNERS))),
-            "export_path": ("", PATH),
-        },
-        runner=_runner("lb_linear_game"),
-        description="hidden-subset game defeating proper learners on bounded halfspaces",
-    ),
-    "oracle_query_sweep": ExperimentSpec(
-        defaults={  # build_oracle_game also needs D > 10 * gamma
-            "D": (20.0, SCALE),
-            "gamma": (1.0, SCALE),
-            "d": (2, POSITIVE),
-            "budgets": ([0, 1, 2, 4, 8, 16, 32, 64],
-                        _list_of(NONNEGATIVE, "a nonempty list of distinct nonnegative integers", distinct=True)),
-            "trials": (2000, POSITIVE),
-        },
-        runner=_runner("oracle_query_sweep"),
-        description="excess error of the sampling-oracle game across query budgets",
-    ),
-    "robust_vc_audit": ExperimentSpec(
-        defaults={
-            "universe_size": (8, POSITIVE),
-            "thresholds": (25, POSITIVE),
-            "k_grid": ([1, 2, 3], GRID),
-            "max_m": (4, POSITIVE),
-        },
-        runner=_runner("robust_vc_audit"),
-        description="robust VC overhead and growth-function audits",
-    ),
-    "regularity_check": ExperimentSpec(
-        defaults={
-            "hypothesis": ({"kind": "sphere", "center": [0.0, 0.0], "radius": 2.0}, HYPOTHESIS),
-            "alpha": (1.0, SCALE),
-            "probes": (256, NONNEGATIVE),
-            "domain_radius": (3.0, SCALE),
-        },
-        runner=_runner("regularity_check"),
-        description="probe a hypothesis for single-label balls of a given radius",
-    ),
+EXPERIMENT_TABLES = {  # name -> (rule table of its params, description)
+    "tolrerm_sweep": ({
+        "tasks": (20, POSITIVE),
+        "n_grid": ([10, 30, 100, 300], GRID),
+        "trials": (200, POSITIVE),
+        "eps": (0.1, FRACTION),
+        "delta": (0.1, FRACTION),
+        "gamma": (0.25, SCALE),
+    }, "excess-error sweep of the tolerant learner over sample sizes"),
+    "opt_gap_audit": ({
+        "instances": (50, POSITIVE),
+        "trials": (400, _integer(100, "an integer >= 100")),
+        "sample_size": (30, POSITIVE),
+        "eps": (0.1, FRACTION),
+        "delta": (0.1, FRACTION),
+        "gamma": (0.5, SCALE),
+    }, "stability of the optimal empirical loss under radius shrink"),
+    "sandwich_audit": ({
+        "audits": (50, POSITIVE),
+        "include_control": (True, Rule(lambda v: isinstance(v, bool), "true or false")),
+    }, "loss-sandwich audits of the proxy-region constructions"),
+    "lb_linear_game": ({
+        "m": (2, _integer(1, "an integer from 1 to 4", hi=4)),  # C(3m, m) <= 2000
+        "W": (1.0, SCALE),
+        "d": (2, _integer(2, "an integer >= 2")),
+        "trials": (10_000, POSITIVE),
+        "n_samples": (0, NONNEGATIVE),  # 0 draws m samples
+        "learner": ("best_response", Rule(lambda v: v in LEARNERS, " or ".join(LEARNERS))),
+        "export_path": ("", PATH),
+    }, "hidden-subset game defeating proper learners on bounded halfspaces"),
+    "oracle_query_sweep": ({  # build_oracle_game also needs D > 10 * gamma
+        "D": (20.0, SCALE),
+        "gamma": (1.0, SCALE),
+        "d": (2, POSITIVE),
+        "budgets": ([0, 1, 2, 4, 8, 16, 32, 64],
+                    _list_of(NONNEGATIVE, "a nonempty list of distinct nonnegative integers", distinct=True)),
+        "trials": (2000, POSITIVE),
+    }, "excess error of the sampling-oracle game across query budgets"),
+    "robust_vc_audit": ({
+        "universe_size": (8, POSITIVE),
+        "thresholds": (25, POSITIVE),
+        "k_grid": ([1, 2, 3], GRID),
+        "max_m": (4, POSITIVE),
+    }, "robust VC overhead and growth-function audits"),
+    "regularity_check": ({
+        "hypothesis": ({"kind": "sphere", "center": [0.0, 0.0], "radius": 2.0}, HYPOTHESIS),
+        "alpha": (1.0, SCALE),
+        "probes": (256, NONNEGATIVE),
+        "domain_radius": (3.0, SCALE),
+    }, "probe a hypothesis for single-label balls of a given radius"),
 }
 
 
 def list_experiments() -> list[tuple[str, str]]:
-    return [(name, spec.description) for name, spec in sorted(EXPERIMENTS.items())]
+    return [(name, description) for name, (_, description) in sorted(EXPERIMENT_TABLES.items())]
+
+
+def __getattr__(name: str):
+    """Build ``EXPERIMENTS``, ``ExperimentSpec`` and ``RunRecord`` on first access, and keep them here."""
+    if name not in ("EXPERIMENTS", "ExperimentSpec", "RunRecord"):
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from dataclasses import dataclass
+
+    @dataclass(frozen=True)
+    class ExperimentSpec:
+        defaults: dict  # name -> (default, rule)
+        runner: Callable[[dict, int], tuple[list[tuple[str, str]], list[dict], dict, bool]]
+        description: str
+
+    @dataclass(frozen=True)
+    class RunRecord:
+        config: dict
+        schema: list[tuple[str, str]]
+        rows: list[dict]
+        summary: dict
+        assertions_passed: bool
+        wall_clock_s: float
+        version: str = __version__
+
+    for cls in (ExperimentSpec, RunRecord):
+        cls.__qualname__ = cls.__name__  # pickle finds a class by its qualified name
+    experiments = {key: ExperimentSpec(defaults, _runner(key), description)
+                   for key, (defaults, description) in EXPERIMENT_TABLES.items()}
+    globals().update(EXPERIMENTS=experiments, ExperimentSpec=ExperimentSpec, RunRecord=RunRecord)
+    return globals()[name]

@@ -46,7 +46,7 @@ __all__ = [
     "vball_shatter_check",
 ]
 
-# Cap on the subsets one shattering search may scan.
+# Cap on the subsets one shattering search, or one Sauer pass of an audit, may scan.
 SUBSET_BUDGET = 1_000_000
 # Pattern codes one block of :func:`_pattern_counts` holds, as ``_pair_distances`` sizes its blocks.
 BLOCK_CODES = 2**20
@@ -254,10 +254,14 @@ def overhead_audit(
     d * log(d k) scale).  A subset's inflated point count is the sum of its
     examples' region sizes, repeats included.  The check runs a block of
     subsets at a time through :func:`_pattern_counts`, against a table of
-    ``sauer_bound(base_vc, t)`` per inflated total ``t``.
+    ``sauer_bound(base_vc, t)`` per inflated total ``t``.  An instance whose
+    check would scan more than ``SUBSET_BUDGET`` subsets raises ``ValueError``.
     """
     rows = []
     for d, k, cls, family, universe in instances:
+        subsets = sauer_bound(max_m, len(universe)) - 1  # every subset of 1 to max_m examples
+        if subsets > SUBSET_BUDGET:
+            raise ValueError(f"the Sauer check would scan {subsets:,} subsets, over the budget of {SUBSET_BUDGET:,}")
         regions = _family_regions(family, universe)
         bits = _bits(_loss_table(cls, regions, universe))
         estimate = _search_vc(bits, max_m, SUBSET_BUDGET)

@@ -1,10 +1,12 @@
 """Config parsing, dispatch, reproducible outputs, and the CLI surface."""
 
+import dataclasses
 import hashlib
 import importlib.util
 import json
 import math
 import os
+import pickle
 import re
 
 import numpy as np
@@ -303,6 +305,49 @@ class TestConfigParsing:
             cfg.with_overrides(["nonsense"])
         with pytest.raises(ConfigError):
             cfg.with_overrides(["nope=1"])
+
+    def test_config_is_immutable_and_equal_by_value(self):
+        raw = {"experiment": "oracle_query_sweep", "seed": 1, "params": {"budgets": [0, 4]}}
+        cfg = ExperimentConfig.from_dict(raw)
+        for field in ("experiment", "params", "seed", "output_path", "format", "other"):
+            with pytest.raises(AttributeError):
+                setattr(cfg, field, None)
+            with pytest.raises(AttributeError):
+                delattr(cfg, field)
+        assert cfg == ExperimentConfig.from_dict(json.loads(json.dumps(raw)))
+        assert cfg != ExperimentConfig.from_dict({**raw, "seed": 2})
+        assert cfg != ExperimentConfig.from_dict({**raw, "format": "json"})
+        assert cfg != raw
+        assert repr(cfg) == (
+            "ExperimentConfig(experiment='oracle_query_sweep', params={'budgets': [0, 4]},"
+            " seed=1, output_path=None, format='csv')"
+        )
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(cfg)
+        assert pickle.loads(pickle.dumps(cfg)) == cfg
+
+    def test_overrides_leave_the_original_untouched(self):
+        cfg = ExperimentConfig.from_dict(
+            {"experiment": "oracle_query_sweep", "seed": 1, "params": {"trials": 5, "budgets": [0, 4]}}
+        )
+        out = cfg.with_overrides(["params.trials=99", "params.gamma=0.5", "format=json"])
+        assert cfg.params == {"trials": 5, "budgets": [0, 4]} and cfg.format == "csv"
+        assert out.params == {"trials": 99, "budgets": [0, 4], "gamma": 0.5} and out.format == "json"
+        # params are copied whole, nested lists included, as they were from a dataclass by asdict
+        assert out.params["budgets"] is not cfg.params["budgets"]
+        assert cfg.with_overrides([]) == cfg
+
+    def test_star_import_and_record_pickling(self):
+        namespace = {}
+        exec("from robustlab.harness import *", namespace)
+        assert {"EXPERIMENTS", "RunRecord", "ExperimentConfig", "run"} <= set(namespace)
+        assert namespace["EXPERIMENTS"] is EXPERIMENTS
+        record = run(ExperimentConfig.from_dict({"experiment": "regularity_check", "seed": 1, "params": {"probes": 2}}))
+        assert type(record) is namespace["RunRecord"]
+        assert pickle.loads(pickle.dumps(record)) == record
+        assert repr(record).startswith("RunRecord(config={'experiment': 'regularity_check'")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            record.rows = []
 
     def test_negative_parameter_fails_before_running(self, tmp_path):
         out = tmp_path / "out.csv"

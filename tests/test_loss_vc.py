@@ -205,6 +205,22 @@ class TestSauerAndCorrespondence:
         # size-3 regions keep the dimension near the base VC of 1
         assert rows[1].vc_upper is not None and rows[1].vc_upper <= 2
 
+    def test_sauer_pass_over_the_budget_raises_before_any_work(self, monkeypatch):
+        # every subset of 1 to 10 of 21 examples: 2**20 - 1 > SUBSET_BUDGET
+        examples = [ex((float(i),), 1 if i % 2 else -1) for i in range(21)]
+        instance = (1, 1, threshold_class(np.linspace(-1, 21, 25)), singleton_family(examples), examples)
+        assert sauer_bound(10, 21) - 1 == 2**20 - 1 > robustlab.loss_vc.SUBSET_BUDGET
+
+        def no_table(*args):
+            raise AssertionError("the loss table was built")
+
+        monkeypatch.setattr(robustlab.loss_vc, "_loss_table", no_table)
+        with pytest.raises(ValueError, match="1,048,575 subsets"):
+            overhead_audit([instance], max_m=10)
+        # under the budget the pass runs: C(21, 1) + ... + C(21, 6) = 82,509 subsets
+        monkeypatch.undo()
+        assert overhead_audit([instance], max_m=6)[0].pattern_checks == sauer_bound(6, 21) - 1
+
 
 class TestVballShatter:
     def test_radius_zero_reduces_to_singletons(self):

@@ -148,6 +148,35 @@ print(loaded())
     assert lines[-1] == str(["robustlab", "robustlab.cli", "robustlab.harness"])
 
 
+def test_set_up_loads_no_module_that_parsing_does_not_use(tmp_path):
+    # a bare interpreter (no site) that has loaded only what a program using
+    # robustlab loads anyway; set-up, every experiment's config and the two
+    # CLI commands that run nothing must leave these unloaded
+    config = tmp_path / "vc.json"
+    config.write_text('{"experiment": "robust_vc_audit", "seed": 1, "output_path": "out.csv"}')
+    code = """
+import json, os, math, importlib, sys
+unused = ("dataclasses", "inspect", "typing", "tempfile", "numpy")
+loaded = lambda: [name for name in unused if name in sys.modules]
+assert loaded() == [], loaded()
+import robustlab
+from robustlab.harness import ExperimentConfig, list_experiments
+ExperimentConfig.from_file(sys.argv[1])
+for name, _ in list_experiments():
+    ExperimentConfig.from_dict({"experiment": name, "seed": 1})
+print(loaded())
+from robustlab.cli import main
+assert main(["validate", "--config", sys.argv[1]]) == 0
+assert main(["list-experiments"]) == 0
+print(loaded())
+"""
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    proc = subprocess.run([sys.executable, "-S", "-c", code, str(config)], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert (lines[0], lines[-1]) == ("[]", "[]")
+
+
 def test_lazy_namespace_reads_each_name_from_its_module(monkeypatch):
     for name in robustlab.__all__[1:]:
         owner = importlib.import_module(f"robustlab.{robustlab._MODULE_OF[name]}")
