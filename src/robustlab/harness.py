@@ -14,7 +14,8 @@ both plain data.  So set-up, ``import robustlab`` and parsing a config,
 loads ``json`` and the two robustlab modules, and no ``dataclasses``,
 ``typing``, ``tempfile`` or numpy: ``EXPERIMENTS`` and ``RunRecord``, and
 with them ``dataclasses``, are built on first use, and ``runners``, which
-imports numpy and the library, loads when a runner first runs.
+imports numpy and the library, loads when a runner first runs.  A run
+still loads all of it; only ``validate`` and ``list-experiments`` skip it.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ import json
 import math
 import os
 import time
+from collections import namedtuple
 from collections.abc import Callable
 
 from . import __version__
@@ -39,6 +41,7 @@ __all__ = [
 ]
 
 OUTPUT_DIR_ENV = "ROBUSTLAB_OUTPUT_DIR"
+SUBSET_BUDGET = 1_000_000  # loss_vc.SUBSET_BUDGET, which this module reads without loading numpy
 
 
 class ConfigError(ValueError):
@@ -91,35 +94,26 @@ CONFIG_ROWS = {  # the top-level keys
 }
 
 
-class ExperimentConfig:
-    """Strictly parsed experiment description; immutable, and equal to any config of the same values."""
+class ExperimentConfig(namedtuple("ExperimentConfig", "experiment params seed output_path format")):
+    """Strictly parsed experiment description; immutable, and equal to any config or tuple of the same values."""
 
-    __slots__ = ("experiment", "params", "seed", "output_path", "format")
+    __slots__ = ()
 
-    def __init__(self, experiment: str, params: dict, seed: int, output_path: str | None = None, format: str = "csv"):
+    def __new__(cls, experiment: str, params: dict, seed: int, output_path: str | None = None, format: str = "csv"):
         if experiment not in EXPERIMENT_TABLES:
             raise ConfigError(f"unknown experiment {experiment!r}; known: {sorted(EXPERIMENT_TABLES)}")
-        self._check(CONFIG_ROWS, {"seed": seed, "output_path": output_path, "format": format})
-        self._check(EXPERIMENT_TABLES[experiment][0], params)
-        for name, value in zip(self.__slots__, (experiment, params, seed, output_path, format)):
-            object.__setattr__(self, name, value)
-
-    def __setattr__(self, name, value=None):
-        raise AttributeError(f"cannot assign to or delete field {name!r} of an ExperimentConfig")
-
-    __delattr__ = __setattr__
-
-    def _fields(self) -> dict:
-        return {name: getattr(self, name) for name in self.__slots__}
-
-    def __eq__(self, other):
-        return self._fields() == other._fields() if other.__class__ is self.__class__ else NotImplemented
-
-    def __repr__(self) -> str:
-        return f"ExperimentConfig({', '.join(f'{name}={value!r}' for name, value in self._fields().items())})"
-
-    def __reduce__(self):  # pickle and copy rebuild a config through __init__; __setattr__ refuses them
-        return ExperimentConfig, tuple(self._fields().values())
+        cls._check(CONFIG_ROWS, {"seed": seed, "output_path": output_path, "format": format})
+        cls._check(EXPERIMENT_TABLES[experiment][0], params)
+        config = super().__new__(cls, experiment, params, seed, output_path, format)
+        if experiment == "robust_vc_audit":  # overhead_audit's Sauer check scans every subset of 1 to max_m examples
+            resolved = config.resolved_params()
+            n, max_m, subsets = resolved["universe_size"], resolved["max_m"], 0
+            for m in range(1, min(n, max_m) + 1):
+                subsets += math.comb(n, m)
+                if subsets > SUBSET_BUDGET:
+                    raise ConfigError(f"universe_size {n} and max_m {max_m} give the Sauer check over "
+                                      f"{SUBSET_BUDGET:,} subsets; lower one of them")
+        return config
 
     @staticmethod
     def _check(table: dict, values: dict, where: str = "") -> None:
@@ -169,7 +163,7 @@ class ExperimentConfig:
         """Apply ``key=value`` overrides; dotted keys reach into params."""
         import copy
 
-        raw = {**self._fields(), "params": copy.deepcopy(self.params)}
+        raw = {**self._asdict(), "params": copy.deepcopy(self.params)}
         for pair in pairs:
             if "=" not in pair:
                 raise ConfigError(f"override {pair!r} is not of the form key=value")

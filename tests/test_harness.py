@@ -12,6 +12,9 @@ import re
 import numpy as np
 import pytest
 
+import robustlab.harness
+import robustlab.loss_vc
+
 from robustlab.cli import main
 from robustlab.harness import (
     CONFIG_ROWS,
@@ -723,6 +726,33 @@ class TestCli:
         assert main(["run", "--config", self._write_config(tmp_path, extra)]) == 2
         assert "export_path must be a string" in capsys.readouterr().err
         assert not (tmp_path / "out.csv").exists()
+
+    def test_sauer_budget_exit_two_from_validate_and_run(self, tmp_path, capsys, monkeypatch):
+        def no_run(config):
+            raise AssertionError("the experiment ran")
+
+        monkeypatch.setattr("robustlab.cli.run", no_run)
+        # every subset of 1 to 10 of 21 examples: 1,048,575, over the budget
+        extra = {"experiment": "robust_vc_audit", "params": {"universe_size": 21, "max_m": 10}}
+        for command in ("validate", "run"):
+            assert main([command, "--config", self._write_config(tmp_path, extra)]) == 2
+            assert "universe_size 21 and max_m 10" in capsys.readouterr().err
+        assert not (tmp_path / "out.csv").exists()
+
+    def test_sauer_budget_at_parse_matches_the_audit(self):
+        assert robustlab.harness.SUBSET_BUDGET == robustlab.loss_vc.SUBSET_BUDGET
+        cases = {(8, 4): False, (20, 13): False, (20, 14): True, (21, 10): True, (10**6, 1): False, (10**6 + 1, 1): True}
+        for (n, max_m), over in cases.items():
+            assert (robustlab.loss_vc.sauer_bound(max_m, n) - 1 > robustlab.loss_vc.SUBSET_BUDGET) == over
+            raw = {"experiment": "robust_vc_audit", "seed": 1, "params": {"universe_size": n, "max_m": max_m}}
+            if over:
+                with pytest.raises(ConfigError, match=f"universe_size {n} and max_m {max_m}"):
+                    ExperimentConfig.from_dict(raw)
+            else:
+                assert ExperimentConfig.from_dict(raw).resolved_params()["universe_size"] == n
+        # the check stops summing at the budget, so a huge pair fails at once
+        with pytest.raises(ConfigError, match="max_m"):
+            ExperimentConfig.from_dict({"experiment": "robust_vc_audit", "seed": 1, "params": {"universe_size": 10**9, "max_m": 10**9}})
 
     def test_null_export_path_runs_without_export(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
