@@ -26,7 +26,7 @@ base = FinitePoints([[0.0, 0.0]])
 r, alpha = 1.0, 0.4
 
 print("== point proxy ==")
-triple = build_point_sandwich(base, r=r, alpha=alpha, seed=0)
+triple = build_point_sandwich(base, r=r, alpha=alpha)
 print(f"upper expansion radius {r}, shrink {alpha}: middle has {len(triple.middle.points)} points")
 
 hyps = [
@@ -45,7 +45,7 @@ print("violations:", len(report.violations))
 
 print()
 print("== ball-union proxy: inclusion is set-theoretic ==")
-triple_b = build_ball_sandwich(base, r=r, alpha=alpha, seed=2)
+triple_b = build_ball_sandwich(base, r=r, alpha=alpha)
 print(f"middle is a union of {len(triple_b.middle)} balls of radius {alpha / 2}")
 lf, uf = set_inclusion_probe(triple_b, 10_000, seed=3)
 print(f"probe failures: lower-in-middle {lf}/10000, middle-in-upper {uf}/10000")

@@ -1,8 +1,8 @@
 """Command-line entry point for the experiment harness.
 
 Exit codes: 0 when the run's embedded assertions pass, 1 when they fail
-(or the run raises, e.g. ``D <= 10 * gamma``), 2 for usage or
-configuration errors, which ``validate`` and ``run`` find alike.
+(or the run raises), 2 for usage or configuration errors, which
+``validate`` and ``run`` find alike: ``D <= 10 * gamma`` is one.
 """
 
 from __future__ import annotations

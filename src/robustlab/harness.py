@@ -105,14 +105,16 @@ class ExperimentConfig(namedtuple("ExperimentConfig", "experiment params seed ou
         cls._check(CONFIG_ROWS, {"seed": seed, "output_path": output_path, "format": format})
         cls._check(EXPERIMENT_TABLES[experiment][0], params)
         config = super().__new__(cls, experiment, params, seed, output_path, format)
+        resolved = config.resolved_params()
         if experiment == "robust_vc_audit":  # overhead_audit's Sauer check scans every subset of 1 to max_m examples
-            resolved = config.resolved_params()
             n, max_m, subsets = resolved["universe_size"], resolved["max_m"], 0
             for m in range(1, min(n, max_m) + 1):
                 subsets += math.comb(n, m)
                 if subsets > SUBSET_BUDGET:
                     raise ConfigError(f"universe_size {n} and max_m {max_m} give the Sauer check over "
                                       f"{SUBSET_BUDGET:,} subsets; lower one of them")
+        if experiment == "oracle_query_sweep" and not resolved["D"] > 10 * resolved["gamma"]:  # as build_oracle_game
+            raise ConfigError(f"D must be > 10 * gamma, got D {resolved['D']} and gamma {resolved['gamma']}")
         return config
 
     @staticmethod
@@ -320,7 +322,7 @@ EXPERIMENT_TABLES = {  # name -> (rule table of its params, description)
         "learner": ("best_response", Rule(lambda v: v in LEARNERS, " or ".join(LEARNERS))),
         "export_path": ("", PATH),
     }, "hidden-subset game defeating proper learners on bounded halfspaces"),
-    "oracle_query_sweep": ({  # build_oracle_game also needs D > 10 * gamma
+    "oracle_query_sweep": ({  # and D > 10 * gamma, checked in ExperimentConfig
         "D": (20.0, SCALE),
         "gamma": (1.0, SCALE),
         "d": (2, POSITIVE),

@@ -213,13 +213,11 @@ def zero_one_vc_search(
     return _search_vc(_bits(matrix), max_m, SUBSET_BUDGET)
 
 
-def class_vc_on_points(cls: FiniteClass, points: np.ndarray, max_m: int | None = None) -> int:
+def class_vc_on_points(cls: FiniteClass, points: np.ndarray) -> int:
     """Ordinary VC dimension of the class restricted to a finite point set."""
     points = np.atleast_2d(points)
     labelings = np.array([h.predict_many(points) for h in cls])
-    n = len(points)
-    max_m = n if max_m is None else min(max_m, n)
-    return _search_vc(_bits(labelings), max_m, math.inf).dimension_lower
+    return _search_vc(_bits(labelings), len(points), math.inf).dimension_lower
 
 
 def sauer_bound(vc: int, n: int) -> int:

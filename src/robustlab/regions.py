@@ -59,8 +59,6 @@ __all__ = [
     "RegionFamily",
     "ZeroMeasureError",
     "SamplingEfficiencyError",
-    "region_to_dict",
-    "region_from_dict",
 ]
 
 # Lowest rejection acceptance uniform_sample tolerates once 1e6 box points are drawn.
@@ -153,7 +151,7 @@ class Expanded(_BallArray):
     arrays are built once on construction and answer every query, so an
     expansion and its collapsed form are the same set bit for bit.  Nested
     expansions collapse first, since the underlying Minkowski sums add
-    radii; ``base`` and ``gamma`` are kept for serialization.
+    radii; ``base`` and ``gamma`` are kept for ``expand``, which adds to ``gamma``.
     """
 
     base: "Region"
@@ -299,40 +297,6 @@ def uniform_sample(
     generator jumps and errors are described there.
     """
     return _rejection_draw(region, n, seed, lambda rows: (region.contains_many(rows), rows))
-
-
-def region_to_dict(region: Region) -> dict:
-    """JSON-ready representation of a region (harness config format)."""
-    if isinstance(region, FinitePoints):
-        return {"kind": "points", "points": region.points.tolist()}
-    if isinstance(region, Ball):
-        return {"kind": "ball", "center": region.center.tolist(), "radius": region.radius}
-    if isinstance(region, UnionOfBalls):
-        return {
-            "kind": "union_of_balls",
-            "balls": [
-                {"center": c, "radius": r}
-                for c, r in zip(region.centers.tolist(), region.radii.tolist())
-            ],
-        }
-    if isinstance(region, Expanded):
-        return {"kind": "expanded", "base": region_to_dict(region.base), "gamma": region.gamma}
-    raise TypeError(f"unknown region variant {type(region).__name__}")
-
-
-def region_from_dict(data: dict) -> Region:
-    """Inverse of :func:`region_to_dict`."""
-    kind = data.get("kind")
-    if kind == "points":
-        return FinitePoints(np.asarray(data["points"], dtype=float))
-    if kind == "ball":
-        return Ball(np.asarray(data["center"], dtype=float), float(data["radius"]))
-    if kind == "union_of_balls":
-        balls = data["balls"]
-        return UnionOfBalls([b["center"] for b in balls], [b["radius"] for b in balls])
-    if kind == "expanded":
-        return Expanded(region_from_dict(data["base"]), float(data["gamma"]))
-    raise ValueError(f"unknown region kind {kind!r}")
 
 
 class RegionFamily:

@@ -124,7 +124,8 @@ def run_sandwich_audit(params: dict, seed: int):
         ]
         examples = [classifiers.LabeledExample(rng.uniform(-1, 1, 2), 1 if rng.random() < 0.5 else -1)]
         build = sandwich.build_point_sandwich if idx % 2 == 0 else sandwich.build_ball_sandwich
-        triple = build(base, r=r, alpha=alpha, seed=int(rng.integers(2**31)))
+        rng.integers(2**31)  # unused; skipping it would shift every later draw, and so the pinned CSV digests
+        triple = build(base, r=r, alpha=alpha)
         report = sandwich.sandwich_audit(triple, hyps, examples, seed=int(rng.integers(2**31)))
         certified_violation_count += len(report.certified_violations)
         rows.append(

@@ -15,8 +15,8 @@ between the ``r - alpha`` and ``r`` expansions:
   ``lower <= middle <= upper`` hold outright, so the loss sandwich needs no
   hypothesis assumptions.
 
-Both builders are deterministic: :func:`~robustlab.geometry.cover_compact_by_balls`
-certifies each cover exactly, so ``seed`` is kept for seeded callers but not read.
+Both builders are deterministic and take no seed:
+:func:`~robustlab.geometry.cover_compact_by_balls` certifies each cover exactly.
 
 The audit machinery evaluates the three losses exactly for every shipped
 hypothesis variant and reports violations with witnesses instead of
@@ -80,7 +80,7 @@ def _count_bound(base: Region, r: float, alpha: float) -> int:
     return grid_cover_bound(base.diameter() + 2 * r, alpha / 2.0, base.dimension)
 
 
-def build_point_sandwich(base: Region, r: float, alpha: float, seed: int) -> SandwichTriple:
+def build_point_sandwich(base: Region, r: float, alpha: float) -> SandwichTriple:
     """Finite proxy: the certified grid-cover centers of the upper expansion that lie inside it."""
     if not 0 < alpha < r:
         raise ValueError("need 0 < alpha < r")
@@ -95,7 +95,7 @@ def build_point_sandwich(base: Region, r: float, alpha: float, seed: int) -> San
     return SandwichTriple(lower, FinitePoints(inside), upper, alpha, r, "points")
 
 
-def build_ball_sandwich(base: Region, r: float, alpha: float, seed: int) -> SandwichTriple:
+def build_ball_sandwich(base: Region, r: float, alpha: float) -> SandwichTriple:
     """Ball-union proxy: radius-``alpha/2`` cover of the lower expansion.
 
     The grid cover keeps exactly the balls whose centers are within
@@ -195,7 +195,7 @@ def make_nonregular_control(
     certificate necessarily fails at the flipped point, demonstrating that
     the left inequality is carried by the regularity hypothesis.
     """
-    triple = build_point_sandwich(base, r, alpha, seed)
+    triple = build_point_sandwich(base, r, alpha)
     rng = rng_for(seed, "control")
     flipped = None
     for candidate in uniform_sample(triple.lower, 256, rng):

@@ -27,7 +27,7 @@ import numpy as np
 from . import seeding  # rng_for is read at each call, so a later rebinding in seeding reaches it
 from .classifiers import LabeledExample, LinearClassifier, _loss_table
 from .geometry import SphereCover, _in_ball, _pair_distances, greedy_sphere_cover
-from .regions import FinitePoints, RegionFamily, region_to_dict
+from .regions import FinitePoints, RegionFamily
 from .seeding import as_generator, uniform_sphere
 
 __all__ = [
@@ -50,7 +50,8 @@ __all__ = [
     "run_adversarial_game",
 ]
 
-# Halvings of the cap scale build_shatter_family tries before it gives up.
+# The cap scale build_shatter_family starts from, and its halvings before it gives up.
+BETA0 = 0.25
 MAX_HALVINGS = 40
 # Uniform sphere points drawn per packing center to fill the cells.
 SAMPLES_PER_CELL = 200
@@ -120,19 +121,8 @@ class ShatterFamily:
     def all_points(self) -> np.ndarray:
         return np.vstack(self.cells)
 
-    @property
-    def sphere_radius(self) -> float:
-        return self.W * (1.0 + self.beta)
 
-
-def build_shatter_family(
-    W: float,
-    d: int,
-    M: int,
-    seed: int,
-    *,
-    beta0: float = 0.25,
-) -> ShatterFamily:
+def build_shatter_family(W: float, d: int, M: int, seed: int) -> ShatterFamily:
     """Shrink the cap scale until the sphere packs at least M cells.
 
     The packing mesh is twice the positive-cap radius, which tends to zero
@@ -143,7 +133,7 @@ def build_shatter_family(
     """
     if d < 2 or M < 1:
         raise ValueError("need d >= 2 and M >= 1")
-    beta = beta0
+    beta = BETA0
     cover = None
     for halving in range(MAX_HALVINGS):
         mesh = 2.0 * positive_cap_radius(W, beta)
@@ -249,11 +239,12 @@ def build_failure_instance(m: int, W: float, d: int, seed: int) -> FailureInstan
 
 
 def export_instance(inst: FailureInstance) -> dict:
-    """JSON-ready snapshot of the instance (harness config format).
+    """JSON-ready snapshot of the instance.
 
     Anchors, subsets, witnesses, and each anchor's region are serialized
     explicitly so a run can be re-audited without rebuilding the sphere
-    packing.
+    packing.  Each region is a ``{"kind": "points", "points": ...}`` list
+    that ``FinitePoints(region["points"])`` rebuilds.
     """
     return {
         "m": inst.m,
@@ -267,7 +258,7 @@ def export_instance(inst: FailureInstance) -> dict:
             {"w": h.w.tolist(), "b": h.b} for h in inst.witnesses
         ],
         "regions": [
-            region_to_dict(inst.family.region_for(a)) for a in inst.anchors
+            {"kind": "points", "points": inst.family.region_for(a).points.tolist()} for a in inst.anchors
         ],
     }
 

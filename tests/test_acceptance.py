@@ -406,7 +406,8 @@ def test_c07_sandwich_audits():
             LabeledExample(rng.uniform(-1, 1, 2), -1),
         ]
         build = build_point_sandwich if trial % 2 == 0 else build_ball_sandwich
-        triple = build(base, r=r, alpha=alpha, seed=int(rng.integers(2**31)))
+        rng.integers(2**31)  # unused; skipping it would shift every later draw of C07
+        triple = build(base, r=r, alpha=alpha)
         report = sandwich_audit(triple, hyps, examples, seed=int(rng.integers(2**31)))
         violations += len(report.violations)
         certified_violations += len(report.certified_violations)
@@ -422,7 +423,7 @@ def test_c07_sandwich_audits():
     inclusion_failures = 0
     for i in range(10):
         base = Ball(rng.uniform(-1, 1, 2), float(rng.uniform(0.1, 0.3)))
-        triple = build_ball_sandwich(base, r=0.6, alpha=0.25, seed=1000 + i)
+        triple = build_ball_sandwich(base, r=0.6, alpha=0.25)
         lf, uf = set_inclusion_probe(triple, 10_000, seed=2000 + i)
         inclusion_failures += lf + uf
 
@@ -461,7 +462,7 @@ def test_c07_sandwich_tight_at_tangent_boundaries():
         r = float(rng.uniform(0.4, 0.8))
         alpha = float(rng.uniform(0.25, 0.6)) * r
         build = build_point_sandwich if trial % 2 == 0 else build_ball_sandwich
-        triple = build(base, r=r, alpha=alpha, seed=trial)
+        triple = build(base, r=r, alpha=alpha)
         centers, radii = _region_balls(triple.lower)
         hyps = []
         for w in uniform_sphere(4, 2, 1.0, rng):

@@ -25,6 +25,7 @@ from robustlab.harness import (
     run,
     write_record,
 )
+from robustlab.oracle_game import build_oracle_game
 from robustlab.rerm import IndexedExhaustiveOracle, make_learning_task
 from robustlab.runners import _member_losses
 from robustlab.seeding import as_generator, rng_for, seed_derive
@@ -499,6 +500,20 @@ class TestRunAndWrite:
         assert not export.exists()
         assert not [p for p in os.listdir(tmp_path) if p.endswith(".tmp")]
 
+    def test_failed_replace_keeps_the_old_file_and_removes_the_temp_file(self, tmp_path, monkeypatch):
+        record = run(ExperimentConfig.from_dict({"experiment": "regularity_check", "seed": 5}))
+        target = tmp_path / "out.csv"
+        target.write_bytes(b"old bytes\n")
+
+        def failing_replace(src, dst):
+            raise OSError("replace failed")
+
+        monkeypatch.setattr(robustlab.harness.os, "replace", failing_replace)
+        with pytest.raises(OSError, match="replace failed"):
+            write_record(record, str(target), "csv")
+        assert target.read_bytes() == b"old bytes\n"
+        assert sorted(os.listdir(tmp_path)) == ["out.csv"]
+
     def test_output_dir_env(self, tmp_path, monkeypatch):
         monkeypatch.setenv("ROBUSTLAB_OUTPUT_DIR", str(tmp_path))
         cfg = ExperimentConfig.from_dict(
@@ -528,7 +543,9 @@ class TestRunAndWrite:
             assert record.rows
             written = json.loads(path.read_text())
             assert written["assertions_passed"] is True, name
-            assert len(written["rows"]) == len(record.rows), name
+            assert written["rows"] == record.rows, name
+            # Python scalars only: json cannot write a numpy integer or bool
+            assert {type(v) for row in record.rows for v in row.values()} <= {bool, int, float, str}, name
 
     @pytest.mark.parametrize("name", sorted(SMALL))
     def test_seeded_csv_digest_pinned(self, name, tmp_path):
@@ -738,6 +755,48 @@ class TestCli:
             assert main([command, "--config", self._write_config(tmp_path, extra)]) == 2
             assert "universe_size 21 and max_m 10" in capsys.readouterr().err
         assert not (tmp_path / "out.csv").exists()
+
+    @pytest.mark.parametrize(
+        "text, phrase",
+        [
+            (None, "cannot read config"),
+            ("{not json", "is not valid JSON"),
+            ("[1, 2]", "config root must be a JSON object"),
+            ('{"experiment": "regularity_check", "seed": 1, "params": [1]}', "params must be a mapping"),
+        ],
+        ids=["missing", "invalid", "array", "params-list"],
+    )
+    def test_config_file_error_exit_two_from_validate_and_run(self, text, phrase, tmp_path, capsys, monkeypatch):
+        def no_run(config):
+            raise AssertionError("the experiment ran")
+
+        monkeypatch.setattr("robustlab.cli.run", no_run)
+        path = tmp_path / "cfg.json"
+        if text is not None:
+            path.write_text(text)
+        for command in ("validate", "run"):
+            assert main([command, "--config", str(path)]) == 2
+            assert phrase in capsys.readouterr().err
+
+    @pytest.mark.parametrize("gamma", [1.0, 0.3, 2.5])
+    def test_oracle_d_at_ten_gamma_exit_two_from_validate_and_run(self, gamma, tmp_path, capsys, monkeypatch):
+        def no_run(config):
+            raise AssertionError("the experiment ran")
+
+        monkeypatch.setattr("robustlab.cli.run", no_run)
+        extra = {"experiment": "oracle_query_sweep", "params": {"D": 10 * gamma, "gamma": gamma}}
+        for command in ("validate", "run"):
+            assert main([command, "--config", self._write_config(tmp_path, extra)]) == 2
+            assert f"got D {10 * gamma} and gamma {gamma}" in capsys.readouterr().err
+        with pytest.raises(ValueError, match="D > 10"):
+            build_oracle_game(10 * gamma, gamma, 2)
+
+    @pytest.mark.parametrize("gamma", [1.0, 0.3, 2.5])
+    def test_oracle_d_just_above_ten_gamma_parses_and_builds(self, gamma):
+        D = math.nextafter(10 * gamma, math.inf)
+        cfg = ExperimentConfig.from_dict({"experiment": "oracle_query_sweep", "seed": 1, "params": {"D": D, "gamma": gamma}})
+        assert cfg.resolved_params()["D"] == D
+        assert build_oracle_game(D, gamma, 2).D == D
 
     def test_sauer_budget_at_parse_matches_the_audit(self):
         assert robustlab.harness.SUBSET_BUDGET == robustlab.loss_vc.SUBSET_BUDGET

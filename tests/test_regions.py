@@ -585,35 +585,10 @@ class TestRegionFamily:
         assert point_key((0.25, -3.0)) == (0.25, -3.0)
 
 
-class TestSerialization:
-    def test_round_trip_all_variants(self):
-        from robustlab.regions import region_from_dict, region_to_dict
-
-        regions = [
-            FinitePoints([(0.0, 1.0), (2.0, 3.0)]),
-            Ball((1.0, -1.0), 0.75),
-            UnionOfBalls([(0, 0), (3, 0)], [1.0, 0.5]),
-            Expanded(FinitePoints([(0.5, 0.5)]), 0.25),
-        ]
-        rng = rng_for(31, "serialize")
-        pts = rng.uniform(-2, 4, size=(500, 2))
-        for region in regions:
-            back = region_from_dict(region_to_dict(region))
-            assert type(back) is type(region)
-            assert np.array_equal(region.contains_many(pts), back.contains_many(pts))
-
-    def test_unknown_kind_rejected(self):
-        from robustlab.regions import region_from_dict
-
-        with pytest.raises(ValueError):
-            region_from_dict({"kind": "mystery"})
-
-
 class TestInstanceExport:
     def test_export_is_json_ready_and_faithful(self):
         import json
 
-        from robustlab.regions import region_from_dict
         from robustlab.shatter_game import build_failure_instance, export_instance
 
         inst = build_failure_instance(1, 1.0, 2, seed=5)
@@ -621,5 +596,7 @@ class TestInstanceExport:
         assert blob["m"] == 1 and blob["M"] == 3
         assert len(blob["anchors"]) == 3
         for anchor, region_data in zip(blob["anchors"], blob["regions"]):
-            region = region_from_dict(region_data)
+            assert region_data["kind"] == "points"
+            region = FinitePoints(region_data["points"])
             assert region.contains(np.asarray(anchor))
+            assert np.array_equal(region.points, inst.family.region_for(anchor).points)

@@ -29,7 +29,7 @@ def ex(x, y):
 class TestPointSandwich:
     def test_one_dimensional_interval(self):
         base = FinitePoints([[0.0]])
-        triple = build_point_sandwich(base, r=1.0, alpha=0.5, seed=0)
+        triple = build_point_sandwich(base, r=1.0, alpha=0.5)
         pts = triple.middle.points
         assert np.all(np.abs(pts) <= 1.0)  # inside the upper expansion
         # every middle point is a grid node within alpha/2 coverage reach
@@ -39,21 +39,21 @@ class TestPointSandwich:
 
     def test_count_bound(self):
         base = Ball((0.0, 0.0), 0.5)
-        triple = build_point_sandwich(base, r=0.5, alpha=0.2, seed=1)
+        triple = build_point_sandwich(base, r=0.5, alpha=0.2)
         bound = grid_cover_bound(base.diameter() + 1.0, 0.1, 2)
         assert len(triple.middle.points) <= bound
 
     def test_alpha_must_be_below_r(self):
         with pytest.raises(ValueError):
-            build_point_sandwich(FinitePoints([[0.0]]), r=0.5, alpha=0.5, seed=0)
+            build_point_sandwich(FinitePoints([[0.0]]), r=0.5, alpha=0.5)
         with pytest.raises(ValueError):
-            build_point_sandwich(FinitePoints([[0.0]]), r=0.5, alpha=0.7, seed=0)
+            build_point_sandwich(FinitePoints([[0.0]]), r=0.5, alpha=0.7)
 
 
 class TestBallSandwich:
     def test_inclusions_probe_verified(self):
         base = FinitePoints([[0.0, 0.0]])
-        triple = build_ball_sandwich(base, r=1.0, alpha=0.4, seed=0)
+        triple = build_ball_sandwich(base, r=1.0, alpha=0.4)
         lower_fail, upper_fail = set_inclusion_probe(triple, 10_000, seed=1)
         assert lower_fail == 0
         assert upper_fail == 0
@@ -61,7 +61,7 @@ class TestBallSandwich:
     def test_far_apart_clusters_stay_separated(self):
         base = FinitePoints([[0.0, 0.0], [10.0, 0.0]])
         r, alpha = 0.8, 0.3
-        triple = build_ball_sandwich(base, r=r, alpha=alpha, seed=2)
+        triple = build_ball_sandwich(base, r=r, alpha=alpha)
         reach = (r - alpha) + alpha / 2.0
         for center in triple.middle.centers:
             near = [
@@ -72,7 +72,7 @@ class TestBallSandwich:
 
     def test_boundary_stress_alpha_near_r(self):
         base = FinitePoints([[0.0, 0.0]])
-        triple = build_ball_sandwich(base, r=0.5, alpha=0.5 - 1e-9, seed=3)
+        triple = build_ball_sandwich(base, r=0.5, alpha=0.5 - 1e-9)
         lower_fail, upper_fail = set_inclusion_probe(triple, 2_000, seed=4)
         assert lower_fail == 0
         assert upper_fail == 0
@@ -81,7 +81,7 @@ class TestBallSandwich:
 class TestSandwichAudit:
     def test_constant_hypothesis_all_zero(self):
         base = FinitePoints([[0.0, 0.0]])
-        triple = build_point_sandwich(base, r=1.0, alpha=0.4, seed=0)
+        triple = build_point_sandwich(base, r=1.0, alpha=0.4)
         h = LinearClassifier((1.0, 0.0), 100.0)  # constant +1 on the scene
         report = sandwich_audit(triple, [h], [ex((0, 0), 1)], seed=0)
         row = report.rows[0]
@@ -91,7 +91,7 @@ class TestSandwichAudit:
     def test_boundary_slicing_between_shells(self):
         # boundary at 0.8 splits the 0.6-shell from the 1.0-shell
         base = FinitePoints([[0.0, 0.0]])
-        triple = build_point_sandwich(base, r=1.0, alpha=0.4, seed=1)
+        triple = build_point_sandwich(base, r=1.0, alpha=0.4)
         h = LinearClassifier((1.0, 0.0), -0.8)
         report = sandwich_audit(triple, [h], [ex((0, 0), -1)], seed=1)
         row = report.rows[0]
@@ -121,7 +121,7 @@ class TestSandwichAudit:
             ]
             examples = [ex(rng.uniform(-1, 1, 2), 1), ex(rng.uniform(-1, 1, 2), -1)]
             for build in (build_point_sandwich, build_ball_sandwich):
-                triple = build(base, r=r, alpha=alpha, seed=trial)
+                triple = build(base, r=r, alpha=alpha)
                 report = sandwich_audit(triple, hyps, examples, seed=trial)
                 assert all(c.passed for c in report.certificates)
                 assert not report.violations, (trial, build.__name__)
@@ -142,7 +142,7 @@ class TestSandwichAudit:
         # the audit reads one loss table for all three regions; the pointwise loss is the reference
         base = FinitePoints([[0.0, 0.0]])
         _, control, example = make_nonregular_control(base, r=1.0, alpha=0.4, seed=5)
-        triple = build(base, r=1.0, alpha=0.4, seed=5)
+        triple = build(base, r=1.0, alpha=0.4)
         rng = rng_for(23, "audit-rows")
         hyps = [
             LinearClassifier((1.0, 0.0), -0.3),
@@ -172,7 +172,7 @@ class TestSandwichAudit:
         # set inclusion makes the sandwich unconditional for any hypothesis
         base = FinitePoints([[0.0, 0.0]])
         _, control, example = make_nonregular_control(base, r=1.0, alpha=0.4, seed=6)
-        triple = build_ball_sandwich(base, r=1.0, alpha=0.4, seed=6)
+        triple = build_ball_sandwich(base, r=1.0, alpha=0.4)
         l = robust_loss_point(control, triple.lower, example)
         m = robust_loss_point(control, triple.middle, example)
         u = robust_loss_point(control, triple.upper, example)
