@@ -151,7 +151,8 @@ class Expanded(_BallArray):
     arrays are built once on construction and answer every query, so an
     expansion and its collapsed form are the same set bit for bit.  Nested
     expansions collapse first, since the underlying Minkowski sums add
-    radii; ``base`` and ``gamma`` are kept for ``expand``, which adds to ``gamma``.
+    radii; ``base`` and ``gamma`` are kept for ``expand``, which adds to
+    ``gamma``.
     """
 
     base: "Region"

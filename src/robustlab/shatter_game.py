@@ -243,8 +243,8 @@ def export_instance(inst: FailureInstance) -> dict:
 
     Anchors, subsets, witnesses, and each anchor's region are serialized
     explicitly so a run can be re-audited without rebuilding the sphere
-    packing.  Each region is a ``{"kind": "points", "points": ...}`` list
-    that ``FinitePoints(region["points"])`` rebuilds.
+    packing.  Each region is a ``{"kind": "points", "points": [...]}``
+    dict whose points list ``FinitePoints(region["points"])`` rebuilds.
     """
     return {
         "m": inst.m,
