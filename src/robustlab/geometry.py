@@ -257,7 +257,10 @@ class _BallArray:
         return p
 
     def contains(self, p) -> bool:
-        """``_in_union(p[None], centers, radii)[0]``, the one row tested against all balls at once."""
+        """Whether ``p`` is in some ball, by square roots: ``_norms(p - centers) <= radii``.
+
+        ``contains_many`` compares squares with :func:`_sq_bound`; the verdicts agree by its definition.
+        """
         p = self._point(p)
         centers, radii = self._balls
         near = _norms(p - centers) <= radii

@@ -12,10 +12,12 @@ Every config value is checked at parse time against one rule table, the
 top-level ``CONFIG_ROWS`` and each experiment's in ``EXPERIMENT_TABLES``,
 both plain data.  So set-up, ``import robustlab`` and parsing a config,
 loads ``json`` and the two robustlab modules, and no ``dataclasses``,
-``typing``, ``tempfile`` or numpy: ``EXPERIMENTS`` and ``RunRecord``, and
-with them ``dataclasses``, are built on first use, and ``runners``, which
-imports numpy and the library, loads when a runner first runs.  A run
-still loads all of it; only ``validate`` and ``list-experiments`` skip it.
+``typing``, ``tempfile`` or numpy.  ``ExperimentSpec``, ``RunRecord`` and
+``EXPERIMENTS`` are defined in ``runners`` with the experiment runners,
+and this module hands them out from there; ``runners``, and with it
+numpy, ``dataclasses`` and the library, loads when a run starts or one of
+those names is first read.  A run still loads all of it; only
+``validate`` and ``list-experiments`` skip it.
 """
 
 from __future__ import annotations
@@ -200,7 +202,7 @@ class ExperimentConfig(namedtuple("ExperimentConfig", "experiment params seed ou
 
 def run(config: ExperimentConfig) -> RunRecord:
     """Dispatch to the experiment runner and optionally write the output."""
-    from .harness import EXPERIMENTS, RunRecord  # built by the module's __getattr__ on first use
+    from .runners import EXPERIMENTS, RunRecord
 
     spec = EXPERIMENTS[config.experiment]
     params = config.resolved_params()
@@ -220,21 +222,26 @@ def resolve_output_path(path: str) -> str:
     return path
 
 
-def _format_value(v, bools: tuple[type, ...], floats: tuple[type, ...]) -> str:
-    if isinstance(v, bools):
+def _cell(row: dict, name: str) -> str:
+    """A CSV cell: a bool as ``true``/``false``, a float by ``repr``, an int or str as itself."""
+    v = row[name]
+    if isinstance(v, bool):
         return "true" if v else "false"
-    if isinstance(v, floats):
+    if isinstance(v, float):
         return repr(float(v))
-    return str(v)
+    if isinstance(v, (int, str)):
+        return str(v)
+    raise TypeError(f"column {name!r} holds a {type(v).__name__}; a cell must be a bool, int, float or str")
 
 
 def write_record(record: RunRecord, path: str, fmt: str) -> None:
-    """Atomic write: the target file appears complete or not at all."""
+    """Atomic write: the target file appears complete or not at all.
+
+    A CSV cell that is not a ``bool``, ``int``, ``float`` or ``str`` raises
+    ``TypeError`` naming its column before anything is written.
+    """
     buf = io.StringIO()
     if fmt == "csv":
-        import numpy as np  # once per write: cells may hold numpy scalars
-
-        bools, floats = (bool, np.bool_), (float, np.floating)
         for name, desc in record.schema:
             buf.write(f"# schema: {name} = {desc}\n")
         buf.write(f"# config: {json.dumps(record.config, sort_keys=True)}\n")
@@ -242,7 +249,7 @@ def write_record(record: RunRecord, path: str, fmt: str) -> None:
         names = [name for name, _ in record.schema]
         buf.write(",".join(names) + "\n")
         for row in record.rows:
-            buf.write(",".join(_format_value(row[name], bools, floats) for name in names) + "\n")
+            buf.write(",".join(_cell(row, name) for name in names) + "\n")
     else:
         json.dump(
             {
@@ -279,17 +286,6 @@ def _atomic_write(path: str, text: str) -> None:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
-
-
-def _runner(experiment: str) -> Callable:
-    """``runners.run_<experiment>``, with ``runners`` imported when it first runs."""
-
-    def runner(params: dict, seed: int):
-        from . import runners
-
-        return getattr(runners, f"run_{experiment}")(params, seed)
-
-    return runner
 
 
 EXPERIMENT_TABLES = {  # name -> (rule table of its params, description)
@@ -350,30 +346,9 @@ def list_experiments() -> list[tuple[str, str]]:
 
 
 def __getattr__(name: str):
-    """Build ``EXPERIMENTS``, ``ExperimentSpec`` and ``RunRecord`` on first access, and keep them here."""
+    """``EXPERIMENTS``, ``ExperimentSpec`` and ``RunRecord``, read from ``runners``, which loads on first access."""
     if name not in ("EXPERIMENTS", "ExperimentSpec", "RunRecord"):
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from dataclasses import dataclass
+    from . import runners
 
-    @dataclass(frozen=True)
-    class ExperimentSpec:
-        defaults: dict  # name -> (default, rule)
-        runner: Callable[[dict, int], tuple[list[tuple[str, str]], list[dict], dict, bool]]
-        description: str
-
-    @dataclass(frozen=True)
-    class RunRecord:
-        config: dict
-        schema: list[tuple[str, str]]
-        rows: list[dict]
-        summary: dict
-        assertions_passed: bool
-        wall_clock_s: float
-        version: str = __version__
-
-    for cls in (ExperimentSpec, RunRecord):
-        cls.__qualname__ = cls.__name__  # pickle finds a class by its qualified name
-    experiments = {key: ExperimentSpec(defaults, _runner(key), description)
-                   for key, (defaults, description) in EXPERIMENT_TABLES.items()}
-    globals().update(EXPERIMENTS=experiments, ExperimentSpec=ExperimentSpec, RunRecord=RunRecord)
-    return globals()[name]
+    return getattr(runners, name)

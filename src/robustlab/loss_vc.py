@@ -244,16 +244,18 @@ def overhead_audit(
 ) -> list[OverheadRow]:
     """Audit the robust-VC overhead of size-k regions across instances.
 
-    Each instance contributes: the exhaustive robust VC estimate, the
-    ordinary VC of the base class on the union of all region points, and a
-    growth-function check that every scanned sample's pattern count stays
-    within the Sauer bound implied by that ordinary VC (zero violations
-    expected; the count bound is what caps the loss-class dimension at
-    d * log(d k) scale).  A subset's inflated point count is the sum of its
-    examples' region sizes, repeats included.  The check runs a block of
-    subsets at a time through :func:`_pattern_counts`, against a table of
-    ``sauer_bound(base_vc, t)`` per inflated total ``t``.  An instance whose
-    check would scan more than ``SUBSET_BUDGET`` subsets raises ``ValueError``.
+    Each instance contributes: the ordinary VC of the base class on the union
+    of all region points, a growth-function check that every scanned sample's
+    pattern count stays within the Sauer bound implied by that ordinary VC
+    (zero violations expected; the count bound is what caps the loss-class
+    dimension at d * log(d k) scale), and the robust VC estimate.  A subset's
+    inflated point count is the sum of its examples' region sizes, repeats
+    included.  The check scans every subset of 1 to ``max_m`` examples a block
+    at a time through :func:`_pattern_counts`, against a table of
+    ``sauer_bound(base_vc, t)`` per inflated total ``t``, and raises
+    ``ValueError`` when that is more than ``SUBSET_BUDGET`` subsets.
+    Shattering is closed under subsets, so ``vc_lower`` is the largest ``m``
+    with a count of ``2**m``, certified as ``vc_upper`` below ``max_m``.
     """
     rows = []
     for d, k, cls, family, universe in instances:
@@ -262,21 +264,18 @@ def overhead_audit(
             raise ValueError(f"the Sauer check would scan {subsets:,} subsets, over the budget of {SUBSET_BUDGET:,}")
         regions = _family_regions(family, universe)
         bits = _bits(_loss_table(cls, regions, universe))
-        estimate = _search_vc(bits, max_m, SUBSET_BUDGET)
         region_pts = [region.points for region in regions]
         sizes = np.array([len(pts) for pts in region_pts])
         base_vc = class_vc_on_points(cls, np.unique(np.vstack(region_pts), axis=0))
         # a count never exceeds the row count, so capping the bound there keeps the table in int64
         caps = np.array([min(sauer_bound(base_vc, t), len(cls)) for t in range(sizes.sum() + 1)])
-        ok = True
-        checks = 0
+        ok, checks, vc = True, 0, 0
         for m in range(1, min(len(universe), max_m) + 1):
             for block, counts in _pattern_counts(bits, m):
                 checks += len(block)
                 ok = ok and not np.any(counts > caps[sizes[block].sum(axis=1)])
-        rows.append(
-            OverheadRow(d, k, estimate.dimension_lower, estimate.dimension_upper, base_vc, ok, checks)
-        )
+                vc = m if np.any(counts == 2**m) else vc
+        rows.append(OverheadRow(d, k, vc, vc if vc < max_m else None, base_vc, ok, checks))
     return rows
 
 

@@ -231,21 +231,6 @@ class QuerySweepResult:
     anchor_detections: tuple[int, int]
     seed: int
 
-    def to_rows(self) -> list[dict]:
-        return [
-            {
-                "budget": int(b),
-                "excess_error": float(e),
-                "ci_lo": float(lo),
-                "ci_hi": float(hi),
-                "D": self.D,
-                "gamma": self.gamma,
-                "d": self.d,
-                "seed": self.seed,
-            }
-            for b, e, lo, hi in zip(self.budgets, self.excess_error, self.ci_lo, self.ci_hi)
-        ]
-
 
 def wilson_interval(successes: int, n: int) -> tuple[float, float]:
     """Wilson score interval (``z = 1.96``, about 95%) for a binomial proportion."""

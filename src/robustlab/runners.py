@@ -1,22 +1,43 @@
-"""The experiment runners behind ``harness.EXPERIMENTS``, one per experiment.
+"""The experiment runners, and ``ExperimentSpec``, ``RunRecord`` and ``EXPERIMENTS``.
 
 ``run_<experiment>(params, seed)`` takes the experiment's resolved
 parameters and master seed, runs it, and returns ``(schema, rows,
-summary, passed)`` for the harness to record.  The harness imports this
-module when a runner first runs, so parsing and validating a config never
-loads numpy or the library.  Every library object is read from its module
-at call time (``rerm.tolrerm``, not a name bound here), so a rebinding in
-the owning module, such as a test's monkeypatch, reaches the runners.
+summary, passed)``, every cell a Python ``bool``, ``int``, ``float`` or
+``str``.  This module loads when a run starts or ``harness`` first hands
+out one of the three names, so parsing a config never loads it, numpy or
+the library.  Every library object is read from its module at call time
+(``rerm.tolrerm``, not a name bound here), so a rebinding in the owning
+module, such as a test's monkeypatch, reaches the runners.
 """
 
 from __future__ import annotations
 
 import json
+from collections.abc import Callable
+from dataclasses import dataclass
 
 import numpy as np
 
-from . import classifiers, geometry, loss_vc, oracle_game, regions, rerm, sandwich, seeding, shatter_game
-from .harness import _atomic_write, resolve_output_path
+from . import __version__, classifiers, geometry, loss_vc, oracle_game, regions, rerm, sandwich, seeding, shatter_game
+from .harness import EXPERIMENT_TABLES, _atomic_write, resolve_output_path
+
+
+@dataclass(frozen=True)
+class ExperimentSpec:
+    defaults: dict  # name -> (default, rule)
+    runner: Callable[[dict, int], tuple[list[tuple[str, str]], list[dict], dict, bool]]
+    description: str
+
+
+@dataclass(frozen=True)
+class RunRecord:
+    config: dict
+    schema: list[tuple[str, str]]
+    rows: list[dict]
+    summary: dict
+    assertions_passed: bool
+    wall_clock_s: float
+    version: str = __version__
 
 
 def _member_losses(oracle, r: float) -> list[float]:
@@ -196,7 +217,9 @@ def run_lb_linear_game(params: dict, seed: int):
 def run_oracle_query_sweep(params: dict, seed: int):
     inst = oracle_game.build_oracle_game(params["D"], params["gamma"], params["d"])
     result = oracle_game.run_query_game(inst, params["budgets"], params["trials"], seeding.seed_derive(seed, "sweep"))
-    rows = result.to_rows()
+    rows = [{"budget": int(b), "excess_error": float(e), "ci_lo": float(lo), "ci_hi": float(hi),
+             "D": result.D, "gamma": result.gamma, "d": result.d, "seed": result.seed}
+            for b, e, lo, hi in zip(result.budgets, result.excess_error, result.ci_lo, result.ci_hi)]
     passed = bool(np.all(np.diff(result.excess_error) <= 1e-12))
     if 0 in result.budgets:
         i = int(np.flatnonzero(result.budgets == 0)[0])
@@ -211,7 +234,7 @@ def run_oracle_query_sweep(params: dict, seed: int):
         ("D", "region diameter parameter"),
         ("gamma", "tolerance parameter"),
         ("d", "ambient dimension"),
-        ("seed", "master seed"),
+        ("seed", 'seed_derive(master seed, "sweep"), the seed run_query_game was given'),
     ]
     summary = {
         "detection_threshold": threshold,
@@ -298,3 +321,8 @@ def run_regularity_check(params: dict, seed: int):
         ("passed", "certificate verdict"),
     ]
     return schema, rows, {"passed": cert.passed}, True
+
+
+# each experiment's rule table and description, from harness.EXPERIMENT_TABLES, with its runner
+EXPERIMENTS = {name: ExperimentSpec(defaults, globals()[f"run_{name}"], description)
+               for name, (defaults, description) in EXPERIMENT_TABLES.items()}

@@ -102,6 +102,21 @@ class TestSquaredBallBound:
     def test_infinite_radius_holds_every_number(self):
         assert geometry._sq_bound(math.inf) == math.inf
 
+    @pytest.mark.parametrize("r", [1.7e-162, 3e-162])
+    def test_subnormal_square_is_searched_down(self, r):
+        # r * r is subnormal and rounds up, so its square root exceeds r and
+        # the bound lies below it; membership still follows the distance rule
+        assert math.sqrt(r * r) > r
+        assert geometry._sq_bound.__wrapped__(r) < r * r
+        for d in (1, 2, 3):
+            center = np.zeros(d)
+            for t in (math.nextafter(r, 0.0), r, math.nextafter(r, math.inf)):
+                for direction in (np.eye(d)[0], np.full(d, 1 / math.sqrt(d))):
+                    p = t * direction
+                    inside = distance(p, center) <= r
+                    assert Ball(center, r).contains(p) == inside
+                    assert Ball(center, r).contains_many(p[None])[0] == inside
+
     @pytest.mark.parametrize("d", range(1, 10))
     def test_in_ball_is_the_distance_rule(self, d):
         # d >= 8 sums the squares pairwise; scales over 16 decades and points

@@ -49,7 +49,7 @@ SMALL_CSV_SHA256 = {
     "opt_gap_audit": "ed4ae463a0c8e6e03c78b40bcdc72dc763bdb4921f60c303db2765a3bc4a7e6a",
     "sandwich_audit": "068d6dd26f3163b0333da37d2ced7bec102404bd9966bde2b16582beeb37a2fb",
     "lb_linear_game": "52ecca592908f95556a6e5506340618546bd2e044303d5325135a3ffd22fbd77",
-    "oracle_query_sweep": "a9aeb7f24a9376bc66d150342aa1328b03f55d738562d9eb5c774f83101a1c62",
+    "oracle_query_sweep": "cc8a69c9e89477ed2747f0ffc8a7372e960abcf4b10c8626686684c0f6906a80",
     "robust_vc_audit": "3de7543d08bd89ca829abe2d1255e907e2684da71bcea08171d256315a4152a2",
     "regularity_check": "72e65c68a42ac980c07efd5cbff03a4e4c50056ed9ce7c8a929112aaffea6153",
 }
@@ -62,7 +62,7 @@ TOLRERM_BENCH_CSV_SHA256 = "0a133350771d7745a6cf312be74c47ee90ca3b879e92f991d4c4
 # The oracle_query_sweep CSV at the benchmark's size (d = 3, 4,000 trials,
 # budgets up to 4096, so about 630k oracle draws) and seed 11, pinned the same way.
 QUERY_BENCH_PARAMS = {"D": 50.0, "gamma": 1.0, "d": 3, "budgets": [2**i for i in range(13)], "trials": 4000}
-QUERY_BENCH_CSV_SHA256 = "93490aeb580f4e7a1e594375c2e6c0bd49edd282b7a044581585d2df80ac2d05"
+QUERY_BENCH_CSV_SHA256 = "1d82ad7f4875d276c5781e20baf58bd4a9b83bfa9ddbc1cba2650edbc31d50ef"
 
 # The same digest for opt_gap_audit at its default parameters (50 instances
 # x 400 trials) and seed 11.
@@ -353,6 +353,18 @@ class TestConfigParsing:
         with pytest.raises(dataclasses.FrozenInstanceError):
             record.rows = []
 
+    def test_registry_and_record_live_in_runners(self):
+        import robustlab.runners as runners
+
+        assert EXPERIMENTS is runners.EXPERIMENTS
+        assert robustlab.harness.RunRecord is runners.RunRecord
+        assert robustlab.harness.ExperimentSpec is runners.ExperimentSpec
+        assert {name: spec.runner for name, spec in EXPERIMENTS.items()} == {
+            name: getattr(runners, f"run_{name}") for name, _ in list_experiments()
+        }
+        with pytest.raises(AttributeError):
+            robustlab.harness.RUNNERS
+
     def test_negative_parameter_fails_before_running(self, tmp_path):
         out = tmp_path / "out.csv"
         with pytest.raises(ConfigError, match="gamma"):
@@ -480,6 +492,15 @@ class TestRunAndWrite:
         assert not record_path.exists()
         leftovers = [p for p in os.listdir(tmp_path) if p.endswith(".tmp")]
         assert not leftovers
+
+    @pytest.mark.parametrize("cell", [np.bool_(True), np.int64(3), None], ids=["numpy-bool", "numpy-int", "none"])
+    def test_csv_cell_of_another_type_names_its_column_and_writes_nothing(self, cell, tmp_path):
+        record = run(ExperimentConfig.from_dict({"experiment": "regularity_check", "seed": 5}))
+        object.__setattr__(record, "rows", [{**record.rows[0], "passed": cell}])
+        target = tmp_path / "out.csv"
+        with pytest.raises(TypeError, match="column 'passed'"):
+            write_record(record, str(target), "csv")
+        assert os.listdir(tmp_path) == []
 
     def test_failed_instance_export_leaves_no_temp_file(self, tmp_path, monkeypatch):
         import robustlab.shatter_game

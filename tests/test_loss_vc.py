@@ -393,6 +393,24 @@ class TestLossMatrixAgainstRecomputation:
         monkeypatch.setattr(robustlab.loss_vc, "BLOCK_CODES", per_block * len(cls))
         assert overhead_audit(instances, max_m=3) == expected
 
+    @pytest.mark.parametrize("max_m", range(1, 7))
+    def test_overhead_estimate_is_the_search_read_off_the_sauer_pass(self, monkeypatch, max_m):
+        # the audit scans each instance once; its only other search is the
+        # base class's ordinary VC, one per instance
+        examples = self.examples()
+        cls = mixed_class(self.xs)
+        # the two-example universe is shattered, so from max_m 3 on its estimate is certified at 2
+        cases = [(self.finite_points_family(), examples), (singleton_family(examples), examples),
+                 (singleton_family(examples[:2]), examples[:2])]
+        searches = []
+        search = robustlab.loss_vc._search_vc
+        monkeypatch.setattr(robustlab.loss_vc, "_search_vc", lambda *args: searches.append(args) or search(*args))
+        rows = overhead_audit([(2, 1, cls, fam, universe) for fam, universe in cases], max_m=max_m)
+        assert len(searches) == len(cases)
+        for row, (fam, universe) in zip(rows, cases):
+            est = robust_vc_search(cls, fam, universe, max_m=max_m)
+            assert (row.vc_lower, row.vc_upper) == (est.dimension_lower, est.dimension_upper)
+
 
 # --------------------------------------------------------------------------
 # the block pattern-count kernel against the one-subset-at-a-time loop

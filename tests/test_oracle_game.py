@@ -319,3 +319,20 @@ class TestWilson:
         assert 0.4 < lo < 0.5 < hi < 0.6
         lo, hi = wilson_interval(0, 100)
         assert lo == 0.0 and hi < 0.05
+
+    def test_no_trials_give_the_whole_interval(self):
+        assert wilson_interval(0, 0) == (0.0, 1.0)
+
+
+class TestDetectionThreshold:
+    @staticmethod
+    def curve(excess):
+        n = len(excess)
+        budgets, excess = np.array([1, 2, 4, 8][:n]), np.array(excess)
+        return QuerySweepResult(20.0, 1.0, 2, budgets, excess, excess, excess, 100, (0, 0), (0, 0), 0)
+
+    def test_none_when_the_curve_stays_above_an_eighth(self):
+        assert detection_threshold(self.curve([0.25, 0.2, 0.125])) is None
+
+    def test_first_budget_when_the_curve_starts_below_an_eighth(self):
+        assert detection_threshold(self.curve([0.1, 0.05, 0.0])) == 1.0

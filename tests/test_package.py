@@ -122,9 +122,9 @@ def test_config_parsing_loads_neither_numpy_nor_the_library(tmp_path):
 import sys
 import json
 import robustlab
-from robustlab.harness import EXPERIMENTS, ConfigError, ExperimentConfig
+from robustlab.harness import ConfigError, ExperimentConfig, list_experiments
 ExperimentConfig.from_file(sys.argv[1])
-for name in EXPERIMENTS:
+for name, _ in list_experiments():
     ExperimentConfig.from_dict({"experiment": name, "seed": 1})
 for raw in json.loads(sys.argv[2]):
     try:
