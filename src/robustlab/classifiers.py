@@ -34,7 +34,7 @@ from typing import Union
 
 import numpy as np
 
-from .geometry import Ball, as_point, _batch, _check_same_dim, _is_integer, _norms
+from .geometry import Ball, as_point, _batch, _check_same_dim, _count, _is_integer, _norms
 from .geometry import _order, _pair_distances, _radius, _readonly, _sq_norms, _union_distances
 from .regions import Region, RegionFamily, _region_balls, uniform_sample
 from .seeding import as_generator, uniform_sphere
@@ -455,19 +455,18 @@ def regularity_check(
 
     Halfspace certificates, and sphere ones with ``alpha <= radius / 2``,
     are exact for the whole domain: they draw nothing, and ``probes`` is
-    the requested count.  Before any draw, a ``probes`` that is not a
-    nonnegative integer raises ``ValueError``, another hypothesis type
-    ``UnsupportedPairError`` and a domain of another dimension ``DimensionMismatch``.
+    the requested count.  Before any draw, an ``alpha`` that is not a finite
+    positive real or a ``probes`` that is not a nonnegative integer raises
+    ``ValueError``, another hypothesis type ``UnsupportedPairError`` and a
+    domain of another dimension ``DimensionMismatch``.
     """
-    if not alpha > 0:  # also rejects NaN
-        raise ValueError("alpha must be positive")
-    if not _is_integer(probes) or probes < 0:
-        raise ValueError(f"probes must be a nonnegative integer, got {probes!r}")
+    _radius(alpha, "alpha")
+    probes = _count(probes, "probes")
     if not isinstance(h, Hypothesis):
         raise UnsupportedPairError(f"unsupported hypothesis type {type(h).__name__}")
     _check_same_dim(h.dimension, domain.dimension)
     if isinstance(h, LinearClassifier) or (isinstance(h, SphereBoundary) and alpha <= h.radius / 2.0):
-        return RegularityCertificate(alpha, int(probes), (), domain)
+        return RegularityCertificate(alpha, probes, (), domain)
     rng = as_generator(seed)
     probe_pts = uniform_sample(domain, probes, rng) if probes > 0 else np.empty((0, domain.dimension))
     if isinstance(h, SphereBoundary):

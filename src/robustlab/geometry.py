@@ -110,6 +110,17 @@ def _is_integer(x) -> bool:
     return isinstance(x, numbers.Integral) and not isinstance(x, bool)
 
 
+def _count(value, name: str, least: int = 0) -> int:
+    """``value`` as an int: a Python or numpy integer, not a bool, at least ``least``.
+
+    The one rule for every sample size, trial count, budget and dimension; anything
+    else raises ``ValueError("<name> must be an integer >= <least>, got <value!r>")``.
+    """
+    if not (_is_integer(value) and value >= least):
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+    return int(value)
+
+
 def distance(a, b) -> float:
     """Euclidean distance between two points of equal dimension, the one-row case of :func:`_norms`."""
     pa, pb = as_point(a), as_point(b)
@@ -362,8 +373,7 @@ def greedy_sphere_cover(
     A mesh of at least twice the radius legitimately yields a single-point
     cover.  Deterministic for a fixed seed.
     """
-    if d < 2:
-        raise ValueError("sphere covers need ambient dimension >= 2")
+    d = _count(d, "d", 2)
     sphere_radius, mesh = _radius(sphere_radius, "sphere_radius"), _radius(mesh, "mesh")
     rng = as_generator(seed)
 

@@ -271,7 +271,8 @@ def _atomic_write(path: str, text: str) -> None:
     """Write ``text`` to a temporary file beside ``path``, then move it into place.
 
     The target appears complete or not at all, and the temporary file is
-    removed if the write fails.
+    removed if the write fails.  It gets the mode ``open()`` would give,
+    ``0o666`` less the umask, not ``mkstemp``'s owner-only ``0o600``.
     """
     import tempfile
 
@@ -279,6 +280,9 @@ def _atomic_write(path: str, text: str) -> None:
     os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".robustlab-", suffix=".tmp")
     try:
+        umask = os.umask(0o077)  # reading the umask sets it; 0o077 meanwhile grants no one else anything
+        os.umask(umask)
+        os.fchmod(fd, 0o666 & ~umask)
         with os.fdopen(fd, "w") as fh:
             fh.write(text)
         os.replace(tmp, path)

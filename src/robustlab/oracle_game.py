@@ -24,7 +24,7 @@ from .classifiers import (
     LinearClassifier,
     robust_loss_distribution,
 )
-from .geometry import Ball, _in_ball, _is_integer
+from .geometry import Ball, _count, _in_ball
 from .regions import RegionFamily, UnionOfBalls, _region_balls, _rejection_draw
 from .seeding import rng_for
 
@@ -71,8 +71,7 @@ def build_oracle_game(D: float, gamma: float, d: int) -> OracleGameInstance:
     """
     if not D > 10 * gamma > 0:
         raise ValueError("need D > 10 * gamma > 0")
-    if d < 1:
-        raise ValueError("dimension must be >= 1")
+    d = _count(d, "d", 1)
     D0 = D - 9.0 * gamma
     e1 = np.zeros(d)
     e1[0] = 1.0
@@ -188,6 +187,7 @@ def measure_bound_audit(inst: OracleGameInstance, n_mc: int, seed: int) -> Measu
     ``contains_many`` tests, bit for bit.  In one dimension the exact value
     from interval lengths is attached as an independent oracle.
     """
+    n_mc = _count(n_mc, "n_mc", 1)
     if inst.d > 4:
         raise ValueError("Monte-Carlo volume audit limited to d <= 4")
     gamma, D0 = inst.gamma, inst.D0
@@ -274,23 +274,16 @@ def run_query_game(
     the original's squared distance to the other core, bit for bit, and a
     draw and its mirror escape the cores alike.
 
-    ``budgets`` must be distinct nonnegative integers (Python or numpy) and
-    ``trials`` a positive integer; anything else raises ``ValueError``.
+    ``budgets`` must be distinct integers >= 0 (Python or numpy) and
+    ``trials`` an integer >= 1; anything else raises ``ValueError``.
     """
     budgets = list(budgets)
     if not budgets:
         raise ValueError("need at least one budget")
-    if not all(_is_integer(b) for b in budgets):
-        raise ValueError(f"budgets must be integers, got {budgets}")
-    budgets_arr = np.asarray(sorted(int(b) for b in budgets))
-    if np.any(budgets_arr < 0):
-        raise ValueError("budgets must be nonnegative")
+    budgets_arr = np.asarray(sorted(_count(b, "budget") for b in budgets))
     if np.any(np.diff(budgets_arr) == 0):
         raise ValueError(f"budgets must be distinct, got {budgets}")
-    if not _is_integer(trials):
-        raise ValueError(f"trials must be an integer, got {trials!r}")
-    if trials < 1:
-        raise ValueError("need at least one trial")
+    trials = _count(trials, "trials", 1)
     rng = rng_for(seed, "query-game")
     max_budget = int(budgets_arr.max(initial=0))
 

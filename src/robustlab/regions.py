@@ -46,7 +46,7 @@ from typing import Union
 
 import numpy as np
 
-from .geometry import Ball, DimensionMismatch, as_point, _BallArray, _in_union, _radius, _readonly
+from .geometry import Ball, DimensionMismatch, as_point, _BallArray, _count, _in_union, _radius, _readonly
 from .seeding import as_generator
 
 __all__ = [
@@ -241,8 +241,7 @@ def _rejection_draw(
     generator, as :func:`~robustlab.seeding.as_generator` takes.  Aborts
     with diagnostics if the acceptance rate falls below ``MIN_EFFICIENCY``.
     """
-    if n < 0:
-        raise ValueError(f"cannot draw a negative number of points ({n})")
+    n = _count(n, "n")
     if not _positive_measure(region):
         raise ZeroMeasureError("region has zero Lebesgue measure; uniform sampling undefined")
     rng = as_generator(rng)

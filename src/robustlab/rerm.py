@@ -34,7 +34,7 @@ from .classifiers import (
     _violated,
     _violation_table,
 )
-from .geometry import Ball, _is_integer
+from .geometry import Ball, _count, _radius
 from .regions import FinitePoints, RegionFamily, UnionOfBalls
 from .seeding import rng_for, uniform_sphere
 
@@ -124,11 +124,10 @@ class IndexedExhaustiveOracle:
 
 
 def _check_tolerance(eps: float, delta: float, gamma: float) -> None:
-    """Reject eps or delta outside (0, 1] and a gamma that is not finite and positive."""
+    """Reject eps or delta outside (0, 1] and a gamma that :func:`~robustlab.geometry._radius` rejects."""
     if not (0 < eps <= 1 and 0 < delta <= 1):
         raise ValueError("eps and delta must lie in (0, 1]")
-    if not 0 < gamma < np.inf:
-        raise ValueError("gamma must be finite and positive")
+    _radius(gamma)
 
 
 @dataclass(frozen=True)
@@ -158,17 +157,15 @@ def tolrerm(
     Equal-length 1-D sequences ``n`` and ``seed`` make one run per entry, on
     its own two streams, solved in one pass (the table at every radius times
     each run's atom tally); the results come in order, each equal to its
-    scalar call.  An ``n`` that is not a positive integer (a bool is not),
+    scalar call.  An ``n`` that is not an integer >= 1 (a bool is not),
     unequal lengths and an empty run list raise ``ValueError``.
     """
     _check_tolerance(eps, delta, gamma)
     one = np.ndim(n) == np.ndim(seed) == 0
     if not one and not (np.ndim(n) == np.ndim(seed) == 1 and len(n) == len(seed) > 0):
         raise ValueError("n and seed must be one value each or equal-length nonempty 1-D sequences")
-    ns, seeds = ([n], [seed]) if one else (list(n), list(seed))
-    for k in ns:
-        if not _is_integer(k) or k < 1:
-            raise ValueError(f"n must be a positive integer, got {k!r}")
+    ns = [_count(k, "n", 1) for k in ([n] if one else n)]
+    seeds = [seed] if one else list(seed)
     lo = eps * delta * gamma / 7.0
     rs = np.array([rng_for(s, "radius").uniform(lo, gamma) for s in seeds])
     draws = [oracle.dist.sample_indices(k, rng_for(s, "sample")) for k, s in zip(ns, seeds)]
@@ -208,14 +205,11 @@ def opt_gap_audit(
     For any monotone [0, 1]-valued profile the mean gap is at most ``alpha /
     (gamma - alpha)`` and the frequency of gaps below ``eps/3`` is at least
     ``1 - delta/2``; the audit returns both empirical statistics alongside
-    those targets.  Non-integer ``trials`` raise ``ValueError``, and so does a
-    profile without one optimum per radius.
+    those targets.  ``trials`` below 100 or not an integer raises ``ValueError``,
+    and so does a profile without one optimum per radius.
     """
     _check_tolerance(eps, delta, gamma)
-    if not _is_integer(trials):
-        raise ValueError(f"trials must be an integer, got {trials!r}")
-    if trials < 100:
-        raise ValueError("need at least 100 trials for a meaningful audit")
+    trials = _count(trials, "trials", 100)  # fewer radii make no meaningful audit
     alpha = eps * delta * gamma / 7.0
     rs = rng_for(seed, "gap-audit").uniform(alpha, gamma, size=trials)
     upper, lower = profile(rs), profile(rs - alpha)

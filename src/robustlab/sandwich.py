@@ -196,14 +196,11 @@ def make_nonregular_control(
     the left inequality is carried by the regularity hypothesis.
     """
     triple = build_point_sandwich(base, r, alpha)
-    rng = rng_for(seed, "control")
-    flipped = None
-    for candidate in uniform_sample(triple.lower, 256, rng):
-        if triple.middle.distance_to(candidate) > 1e-6:
-            flipped = candidate
-            break
-    if flipped is None:
+    candidates = uniform_sample(triple.lower, 256, rng_for(seed, "control"))
+    missed = np.flatnonzero(triple.middle.distance_to_many(candidates) > 1e-6)
+    if not missed.size:
         raise RuntimeError("could not find a lower point missed by the middle")
+    flipped = candidates[missed[0]]
     y = 1
     control = TableClassifier([flipped], [-y], default=y)
     lo, hi = base.bounding_box()

@@ -26,7 +26,7 @@ import numpy as np
 
 from . import seeding  # rng_for is read at each call, so a later rebinding in seeding reaches it
 from .classifiers import LabeledExample, LinearClassifier, _loss_table
-from .geometry import SphereCover, _in_ball, _pair_distances, greedy_sphere_cover
+from .geometry import SphereCover, _count, _in_ball, _pair_distances, greedy_sphere_cover
 from .regions import FinitePoints, RegionFamily
 from .seeding import as_generator, uniform_sphere
 
@@ -131,8 +131,7 @@ def build_shatter_family(W: float, d: int, M: int, seed: int) -> ShatterFamily:
     Cell samples are uniform sphere points assigned to their nearest
     packing center (the deterministic seed fixes everything).
     """
-    if d < 2 or M < 1:
-        raise ValueError("need d >= 2 and M >= 1")
+    d, M = _count(d, "d", 2), _count(M, "M", 1)
     beta = BETA0
     cover = None
     for halving in range(MAX_HALVINGS):
@@ -204,8 +203,7 @@ def build_failure_instance(m: int, W: float, d: int, seed: int) -> FailureInstan
     robustness on every anchor inside it (its own cell center, present in
     the region, is classified positive while anchors are labeled -1).
     """
-    if m < 1:
-        raise ValueError("m must be >= 1")
+    m = _count(m, "m", 1)
     M = math.comb(3 * m, m)
     if M > 2000:
         raise ValueError(f"C(3m, m) = {M} exceeds the desk-scale build budget")
@@ -368,7 +366,10 @@ def run_adversarial_game(
     ``n_samples`` i.i.d. anchor draws and must answer with a witness index.
     The trial's loss is the exact distributional robust loss of that
     witness, which the construction audits reduce to the overlap formula.
+    Before any draw, ``n_samples`` below 0 or ``trials`` below 1, or either
+    not an integer, raises ``ValueError``.
     """
+    n_samples, trials = _count(n_samples, "n_samples"), _count(trials, "trials", 1)
     rng = seeding.rng_for(seed, "subset-game")
     losses = np.empty(trials)
     all_idx = np.arange(inst.n_anchors)

@@ -819,7 +819,7 @@ class TestRegularity:
     @pytest.mark.parametrize("probes", [-5, 10.5, np.float64(8.0), True])
     def test_bad_probe_count_rejected(self, probes):
         # 64 probes find failures on this sphere, so -5 must not certify it
-        with pytest.raises(ValueError, match="probes must be a nonnegative integer"):
+        with pytest.raises(ValueError, match="probes must be an integer >= 0"):
             regularity_check(SphereBoundary((0, 0), 1.0), 0.9, probes, Ball((0, 0), 3.0), seed=0)
 
     def test_numpy_integer_probe_count_accepted(self):

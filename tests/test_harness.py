@@ -493,6 +493,14 @@ class TestRunAndWrite:
         leftovers = [p for p in os.listdir(tmp_path) if p.endswith(".tmp")]
         assert not leftovers
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_output_gets_the_mode_open_gives(self, fmt, tmp_path):
+        record = run(ExperimentConfig.from_dict({"experiment": "regularity_check", "seed": 5}))
+        write_record(record, str(tmp_path / f"out.{fmt}"), fmt)
+        with open(tmp_path / "plain", "w"):
+            pass
+        assert os.stat(tmp_path / f"out.{fmt}").st_mode == os.stat(tmp_path / "plain").st_mode
+
     @pytest.mark.parametrize("cell", [np.bool_(True), np.int64(3), None], ids=["numpy-bool", "numpy-int", "none"])
     def test_csv_cell_of_another_type_names_its_column_and_writes_nothing(self, cell, tmp_path):
         record = run(ExperimentConfig.from_dict({"experiment": "regularity_check", "seed": 5}))

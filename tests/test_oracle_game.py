@@ -279,9 +279,9 @@ class TestQueryGame:
         "budgets, match",
         [
             ([], "at least one budget"),
-            ([2.7, 1, 1, True], "integers"),
-            ([4.0, 8], "integers"),
-            ([1, True], "integers"),
+            ([2.7, 1, 1, True], "budget must be an integer"),
+            ([4.0, 8], "budget must be an integer"),
+            ([1, True], "budget must be an integer"),
             ([1, 2, 1], "distinct"),
             ([np.int64(4), 4], "distinct"),
         ],

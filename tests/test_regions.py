@@ -422,7 +422,7 @@ class TestUniformSample:
         assert len(tested) < n / acceptance + len(masks[-1])
 
     def test_negative_n_rejected(self):
-        with pytest.raises(ValueError, match="negative number of points"):
+        with pytest.raises(ValueError, match="n must be an integer >= 0"):
             uniform_sample(Ball((0.0, 0.0), 1.0), -1, seed=0)
 
     @pytest.mark.filterwarnings("ignore:overflow encountered")

@@ -1,6 +1,7 @@
 """Input checks of the library entry points: each bad input raises its named error."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from robustlab.classifiers import (
     LinearClassifier,
     TableClassifier,
     UnsupportedPairError,
+    regularity_check,
     violation_radius,
 )
 from robustlab.geometry import (
@@ -21,15 +23,23 @@ from robustlab.geometry import (
     cover_compact_by_balls,
     greedy_sphere_cover,
 )
-from robustlab.oracle_game import build_oracle_game, run_query_game
-from robustlab.regions import FinitePoints, RegionFamily
-from robustlab.rerm import opt_gap_audit
+from robustlab.oracle_game import build_oracle_game, measure_bound_audit, run_query_game
+from robustlab.regions import FinitePoints, RegionFamily, uniform_sample
+from robustlab.rerm import IndexedExhaustiveOracle, opt_gap_audit, tolrerm
 from robustlab.sandwich import SandwichTriple, build_ball_sandwich
 from robustlab.seeding import rng_for, uniform_sphere
-from robustlab.shatter_game import build_failure_instance
+from robustlab.shatter_game import (
+    best_response_learner,
+    build_failure_instance,
+    build_shatter_family,
+    run_adversarial_game,
+)
 
 BALL = Ball((0.0, 0.0), 1.0)
 GAME = build_oracle_game(20.0, 1.0, 2)
+ORACLE = IndexedExhaustiveOracle(GAME.cls, GAME.u_family, GAME.dist)
+FAILURE = build_failure_instance(1, 1.0, 2, 0)
+HALFSPACE = LinearClassifier((1.0, 0.0), 0.0)
 
 REJECTIONS = [
     pytest.param(lambda: as_point([[0.0, 0.0]]), ValueError, "1-D vector", id="as_point-2d"),
@@ -55,7 +65,10 @@ REJECTIONS = [
         id="violation_radius-unsupported",
     ),
     pytest.param(
-        lambda: greedy_sphere_cover(1, 1.0, 0.5, 0), ValueError, "dimension >= 2", id="greedy_sphere_cover-d1"
+        lambda: greedy_sphere_cover(1, 1.0, 0.5, 0),
+        ValueError,
+        "d must be an integer >= 2",
+        id="greedy_sphere_cover-d1",
     ),
     # about 1,700 nodes per axis in d = 3, refused before the node grid is built
     pytest.param(
@@ -66,12 +79,22 @@ REJECTIONS = [
     ),
     pytest.param(lambda: uniform_sphere(3, 0, 1.0, rng_for(0, "x")), ValueError, ">= 1", id="uniform_sphere-d0"),
     pytest.param(lambda: build_oracle_game(20.0, 1.0, 0), ValueError, ">= 1", id="build_oracle_game-d0"),
-    pytest.param(lambda: run_query_game(GAME, [-1], 10, 0), ValueError, "nonnegative", id="run_query_game-budget"),
-    pytest.param(lambda: run_query_game(GAME, [0], 0, 0), ValueError, "at least one trial", id="run_query_game-trials"),
+    pytest.param(
+        lambda: run_query_game(GAME, [-1], 10, 0),
+        ValueError,
+        "budget must be an integer >= 0",
+        id="run_query_game-budget",
+    ),
+    pytest.param(
+        lambda: run_query_game(GAME, [0], 0, 0),
+        ValueError,
+        "trials must be an integer >= 1",
+        id="run_query_game-trials",
+    ),
     pytest.param(
         lambda: opt_gap_audit(lambda rs: np.zeros_like(rs), 0.1, 0.1, 0.5, 99, 0),
         ValueError,
-        "at least 100 trials",
+        "trials must be an integer >= 100",
         id="opt_gap_audit-99-trials",
     ),
     pytest.param(
@@ -83,7 +106,9 @@ REJECTIONS = [
     pytest.param(
         lambda: build_ball_sandwich(BALL, r=0.5, alpha=0.5), ValueError, "0 < alpha < r", id="ball_sandwich-alpha"
     ),
-    pytest.param(lambda: build_failure_instance(0, 1.0, 2, 0), ValueError, "m must be >= 1", id="failure-m0"),
+    pytest.param(
+        lambda: build_failure_instance(0, 1.0, 2, 0), ValueError, "m must be an integer >= 1", id="failure-m0"
+    ),
     # C(15, 5) = 3,003 cells, over the budget of 2,000, refused before any cell is built
     pytest.param(lambda: build_failure_instance(5, 1.0, 2, 0), ValueError, "C(3m, m) = 3003", id="failure-m5"),
 ]
@@ -96,3 +121,55 @@ def test_bad_input_raises_its_error(call, error, fragment):
     assert type(info.value) is error
     assert fragment in str(info.value)
 
+
+# (the count's name, its least value, the entry point called with that count set to its argument)
+COUNTS = [
+    pytest.param("probes", 0, lambda v: regularity_check(HALFSPACE, 0.5, v, BALL, seed=0), id="regularity-probes"),
+    pytest.param("n", 0, lambda v: uniform_sample(BALL, v, 0), id="uniform_sample-n"),
+    pytest.param(
+        "d", 2, lambda v: greedy_sphere_cover(v, 1.0, 2.5, 0, stop_factor=1, probe_count=1), id="sphere_cover-d"
+    ),
+    pytest.param("d", 1, lambda v: build_oracle_game(20.0, 1.0, v), id="oracle_game-d"),
+    pytest.param("budget", 0, lambda v: run_query_game(GAME, [v], 1, 0), id="query_game-budget"),
+    pytest.param("trials", 1, lambda v: run_query_game(GAME, [0], v, 0), id="query_game-trials"),
+    pytest.param("n_mc", 1, lambda v: measure_bound_audit(GAME, v, 0), id="measure_audit-n_mc"),
+    pytest.param("n", 1, lambda v: tolrerm(ORACLE, 0.5, 0.5, 1.0, v, 0), id="tolrerm-n"),
+    pytest.param("trials", 100, lambda v: opt_gap_audit(np.zeros_like, 0.1, 0.1, 0.5, v, 0), id="gap_audit-trials"),
+    pytest.param("d", 2, lambda v: build_shatter_family(1.0, v, 1, 0), id="shatter_family-d"),
+    pytest.param("M", 1, lambda v: build_shatter_family(1.0, 2, v, 0), id="shatter_family-M"),
+    pytest.param("m", 1, lambda v: build_failure_instance(v, 1.0, 2, 0), id="failure-m"),
+    pytest.param(
+        "n_samples", 0, lambda v: run_adversarial_game(FAILURE, best_response_learner, v, 1, 0), id="game-n_samples"
+    ),
+    pytest.param(
+        "trials", 1, lambda v: run_adversarial_game(FAILURE, best_response_learner, 0, v, 0), id="game-trials"
+    ),
+]
+
+
+@pytest.mark.parametrize("name, least, call", COUNTS)
+def test_count_is_accepted_at_its_least_and_rejected_below_or_as_a_bool(name, least, call):
+    call(least)
+    for bad in (least - 1, True):
+        with warnings.catch_warnings(), pytest.raises(ValueError) as info:
+            warnings.simplefilter("error")  # rejected before anything is computed from the count
+            call(bad)
+        assert str(info.value) == f"{name} must be an integer >= {least}, got {bad!r}"
+
+
+def test_no_points_drawn_is_an_empty_batch():
+    assert uniform_sample(BALL, 0, 0).shape == (0, 2)
+
+
+RADII = [
+    pytest.param("alpha", lambda v: regularity_check(HALFSPACE, v, 0, BALL, seed=0), id="regularity-alpha"),
+    pytest.param("gamma", lambda v: tolrerm(ORACLE, 0.5, 0.5, v, 1, 0), id="tolrerm-gamma"),
+]
+
+
+@pytest.mark.parametrize("name, call", RADII)
+def test_radius_is_accepted_above_zero_and_rejected_at_zero_infinity_or_as_a_bool(name, call):
+    call(math.ulp(0.0))
+    for bad in (0.0, math.inf, math.nan, True):
+        with pytest.raises(ValueError, match=f"^{name} must be "):
+            call(bad)

@@ -286,7 +286,7 @@ class TestTolRerm:
     @pytest.mark.parametrize("n", [2.5, True, np.float64(3.0), 0, -3], ids=["float", "bool", "numpy-float", "zero", "negative"])
     def test_bad_sample_size_in_a_run_list_rejected(self, game, n):
         oracle = IndexedExhaustiveOracle(game.cls, game.u_family, game.dist)
-        with pytest.raises(ValueError, match="n must be a positive integer"):
+        with pytest.raises(ValueError, match="n must be an integer >= 1"):
             tolrerm(oracle, 0.5, 0.5, 1.0, [5, n], [0, 1])
 
     def test_parameter_validation(self, game):
@@ -299,7 +299,7 @@ class TestTolRerm:
     @pytest.mark.parametrize("n", [2.5, True, np.float64(3.0)], ids=["float", "bool", "numpy-float"])
     def test_non_integer_sample_size_rejected(self, game, n):
         oracle = IndexedExhaustiveOracle(game.cls, game.u_family, game.dist)
-        with pytest.raises(ValueError, match="n must be a positive integer"):
+        with pytest.raises(ValueError, match="n must be an integer >= 1"):
             tolrerm(oracle, 0.5, 0.5, 1.0, n, 0)
 
     def test_numpy_integer_sample_size_accepted(self, game):

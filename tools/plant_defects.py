@@ -50,6 +50,12 @@ DEFECTS = [
         "per_ball = ball_labels * margins - ball_radii",
         "per_ball = ball_labels * margins - 0.99 * ball_radii",
     ),
+    (
+        "_count admits least - 1",
+        "src/robustlab/geometry.py",
+        "if not (_is_integer(value) and value >= least):",
+        "if not (_is_integer(value) and value >= least - 1):",
+    ),
 ]
 
 
