@@ -15,7 +15,7 @@ lookup table, is one numpy pass over the stacked balls of all regions, each
 column reduced over its own balls, and :func:`violation_radius` is the
 table's 1x1 case for every type.  The table is the one source of robust
 losses over pairs: the RERM oracle compares it against its radius, and
-``_loss_table`` reads it at one radius for every other caller,
+``_loss_table`` reads it on the raw regions for every other caller,
 :func:`robust_loss_point` being its 1x1 case.
 
 :class:`DiscreteDistribution` draws atom indices by searching a CDF it
@@ -400,9 +400,9 @@ def _stacked_balls(regions, labels: np.ndarray):
     )
 
 
-def _loss_table(hypotheses, regions, examples, r: float = 0.0) -> np.ndarray:
-    """(hypothesis x example) int8 robust losses on the regions expanded by ``r``."""
-    return _violated(*_violation_table(hypotheses, regions, examples), r).astype(np.int8)
+def _loss_table(hypotheses, regions, examples) -> np.ndarray:
+    """(hypothesis x example) int8 robust losses on the raw regions."""
+    return _violated(*_violation_table(hypotheses, regions, examples), 0.0).astype(np.int8)
 
 
 def robust_loss_distribution(h: Hypothesis, family: RegionFamily, dist: DiscreteDistribution) -> float:

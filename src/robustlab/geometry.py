@@ -27,7 +27,7 @@ Conventions used throughout the library:
 
 * points are 1-D float ndarrays; batches are ``(n, d)`` arrays;
 * all balls and regions are closed (boundary included);
-* geometric equality assertions use absolute tolerance ``1e-9``.
+* a sphere cover's centers lie on its sphere within relative tolerance ``GEOM_TOL``.
 """
 
 from __future__ import annotations

@@ -240,7 +240,7 @@ class OverheadRow:
 
 def overhead_audit(
     instances: Sequence[tuple[int, int, FiniteClass, RegionFamily, list[LabeledExample]]],
-    max_m: int = 6,
+    max_m: int,
 ) -> list[OverheadRow]:
     """Audit the robust-VC overhead of size-k regions across instances.
 

@@ -24,7 +24,7 @@ from .classifiers import (
     LinearClassifier,
     robust_loss_distribution,
 )
-from .geometry import Ball, _count, _in_ball
+from .geometry import Ball, _count, _in_ball, _radius
 from .regions import RegionFamily, UnionOfBalls, _region_balls, _rejection_draw
 from .seeding import rng_for
 
@@ -69,8 +69,8 @@ def build_oracle_game(D: float, gamma: float, d: int) -> OracleGameInstance:
     Disjointness of the U pair and overlap of the V pair are verified by
     center-distance arithmetic on construction.
     """
-    if not D > 10 * gamma > 0:
-        raise ValueError("need D > 10 * gamma > 0")
+    if not _radius(D, "D") > 10 * _radius(gamma):
+        raise ValueError("need D > 10 * gamma")
     d = _count(d, "d", 1)
     D0 = D - 9.0 * gamma
     e1 = np.zeros(d)

@@ -12,9 +12,9 @@ and one finite distribution.  It builds the (hypothesis x atom) table of
 every sample as an array of atom indices.  It returns a true argmin with
 lowest-index tie-breaking, and rejects an empty sample, an index that is
 not an atom's, a negative or NaN radius, and an array of radii where one
-radius is asked for with ``ValueError``.  A member's exact expected loss
-reads its row alone, and an array of radii gives one optimal count per
-radius.
+radius is asked for with ``ValueError``.  Every member's exact expected
+loss at one radius comes from one table, and an array of radii gives one
+optimal count per radius.
 """
 
 from __future__ import annotations
@@ -90,13 +90,16 @@ class IndexedExhaustiveOracle:
         """Boolean (hypothesis, atom) violation table at r: (H, N), or (R, H, N) for R radii."""
         return _violated(self._radii, self._incl, r)
 
+    def distribution_losses(self, r: float) -> list[float]:
+        """Every class member's exact expected robust loss at one radius r: its row times the probabilities."""
+        if np.ndim(r):
+            raise ValueError(f"distribution losses take one radius, got {r!r}")
+        return [float(row @ self.dist.probabilities) for row in self.violated(r)]
+
     def distribution_loss(self, h_idx: int, r: float) -> float:
         """Exact expected robust loss of class member ``h_idx`` at radius r."""
-        if np.ndim(r):
-            raise ValueError(f"distribution_loss takes one radius, got {r!r}")
         _check_indices(np.asarray(h_idx), len(self.cls), "hypothesis")
-        row = _violated(self._radii[h_idx], self._incl[h_idx], r)
-        return float(row @ self.dist.probabilities)
+        return self.distribution_losses(r)[h_idx]
 
     def _atom_counts(self, atom_indices) -> np.ndarray:
         """How many times a nonempty sample of atom indices holds each atom."""
@@ -123,11 +126,12 @@ class IndexedExhaustiveOracle:
         return self._counts(self._atom_counts(atom_indices), r).min(axis=-1)
 
 
-def _check_tolerance(eps: float, delta: float, gamma: float) -> None:
-    """Reject eps or delta outside (0, 1] and a gamma that :func:`~robustlab.geometry._radius` rejects."""
-    if not (0 < eps <= 1 and 0 < delta <= 1):
+def _check_tolerance(eps: float, delta: float, gamma: float) -> float:
+    """The tolerant interval's lower end, once eps, delta and gamma pass ``_radius`` and eps, delta <= 1."""
+    if not (_radius(eps, "eps") <= 1 and _radius(delta, "delta") <= 1):
         raise ValueError("eps and delta must lie in (0, 1]")
     _radius(gamma)
+    return eps * delta * gamma / 7.0
 
 
 @dataclass(frozen=True)
@@ -160,13 +164,12 @@ def tolrerm(
     scalar call.  An ``n`` that is not an integer >= 1 (a bool is not),
     unequal lengths and an empty run list raise ``ValueError``.
     """
-    _check_tolerance(eps, delta, gamma)
+    lo = _check_tolerance(eps, delta, gamma)
     one = np.ndim(n) == np.ndim(seed) == 0
     if not one and not (np.ndim(n) == np.ndim(seed) == 1 and len(n) == len(seed) > 0):
         raise ValueError("n and seed must be one value each or equal-length nonempty 1-D sequences")
     ns = [_count(k, "n", 1) for k in ([n] if one else n)]
     seeds = [seed] if one else list(seed)
-    lo = eps * delta * gamma / 7.0
     rs = np.array([rng_for(s, "radius").uniform(lo, gamma) for s in seeds])
     draws = [oracle.dist.sample_indices(k, rng_for(s, "sample")) for k, s in zip(ns, seeds)]
     counts = oracle._counts(np.array([np.bincount(d, minlength=len(oracle.dist)) for d in draws]), rs)
@@ -208,9 +211,8 @@ def opt_gap_audit(
     those targets.  ``trials`` below 100 or not an integer raises ``ValueError``,
     and so does a profile without one optimum per radius.
     """
-    _check_tolerance(eps, delta, gamma)
+    alpha = _check_tolerance(eps, delta, gamma)
     trials = _count(trials, "trials", 100)  # fewer radii make no meaningful audit
-    alpha = eps * delta * gamma / 7.0
     rs = rng_for(seed, "gap-audit").uniform(alpha, gamma, size=trials)
     upper, lower = profile(rs), profile(rs - alpha)
     if np.shape(upper) != rs.shape or np.shape(lower) != rs.shape:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import __version__, classifiers, geometry, loss_vc, oracle_game, regions, rerm, sandwich, seeding, shatter_game
+from . import classifiers, geometry, loss_vc, oracle_game, regions, rerm, sandwich, seeding, shatter_game
 from .harness import EXPERIMENT_TABLES, _atomic_write, resolve_output_path
 
 
@@ -37,13 +37,6 @@ class RunRecord:
     summary: dict
     assertions_passed: bool
     wall_clock_s: float
-    version: str = __version__
-
-
-def _member_losses(oracle, r: float) -> list[float]:
-    """Each member's exact expected loss at r, as ``distribution_loss`` computes it, from one table."""
-    probs = oracle.dist.probabilities
-    return [float(row @ probs) for row in oracle.violated(r)]
 
 
 def run_tolrerm_sweep(params: dict, seed: int):
@@ -55,8 +48,8 @@ def run_tolrerm_sweep(params: dict, seed: int):
         task = rerm.make_learning_task(seeding.seed_derive(seed, f"task-{task_idx}"), gamma=params["gamma"])
         oracle = rerm.IndexedExhaustiveOracle(task.cls, task.family, task.dist)
         # exact tolerant benchmark: best expanded-loss member of the class
-        opt_gamma = min(_member_losses(oracle, task.gamma))
-        plain_loss = _member_losses(oracle, 0.0)
+        opt_gamma = min(oracle.distribution_losses(task.gamma))
+        plain_loss = oracle.distribution_losses(0.0)
         run_seeds = [seeding.seed_derive(seed, f"run-{task_idx}-{n}-{trial}") for n, trial in runs]
         results = rerm.tolrerm(oracle, eps, delta, task.gamma, [n for n, _ in runs], run_seeds)
         for (n, trial), res in zip(runs, results):

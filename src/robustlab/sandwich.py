@@ -38,7 +38,7 @@ from .classifiers import (
     _loss_table,
     regularity_check,
 )
-from .geometry import Ball, cover_compact_by_balls, grid_cover_bound
+from .geometry import Ball, _radius, cover_compact_by_balls, grid_cover_bound
 from .regions import FinitePoints, Region, uniform_sample
 from .seeding import rng_for, seed_derive
 
@@ -57,6 +57,12 @@ __all__ = [
 CERTIFICATE_PROBES = 64
 
 
+def _check_shrink(alpha: float, r: float) -> None:
+    """Reject an ``alpha`` or ``r`` that :func:`~robustlab.geometry._radius` rejects, and ``alpha >= r``."""
+    if not _radius(alpha, "alpha") < _radius(r, "r"):
+        raise ValueError("need 0 < alpha < r")
+
+
 @dataclass(frozen=True)
 class SandwichTriple:
     """Lower expansion, proxy middle, upper expansion, and their radii."""
@@ -69,8 +75,7 @@ class SandwichTriple:
     variant: str  # "points" or "balls"
 
     def __post_init__(self):
-        if not 0 < self.alpha < self.r:
-            raise ValueError("need 0 < alpha < r")
+        _check_shrink(self.alpha, self.r)
         if self.variant not in ("points", "balls"):
             raise ValueError("variant must be 'points' or 'balls'")
 
@@ -82,8 +87,7 @@ def _count_bound(base: Region, r: float, alpha: float) -> int:
 
 def build_point_sandwich(base: Region, r: float, alpha: float) -> SandwichTriple:
     """Finite proxy: the certified grid-cover centers of the upper expansion that lie inside it."""
-    if not 0 < alpha < r:
-        raise ValueError("need 0 < alpha < r")
+    _check_shrink(alpha, r)
     upper = base.expand(r)
     lower = base.expand(r - alpha)
     cover = cover_compact_by_balls(upper, alpha / 2.0)
@@ -103,8 +107,7 @@ def build_ball_sandwich(base: Region, r: float, alpha: float) -> SandwichTriple:
     ``middle <= upper`` by the triangle inequality, and the cover's
     certificate proves ``lower <= middle``.
     """
-    if not 0 < alpha < r:
-        raise ValueError("need 0 < alpha < r")
+    _check_shrink(alpha, r)
     upper = base.expand(r)
     lower = base.expand(r - alpha)
     cover = cover_compact_by_balls(lower, alpha / 2.0)
@@ -158,7 +161,7 @@ def sandwich_audit(
     triple: SandwichTriple,
     hypotheses: list[Hypothesis],
     examples: list[LabeledExample],
-    seed: int = 0,
+    seed: int,
 ) -> SandwichAuditReport:
     """Check the loss sandwich for every (hypothesis, example) pair.
 

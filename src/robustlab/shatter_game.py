@@ -26,7 +26,7 @@ import numpy as np
 
 from . import seeding  # rng_for is read at each call, so a later rebinding in seeding reaches it
 from .classifiers import LabeledExample, LinearClassifier, _loss_table
-from .geometry import SphereCover, _count, _in_ball, _pair_distances, greedy_sphere_cover
+from .geometry import SphereCover, _count, _in_ball, _pair_distances, _radius, greedy_sphere_cover
 from .regions import FinitePoints, RegionFamily
 from .seeding import as_generator, uniform_sphere
 
@@ -90,6 +90,7 @@ def cap_mismatch_fraction(W: float, beta: float, x_on_sphere, n: int, seed) -> f
     up to floating-point ties on the cap boundary (measure zero for random
     samples).
     """
+    n = _count(n, "n", 1)
     x = np.asarray(x_on_sphere, dtype=float)
     h = tangent_hypothesis(x, W)
     rng = as_generator(seed)
@@ -132,6 +133,7 @@ def build_shatter_family(W: float, d: int, M: int, seed: int) -> ShatterFamily:
     packing center (the deterministic seed fixes everything).
     """
     d, M = _count(d, "d", 2), _count(M, "M", 1)
+    _radius(W, "W")
     beta = BETA0
     cover = None
     for halving in range(MAX_HALVINGS):

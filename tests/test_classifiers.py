@@ -352,7 +352,8 @@ class TestViolationRadius:
                     for r in r_grid:
                         grown = region if r == 0 else region.expand(r)
                         direct = direct_loss(h, grown, y)
-                        assert _loss_table([h], [region], [e], r)[0, 0] == direct, (type(region), type(h), y, r)
+                        loss = _violated(*_violation_table([h], [region], [e]), r)[0, 0]
+                        assert loss == direct, (type(region), type(h), y, r)
                         assert robust_loss_point(h, grown, e) == direct, (type(region), type(h), y, r)
 
     def test_flip_exactly_at_radius(self):
@@ -667,7 +668,7 @@ def test_kernel_matches_direct_loss(region, h, y, r):
     assume(abs(r - r_star) > 1e-9 or (r == 0 and isinstance(h, TableClassifier)))
     grown = region if r == 0 else region.expand(r)
     e = ex(np.zeros(2), y)
-    assert _loss_table([h], [region], [e], r)[0, 0] == direct_loss(h, grown, y)
+    assert _violated(*_violation_table([h], [region], [e]), r)[0, 0] == direct_loss(h, grown, y)
 
 
 @derandomized
@@ -677,7 +678,7 @@ def test_sampled_loss_never_exceeds_kernel(region, h, y, r):
     # cheap; a zero-measure region is probed at its defining points
     grown = region if r == 0 else region.expand(r)
     e = ex(np.zeros(2), y)
-    if _loss_table([h], [region], [e], r)[0, 0] == 0:
+    if _violated(*_violation_table([h], [region], [e]), r)[0, 0] == 0:
         assert robust_loss_sampled(h, grown, e, 64, seed=0) == 0
 
 

@@ -15,6 +15,8 @@ import pytest
 import robustlab.harness
 import robustlab.loss_vc
 
+from robustlab import shatter_game
+from robustlab.classifiers import robust_loss_distribution
 from robustlab.cli import main
 from robustlab.harness import (
     CONFIG_ROWS,
@@ -27,7 +29,6 @@ from robustlab.harness import (
 )
 from robustlab.oracle_game import build_oracle_game
 from robustlab.rerm import IndexedExhaustiveOracle, make_learning_task
-from robustlab.runners import _member_losses
 from robustlab.seeding import as_generator, rng_for, seed_derive
 
 # A small config of every experiment.
@@ -576,6 +577,22 @@ class TestRunAndWrite:
             # Python scalars only: json cannot write a numpy integer or bool
             assert {type(v) for row in record.rows for v in row.values()} <= {bool, int, float, str}, name
 
+    def test_omniscient_lb_linear_game_passes_at_zero_loss_and_a_fallible_learner_fails(self, tmp_path, monkeypatch):
+        # the omniscient verdict is mean loss exactly 0; a learner that does
+        # not know the hidden subset must fail that verdict
+        params = {"m": 1, "trials": 20, "learner": "omniscient", "export_path": None}
+        cfg = ExperimentConfig.from_dict(
+            {"experiment": "lb_linear_game", "seed": 3, "params": params, "output_path": str(tmp_path / "lb.csv")}
+        )
+        record = run(cfg)
+        assert record.assertions_passed
+        assert record.summary["mean_loss"] == 0.0
+        assert {row["loss"] for row in record.rows} == {0.0}
+        monkeypatch.setattr(shatter_game, "omniscient_learner", shatter_game.best_response_learner)
+        record = run(cfg)
+        assert record.summary["mean_loss"] > 0.0
+        assert not record.assertions_passed
+
     @pytest.mark.parametrize("name", sorted(SMALL))
     def test_seeded_csv_digest_pinned(self, name, tmp_path):
         path = tmp_path / f"{name}.csv"
@@ -611,16 +628,21 @@ class TestRunAndWrite:
         assert hashlib.sha256(body).hexdigest() == QUERY_BENCH_CSV_SHA256
 
     def test_tolrerm_sweep_member_losses_are_distribution_losses(self):
-        # the sweep reads every member's loss from one table per radius; the
-        # bits must be those of the per-member oracle call
+        # the sweep reads every member's loss from the oracle's one table per
+        # radius; the bits must be those of the per-member oracle call, and at
+        # radius 0 those of robust_loss_distribution, which builds its own table
         for task_idx in range(5):
             task = make_learning_task(seed_derive(11, f"task-{task_idx}"), gamma=0.25)
             oracle = IndexedExhaustiveOracle(task.cls, task.family, task.dist)
             for r in (task.gamma, 0.0):
                 reference = [oracle.distribution_loss(i, r).hex() for i in range(len(task.cls))]
-                assert [loss.hex() for loss in _member_losses(oracle, r)] == reference
+                assert [loss.hex() for loss in oracle.distribution_losses(r)] == reference
+            direct = [robust_loss_distribution(h, task.family, task.dist).hex() for h in task.cls]
+            assert [loss.hex() for loss in oracle.distribution_losses(0.0)] == direct
         with pytest.raises(ValueError, match="nonnegative"):
-            _member_losses(oracle, -0.1)
+            oracle.distribution_losses(-0.1)
+        with pytest.raises(ValueError, match="one radius"):
+            oracle.distribution_losses(np.array([0.0]))
 
     def test_default_size_opt_gap_audit_digest_pinned(self, tmp_path):
         path = tmp_path / "opt_gap_audit.csv"

@@ -26,12 +26,13 @@ from robustlab.geometry import (
 from robustlab.oracle_game import build_oracle_game, measure_bound_audit, run_query_game
 from robustlab.regions import FinitePoints, RegionFamily, uniform_sample
 from robustlab.rerm import IndexedExhaustiveOracle, opt_gap_audit, tolrerm
-from robustlab.sandwich import SandwichTriple, build_ball_sandwich
+from robustlab.sandwich import SandwichTriple, build_ball_sandwich, build_point_sandwich
 from robustlab.seeding import rng_for, uniform_sphere
 from robustlab.shatter_game import (
     best_response_learner,
     build_failure_instance,
     build_shatter_family,
+    cap_mismatch_fraction,
     run_adversarial_game,
 )
 
@@ -40,6 +41,9 @@ GAME = build_oracle_game(20.0, 1.0, 2)
 ORACLE = IndexedExhaustiveOracle(GAME.cls, GAME.u_family, GAME.dist)
 FAILURE = build_failure_instance(1, 1.0, 2, 0)
 HALFSPACE = LinearClassifier((1.0, 0.0), 0.0)
+
+# radii that geometry._radius rejects, with the phrase its message carries
+BAD_RADII = [(True, "a real number"), (0.0, "positive"), (math.inf, "positive"), (math.nan, "positive")]
 
 REJECTIONS = [
     pytest.param(lambda: as_point([[0.0, 0.0]]), ValueError, "1-D vector", id="as_point-2d"),
@@ -111,6 +115,43 @@ REJECTIONS = [
     ),
     # C(15, 5) = 3,003 cells, over the budget of 2,000, refused before any cell is built
     pytest.param(lambda: build_failure_instance(5, 1.0, 2, 0), ValueError, "C(3m, m) = 3003", id="failure-m5"),
+    pytest.param(
+        lambda: build_oracle_game(True, 0.01, 2), ValueError, "D must be a real number", id="oracle_game-D-bool"
+    ),
+    pytest.param(
+        lambda: build_oracle_game(math.nan, 1.0, 2), ValueError, "D must be positive and finite", id="oracle_game-D-nan"
+    ),
+    pytest.param(
+        lambda: build_point_sandwich(BALL, 2.0, True),
+        ValueError,
+        "alpha must be a real number",
+        id="point_sandwich-bool",
+    ),
+    pytest.param(
+        lambda: build_ball_sandwich(BALL, 2.0, True),
+        ValueError,
+        "alpha must be a real number",
+        id="ball_sandwich-bool",
+    ),
+    pytest.param(
+        lambda: build_failure_instance(1, True, 2, 7), ValueError, "W must be a real number", id="failure-W-bool"
+    ),
+    *[
+        pytest.param(
+            lambda v=v: build_shatter_family(v, 2, 1, 0), ValueError, f"W must be {phrase}", id=f"shatter-W-{v}"
+        )
+        for v, phrase in BAD_RADII
+    ],
+    # the smallest positive gamma is no valid call here: at D = 20 the construction's own checks fail
+    *[
+        pytest.param(
+            lambda v=v: build_oracle_game(20.0, v, 2),
+            ValueError,
+            f"gamma must be {phrase}",
+            id=f"oracle_game-gamma-{v}",
+        )
+        for v, phrase in BAD_RADII
+    ],
 ]
 
 
@@ -144,6 +185,7 @@ COUNTS = [
     pytest.param(
         "trials", 1, lambda v: run_adversarial_game(FAILURE, best_response_learner, 0, v, 0), id="game-trials"
     ),
+    pytest.param("n", 1, lambda v: cap_mismatch_fraction(1.0, 0.1, [1.0, 0.0], v, 0), id="cap_mismatch-n"),
 ]
 
 
@@ -164,6 +206,10 @@ def test_no_points_drawn_is_an_empty_batch():
 RADII = [
     pytest.param("alpha", lambda v: regularity_check(HALFSPACE, v, 0, BALL, seed=0), id="regularity-alpha"),
     pytest.param("gamma", lambda v: tolrerm(ORACLE, 0.5, 0.5, v, 1, 0), id="tolrerm-gamma"),
+    pytest.param("eps", lambda v: tolrerm(ORACLE, v, 0.5, 1.0, 1, 0), id="tolrerm-eps"),
+    pytest.param("delta", lambda v: tolrerm(ORACLE, 0.5, v, 1.0, 1, 0), id="tolrerm-delta"),
+    pytest.param("eps", lambda v: opt_gap_audit(np.zeros_like, v, 0.1, 0.5, 100, 0), id="gap_audit-eps"),
+    pytest.param("alpha", lambda v: SandwichTriple(BALL, BALL, BALL, v, 0.5, "points"), id="triple-alpha"),
 ]
 
 

@@ -51,6 +51,18 @@ DEFECTS = [
         "per_ball = ball_labels * margins - 0.99 * ball_radii",
     ),
     (
+        "the tolerant interval's lower end loses its factor 1/7",
+        "src/robustlab/rerm.py",
+        "return eps * delta * gamma / 7.0",
+        "return eps * delta * gamma / 3.5",
+    ),
+    (
+        "the shrink check admits alpha == r",
+        "src/robustlab/sandwich.py",
+        'if not _radius(alpha, "alpha") < _radius(r, "r"):',
+        'if not _radius(alpha, "alpha") <= _radius(r, "r"):',
+    ),
+    (
         "_count admits least - 1",
         "src/robustlab/geometry.py",
         "if not (_is_integer(value) and value >= least):",
